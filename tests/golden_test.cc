@@ -1,0 +1,246 @@
+// Cross-commit behaviour pins. The determinism tests elsewhere compare two
+// runs of one build; these compare one run against constants recorded from
+// an earlier build, so a refactor that claims "same seed, same output" is
+// checked against the code it replaced. A legitimate behaviour change must
+// re-record the constants and say why in its change log.
+// `ctest -L golden` runs this suite.
+
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <string>
+
+#include "app/chaos.h"
+#include "app/experiment.h"
+#include "app/soak.h"
+#include "common/hash.h"
+#include "gtest/gtest.h"
+
+namespace ziziphus::app {
+namespace {
+
+// Set ZIZIPHUS_GOLDEN_PRINT=1 to print every pinned run in initializer
+// form (for re-recording after an intended behaviour change).
+bool PrintPins() { return std::getenv("ZIZIPHUS_GOLDEN_PRINT") != nullptr; }
+
+struct ExperimentPin {
+  std::uint64_t local_ops;
+  std::uint64_t global_ops;
+  std::uint64_t read_ops;
+  std::uint64_t read_fallbacks;
+  std::uint64_t timeouts;
+  std::uint64_t messages_sent;
+  std::uint64_t events_dispatched;
+  double p50_ms;
+};
+
+void ExpectPinned(const char* name, const ExperimentResult& r,
+                  const ExperimentPin& want) {
+  if (PrintPins()) {
+    std::printf("%s: {%llu, %llu, %llu, %llu, %llu, %llu, %llu, %.17g}\n",
+                name, (unsigned long long)r.local_ops,
+                (unsigned long long)r.global_ops,
+                (unsigned long long)r.read_ops,
+                (unsigned long long)r.read_fallbacks,
+                (unsigned long long)r.timeouts,
+                (unsigned long long)r.messages_sent,
+                (unsigned long long)r.events_dispatched, r.p50_ms);
+  }
+  SCOPED_TRACE(name);
+  EXPECT_EQ(r.local_ops, want.local_ops);
+  EXPECT_EQ(r.global_ops, want.global_ops);
+  EXPECT_EQ(r.read_ops, want.read_ops);
+  EXPECT_EQ(r.read_fallbacks, want.read_fallbacks);
+  EXPECT_EQ(r.timeouts, want.timeouts);
+  EXPECT_EQ(r.messages_sent, want.messages_sent);
+  EXPECT_EQ(r.events_dispatched, want.events_dispatched);
+  EXPECT_DOUBLE_EQ(r.p50_ms, want.p50_ms);
+}
+
+WorkloadSpec SmallWorkload(double global_fraction, double read_fraction) {
+  WorkloadSpec wl;
+  wl.clients_per_zone = 6;
+  wl.mix.global_fraction = global_fraction;
+  wl.mix.read_fraction = read_fraction;
+  wl.warmup = Millis(400);
+  wl.measure = Millis(1200);
+  return wl;
+}
+
+TEST(GoldenExperimentTest, ZiziphusGlobalAndReads) {
+  ExpectPinned("ziziphus",
+               RunExperiment(Protocol::kZiziphus, PaperDeployment(3),
+                             SmallWorkload(0.1, 0.5)),
+               {806, 91, 896, 891, 0, 62499, 87891, 6.1796067146282976});
+}
+
+TEST(GoldenExperimentTest, ZiziphusCausalReadsOnTightCheckpoints) {
+  // A tight checkpoint interval lets the fast path serve (kOk verdicts,
+  // causal dependency merges) instead of falling back.
+  WorkloadSpec wl = SmallWorkload(0.3, 0.6);
+  wl.causal = true;
+  core::NodeConfig cfg = DefaultNodeConfig();
+  cfg.pbft.checkpoint_interval = 8;
+  ExpectPinned("ziziphus-causal",
+               RunExperimentWithConfig(Protocol::kZiziphus,
+                                       PaperDeployment(3), wl, cfg),
+               {276, 120, 582, 379, 0, 47737, 65594, 5.0176000000000007});
+}
+
+TEST(GoldenExperimentTest, ZiziphusCrossCluster) {
+  WorkloadSpec wl = SmallWorkload(0.3, 0.0);
+  wl.mix.cross_cluster_fraction = 0.5;
+  ExpectPinned("ziziphus-clusters",
+               RunExperiment(Protocol::kZiziphus, ClusteredDeployment(2), wl),
+               {481, 207, 0, 0, 0, 63164, 82087, 3.4099454094292807});
+}
+
+TEST(GoldenExperimentTest, StewardWithReads) {
+  // Steward executes reads as globally replicated BAL commands.
+  ExpectPinned("steward",
+               RunExperiment(Protocol::kSteward, PaperDeployment(3),
+                             SmallWorkload(0.1, 0.3)),
+               {0, 164, 87, 86, 0, 9319, 12354, 65.536000000000001});
+}
+
+TEST(GoldenExperimentTest, TwoLevelPbft) {
+  ExpectPinned("two-level",
+               RunExperiment(Protocol::kTwoLevelPbft, PaperDeployment(3),
+                             SmallWorkload(0.2, 0.2)),
+               {525, 141, 172, 173, 0, 63165, 85747, 3.3133114754098361});
+}
+
+TEST(GoldenExperimentTest, FlatPbft) {
+  ExpectPinned("flat",
+               RunExperiment(Protocol::kFlatPbft, PaperDeployment(3),
+                             SmallWorkload(0.1, 0.0)),
+               {251, 0, 0, 0, 0, 16852, 22368, 65.536000000000001});
+}
+
+TEST(GoldenExperimentTest, ZiziphusReadsWithCrashedBackups) {
+  // A crashed backup stays silent to the reads sent its way, so the run
+  // covers the client retry timer on both the read and the write path.
+  // The 8 s retry timeout needs a long window to fire.
+  WorkloadSpec wl = SmallWorkload(0.1, 0.5);
+  wl.measure = Seconds(12);
+  FaultSpec faults;
+  faults.crashed_backups_per_zone = 1;
+  ExpectPinned("ziziphus-crashed",
+               RunExperiment(Protocol::kZiziphus, PaperDeployment(3), wl,
+                             faults),
+               {39, 6, 54, 54, 18, 2908, 3364, 6.3421935483870966});
+}
+
+struct ChaosPin {
+  std::uint64_t fingerprint;
+  std::uint64_t obs_hash;
+  std::uint64_t local_completed;
+  std::uint64_t global_completed;
+  std::uint64_t reads_ok;
+  std::uint64_t reads_rejected;
+  std::uint64_t reads_abandoned;
+  SimTime end_time;
+};
+
+void ExpectPinned(const char* name, const ChaosReport& r,
+                  const ChaosPin& want) {
+  const std::uint64_t obs_hash = Fnv1a64(r.obs_json);
+  if (PrintPins()) {
+    std::printf("%s: {0x%llxULL, 0x%llxULL, %llu, %llu, %llu, %llu, %llu, "
+                "%llu}\n",
+                name, (unsigned long long)r.fingerprint,
+                (unsigned long long)obs_hash,
+                (unsigned long long)r.local_completed,
+                (unsigned long long)r.global_completed,
+                (unsigned long long)r.reads_ok,
+                (unsigned long long)r.reads_rejected,
+                (unsigned long long)r.reads_abandoned,
+                (unsigned long long)r.end_time);
+  }
+  SCOPED_TRACE(name);
+  EXPECT_TRUE(r.ok()) << r.Summary();
+  EXPECT_EQ(r.fingerprint, want.fingerprint);
+  EXPECT_EQ(obs_hash, want.obs_hash);
+  EXPECT_EQ(r.local_completed, want.local_completed);
+  EXPECT_EQ(r.global_completed, want.global_completed);
+  EXPECT_EQ(r.reads_ok, want.reads_ok);
+  EXPECT_EQ(r.reads_rejected, want.reads_rejected);
+  EXPECT_EQ(r.reads_abandoned, want.reads_abandoned);
+  EXPECT_EQ(r.end_time, want.end_time);
+}
+
+TEST(GoldenChaosTest, ZiziphusSeed3WithReads) {
+  ChaosOptions opt;
+  opt.seed = 3;
+  opt.mix.read_fraction = 1.0;
+  ExpectPinned("chaos-3-reads", RunZiziphusChaos(opt),
+               {0x2b289e1412bd0c8eULL, 0xdf781b4c638992beULL, 72, 4, 36, 0,
+                36, 25000000});
+}
+
+TEST(GoldenChaosTest, ZiziphusSeed5WithAmnesia) {
+  ChaosOptions opt;
+  opt.seed = 5;
+  opt.amnesia_crashes = 2;
+  ExpectPinned("chaos-5-amnesia", RunZiziphusChaos(opt),
+               {0x1e4c5e339bbea9dULL, 0x6a2aedc93bdd9b5cULL, 72, 4, 0, 0, 0,
+                25000000});
+}
+
+TEST(GoldenChaosTest, TwoLevelSeed3) {
+  // The two-level harness exports no obs JSON: its hash is that of "".
+  ChaosOptions opt;
+  opt.seed = 3;
+  ExpectPinned("chaos-two-level-3", RunTwoLevelChaos(opt),
+               {0x34ecd1c8012e4da8ULL, 0xcbf29ce484222325ULL, 72, 4, 0, 0, 0,
+                25000000});
+}
+
+TEST(GoldenSoakTest, ShortSoak) {
+  // The ShortSoak() shape of the retention suite.
+  SoakOptions o;
+  o.schedule.horizon = Seconds(12);
+  o.schedule.wave_period = Seconds(4);
+  o.schedule.flash_crowds = 1;
+  o.schedule.flash_length = Millis(800);
+  o.schedule.regional_outages = 0;
+  o.schedule.amnesia_crashes = 1;
+  o.sample_period = Millis(500);
+  o.base_think = Millis(250);
+  o.pairs_per_zone = 1;
+  o.migrators = 1;
+  o.migrations_per_client = 3;
+  o.migrator_records = 100;
+  o.checkpoint_interval = 16;
+  o.sync_keep_window = 1;
+  SoakReport r = RunZiziphusSoak(o);
+  const std::uint64_t obs_hash = Fnv1a64(r.obs_json);
+  if (PrintPins()) {
+    std::printf("soak: 0x%llxULL 0x%llxULL %llu %llu %llu\n",
+                (unsigned long long)r.fingerprint,
+                (unsigned long long)obs_hash,
+                (unsigned long long)r.local_completed,
+                (unsigned long long)r.global_completed,
+                (unsigned long long)r.end_time);
+  }
+  EXPECT_TRUE(r.ok()) << r.Summary();
+  EXPECT_EQ(r.fingerprint, 0xe645ab0b77bf0f56ULL);
+  EXPECT_EQ(obs_hash, 0x9cc4f5b273ce8aecULL);
+  EXPECT_EQ(r.local_completed, 315u);
+  EXPECT_EQ(r.global_completed, 3u);
+  EXPECT_EQ(r.end_time, 27000000);
+}
+
+TEST(GoldenRejoinTest, DeltaRejoinTime) {
+  RejoinProbeOptions opt;
+  opt.records = 512;
+  RejoinProbeResult r = RunRejoinProbe(opt);
+  if (PrintPins()) {
+    std::printf("rejoin: %llu\n", (unsigned long long)r.time_to_rejoin);
+  }
+  EXPECT_TRUE(r.caught_up);
+  EXPECT_EQ(r.time_to_rejoin, 500);
+}
+
+}  // namespace
+}  // namespace ziziphus::app
