@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
 # Full verification: tier-1 build + ctest, the same suite under
-# ASan+UBSan, and --require/--min-ratio gates over every committed
+# ASan+UBSan, --require/--min-ratio gates over every committed
 # BENCH_*.json at the repo root (so a stale or regressed committed
-# export fails even if nobody re-ran the bench that wrote it).
+# export fails even if nobody re-ran the bench that wrote it), and the
+# benchmark's own tests (perfbench/test_perfbench.py).
 #
 # Usage: scripts/verify.sh [--skip-sanitize]
 #
-# Build trees: build/ (plain, also used for bench_schema_check) and
-# build-asan/ (ZIZIPHUS_SANITIZE=address,undefined). Both are plain
-# cmake trees — safe to delete, never committed.
+# Build trees: build/ (plain, also used for bench_schema_check),
+# build-asan/ (ZIZIPHUS_SANITIZE=address,undefined) and .bench_build/ (the
+# perfbench driver, or $CARGO_TARGET_DIR when set). All are plain cmake
+# trees — safe to delete, never committed.
 
 set -euo pipefail
 
@@ -88,5 +90,12 @@ banner "BENCH_consensus.json"
   --require=consensus/fast-path/failures:1:fast_fallbacks \
   "--min-ratio=consensus/stable/failures:0|consensus/fast-path/failures:0|lat_p50_ms|1.0" \
   "--min-ratio=consensus/stable/failures:1|consensus/fast-path/failures:1|lat_p50_ms|0.25"
+
+# ---- 4. the benchmark's own tests ---------------------------------------
+# Builds the perfbench driver the way perfbench/run.py does, then checks the
+# message-to-layer table, the driver's --selftest, the BENCHMARK.json schema
+# and that short runs emit exactly the declared metrics.
+banner "perfbench self-tests"
+python3 perfbench/test_perfbench.py
 
 banner "verify.sh: all green"

@@ -7,14 +7,12 @@
 #include <utility>
 
 #include "app/bank.h"
-#include "app/workload.h"
+#include "app/harness.h"
 #include "baselines/two_level.h"
 #include "baselines/two_level_system.h"
 #include "common/hash.h"
 #include "common/random.h"
-#include "core/messages.h"
 #include "core/system.h"
-#include "pbft/messages.h"
 #include "sim/byzantine.h"
 #include "sim/latency_model.h"
 #include "storage/kv_store.h"
@@ -23,300 +21,35 @@ namespace ziziphus::app {
 
 namespace {
 
-/// Closed-loop scripted client for chaos runs: one outstanding request at a
-/// time, PBFT client retransmission (multicast to the retry group on
-/// timeout), f+1 matching replies to complete. Survives crashed primaries,
-/// partitions, loss and duplication — exactly the client model the paper
-/// assumes (Section V-A).
-class ChaosClient : public sim::Process {
- public:
-  ChaosClient(const crypto::KeyRegistry* keys, std::size_t f,
-              Duration retry_timeout, Duration think_time)
-      : keys_(keys),
-        f_(f),
-        retry_timeout_(retry_timeout),
-        think_time_(think_time) {}
+/// The chaos roster: same-zone XFER pairs plus zone-hopping migrators, all
+/// paced by the same think time. Pair clients chase every transfer with a
+/// verified read when `reads` is set.
+harness::RosterSpec ChaosRoster(const ChaosOptions& opt,
+                                std::vector<crypto::ReadWitness>* reads) {
+  harness::RosterSpec spec;
+  spec.zones = opt.zones;
+  spec.f = opt.f;
+  spec.pairs_per_zone = opt.pairs_per_zone;
+  spec.xfers_per_client = opt.xfers_per_client;
+  spec.migrators = opt.migrators;
+  spec.migrations_per_client = opt.migrations_per_client;
+  spec.think = opt.client_think;
+  spec.migrator_think = opt.client_think;
+  spec.pair_reads = reads;
+  return spec;
+}
 
-  /// `count` same-zone transfers of `amount` to `peer` (pair workload:
-  /// the pair's combined balance is conserved at every committed prefix).
-  void ScriptXfers(NodeId target, std::vector<NodeId> retry_group,
-                   ClientId peer, std::size_t count, std::int64_t amount) {
-    mode_ = Mode::kLocal;
-    target_ = target;
-    retry_group_ = std::move(retry_group);
-    peer_ = peer;
-    remaining_ = count;
-    amount_ = amount;
+/// Completion and read outcomes of every client, into `report`.
+void TallyClients(const harness::Roster& clients, ChaosReport* report) {
+  for (const auto& c : clients.clients) {
+    (c->global() ? report->global_completed : report->local_completed) +=
+        c->completed();
+    (c->global() ? report->global_expected : report->local_expected) +=
+        c->scripted();
+    report->reads_ok += c->stats().reads_completed;
+    report->reads_rejected += c->stats().read_rejects;
+    report->reads_abandoned += c->reads_abandoned();
   }
-
-  /// `count` migrations hopping home -> home+1 -> ... (mod `num_zones`),
-  /// each submitted to the stable leader zone.
-  void ScriptMigrations(NodeId target, std::vector<NodeId> retry_group,
-                        ZoneId home, std::size_t num_zones,
-                        std::size_t count) {
-    mode_ = Mode::kGlobal;
-    target_ = target;
-    retry_group_ = std::move(retry_group);
-    home_ = home;
-    num_zones_ = num_zones;
-    remaining_ = count;
-  }
-
-  /// Makes the client chase each completed operation with one verified
-  /// fast-path read of its own account from `zone`. Verified accepts are
-  /// appended to `witnesses` for the end-of-run read-validity sweep. Reads
-  /// are deterministic (next zone replica round-robin, no rng) and bounded:
-  /// after one circuit of the zone without an acceptable reply the read is
-  /// abandoned and the scripted workload resumes.
-  void EnableReads(ZoneId zone, std::vector<crypto::ReadWitness>* witnesses) {
-    reads_enabled_ = true;
-    zone_ = zone;
-    witnesses_ = witnesses;
-  }
-
-  void Kick() { SubmitNext(); }
-
-  bool done() const {
-    return remaining_ == 0 && !in_flight_ && !read_in_flight_;
-  }
-  std::uint64_t completed() const { return completed_; }
-  std::size_t scripted() const { return remaining_ + completed_ +
-                                        (in_flight_ ? 1 : 0); }
-  std::uint64_t reads_ok() const { return reads_ok_; }
-  std::uint64_t reads_rejected() const { return reads_rejected_; }
-  std::uint64_t reads_abandoned() const { return reads_abandoned_; }
-
- protected:
-  void OnMessage(const sim::MessagePtr& msg) override {
-    switch (msg->type()) {
-      case pbft::kClientReply: {
-        auto r = std::static_pointer_cast<const pbft::ClientReplyMsg>(msg);
-        if (!in_flight_ || r->timestamp != current_ts_) break;
-        votes_.insert(r->replica);
-        if (votes_.size() >= f_ + 1) Complete();
-        break;
-      }
-      case core::kMigrationDone: {
-        auto r = std::static_pointer_cast<const core::MigrationReplyMsg>(msg);
-        if (!in_flight_ || r->timestamp != current_ts_) break;
-        votes_.insert(r->replica);
-        if (votes_.size() >= f_ + 1) {
-          home_ = pending_dest_;
-          Complete();
-        }
-        break;
-      }
-      case pbft::kReadReply:
-        HandleReadReply(
-            static_cast<const pbft::ReadReplyMsg&>(*msg));
-        break;
-      default:
-        break;
-    }
-  }
-
-  void OnTimer(std::uint64_t ts) override {
-    if (ts == kThinkTag) {
-      SubmitNext();
-      return;
-    }
-    if (ts >= kReadTagBase) {
-      // A read attempt timed out (reply lost or replica crashed): count the
-      // silent replica against the circuit and move on.
-      if (read_in_flight_ && ts == kReadTagBase + cur_read_nonce_) {
-        NextReadAttempt();
-      }
-      return;
-    }
-    if (!in_flight_ || ts != current_ts_) return;
-    Multicast(retry_group_, request_);
-    SetTimer(retry_timeout_, ts);
-  }
-
- private:
-  enum class Mode { kLocal, kGlobal };
-
-  // Timestamps start at 1, so 0 is free to tag the think-time timer.
-  static constexpr std::uint64_t kThinkTag = 0;
-  // Read timers are tagged with the read nonce offset far above any write
-  // timestamp, so stale timers of either stream never cross-fire.
-  static constexpr std::uint64_t kReadTagBase = std::uint64_t{1} << 32;
-
-  void Complete() {
-    in_flight_ = false;
-    ++completed_;
-    votes_.clear();
-    // Every completed scripted operation mutates the client's account, so
-    // it raises the session's read-your-writes watermark.
-    session_.last_write_ts = current_ts_;
-    if (reads_enabled_) {
-      StartRead();
-      return;
-    }
-    Think();
-  }
-
-  void Think() {
-    // Paced submission: without a think gap the whole workload completes
-    // inside the first few hundred milliseconds and most of the fault
-    // window hits an idle system.
-    if (think_time_ == 0) {
-      SubmitNext();
-    } else {
-      SetTimer(think_time_, kThinkTag);
-    }
-  }
-
-  // ---- Verified fast-path reads (EnableReads only) ----
-
-  void StartRead() {
-    read_in_flight_ = true;
-    read_attempts_ = 0;
-    read_floor_before_ = session_.FloorFor(zone_);
-    SendReadAttempt();
-  }
-
-  void SendReadAttempt() {
-    cur_read_nonce_ = next_read_nonce_++;
-    auto req = std::make_shared<pbft::ReadRequestMsg>();
-    req->client = id();
-    req->nonce = cur_read_nonce_;
-    req->key = BankStateMachine::AccountKey(id());
-    req->min_stable_seq = session_.FloorFor(zone_);
-    req->min_write_ts = session_.last_write_ts;
-    req->client_sig = keys_->Sign(id(), req->ComputeDigest());
-    Send(retry_group_[read_rr_ % retry_group_.size()], req);
-    SetTimer(retry_timeout_, kReadTagBase + cur_read_nonce_);
-  }
-
-  void NextReadAttempt() {
-    ++read_rr_;
-    if (++read_attempts_ >= retry_group_.size()) {
-      // One full circuit of the zone yielded no acceptable reply (replicas
-      // behind, crashed, or lying). Abandoning is safe — only *accepting* a
-      // bad reply would break the read guarantees.
-      ++reads_abandoned_;
-      FinishRead();
-      return;
-    }
-    SendReadAttempt();
-  }
-
-  void HandleReadReply(const pbft::ReadReplyMsg& r) {
-    if (!read_in_flight_ || r.nonce != cur_read_nonce_) return;
-    switch (VerifyReadReply(*keys_, retry_group_, f_, r, session_, zone_)) {
-      case ReadVerdict::kOk:
-        session_.AdvanceFloor(zone_, r.proof.anchor_seq);
-        ++reads_ok_;
-        scoped_counters().Inc(obs::CounterId::kReadsCertVerified);
-        if (witnesses_ != nullptr) {
-          witnesses_->push_back({id(), zone_, r.key, r.value, r.found,
-                                 r.proof, read_floor_before_});
-        }
-        FinishRead();
-        break;
-      case ReadVerdict::kBehind:
-        // Honest "cannot cover your session yet". The covering checkpoint
-        // forms once the zone commits a few more ops, so let the armed
-        // retry timer pace the next attempt instead of burning the whole
-        // circuit in one round-trip burst.
-        break;
-      case ReadVerdict::kBadCertificate:
-      case ReadVerdict::kBadInclusion:
-      case ReadVerdict::kBadCoverage:
-        ++reads_rejected_;
-        scoped_counters().Inc(obs::CounterId::kReadsCertRejected);
-        NextReadAttempt();
-        break;
-      case ReadVerdict::kStaleAnchor:
-      case ReadVerdict::kStaleWrite:
-        ++reads_rejected_;
-        scoped_counters().Inc(
-            obs::CounterId::kReadsSessionViolationsDetected);
-        NextReadAttempt();
-        break;
-    }
-  }
-
-  void FinishRead() {
-    read_in_flight_ = false;
-    Think();
-  }
-
-  void SubmitNext() {
-    if (remaining_ == 0) return;
-    --remaining_;
-    in_flight_ = true;
-    current_ts_ = next_ts_++;
-    if (mode_ == Mode::kLocal) {
-      pbft::Operation op;
-      op.client = id();
-      op.timestamp = current_ts_;
-      op.command =
-          "XFER " + std::to_string(peer_) + " " + std::to_string(amount_);
-      auto req = std::make_shared<pbft::ClientRequestMsg>();
-      req->op = op;
-      req->client_sig = keys_->Sign(id(), req->ComputeDigest());
-      request_ = req;
-    } else {
-      core::MigrationOp op;
-      op.client = id();
-      op.timestamp = current_ts_;
-      pending_dest_ = static_cast<ZoneId>((home_ + 1) % num_zones_);
-      op.source = home_;
-      op.destination = pending_dest_;
-      auto req = std::make_shared<core::MigrationRequestMsg>();
-      req->op = op;
-      req->client_sig = keys_->Sign(id(), req->digest());
-      request_ = req;
-    }
-    Send(target_, request_);
-    SetTimer(retry_timeout_, current_ts_);
-  }
-
-  const crypto::KeyRegistry* keys_;
-  std::size_t f_;
-  Duration retry_timeout_;
-  Duration think_time_ = 0;
-
-  // Read fast path (EnableReads).
-  bool reads_enabled_ = false;
-  ZoneId zone_ = 0;
-  std::vector<crypto::ReadWitness>* witnesses_ = nullptr;
-  Session session_;
-  bool read_in_flight_ = false;
-  std::size_t read_attempts_ = 0;
-  std::size_t read_rr_ = 0;
-  SeqNum read_floor_before_ = 0;
-  RequestTimestamp cur_read_nonce_ = 0;
-  RequestTimestamp next_read_nonce_ = 1;
-  std::uint64_t reads_ok_ = 0;
-  std::uint64_t reads_rejected_ = 0;
-  std::uint64_t reads_abandoned_ = 0;
-
-  Mode mode_ = Mode::kLocal;
-  NodeId target_ = kInvalidNode;
-  std::vector<NodeId> retry_group_;
-  ClientId peer_ = kInvalidClient;
-  std::int64_t amount_ = 1;
-  ZoneId home_ = 0;
-  ZoneId pending_dest_ = 0;
-  std::size_t num_zones_ = 1;
-  std::size_t remaining_ = 0;
-  bool in_flight_ = false;
-  RequestTimestamp current_ts_ = 0;
-  RequestTimestamp next_ts_ = 1;
-  sim::MessagePtr request_;
-  std::set<NodeId> votes_;
-  std::uint64_t completed_ = 0;
-};
-
-constexpr std::int64_t kInitialBalance = 1000;
-constexpr std::int64_t kXferAmount = 5;
-
-storage::KvStore::Map SeedBalance(ClientId id) {
-  return {{BankStateMachine::AccountKey(id),
-           std::to_string(kInitialBalance)}};
 }
 
 /// Appends a randomized fault timeline to `schedule`, all derived from
@@ -407,15 +140,6 @@ std::size_t GenerateFaultTimeline(sim::FaultSchedule& schedule, Rng& rng,
   }
   schedule.ResetAllAt(window);
   return schedule.size();
-}
-
-std::uint64_t FingerprintCounters(const CounterSet& counters) {
-  Hasher h(0xf19e);
-  for (const auto& [name, value] : counters.All()) {
-    h.Add(name);
-    h.Add(value);
-  }
-  return h.Finish();
 }
 
 /// The Byzantine behaviours safe at <= f per zone. The equivocating engine
@@ -634,66 +358,15 @@ ChaosReport RunZiziphusChaos(const ChaosOptions& opt) {
   }
 
   // --- Clients + conservation bookkeeping. ---
-  sim::InvariantChecker::Accounts accounts;
-  std::vector<std::unique_ptr<ChaosClient>> clients;
   // Every fast-path read an honest client accepts lands here and is
   // re-verified by the read-validity invariant after the run.
   std::vector<crypto::ReadWitness> witnesses;
-  const Duration retry = Millis(1100);
-
-  for (std::size_t z = 0; z < opt.zones; ++z) {
-    ZoneId zone = static_cast<ZoneId>(z);
-    const std::vector<NodeId>& members = sys.topology().zone(zone).members;
-    NodeId primary = sys.PrimaryOf(zone)->id();
-    for (std::size_t p = 0; p < opt.pairs_per_zone; ++p) {
-      auto a = std::make_unique<ChaosClient>(&sys.keys(), opt.f, retry,
-                                           opt.client_think);
-      auto b = std::make_unique<ChaosClient>(&sys.keys(), opt.f, retry,
-                                           opt.client_think);
-      ClientId ca = sys.sim().Register(a.get(), static_cast<RegionId>(z % 7));
-      ClientId cb = sys.sim().Register(b.get(), static_cast<RegionId>(z % 7));
-      a->ScriptXfers(primary, members, cb, opt.xfers_per_client, kXferAmount);
-      b->ScriptXfers(primary, members, ca, opt.xfers_per_client, kXferAmount);
-      if (opt.mix.read_fraction > 0) {
-        a->EnableReads(zone, &witnesses);
-        b->EnableReads(zone, &witnesses);
-      }
-      accounts.load_clients[zone].push_back(ca);
-      accounts.load_clients[zone].push_back(cb);
-      accounts.zone_load_totals[zone] += 2 * kInitialBalance;
-      clients.push_back(std::move(a));
-      clients.push_back(std::move(b));
-    }
-  }
-  NodeId leader_primary = sys.PrimaryOf(0)->id();
-  const std::vector<NodeId>& leader_members = sys.topology().zone(0).members;
-  for (std::size_t m = 0; m < opt.migrators; ++m) {
-    ZoneId home = static_cast<ZoneId>(m % opt.zones);
-    auto c = std::make_unique<ChaosClient>(&sys.keys(), opt.f, retry,
-                                           opt.client_think);
-    ClientId cid =
-        sys.sim().Register(c.get(), static_cast<RegionId>(home % 7));
-    c->ScriptMigrations(leader_primary, leader_members, home, opt.zones,
-                        opt.migrations_per_client);
-    accounts.fixed_balance_clients[cid] = kInitialBalance;
-    clients.push_back(std::move(c));
-  }
+  harness::Roster clients = harness::BuildRoster(
+      sys, ChaosRoster(opt, opt.mix.read_fraction > 0 ? &witnesses : nullptr));
   if (opt.migrators == 0) {
     // Migration-free run: every zone's total across *all* accounts is
     // pinned, catching minted accounts the workload knows nothing about.
-    accounts.strict_zone_totals = accounts.zone_load_totals;
-  }
-
-  std::size_t ci = 0;
-  for (std::size_t z = 0; z < opt.zones; ++z) {
-    for (std::size_t p = 0; p < 2 * opt.pairs_per_zone; ++p, ++ci) {
-      sys.BootstrapClient(clients[ci]->id(), static_cast<ZoneId>(z),
-                          SeedBalance);
-    }
-  }
-  for (std::size_t m = 0; m < opt.migrators; ++m, ++ci) {
-    sys.BootstrapClient(clients[ci]->id(),
-                        static_cast<ZoneId>(m % opt.zones), SeedBalance);
+    clients.accounts.strict_zone_totals = clients.accounts.zone_load_totals;
   }
 
   // --- Fault timeline + run. ---
@@ -723,20 +396,9 @@ ChaosReport RunZiziphusChaos(const ChaosOptions& opt) {
     }
     report.events = sys.sim().schedule().size();
   }
-  for (auto& c : clients) c->Kick();
-  sys.sim().RunUntil(opt.fault_window + opt.drain);
-
-  auto all_done = [&] {
-    for (const auto& c : clients) {
-      if (!c->done()) return false;
-    }
-    return true;
-  };
-  SimTime deadline = opt.fault_window + opt.drain + opt.completion_wait;
-  while (!all_done() && sys.sim().Now() < deadline) {
-    sys.sim().RunFor(Seconds(1));
-  }
-  report.all_done = all_done();
+  report.all_done = clients.Run(
+      sys.sim(), opt.fault_window + opt.drain,
+      opt.fault_window + opt.drain + opt.completion_wait);
   report.end_time = sys.sim().Now();
 
   if (std::getenv("CHAOS_DEBUG") != nullptr) {
@@ -753,7 +415,7 @@ ChaosReport RunZiziphusChaos(const ChaosOptions& opt) {
       node->sync().DumpStuckRequests(stderr);
       node->migration().DumpStuckStates(stderr);
     }
-    for (const auto& c : clients) {
+    for (const auto& c : clients.clients) {
       if (!c->done())
         std::fprintf(stderr, "client %llu NOT DONE completed %llu\n",
                      (unsigned long long)c->id(),
@@ -761,16 +423,7 @@ ChaosReport RunZiziphusChaos(const ChaosOptions& opt) {
     }
   }
 
-  for (const auto& c : clients) {
-    bool global = accounts.fixed_balance_clients.count(c->id()) > 0;
-    (global ? report.global_completed : report.local_completed) +=
-        c->completed();
-    (global ? report.global_expected : report.local_expected) +=
-        c->scripted();
-    report.reads_ok += c->reads_ok();
-    report.reads_rejected += c->reads_rejected();
-    report.reads_abandoned += c->reads_abandoned();
-  }
+  TallyClients(clients, &report);
 
   // Converged application state per zone: the digest of the honest replica
   // that executed furthest. Strategy-differential tests compare these —
@@ -797,7 +450,7 @@ ChaosReport RunZiziphusChaos(const ChaosOptions& opt) {
 
   sim::InvariantChecker::Options iopt;
   iopt.byzantine = byz_nodes;
-  iopt.accounts = std::move(accounts);
+  iopt.accounts = std::move(clients.accounts);
   iopt.read_witnesses = std::move(witnesses);
   iopt.balance_of = [](const core::ZoneStateMachine& app, ClientId c) {
     return static_cast<const BankStateMachine&>(app).BalanceOf(c);
@@ -807,7 +460,7 @@ ChaosReport RunZiziphusChaos(const ChaosOptions& opt) {
   };
   sim::InvariantChecker checker(std::move(iopt));
   report.violations = checker.Check(sys);
-  report.fingerprint = FingerprintCounters(sys.sim().counters());
+  report.fingerprint = harness::FingerprintCounters(sys.sim().counters());
   report.counters = sys.sim().counters().All();
   report.obs_json = sys.sim().recorder().ExportJson();
   return report;
@@ -842,55 +495,9 @@ ChaosReport RunTwoLevelChaos(const ChaosOptions& opt) {
   sys.Finalize(cfg,
                [](ZoneId) { return std::make_unique<BankStateMachine>(); });
 
-  sim::InvariantChecker::Accounts accounts;
-  std::vector<std::unique_ptr<ChaosClient>> clients;
-  const Duration retry = Millis(1100);
-
-  for (std::size_t z = 0; z < opt.zones; ++z) {
-    ZoneId zone = static_cast<ZoneId>(z);
-    const std::vector<NodeId>& members = sys.topology().zone(zone).members;
-    NodeId primary = sys.PrimaryOf(zone)->id();
-    for (std::size_t p = 0; p < opt.pairs_per_zone; ++p) {
-      auto a = std::make_unique<ChaosClient>(&sys.keys(), opt.f, retry,
-                                           opt.client_think);
-      auto b = std::make_unique<ChaosClient>(&sys.keys(), opt.f, retry,
-                                           opt.client_think);
-      ClientId ca = sys.sim().Register(a.get(), static_cast<RegionId>(z % 7));
-      ClientId cb = sys.sim().Register(b.get(), static_cast<RegionId>(z % 7));
-      a->ScriptXfers(primary, members, cb, opt.xfers_per_client, kXferAmount);
-      b->ScriptXfers(primary, members, ca, opt.xfers_per_client, kXferAmount);
-      accounts.load_clients[zone].push_back(ca);
-      accounts.load_clients[zone].push_back(cb);
-      accounts.zone_load_totals[zone] += 2 * kInitialBalance;
-      clients.push_back(std::move(a));
-      clients.push_back(std::move(b));
-    }
-  }
-  NodeId leader_primary = sys.PrimaryOf(0)->id();
-  const std::vector<NodeId>& leader_members = sys.topology().zone(0).members;
-  for (std::size_t m = 0; m < opt.migrators; ++m) {
-    ZoneId home = static_cast<ZoneId>(m % opt.zones);
-    auto c = std::make_unique<ChaosClient>(&sys.keys(), opt.f, retry,
-                                           opt.client_think);
-    ClientId cid =
-        sys.sim().Register(c.get(), static_cast<RegionId>(home % 7));
-    c->ScriptMigrations(leader_primary, leader_members, home, opt.zones,
-                        opt.migrations_per_client);
-    accounts.fixed_balance_clients[cid] = kInitialBalance;
-    clients.push_back(std::move(c));
-  }
-
-  std::size_t ci = 0;
-  for (std::size_t z = 0; z < opt.zones; ++z) {
-    for (std::size_t p = 0; p < 2 * opt.pairs_per_zone; ++p, ++ci) {
-      sys.BootstrapClient(clients[ci]->id(), static_cast<ZoneId>(z),
-                          SeedBalance);
-    }
-  }
-  for (std::size_t m = 0; m < opt.migrators; ++m, ++ci) {
-    sys.BootstrapClient(clients[ci]->id(),
-                        static_cast<ZoneId>(m % opt.zones), SeedBalance);
-  }
+  harness::Roster clients =
+      harness::BuildRoster(sys, ChaosRoster(opt, /*reads=*/nullptr));
+  sim::InvariantChecker::Accounts& accounts = clients.accounts;
 
   // Crash-fault chaos only: the baseline runs no Byzantine roster.
   std::vector<NodeId> replicas;
@@ -899,28 +506,11 @@ ChaosReport RunTwoLevelChaos(const ChaosOptions& opt) {
   }
   report.events = GenerateFaultTimeline(sys.sim().schedule(), rng, replicas,
                                         opt.fault_window);
-  for (auto& c : clients) c->Kick();
-  sys.sim().RunUntil(opt.fault_window + opt.drain);
-
-  auto all_done = [&] {
-    for (const auto& c : clients) {
-      if (!c->done()) return false;
-    }
-    return true;
-  };
-  SimTime deadline = opt.fault_window + opt.drain + opt.completion_wait;
-  while (!all_done() && sys.sim().Now() < deadline) {
-    sys.sim().RunFor(Seconds(1));
-  }
-  report.all_done = all_done();
+  report.all_done = clients.Run(
+      sys.sim(), opt.fault_window + opt.drain,
+      opt.fault_window + opt.drain + opt.completion_wait);
   report.end_time = sys.sim().Now();
-  for (const auto& c : clients) {
-    bool global = accounts.fixed_balance_clients.count(c->id()) > 0;
-    (global ? report.global_completed : report.local_completed) +=
-        c->completed();
-    (global ? report.global_expected : report.local_expected) +=
-        c->scripted();
-  }
+  TallyClients(clients, &report);
 
   // Inline safety checks (InvariantChecker is bound to ZiziphusSystem):
   // per-zone commit-log agreement and the balance conservations.
@@ -974,7 +564,7 @@ ChaosReport RunTwoLevelChaos(const ChaosOptions& opt) {
     }
   }
 
-  report.fingerprint = FingerprintCounters(sys.sim().counters());
+  report.fingerprint = harness::FingerprintCounters(sys.sim().counters());
   report.counters = sys.sim().counters().All();
   return report;
 }

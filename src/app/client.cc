@@ -1,18 +1,19 @@
 #include "app/client.h"
 
-#include "app/bank.h"
 #include "common/logging.h"
 
 namespace ziziphus::app {
 
-// ------------------------------------------------------------ MobileClient
+MobileClient::MobileClient(Config config)
+    : ClientCore(config.keys, config.retry_timeout), cfg_(std::move(config)) {
+  causal_ = cfg_.causal;
+  if (cfg_.record_witnesses) witness_sink_ = &witnesses_;
+}
 
 void MobileClient::Start(Duration delay) {
   ZCHECK(cfg_.topology != nullptr && cfg_.keys != nullptr);
   home_ = cfg_.home;
-  started_ = true;
-  SetTimer(delay,
-           sim::PackTimer(sim::TimerEngine::kClient, kIssue));
+  IssueAfter(delay);
 }
 
 NodeId MobileClient::GuessPrimary(ZoneId zone) const {
@@ -20,6 +21,13 @@ NodeId MobileClient::GuessPrimary(ZoneId zone) const {
   auto it = view_guess_.find(zone);
   ViewId v = it == view_guess_.end() ? 0 : it->second;
   return zi.members[v % zi.members.size()];
+}
+
+MobileClient::Route MobileClient::ZoneRoute(ZoneId target, ZoneId replying,
+                                           ZoneId retry) const {
+  const core::Topology& topo = *cfg_.topology;
+  return {GuessPrimary(target), &topo.zone(retry).members,
+          topo.zone(replying).f + 1, topo.zone(target).f + 1};
 }
 
 ZoneId MobileClient::PickDestination() {
@@ -60,530 +68,140 @@ ZoneId MobileClient::GlobalTargetZone(ZoneId dest) const {
 }
 
 void MobileClient::IssueNext() {
-  if (in_flight_) return;
-  // Draw order matters for same-seed reproducibility: runs with reads
-  // disabled must consume exactly the rng sequence they always did.
-  if (cfg_.mix.read_fraction > 0 && rng().NextBool(cfg_.mix.read_fraction)) {
+  // Draw order matters for same-seed reproducibility: NextBool(0) draws
+  // nothing, so runs with reads disabled consume the rng sequence they
+  // always did.
+  if (rng().NextBool(cfg_.mix.read_fraction)) {
     IssueRead();
-    return;
-  }
-  bool global = cfg_.mode == Mode::kSteward ||
-                rng().NextBool(cfg_.mix.global_fraction);
-  if (global) {
+  } else if (cfg_.mode == Mode::kSteward ||
+             rng().NextBool(cfg_.mix.global_fraction)) {
     IssueGlobal();
   } else {
     IssueLocal();
   }
 }
 
+void MobileClient::SendLocal(std::string command) {
+  auto req = std::make_shared<pbft::ClientRequestMsg>();
+  req->op.client = id();
+  req->op.timestamp = NextTimestamp();
+  req->op.command = std::move(command);
+  if (cfg_.causal) req->deps = session_.stable_floor;
+  SendWrite(std::move(req), ZoneRoute(home_, home_, home_));
+}
+
 void MobileClient::IssueLocal() {
-  pbft::Operation op;
-  op.client = id();
-  op.timestamp = next_ts_++;
+  std::string command = "DEP 1";
   if (!cfg_.peers.empty() && rng().NextBool(0.5)) {
     ClientId peer = cfg_.peers[rng().NextBounded(cfg_.peers.size())];
-    op.command = "XFER " + std::to_string(peer) + " 1";
-  } else {
-    op.command = "DEP 1";
+    command = "XFER " + std::to_string(peer) + " 1";
   }
-  auto req = std::make_shared<pbft::ClientRequestMsg>();
-  req->op = op;
-  if (cfg_.causal) req->deps = session_.stable_floor;
-  req->client_sig = cfg_.keys->Sign(id(), req->ComputeDigest());
+  BeginOp(ClientOp::kTransfer);
+  SendLocal(std::move(command));
+}
 
-  in_flight_ = true;
-  cur_op_ = ClientOp::kTransfer;
-  is_global_ = false;
-  read_fallback_ = false;
-  cur_ts_ = op.timestamp;
-  issued_at_ = Now();
-  reply_zone_ = home_;
-  reply_replicas_.clear();
-  current_request_ = req;
-  root_ctx_ = simulation()->recorder().tracer().StartTrace(id(), Now(), 0);
-  set_trace_context(root_ctx_);
-  Send(GuessPrimary(home_), req);
-  ArmTimeout();
+void MobileClient::SendCommand(std::string command) {
+  auto req = std::make_shared<core::MigrationRequestMsg>();
+  req->op.client = id();
+  req->op.timestamp = NextTimestamp();
+  req->op.source = home_;
+  req->op.destination = home_;
+  req->op.command = std::move(command);
+  ZoneId target =
+      cfg_.topology->ZonesInCluster(cfg_.topology->zone(home_).cluster)[0];
+  SendWrite(std::move(req), ZoneRoute(target, target, GlobalTargetZone(home_)));
 }
 
 void MobileClient::IssueGlobal() {
-  core::MigrationOp op;
-  op.client = id();
-  op.timestamp = next_ts_++;
-  ZoneId target;
   if (cfg_.mode == Mode::kSteward) {
     // Steward: every transaction is a globally replicated command.
-    op.source = home_;
-    op.destination = home_;
-    op.command = "DEP 1";
-    pending_dest_ = home_;
-    target = cfg_.topology->ZonesInCluster(
-        cfg_.topology->zone(home_).cluster)[0];
-    reply_zone_ = target;
-  } else {
-    ZoneId dest = PickDestination();
-    if (dest == home_) {  // nowhere to migrate (single-zone deployment)
-      IssueLocal();
-      return;
-    }
-    op.source = home_;
-    op.destination = dest;
-    pending_dest_ = dest;
-    target = GlobalTargetZone(dest);
-    // Completion: f+1 MIGRATION-DONE replies from the destination zone
-    // (Alg. 2 line 25).
-    reply_zone_ = dest;
+    BeginOp(ClientOp::kMigrate);
+    SendCommand("DEP 1");
+    return;
   }
   auto req = std::make_shared<core::MigrationRequestMsg>();
-  req->op = op;
-  req->client_sig = cfg_.keys->Sign(id(), req->digest());
-
-  in_flight_ = true;
-  cur_op_ = ClientOp::kMigrate;
-  is_global_ = true;
-  read_fallback_ = false;
-  cur_ts_ = op.timestamp;
-  issued_at_ = Now();
-  initiator_zone_ = target;
-  reply_replicas_.clear();
-  rejected_replicas_.clear();
-  current_request_ = req;
-  root_ctx_ = simulation()->recorder().tracer().StartTrace(id(), Now(), 1);
-  set_trace_context(root_ctx_);
-  Send(GuessPrimary(target), req);
-  ArmTimeout();
+  req->op.client = id();
+  req->op.timestamp = NextTimestamp();
+  ZoneId dest = PickDestination();
+  if (dest == home_) {  // nowhere to migrate (single-zone deployment)
+    IssueLocal();
+    return;
+  }
+  req->op.source = home_;
+  req->op.destination = dest;
+  pending_dest_ = dest;
+  ZoneId target = GlobalTargetZone(dest);
+  BeginOp(ClientOp::kMigrate);
+  // Completion: f+1 MIGRATION-DONE replies from the destination zone.
+  SendWrite(std::move(req), ZoneRoute(target, dest, target));
 }
 
 // ------------------------------------------------------- read fast path
 
 void MobileClient::IssueRead() {
-  in_flight_ = true;
-  cur_op_ = ClientOp::kRead;
-  is_global_ = false;
-  read_fallback_ = false;
-  cur_ts_ = 0;  // no transaction timestamp unless we fall back
-  issued_at_ = Now();
-  reply_zone_ = home_;
-  read_key_ = BankStateMachine::AccountKey(id());
-  read_tried_ = 0;
-  read_waited_ = 0;
-  read_floor_before_ = session_.FloorFor(home_);
-  root_ctx_ = simulation()->recorder().tracer().StartTrace(id(), Now(), 2);
-  set_trace_context(root_ctx_);
+  BeginOp(ClientOp::kRead);
   if (cfg_.mode != Mode::kZiziphus || !cfg_.verified_reads) {
     // Baselines (and the bench's control arm) execute reads as ordinary
     // transactions through consensus.
     IssueReadFallback();
     return;
   }
-  read_member_rr_++;  // spread successive reads across the zone's replicas
-  SendReadRequest();
-}
-
-void MobileClient::SendReadRequest() {
+  read_waited_ = 0;
   const core::ZoneInfo& zi = cfg_.topology->zone(home_);
-  NodeId target = zi.members[read_member_rr_ % zi.members.size()];
-  auto req = std::make_shared<pbft::ReadRequestMsg>();
-  req->client = id();
-  req->nonce = next_read_nonce_++;  // fresh per attempt: stale replies drop
-  req->key = read_key_;
-  req->min_stable_seq = session_.FloorFor(home_);
-  req->min_write_ts = session_.last_write_ts;
-  req->client_sig = cfg_.keys->Sign(id(), req->ComputeDigest());
-  cur_read_nonce_ = req->nonce;
-  current_request_ = req;
-  set_trace_context(root_ctx_);
-  Send(target, req);
-  ArmTimeout();
+  StartRead(home_, &zi.members, zi.f, /*spread=*/true);
 }
 
 void MobileClient::IssueReadFallback() {
   // The fast path cannot serve this read (replica behind the session, every
   // replica exhausted, or verified reads disabled): execute it as a full
-  // BAL transaction. BAL does not mutate, so the session's write watermark
-  // must NOT advance — bumping it here would push the watermark past every
-  // stable checkpoint and starve the fast path permanently.
-  read_fallback_ = true;
+  // BAL transaction. It completes into the read stats and, mutating
+  // nothing, leaves the session's write watermark alone.
   stats_.read_fallbacks++;
   scoped_counters().Inc(obs::CounterId::kReadsFallbackTxns);
   if (cfg_.mode == Mode::kSteward) {
-    // Steward executes everything as a globally replicated command.
-    core::MigrationOp op;
-    op.client = id();
-    op.timestamp = next_ts_++;
-    op.source = home_;
-    op.destination = home_;
-    op.command = "BAL";
-    pending_dest_ = home_;
-    ZoneId target = cfg_.topology->ZonesInCluster(
-        cfg_.topology->zone(home_).cluster)[0];
-    auto req = std::make_shared<core::MigrationRequestMsg>();
-    req->op = op;
-    req->client_sig = cfg_.keys->Sign(id(), req->digest());
-    is_global_ = true;
-    cur_ts_ = op.timestamp;
-    initiator_zone_ = target;
-    reply_zone_ = target;
-    reply_replicas_.clear();
-    rejected_replicas_.clear();
-    current_request_ = req;
-    set_trace_context(root_ctx_);
-    Send(GuessPrimary(target), req);
-    ArmTimeout();
-    return;
+    SendCommand("BAL");
+  } else {
+    SendLocal("BAL");
   }
-  pbft::Operation op;
-  op.client = id();
-  op.timestamp = next_ts_++;
-  op.command = "BAL";
-  auto req = std::make_shared<pbft::ClientRequestMsg>();
-  req->op = op;
-  if (cfg_.causal) req->deps = session_.stable_floor;
-  req->client_sig = cfg_.keys->Sign(id(), req->ComputeDigest());
-  is_global_ = false;
-  cur_ts_ = op.timestamp;
-  reply_zone_ = home_;
-  reply_replicas_.clear();
-  current_request_ = req;
-  set_trace_context(root_ctx_);
-  Send(GuessPrimary(home_), req);
-  ArmTimeout();
 }
 
-void MobileClient::TryNextReadReplica() {
-  const core::ZoneInfo& zi = cfg_.topology->zone(home_);
-  read_member_rr_++;
-  read_tried_++;
-  if (read_tried_ >= zi.members.size()) {
+void MobileClient::OnReadBehind() {
+  // The zone's checkpoints advance in lockstep, so a sibling replica is no
+  // more likely to cover the session. But "behind" after a write is
+  // normally just the checkpoint cadence — wait one beat and retry the fast
+  // path before surrendering to the (far costlier) txn path.
+  stats_.read_redirects++;
+  if (read_waited_ < cfg_.read_behind_waits) {
+    read_waited_++;
+    RetryReadAfter(cfg_.read_behind_wait);
+  } else {
     IssueReadFallback();
-  } else {
-    SendReadRequest();
   }
 }
 
-void MobileClient::HandleReadReply(
-    const std::shared_ptr<const pbft::ReadReplyMsg>& r) {
-  const core::ZoneInfo& zi = cfg_.topology->zone(home_);
-  ReadVerdict v =
-      VerifyReadReply(*cfg_.keys, zi.members, zi.f, *r, session_, home_);
-  switch (v) {
-    case ReadVerdict::kOk:
-      session_.AdvanceFloor(home_, r->proof.anchor_seq);
-      if (cfg_.causal) session_.MergeDeps(r->deps);
-      scoped_counters().Inc(obs::CounterId::kReadsCertVerified);
-      if (cfg_.record_witnesses) {
-        witnesses_.push_back({id(), home_, r->key, r->value, r->found,
-                              r->proof, read_floor_before_});
-      }
-      CompleteRead();
-      return;
-    case ReadVerdict::kBehind:
-      // The zone's checkpoints advance in lockstep, so a sibling replica is
-      // no more likely to cover the session. But "behind" after a write is
-      // normally just the checkpoint cadence — wait one beat and retry the
-      // fast path before surrendering to the (far costlier) txn path.
-      stats_.read_redirects++;
-      if (read_waited_ < cfg_.read_behind_waits) {
-        read_waited_++;
-        if (timeout_timer_ != 0) {
-          CancelTimer(timeout_timer_);
-          timeout_timer_ = 0;
-        }
-        SetTimer(cfg_.read_behind_wait,
-                 sim::PackTimer(sim::TimerEngine::kClient, kReadRetry));
-      } else {
-        IssueReadFallback();
-      }
-      return;
-    case ReadVerdict::kBadCertificate:
-    case ReadVerdict::kBadInclusion:
-    case ReadVerdict::kBadCoverage:
-      stats_.read_rejects++;
-      scoped_counters().Inc(obs::CounterId::kReadsCertRejected);
-      TryNextReadReplica();
-      return;
-    case ReadVerdict::kStaleAnchor:
-    case ReadVerdict::kStaleWrite:
-      stats_.read_rejects++;
-      scoped_counters().Inc(
-          obs::CounterId::kReadsSessionViolationsDetected);
-      TryNextReadReplica();
-      return;
-  }
-}
+void MobileClient::OnReadExhausted() { IssueReadFallback(); }
 
-void MobileClient::CompleteOp(Histogram* hist, std::uint64_t* counter) {
-  hist->Record(Now() - issued_at_);
-  (*counter)++;
+void MobileClient::OnDone(Outcome outcome) {
+  const Duration latency = Now() - issued_at();
   obs::Recorder& recorder = simulation()->recorder();
-  recorder.Record(is_global_ ? obs::HistogramId::kClientGlobalLatencyUs
-                             : obs::HistogramId::kClientLocalLatencyUs,
-                  Now() - issued_at_);
-  if (root_ctx_.active()) {
-    // The span handling the quorum-completing reply (if it belongs to this
-    // operation's trace) is what semantically finished the operation.
-    obs::SpanId completing =
-        trace_context().trace_id == root_ctx_.trace_id
-            ? trace_context().parent_span
-            : 0;
-    recorder.tracer().CompleteTrace(root_ctx_, completing, Now());
-    root_ctx_ = {};
-  }
-  in_flight_ = false;
-  if (timeout_timer_ != 0) {
-    CancelTimer(timeout_timer_);
-    timeout_timer_ = 0;
-  }
-  if (is_global_ && cfg_.mode != Mode::kSteward) {
-    home_ = pending_dest_;
-    // The client physically moved: its device now talks to the new zone
-    // over the local edge network.
-    set_region(cfg_.topology->zone(home_).region);
-  }
-  if (cfg_.think_time > 0) {
-    SetTimer(cfg_.think_time,
-             sim::PackTimer(sim::TimerEngine::kClient, kIssue));
-  } else {
-    IssueNext();
-  }
-}
-
-void MobileClient::CompleteRead() {
-  SimTime latency = Now() - issued_at_;
-  stats_.read_latency_us.Record(latency);
-  stats_.reads_completed++;
-  obs::Recorder& recorder = simulation()->recorder();
-  recorder.Record(obs::HistogramId::kClientReadLatencyUs, latency);
-  if (root_ctx_.active()) {
-    obs::SpanId completing =
-        trace_context().trace_id == root_ctx_.trace_id
-            ? trace_context().parent_span
-            : 0;
-    recorder.tracer().CompleteTrace(root_ctx_, completing, Now());
-    root_ctx_ = {};
-  }
-  in_flight_ = false;
-  read_fallback_ = false;
-  is_global_ = false;
-  cur_op_ = ClientOp::kTransfer;
-  if (timeout_timer_ != 0) {
-    CancelTimer(timeout_timer_);
-    timeout_timer_ = 0;
-  }
-  if (cfg_.think_time > 0) {
-    SetTimer(cfg_.think_time,
-             sim::PackTimer(sim::TimerEngine::kClient, kIssue));
-  } else {
-    IssueNext();
-  }
-}
-
-void MobileClient::ArmTimeout() {
-  if (timeout_timer_ != 0) CancelTimer(timeout_timer_);
-  timeout_timer_ = SetTimer(
-      cfg_.retry_timeout, sim::PackTimer(sim::TimerEngine::kClient, kTimeout));
-}
-
-void MobileClient::OnMessage(const sim::MessagePtr& msg) {
-  if (!in_flight_) return;
-  std::size_t f = cfg_.topology->zone(reply_zone_).f;
-
-  switch (msg->type()) {
-    case pbft::kReadReply: {
-      if (cur_op_ != ClientOp::kRead || read_fallback_) return;
-      auto r = std::static_pointer_cast<const pbft::ReadReplyMsg>(msg);
-      if (r->nonce != cur_read_nonce_) return;  // reply to an old attempt
-      HandleReadReply(r);
-      return;
-    }
-    case pbft::kClientReply: {
-      auto r = std::static_pointer_cast<const pbft::ClientReplyMsg>(msg);
-      view_guess_[home_] = r->view;
-      if (is_global_ || r->timestamp != cur_ts_) return;
-      reply_replicas_.insert(r->replica);
-      if (reply_replicas_.size() >= f + 1) {
-        if (cur_op_ == ClientOp::kRead) {
-          CompleteRead();  // fallback read finished through the txn path
-        } else {
-          session_.last_write_ts = cur_ts_;
-          CompleteOp(&stats_.local_latency_us, &stats_.local_completed);
-        }
-      }
-      return;
-    }
-    case core::kMigrationReply: {
-      // First sub-transaction committed. For Steward command transactions
-      // this *is* the result; for migrations we wait for MIGRATION-DONE —
-      // unless the migration was rejected by policy, in which case no data
-      // ever moves and the rejection is the final answer.
-      if (!is_global_) return;
-      auto r = std::static_pointer_cast<const core::MigrationReplyMsg>(msg);
-      if (r->timestamp != cur_ts_) return;
-      bool rejected = r->result.rfind("rejected", 0) == 0;
-      if (cfg_.mode != Mode::kSteward && !rejected) return;
-      if (rejected) {
-        std::size_t init_f = cfg_.topology->zone(initiator_zone_).f;
-        rejected_replicas_.insert(r->replica);
-        if (rejected_replicas_.size() >= init_f + 1) {
-          pending_dest_ = home_;  // stay put
-          CompleteOp(&stats_.global_latency_us, &stats_.global_completed);
-        }
-        return;
-      }
-      reply_replicas_.insert(r->replica);
-      if (reply_replicas_.size() >= f + 1) {
-        if (cur_op_ == ClientOp::kRead) {
-          CompleteRead();  // Steward fallback read (global BAL command)
-        } else {
-          session_.last_write_ts = cur_ts_;
-          CompleteOp(&stats_.global_latency_us, &stats_.global_completed);
-        }
-      }
-      return;
-    }
-    case core::kMigrationDone: {
-      if (!is_global_ || cfg_.mode == Mode::kSteward) return;
-      auto r = std::static_pointer_cast<const core::MigrationReplyMsg>(msg);
-      if (r->timestamp != cur_ts_) return;
-      reply_replicas_.insert(r->replica);
-      if (reply_replicas_.size() >= f + 1) {
-        // The migration moved every record the client wrote before it; the
-        // destination's NoteClientRecordInstall covers it for reads.
-        session_.last_write_ts = cur_ts_;
-        CompleteOp(&stats_.global_latency_us, &stats_.global_completed);
-      }
-      return;
-    }
-    default:
-      return;
-  }
-}
-
-void MobileClient::OnTimer(std::uint64_t tag) {
-  switch (sim::TimerTag::Unpack(tag).kind) {
-    case kIssue:
-      IssueNext();
+  switch (op()) {
+    case ClientOp::kTransfer:
+      recorder.Record(obs::HistogramId::kClientLocalLatencyUs, latency);
       break;
-    case kReadRetry:
-      // Behind-wait elapsed: retry the same replica on the fast path (its
-      // next stable checkpoint should now cover the session).
-      if (in_flight_ && cur_op_ == ClientOp::kRead && !read_fallback_) {
-        SendReadRequest();
+    case ClientOp::kMigrate:
+      recorder.Record(obs::HistogramId::kClientGlobalLatencyUs, latency);
+      if (outcome == Outcome::kCommitted && cfg_.mode != Mode::kSteward) {
+        // The client physically moved: its device now talks to the new
+        // zone over the local edge network.
+        home_ = pending_dest_;
+        set_region(cfg_.topology->zone(home_).region);
       }
       break;
-    case kTimeout: {
-      timeout_timer_ = 0;
-      if (!in_flight_) break;
-      stats_.timeouts++;
-      if (cur_op_ == ClientOp::kRead && !read_fallback_) {
-        // A silent replica on the fast path: rotate to the next one (or
-        // fall back to the transaction path once all were tried).
-        TryNextReadReplica();
-        break;
-      }
-      if (current_request_ == nullptr) break;
-      // Retransmit to every node of the serving zone; backups relay to the
-      // primary and suspect it on silence (Section V-A).
-      ZoneId zone = is_global_
-                        ? GlobalTargetZone(pending_dest_)
-                        : home_;
-      Multicast(cfg_.topology->zone(zone).members, current_request_);
-      ArmTimeout();
-      break;
-    }
-    default:
+    case ClientOp::kRead:
+      recorder.Record(obs::HistogramId::kClientReadLatencyUs, latency);
       break;
   }
-}
-
-// -------------------------------------------------------------- FlatClient
-
-void FlatClient::Start(Duration delay) {
-  ZCHECK(!cfg_.group.empty() && cfg_.keys != nullptr);
-  started_ = true;
-  SetTimer(delay,
-           sim::PackTimer(sim::TimerEngine::kClient, kIssue));
-}
-
-void FlatClient::IssueNext() {
-  if (in_flight_) return;
-  pbft::Operation op;
-  op.client = id();
-  op.timestamp = next_ts_++;
-  if (!cfg_.peers.empty() && rng().NextBool(0.5)) {
-    ClientId peer = cfg_.peers[rng().NextBounded(cfg_.peers.size())];
-    op.command = "XFER " + std::to_string(peer) + " 1";
-  } else {
-    op.command = "DEP 1";
-  }
-  auto req = std::make_shared<pbft::ClientRequestMsg>();
-  req->op = op;
-  req->client_sig = cfg_.keys->Sign(id(), req->ComputeDigest());
-
-  in_flight_ = true;
-  cur_ts_ = op.timestamp;
-  issued_at_ = Now();
-  reply_replicas_.clear();
-  current_request_ = req;
-  root_ctx_ = simulation()->recorder().tracer().StartTrace(id(), Now(), 0);
-  set_trace_context(root_ctx_);
-  Send(cfg_.group[view_guess_ % cfg_.group.size()], req);
-  if (timeout_timer_ != 0) CancelTimer(timeout_timer_);
-  timeout_timer_ = SetTimer(
-      cfg_.retry_timeout, sim::PackTimer(sim::TimerEngine::kClient, kTimeout));
-}
-
-void FlatClient::OnMessage(const sim::MessagePtr& msg) {
-  if (!in_flight_ || msg->type() != pbft::kClientReply) return;
-  auto r = std::static_pointer_cast<const pbft::ClientReplyMsg>(msg);
-  view_guess_ = r->view;
-  if (r->timestamp != cur_ts_) return;
-  reply_replicas_.insert(r->replica);
-  if (reply_replicas_.size() >= cfg_.f + 1) {
-    stats_.local_latency_us.Record(Now() - issued_at_);
-    stats_.local_completed++;
-    obs::Recorder& recorder = simulation()->recorder();
-    recorder.Record(obs::HistogramId::kClientLocalLatencyUs,
-                    Now() - issued_at_);
-    if (root_ctx_.active()) {
-      obs::SpanId completing =
-          trace_context().trace_id == root_ctx_.trace_id
-              ? trace_context().parent_span
-              : 0;
-      recorder.tracer().CompleteTrace(root_ctx_, completing, Now());
-      root_ctx_ = {};
-    }
-    in_flight_ = false;
-    if (timeout_timer_ != 0) {
-      CancelTimer(timeout_timer_);
-      timeout_timer_ = 0;
-    }
-    if (cfg_.think_time > 0) {
-      SetTimer(cfg_.think_time,
-               sim::PackTimer(sim::TimerEngine::kClient, kIssue));
-    } else {
-      IssueNext();
-    }
-  }
-}
-
-void FlatClient::OnTimer(std::uint64_t tag) {
-  switch (sim::TimerTag::Unpack(tag).kind) {
-    case kIssue:
-      IssueNext();
-      break;
-    case kTimeout:
-      timeout_timer_ = 0;
-      if (!in_flight_ || current_request_ == nullptr) break;
-      stats_.timeouts++;
-      Multicast(cfg_.group, current_request_);
-      timeout_timer_ = SetTimer(
-          cfg_.retry_timeout,
-          sim::PackTimer(sim::TimerEngine::kClient, kTimeout));
-      break;
-    default:
-      break;
-  }
+  Pace(cfg_.think_time);
 }
 
 }  // namespace ziziphus::app

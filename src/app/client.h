@@ -2,56 +2,20 @@
 #define ZIZIPHUS_APP_CLIENT_H_
 
 #include <map>
-#include <set>
+#include <string>
 #include <vector>
 
+#include "app/client_core.h"
 #include "app/workload.h"
-#include "common/metrics.h"
-#include "core/messages.h"
 #include "core/topology.h"
 #include "crypto/read_certificate.h"
 #include "crypto/signature.h"
-#include "pbft/messages.h"
-#include "sim/simulation.h"
-#include "sim/timer_tag.h"
 
 namespace ziziphus::app {
 
-/// Latency/throughput accounting for one client; aggregated by the
-/// experiment runner.
-struct ClientStats {
-  Histogram local_latency_us;
-  Histogram global_latency_us;
-  Histogram read_latency_us;
-  std::uint64_t local_completed = 0;
-  std::uint64_t global_completed = 0;
-  std::uint64_t reads_completed = 0;
-  /// Reads that ended up as full BAL transactions (replica behind the
-  /// session, every replica exhausted, or verified reads disabled).
-  std::uint64_t read_fallbacks = 0;
-  /// behind=true replies received on the fast path.
-  std::uint64_t read_redirects = 0;
-  /// Replies rejected client-side: bad certificate, inclusion mismatch, or
-  /// a session-guarantee violation.
-  std::uint64_t read_rejects = 0;
-  std::uint64_t timeouts = 0;
-
-  void Reset() {
-    local_latency_us.Reset();
-    global_latency_us.Reset();
-    read_latency_us.Reset();
-    local_completed = 0;
-    global_completed = 0;
-    reads_completed = 0;
-    read_fallbacks = 0;
-    read_redirects = 0;
-    read_rejects = 0;
-    timeouts = 0;
-  }
-};
-
-/// A closed-loop mobile edge client (patient device / bank customer). Each
-/// iteration draws one typed operation from its WorkloadMix:
+/// A closed-loop mobile edge client (patient device / bank customer): the
+/// mix op source over ClientCore. Each iteration draws one typed operation
+/// from its WorkloadMix:
 ///
 ///  - ClientOp::kTransfer — local transaction in the home zone, f+1 replies
 ///  - ClientOp::kRead     — verified fast-path read: ONE replica returns the
@@ -68,7 +32,9 @@ struct ClientStats {
 /// The same client drives Ziziphus, Steward (100% global command
 /// transactions) and two-level PBFT deployments; only Ziziphus serves the
 /// read fast path — the baselines execute reads as ordinary transactions.
-class MobileClient : public sim::Process {
+/// Over a one-zone topology whose zone is the whole group and a mix with
+/// no reads and no globals, it is the flat PBFT baseline's client.
+class MobileClient : public ClientCore {
  public:
   enum class Mode { kZiziphus, kSteward, kTwoLevel };
 
@@ -110,123 +76,44 @@ class MobileClient : public sim::Process {
     std::vector<ClientId> peers;
   };
 
-  explicit MobileClient(Config config) : cfg_(std::move(config)) {}
+  explicit MobileClient(Config config);
 
   /// Kicks off the closed loop after `delay` (call after registration).
   void Start(Duration delay);
 
-  const ClientStats& stats() const { return stats_; }
-  void ResetStats() { stats_.Reset(); }
   ZoneId home() const { return home_; }
-  bool idle() const { return !in_flight_; }
-  const Session& session() const { return session_; }
   /// Accepted fast-path reads (only populated with record_witnesses set).
   const std::vector<crypto::ReadWitness>& read_witnesses() const {
     return witnesses_;
   }
 
  protected:
-  void OnMessage(const sim::MessagePtr& msg) override;
-  void OnTimer(std::uint64_t tag) override;
+  void IssueNext() override;
+  void OnDone(Outcome outcome) override;
+  void OnReadBehind() override;
+  void OnReadExhausted() override;
+  void OnReplyView(ViewId view) override { view_guess_[home_] = view; }
 
  private:
-  // Timer kinds, carried in sim::TimerTag{kClient, kind} (timer_tag.h).
-  enum TimerKind : std::uint8_t { kIssue = 1, kTimeout = 2, kReadRetry = 3 };
-
-  void IssueNext();
   void IssueLocal();
   void IssueGlobal();
   void IssueRead();
-  void SendReadRequest();
   void IssueReadFallback();
-  void TryNextReadReplica();
-  void HandleReadReply(const std::shared_ptr<const pbft::ReadReplyMsg>& r);
-  void CompleteOp(Histogram* hist, std::uint64_t* counter);
-  void CompleteRead();
-  void ArmTimeout();
+  /// Sends `command` as a local transaction of the home zone.
+  void SendLocal(std::string command);
+  /// Steward: sends `command` as a globally replicated command.
+  void SendCommand(std::string command);
+  Route ZoneRoute(ZoneId target, ZoneId replying, ZoneId retry) const;
   NodeId GuessPrimary(ZoneId zone) const;
   ZoneId PickDestination();
   ZoneId GlobalTargetZone(ZoneId dest) const;
 
   Config cfg_;
-  ClientStats stats_;
-  Session session_;
   std::vector<crypto::ReadWitness> witnesses_;
   ZoneId home_ = 0;
-  bool started_ = false;
-  obs::TraceContext root_ctx_;  // root span of the in-flight operation
-
-  RequestTimestamp next_ts_ = 1;
-  bool in_flight_ = false;
-  ClientOp cur_op_ = ClientOp::kTransfer;
-  bool is_global_ = false;
-  /// Fast-path read exhausted or disabled: the in-flight BAL transaction
-  /// completes into the read stats.
-  bool read_fallback_ = false;
-  RequestTimestamp cur_ts_ = 0;
-  SimTime issued_at_ = 0;
   ZoneId pending_dest_ = kInvalidZone;
-  ZoneId reply_zone_ = kInvalidZone;       // zone whose replies complete it
-  ZoneId initiator_zone_ = 0;              // zone leading the global request
-  std::set<NodeId> reply_replicas_;
-  std::set<NodeId> rejected_replicas_;
-  sim::MessagePtr current_request_;        // for timeout re-multicast
-  std::uint64_t timeout_timer_ = 0;
   std::map<ZoneId, ViewId> view_guess_;
-
-  // Read fast-path state for the in-flight read.
-  std::string read_key_;
-  std::uint64_t next_read_nonce_ = 1;
-  std::uint64_t cur_read_nonce_ = 0;
-  std::size_t read_member_rr_ = 0;  // rotates so reads spread across replicas
-  std::size_t read_tried_ = 0;
   std::size_t read_waited_ = 0;  // behind-wait retries spent on this read
-  SeqNum read_floor_before_ = 0;
-};
-
-/// Closed-loop client of the flat PBFT baseline: every operation goes
-/// through the single geo-spanning PBFT group.
-class FlatClient : public sim::Process {
- public:
-  struct Config {
-    std::vector<NodeId> group;
-    std::size_t f = 1;
-    const crypto::KeyRegistry* keys = nullptr;
-    Duration retry_timeout = Seconds(4);
-    Duration think_time = 0;
-    /// Peers for transfer targets; built before construction like
-    /// MobileClient::Config::peers.
-    std::vector<ClientId> peers;
-  };
-
-  explicit FlatClient(Config config) : cfg_(std::move(config)) {}
-
-  void Start(Duration delay);
-  const ClientStats& stats() const { return stats_; }
-  void ResetStats() { stats_.Reset(); }
-
- protected:
-  void OnMessage(const sim::MessagePtr& msg) override;
-  void OnTimer(std::uint64_t tag) override;
-
- private:
-  // Timer kinds, carried in sim::TimerTag{kClient, kind} (timer_tag.h).
-  enum TimerKind : std::uint8_t { kIssue = 1, kTimeout = 2 };
-
-  void IssueNext();
-
-  Config cfg_;
-  ClientStats stats_;
-  bool started_ = false;
-  obs::TraceContext root_ctx_;
-  RequestTimestamp next_ts_ = 1;
-  bool in_flight_ = false;
-  RequestTimestamp cur_ts_ = 0;
-  SimTime issued_at_ = 0;
-  std::set<NodeId> reply_replicas_;
-  sim::MessagePtr current_request_;
-  std::uint64_t timeout_timer_ = 0;
-  ViewId view_guess_ = 0;
 };
 
 }  // namespace ziziphus::app

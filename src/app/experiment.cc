@@ -148,16 +148,9 @@ std::vector<ClientId> PeersExcluding(const std::vector<ClientId>& ids,
 
 struct ClientPool {
   std::vector<std::unique_ptr<MobileClient>> mobile;
-  std::vector<std::unique_ptr<FlatClient>> flat;
 
   void ResetStats() {
     for (auto& c : mobile) c->ResetStats();
-    for (auto& c : flat) c->ResetStats();
-  }
-  template <typename Fn>
-  void ForEachStats(Fn&& fn) const {
-    for (const auto& c : mobile) fn(c->stats());
-    for (const auto& c : flat) fn(c->stats());
   }
 };
 
@@ -166,7 +159,8 @@ ExperimentResult Collect(Protocol protocol, const ClientPool& pool,
   ExperimentResult out;
   out.protocol = protocol;
   Histogram all, local, global, reads;
-  pool.ForEachStats([&](const ClientStats& s) {
+  for (const auto& c : pool.mobile) {
+    const ClientStats& s = c->stats();
     all.Merge(s.local_latency_us);
     all.Merge(s.global_latency_us);
     all.Merge(s.read_latency_us);
@@ -178,7 +172,7 @@ ExperimentResult Collect(Protocol protocol, const ClientPool& pool,
     out.read_ops += s.reads_completed;
     out.read_fallbacks += s.read_fallbacks;
     out.timeouts += s.timeouts;
-  });
+  }
   double secs = ToSeconds(measure);
   out.throughput_tps =
       secs > 0 ? (out.local_ops + out.global_ops + out.read_ops) / secs : 0.0;
@@ -440,20 +434,24 @@ ExperimentResult RunFlat(const DeploymentSpec& dep, const WorkloadSpec& wl,
     rep->Init(&keys, pcfg, std::make_unique<BankStateMachine>());
   }
 
+  // Clients see the single geo-spanning group as one zone and issue only
+  // local transfers into it.
+  core::Topology flat;
+  flat.AddZone(/*cluster=*/0, dep.zones[0].region, flat_f, group);
   std::vector<std::vector<ClientId>> per_zone_ids = PredictClientIds(
       sim.num_processes(), dep.zones.size(), wl.clients_per_zone);
   ClientPool pool;
   for (std::size_t z = 0; z < dep.zones.size(); ++z) {
     for (std::size_t i = 0; i < wl.clients_per_zone; ++i) {
-      FlatClient::Config cc;
-      cc.group = group;
-      cc.f = flat_f;
+      MobileClient::Config cc;
+      cc.topology = &flat;
       cc.keys = &keys;
+      cc.mix.global_fraction = 0;
       cc.peers = PeersExcluding(per_zone_ids[z], per_zone_ids[z][i]);
-      auto client = std::make_unique<FlatClient>(std::move(cc));
+      auto client = std::make_unique<MobileClient>(std::move(cc));
       NodeId cid = sim.Register(client.get(), dep.zones[z].region);
       ZCHECK(cid == per_zone_ids[z][i]);
-      pool.flat.push_back(std::move(client));
+      pool.mobile.push_back(std::move(client));
     }
   }
   // Accounts exist on every replica (fully replicated).
@@ -463,7 +461,7 @@ ExperimentResult RunFlat(const DeploymentSpec& dep, const WorkloadSpec& wl,
       for (ClientId cid : zone_ids) bank->OpenAccount(cid, 1000);
     }
   }
-  for (auto& c : pool.flat) {
+  for (auto& c : pool.mobile) {
     c->Start(sim.rng().NextBounded(2000));
   }
 

@@ -2,308 +2,16 @@
 
 #include <algorithm>
 #include <memory>
-#include <set>
 #include <sstream>
-#include <utility>
 
 #include "app/bank.h"
-#include "common/hash.h"
-#include "common/random.h"
-#include "core/messages.h"
+#include "app/harness.h"
 #include "core/system.h"
-#include "pbft/messages.h"
 #include "sim/latency_model.h"
-#include "storage/kv_store.h"
 
 namespace ziziphus::app {
 
 namespace {
-
-constexpr std::int64_t kInitialBalance = 1000;
-constexpr std::int64_t kXferAmount = 5;
-
-/// Open-ended paced client for soak runs: one outstanding request, PBFT
-/// retransmission, f+1 matching replies. Unlike the chaos client it keeps
-/// submitting until `stop_at`, with think time modulated by the schedule's
-/// diurnal load factor.
-class SoakClient : public sim::Process {
- public:
-  SoakClient(const crypto::KeyRegistry* keys, std::size_t f,
-             Duration retry_timeout, Duration base_think,
-             const sim::SoakSchedule* schedule, SimTime stop_at)
-      : keys_(keys),
-        f_(f),
-        retry_timeout_(retry_timeout),
-        base_think_(base_think),
-        schedule_(schedule),
-        stop_at_(stop_at) {}
-
-  /// Back-and-forth XFERs with `peer` until the horizon.
-  void ScriptXferLoop(NodeId target, std::vector<NodeId> retry_group,
-                      ClientId peer) {
-    mode_ = Mode::kXfer;
-    target_ = target;
-    retry_group_ = std::move(retry_group);
-    peer_ = peer;
-  }
-
-  /// PUTs cycling over a window of `window` records until the horizon:
-  /// the op stream is unbounded, the application state is not.
-  void ScriptPutLoop(NodeId target, std::vector<NodeId> retry_group,
-                     std::size_t window, std::string payload) {
-    mode_ = Mode::kPut;
-    target_ = target;
-    retry_group_ = std::move(retry_group);
-    put_window_ = window;
-    payload_ = std::move(payload);
-  }
-
-  /// `count` zone hops (bounded: migrations drag a lock across the fleet).
-  void ScriptMigrationLoop(NodeId target, std::vector<NodeId> retry_group,
-                           ZoneId home, std::size_t num_zones,
-                           std::size_t count) {
-    mode_ = Mode::kMigrate;
-    target_ = target;
-    retry_group_ = std::move(retry_group);
-    home_ = home;
-    num_zones_ = num_zones;
-    migrations_left_ = count;
-  }
-
-  /// Chases every completed XFER with one verified fast-path read of the
-  /// client's own account (bounded round-robin circuit of the zone, same
-  /// discipline as the chaos client). Accepted reads land in `witnesses`.
-  void EnableReads(ZoneId zone, std::vector<crypto::ReadWitness>* witnesses) {
-    reads_enabled_ = true;
-    zone_ = zone;
-    witnesses_ = witnesses;
-  }
-
-  void Kick() { SubmitNext(); }
-
-  bool quiesced() const { return !in_flight_ && !read_in_flight_; }
-  std::uint64_t completed() const { return completed_; }
-  bool global() const { return mode_ == Mode::kMigrate; }
-  std::uint64_t reads_ok() const { return reads_ok_; }
-  std::uint64_t reads_rejected() const { return reads_rejected_; }
-  std::uint64_t reads_abandoned() const { return reads_abandoned_; }
-
- protected:
-  void OnMessage(const sim::MessagePtr& msg) override {
-    switch (msg->type()) {
-      case pbft::kClientReply: {
-        auto r = std::static_pointer_cast<const pbft::ClientReplyMsg>(msg);
-        if (!in_flight_ || r->timestamp != current_ts_) break;
-        votes_.insert(r->replica);
-        if (votes_.size() >= f_ + 1) Complete();
-        break;
-      }
-      case core::kMigrationDone: {
-        auto r = std::static_pointer_cast<const core::MigrationReplyMsg>(msg);
-        if (!in_flight_ || r->timestamp != current_ts_) break;
-        votes_.insert(r->replica);
-        if (votes_.size() >= f_ + 1) {
-          home_ = pending_dest_;
-          Complete();
-        }
-        break;
-      }
-      case pbft::kReadReply:
-        HandleReadReply(static_cast<const pbft::ReadReplyMsg&>(*msg));
-        break;
-      default:
-        break;
-    }
-  }
-
-  void OnTimer(std::uint64_t ts) override {
-    if (ts == kThinkTag) {
-      SubmitNext();
-      return;
-    }
-    if (ts >= kReadTagBase) {
-      if (read_in_flight_ && ts == kReadTagBase + cur_read_nonce_) {
-        NextReadAttempt();
-      }
-      return;
-    }
-    if (!in_flight_ || ts != current_ts_) return;
-    Multicast(retry_group_, request_);
-    SetTimer(retry_timeout_, ts);
-  }
-
- private:
-  enum class Mode { kXfer, kPut, kMigrate };
-
-  static constexpr std::uint64_t kThinkTag = 0;
-  static constexpr std::uint64_t kReadTagBase = std::uint64_t{1} << 32;
-
-  Duration ThinkNow() {
-    double factor = schedule_ != nullptr ? schedule_->LoadFactor(Now()) : 1.0;
-    if (factor <= 0) factor = 1.0;
-    auto think = static_cast<Duration>(
-        static_cast<double>(base_think_) / factor);
-    return std::max<Duration>(think, Millis(5));
-  }
-
-  void Complete() {
-    in_flight_ = false;
-    ++completed_;
-    votes_.clear();
-    session_.last_write_ts = current_ts_;
-    if (reads_enabled_ && mode_ == Mode::kXfer) {
-      StartRead();
-      return;
-    }
-    SetTimer(ThinkNow(), kThinkTag);
-  }
-
-  void StartRead() {
-    read_in_flight_ = true;
-    read_attempts_ = 0;
-    read_floor_before_ = session_.FloorFor(zone_);
-    SendReadAttempt();
-  }
-
-  void SendReadAttempt() {
-    cur_read_nonce_ = next_read_nonce_++;
-    auto req = std::make_shared<pbft::ReadRequestMsg>();
-    req->client = id();
-    req->nonce = cur_read_nonce_;
-    req->key = BankStateMachine::AccountKey(id());
-    req->min_stable_seq = session_.FloorFor(zone_);
-    req->min_write_ts = session_.last_write_ts;
-    req->client_sig = keys_->Sign(id(), req->ComputeDigest());
-    Send(retry_group_[read_rr_ % retry_group_.size()], req);
-    SetTimer(retry_timeout_, kReadTagBase + cur_read_nonce_);
-  }
-
-  void NextReadAttempt() {
-    ++read_rr_;
-    if (++read_attempts_ >= retry_group_.size()) {
-      ++reads_abandoned_;
-      FinishRead();
-      return;
-    }
-    SendReadAttempt();
-  }
-
-  void HandleReadReply(const pbft::ReadReplyMsg& r) {
-    if (!read_in_flight_ || r.nonce != cur_read_nonce_) return;
-    switch (VerifyReadReply(*keys_, retry_group_, f_, r, session_, zone_)) {
-      case ReadVerdict::kOk:
-        session_.AdvanceFloor(zone_, r.proof.anchor_seq);
-        ++reads_ok_;
-        scoped_counters().Inc(obs::CounterId::kReadsCertVerified);
-        if (witnesses_ != nullptr) {
-          witnesses_->push_back({id(), zone_, r.key, r.value, r.found,
-                                 r.proof, read_floor_before_});
-        }
-        FinishRead();
-        break;
-      case ReadVerdict::kBehind:
-        // Honest "cannot cover your session yet": wait for the armed retry
-        // timer — the covering checkpoint needs a few more committed ops.
-        break;
-      case ReadVerdict::kBadCertificate:
-      case ReadVerdict::kBadInclusion:
-      case ReadVerdict::kBadCoverage:
-        ++reads_rejected_;
-        scoped_counters().Inc(obs::CounterId::kReadsCertRejected);
-        NextReadAttempt();
-        break;
-      case ReadVerdict::kStaleAnchor:
-      case ReadVerdict::kStaleWrite:
-        ++reads_rejected_;
-        scoped_counters().Inc(
-            obs::CounterId::kReadsSessionViolationsDetected);
-        NextReadAttempt();
-        break;
-    }
-  }
-
-  void FinishRead() {
-    read_in_flight_ = false;
-    SetTimer(ThinkNow(), kThinkTag);
-  }
-
-  void SubmitNext() {
-    if (Now() >= stop_at_) return;
-    if (mode_ == Mode::kMigrate && migrations_left_ == 0) return;
-    in_flight_ = true;
-    current_ts_ = next_ts_++;
-    if (mode_ == Mode::kMigrate) {
-      --migrations_left_;
-      core::MigrationOp op;
-      op.client = id();
-      op.timestamp = current_ts_;
-      pending_dest_ = static_cast<ZoneId>((home_ + 1) % num_zones_);
-      op.source = home_;
-      op.destination = pending_dest_;
-      auto req = std::make_shared<core::MigrationRequestMsg>();
-      req->op = op;
-      req->client_sig = keys_->Sign(id(), req->digest());
-      request_ = req;
-    } else {
-      pbft::Operation op;
-      op.client = id();
-      op.timestamp = current_ts_;
-      if (mode_ == Mode::kXfer) {
-        op.command = "XFER " + std::to_string(peer_) + " " +
-                     std::to_string(kXferAmount);
-      } else {
-        op.command = "PUT " +
-                     std::to_string(completed_ % put_window_) + " " +
-                     payload_;
-      }
-      auto req = std::make_shared<pbft::ClientRequestMsg>();
-      req->op = op;
-      req->client_sig = keys_->Sign(id(), req->ComputeDigest());
-      request_ = req;
-    }
-    Send(target_, request_);
-    SetTimer(retry_timeout_, current_ts_);
-  }
-
-  const crypto::KeyRegistry* keys_;
-  std::size_t f_;
-  Duration retry_timeout_;
-  Duration base_think_;
-  const sim::SoakSchedule* schedule_;
-  SimTime stop_at_;
-
-  // Read fast path (EnableReads).
-  bool reads_enabled_ = false;
-  ZoneId zone_ = 0;
-  std::vector<crypto::ReadWitness>* witnesses_ = nullptr;
-  Session session_;
-  bool read_in_flight_ = false;
-  std::size_t read_attempts_ = 0;
-  std::size_t read_rr_ = 0;
-  SeqNum read_floor_before_ = 0;
-  RequestTimestamp cur_read_nonce_ = 0;
-  RequestTimestamp next_read_nonce_ = 1;
-  std::uint64_t reads_ok_ = 0;
-  std::uint64_t reads_rejected_ = 0;
-  std::uint64_t reads_abandoned_ = 0;
-
-  Mode mode_ = Mode::kXfer;
-  NodeId target_ = kInvalidNode;
-  std::vector<NodeId> retry_group_;
-  ClientId peer_ = kInvalidClient;
-  std::size_t put_window_ = 1;
-  std::string payload_;
-  ZoneId home_ = 0;
-  ZoneId pending_dest_ = 0;
-  std::size_t num_zones_ = 1;
-  std::size_t migrations_left_ = 0;
-  bool in_flight_ = false;
-  RequestTimestamp current_ts_ = 0;
-  RequestTimestamp next_ts_ = 1;
-  sim::MessagePtr request_;
-  std::set<NodeId> votes_;
-  std::uint64_t completed_ = 0;
-};
 
 /// Samples fleet-wide memory footprints on a fixed cadence and publishes
 /// the running totals as retention.* gauges.
@@ -349,35 +57,6 @@ class FootprintSampler : public sim::Process {
   SimTime stop_at_;
   std::vector<SoakMemSample>* out_;
 };
-
-/// Registered stand-in for a client that never submits (bulk state owner).
-class IdleClient : public sim::Process {
- protected:
-  void OnMessage(const sim::MessagePtr&) override {}
-};
-
-storage::KvStore::Map SeedBalance(ClientId id) {
-  return {{BankStateMachine::AccountKey(id),
-           std::to_string(kInitialBalance)}};
-}
-
-storage::KvStore::Map SeedBalanceAndRecords(ClientId id, std::size_t records,
-                                            const std::string& payload) {
-  storage::KvStore::Map out = SeedBalance(id);
-  for (std::size_t n = 0; n < records; ++n) {
-    out[BankStateMachine::DataKey(id, n)] = payload;
-  }
-  return out;
-}
-
-std::uint64_t FingerprintCounters(const CounterSet& counters) {
-  Hasher h(0xf19e);
-  for (const auto& [name, value] : counters.All()) {
-    h.Add(name);
-    h.Add(value);
-  }
-  return h.Finish();
-}
 
 }  // namespace
 
@@ -436,81 +115,20 @@ SoakReport RunZiziphusSoak(const SoakOptions& opt) {
   sim::SoakSchedule schedule(opt.seed, opt.schedule, zone_members);
 
   const SimTime horizon = opt.schedule.horizon;
-  const Duration retry = Millis(1100);
-  const std::string payload(24, 'z');
-
-  sim::InvariantChecker::Accounts accounts;
-  std::vector<std::unique_ptr<SoakClient>> clients;
-  std::vector<crypto::ReadWitness> witnesses;
-  for (std::size_t z = 0; z < opt.zones; ++z) {
-    ZoneId zone = static_cast<ZoneId>(z);
-    const std::vector<NodeId>& members = sys.topology().zone(zone).members;
-    NodeId primary = sys.PrimaryOf(zone)->id();
-    for (std::size_t p = 0; p < opt.pairs_per_zone; ++p) {
-      auto a = std::make_unique<SoakClient>(&sys.keys(), opt.f, retry,
-                                            opt.base_think, &schedule,
-                                            horizon);
-      auto b = std::make_unique<SoakClient>(&sys.keys(), opt.f, retry,
-                                            opt.base_think, &schedule,
-                                            horizon);
-      ClientId ca = sys.sim().Register(a.get(), static_cast<RegionId>(z % 7));
-      ClientId cb = sys.sim().Register(b.get(), static_cast<RegionId>(z % 7));
-      a->ScriptXferLoop(primary, members, cb);
-      b->ScriptXferLoop(primary, members, ca);
-      if (opt.mix.read_fraction > 0) {
-        a->EnableReads(zone, &witnesses);
-        b->EnableReads(zone, &witnesses);
-      }
-      accounts.load_clients[zone].push_back(ca);
-      accounts.load_clients[zone].push_back(cb);
-      accounts.zone_load_totals[zone] += 2 * kInitialBalance;
-      clients.push_back(std::move(a));
-      clients.push_back(std::move(b));
-    }
-    for (std::size_t w = 0; w < opt.writers_per_zone; ++w) {
-      auto c = std::make_unique<SoakClient>(&sys.keys(), opt.f, retry,
-                                            opt.base_think, &schedule,
-                                            horizon);
-      ClientId cid =
-          sys.sim().Register(c.get(), static_cast<RegionId>(z % 7));
-      c->ScriptPutLoop(primary, members, opt.writer_record_window, payload);
-      accounts.fixed_balance_clients[cid] = kInitialBalance;
-      clients.push_back(std::move(c));
-    }
-  }
-  NodeId leader_primary = sys.PrimaryOf(0)->id();
-  const std::vector<NodeId>& leader_members = sys.topology().zone(0).members;
-  for (std::size_t m = 0; m < opt.migrators; ++m) {
-    ZoneId home = static_cast<ZoneId>(m % opt.zones);
-    auto c = std::make_unique<SoakClient>(&sys.keys(), opt.f, retry,
-                                          opt.base_think * 4, &schedule,
-                                          horizon);
-    ClientId cid =
-        sys.sim().Register(c.get(), static_cast<RegionId>(home % 7));
-    c->ScriptMigrationLoop(leader_primary, leader_members, home, opt.zones,
-                           opt.migrations_per_client);
-    accounts.fixed_balance_clients[cid] = kInitialBalance;
-    clients.push_back(std::move(c));
-  }
-
-  std::size_t ci = 0;
-  for (std::size_t z = 0; z < opt.zones; ++z) {
-    ZoneId zone = static_cast<ZoneId>(z);
-    for (std::size_t p = 0; p < 2 * opt.pairs_per_zone; ++p, ++ci) {
-      sys.BootstrapClient(clients[ci]->id(), zone, SeedBalance);
-    }
-    for (std::size_t w = 0; w < opt.writers_per_zone; ++w, ++ci) {
-      sys.BootstrapClient(clients[ci]->id(), zone, SeedBalance);
-    }
-  }
-  for (std::size_t m = 0; m < opt.migrators; ++m, ++ci) {
-    ClientId cid = clients[ci]->id();
-    sys.BootstrapClient(cid, static_cast<ZoneId>(m % opt.zones),
-                        [&](ClientId c) {
-                          return SeedBalanceAndRecords(c, opt.migrator_records,
-                                                       payload);
-                        });
-  }
+  harness::RosterSpec spec;
+  spec.zones = opt.zones;
+  spec.f = opt.f;
+  spec.pairs_per_zone = opt.pairs_per_zone;
+  spec.writers_per_zone = opt.writers_per_zone;
+  spec.writer_record_window = opt.writer_record_window;
+  spec.migrators = opt.migrators;
+  spec.migrations_per_client = opt.migrations_per_client;
+  spec.migrator_records = opt.migrator_records;
+  spec.think = opt.base_think;
+  spec.migrator_think = opt.base_think * 4;
+  spec.schedule = &schedule;
+  spec.stop_at = horizon;
+  harness::Roster roster = harness::BuildRoster(sys, spec);
 
   report.events = schedule.InstallFaults(sys.sim().schedule());
 
@@ -519,28 +137,13 @@ SoakReport RunZiziphusSoak(const SoakOptions& opt) {
   sys.sim().Register(&sampler, 0);
   sampler.Kick();
 
-  for (auto& c : clients) c->Kick();
-  sys.sim().RunUntil(horizon + opt.drain);
-
-  auto quiesced = [&] {
-    for (const auto& c : clients) {
-      if (!c->quiesced()) return false;
-    }
-    return true;
-  };
-  SimTime deadline = horizon + opt.drain + opt.completion_wait;
-  while (!quiesced() && sys.sim().Now() < deadline) {
-    sys.sim().RunFor(Seconds(1));
-  }
-  report.drained = quiesced();
+  report.drained = roster.Run(sys.sim(), horizon + opt.drain,
+                              horizon + opt.drain + opt.completion_wait);
   report.end_time = sys.sim().Now();
 
-  for (const auto& c : clients) {
+  for (const auto& c : roster.clients) {
     (c->global() ? report.global_completed : report.local_completed) +=
         c->completed();
-    report.reads_ok += c->reads_ok();
-    report.reads_rejected += c->reads_rejected();
-    report.reads_abandoned += c->reads_abandoned();
   }
   for (const SoakMemSample& s : report.samples) {
     report.high_water_live_bytes =
@@ -551,8 +154,7 @@ SoakReport RunZiziphusSoak(const SoakOptions& opt) {
   }
 
   sim::InvariantChecker::Options iopt;
-  iopt.accounts = std::move(accounts);
-  iopt.read_witnesses = std::move(witnesses);
+  iopt.accounts = std::move(roster.accounts);
   iopt.balance_of = [](const core::ZoneStateMachine& app, ClientId c) {
     return static_cast<const BankStateMachine&>(app).BalanceOf(c);
   };
@@ -561,7 +163,7 @@ SoakReport RunZiziphusSoak(const SoakOptions& opt) {
   };
   sim::InvariantChecker checker(std::move(iopt));
   report.violations = checker.Check(sys);
-  report.fingerprint = FingerprintCounters(sys.sim().counters());
+  report.fingerprint = harness::FingerprintCounters(sys.sim().counters());
   report.counters = sys.sim().counters().All();
   report.obs_json = sys.sim().recorder().ExportJson();
   return report;
@@ -589,30 +191,30 @@ RejoinProbeResult RunRejoinProbe(const RejoinProbeOptions& opt) {
 
   const SimTime crash_at = opt.warmup;
   const SimTime recover_at = opt.warmup + opt.outage;
-  const std::string payload(24, 'z');
-
   // Light XFER load up to the recovery instant fixes the catch-up target.
-  auto a = std::make_unique<SoakClient>(&sys.keys(), 1, Millis(1100),
-                                        opt.think, nullptr, recover_at);
-  auto b = std::make_unique<SoakClient>(&sys.keys(), 1, Millis(1100),
-                                        opt.think, nullptr, recover_at);
-  ClientId ca = sys.sim().Register(a.get(), 0);
-  ClientId cb = sys.sim().Register(b.get(), 0);
-  a->ScriptXferLoop(primary, members, cb);
-  b->ScriptXferLoop(primary, members, ca);
-  IdleClient heavy;
+  harness::Roster roster;
+  harness::ScriptedClient::Script script;
+  script.target = primary;
+  script.group = &members;
+  script.stop_at = recover_at;
+  script.think = std::max<Duration>(opt.think, Millis(5));
+  roster.AddPair(sys.sim(), sys.topology(), sys.keys(), script);
+  // The bulk-state owner: a client core with no op source.
+  ClientCore heavy;
   ClientId heavy_id = sys.sim().Register(&heavy, 0);
-  sys.BootstrapClient(ca, 0, SeedBalance);
-  sys.BootstrapClient(cb, 0, SeedBalance);
+  for (const auto& c : roster.clients) {
+    sys.BootstrapClient(c->id(), 0, [](ClientId id) {
+      return harness::SeedBalance(id);
+    });
+  }
   sys.BootstrapClient(heavy_id, 0, [&](ClientId c) {
-    return SeedBalanceAndRecords(c, opt.records, payload);
+    return harness::SeedBalance(c, opt.records);
   });
 
   sys.sim().schedule().CrashAmnesiaAt(crash_at, victim);
   sys.sim().schedule().RecoverAmnesiaAt(recover_at, victim);
 
-  a->Kick();
-  b->Kick();
+  for (auto& c : roster.clients) c->Kick();
   // The recovery entry is scheduled exactly at recover_at, so RunUntil
   // applies it (durable restore is synchronous) but any catch-up traffic
   // is still in flight — the restored seq read below is the WAL state.

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "app/workload.h"
 #include "common/types.h"
 #include "sim/event_queue.h"
 #include "sim/invariants.h"
@@ -44,14 +43,6 @@ struct SoakOptions {
   /// the schedule's LoadFactor (so the trough is slower, crowds faster).
   Duration base_think = Millis(600);
 
-  /// Shared operation-mix knobs (same struct the experiment runner, chaos
-  /// and the benches take). The soak workload is scripted, so only
-  /// `mix.read_fraction > 0` matters: each XFER pair client chases every
-  /// completed transfer with a verified fast-path read, exercising the
-  /// read path's retention behaviour over the long horizon. Default 0
-  /// keeps pre-existing soak seeds byte-identical.
-  WorkloadMix mix;
-
   // ---- Retention arms (the soak's experiment variables) ----
   bool trim_at_checkpoint = true;
   bool delta_state_transfer = true;
@@ -87,10 +78,6 @@ struct SoakReport {
   std::vector<sim::InvariantViolation> violations;
   std::uint64_t local_completed = 0;
   std::uint64_t global_completed = 0;
-  /// Fast-path read outcomes (mix.read_fraction > 0 only).
-  std::uint64_t reads_ok = 0;
-  std::uint64_t reads_rejected = 0;
-  std::uint64_t reads_abandoned = 0;
   /// All clients quiesced (no in-flight op) by the deadline.
   bool drained = false;
   std::uint64_t events = 0;

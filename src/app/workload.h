@@ -86,7 +86,7 @@ const char* ReadVerdictName(ReadVerdict v);
 /// read-your-writes coverage to the certified read root, and the session's
 /// monotonic-read / read-your-writes watermarks — the coverage check uses
 /// the *proven* timestamp, never the replica's claimed one. Pure function
-/// of its inputs so the chaos client and tests reuse it verbatim.
+/// of its inputs so the client core and tests reuse it verbatim.
 ReadVerdict VerifyReadReply(const crypto::KeyRegistry& keys,
                             const std::vector<NodeId>& zone_members,
                             std::size_t f, const pbft::ReadReplyMsg& reply,

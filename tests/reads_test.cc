@@ -22,6 +22,7 @@
 #include "obs/metric_ids.h"
 #include "sim/byzantine.h"
 #include "storage/kv_store.h"
+#include "tests/read_fixtures.h"
 #include "tests/test_util.h"
 
 namespace ziziphus {
@@ -30,21 +31,10 @@ namespace {
 using app::BankStateMachine;
 using app::ReadVerdict;
 using app::Session;
+using testutil::MakeCheckpointCert;
+using testutil::ReplyFor;
 
 // ---------------------------------------------------------------- unit
-
-crypto::Certificate MakeCheckpointCert(const crypto::KeyRegistry& keys,
-                                       const std::vector<NodeId>& signers,
-                                       SeqNum seq,
-                                       std::uint64_t state_digest,
-                                       crypto::Digest read_root) {
-  crypto::Certificate cert;
-  cert.digest = crypto::CheckpointCertDigest(seq, state_digest, read_root);
-  for (NodeId n : signers) {
-    cert.signatures.push_back(keys.Sign(n, cert.digest));
-  }
-  return cert;
-}
 
 TEST(MerkleTreeTest, MembershipAndAbsence) {
   storage::KvStore::Map entries = {
@@ -224,33 +214,6 @@ TEST(ReadProofTest, AlgebraicForgeryRejected) {
   EXPECT_FALSE(crypto::VerifyReadProof(keys, stale, "acct/7", true, "100",
                                        100, 2, is_member, nullptr)
                    .ok());
-}
-
-pbft::ReadReplyMsg ReplyFor(const crypto::KeyRegistry& keys,
-                            const std::vector<NodeId>& members,
-                            const storage::KvStore& store, SeqNum anchor,
-                            const std::string& key,
-                            RequestTimestamp covered_ts = 5,
-                            ClientId client = 100) {
-  std::map<ClientId, RequestTimestamp> coverage = {{client, covered_ts}};
-  crypto::MerkleTree tree = crypto::BuildReadTree(store.Snapshot(), coverage);
-  pbft::ReadReplyMsg r;
-  r.client = client;
-  r.nonce = 1;
-  r.replica = members[0];
-  r.key = key;
-  std::optional<std::string> v = store.Get(key);
-  r.found = v.has_value();
-  if (r.found) r.value = *v;
-  r.proof.anchor_seq = anchor;
-  r.proof.state_digest = store.StateDigest();
-  r.proof.read_root = tree.root();
-  r.proof.key_proof = tree.Prove(crypto::ReadDataLeafKey(key));
-  r.proof.coverage_proof = tree.Prove(crypto::ReadCoverageLeafKey(client));
-  r.proof.certificate = MakeCheckpointCert(keys, members, anchor,
-                                           store.StateDigest(), tree.root());
-  r.covered_write_ts = covered_ts;
-  return r;
 }
 
 TEST(ReadVerdictTest, SessionWatermarksEnforced) {
