@@ -21,10 +21,9 @@ namespace {
 
 app::ChaosOptions OptionsFor(std::uint64_t seed, const benchmark::State& st) {
   // Start from the shared flag vocabulary (--crash-amnesia=, --think-ms=,
-  // --fault-window-ms=, --queue=heap); the sweep's cell shape and seed
-  // progression override the per-cell knobs below.
+  // --fault-window-ms=); the sweep's cell shape and seed progression
+  // override the per-cell knobs below.
   app::ChaosOptions opt = app::BenchConfig().chaos;
-  opt.queue = app::BenchConfig().workload.queue;
   opt.seed = seed;
   opt.zones = static_cast<std::size_t>(st.range(0));
   opt.byzantine_per_zone = static_cast<std::size_t>(st.range(1));

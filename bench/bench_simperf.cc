@@ -1,23 +1,13 @@
 // Simulator-performance benchmark: events/sec and allocations/event of the
-// event hot path, comparing the calendar queue (default) against the binary
-// heap it replaced.
+// event hot path, end to end on the Figure 4 multi-zone deployment.
 //
-// Two views, both on the Figure 4 multi-zone deployment:
+//   Simperf/fig4/zones:Z   — the full Ziziphus experiment from one seed,
+//                            best of three repetitions.
 //
-//   Simperf/fig4/zones:Z   — end-to-end: the full Ziziphus experiment run
-//                            twice (calendar, then heap) from one seed.
-//                            Also asserts the determinism headline: both
-//                            queues dispatch exactly the same event count.
-//   Simperf/sched/zones:Z  — scheduler hot path isolated: a classic
-//                            hold-model loop (pop-min, push successor)
-//                            whose inter-event gap mix mirrors the Fig. 4
-//                            schedule (LAN links, WAN links, protocol
-//                            timers) at the deployment's queue depth.
-//
-// Every cell publishes cal_events_per_sec, heap_events_per_sec and their
-// ratio as `speedup`, plus allocations/event measured by a global
-// operator new count, so the exported ziziphus.bench.v1 JSON carries the
-// whole comparison.
+// Every cell publishes the dispatched event count, events_per_sec,
+// allocations/event measured by a global operator new count, and the
+// modeled throughput, so the exported ziziphus.bench.v1 JSON carries both
+// the deterministic numbers and the wall-clock rate.
 
 #include <atomic>
 #include <chrono>
@@ -26,8 +16,6 @@
 
 #include "app/experiment_config.h"
 #include "benchmark/benchmark.h"
-#include "common/random.h"
-#include "sim/event_queue.h"
 
 // ---- Allocation counter -------------------------------------------------
 // Replaces the global allocation functions for this binary only; every
@@ -61,8 +49,6 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-// ---- End-to-end: full Fig. 4 experiment on each queue -------------------
-
 struct RunSample {
   double events_per_sec = 0;
   double allocs_per_event = 0;
@@ -70,11 +56,10 @@ struct RunSample {
   app::ExperimentResult result;
 };
 
-RunSample RunOnce(std::size_t zones, sim::EventQueueKind kind) {
+RunSample RunOnce(std::size_t zones) {
   app::WorkloadSpec wl = BaseWorkload();
   wl.clients_per_zone = ClientsPerZone(200, 50);
   wl.mix.global_fraction = 0.1;
-  wl.queue = kind;
   std::uint64_t allocs0 = AllocCount();
   auto t0 = std::chrono::steady_clock::now();
   RunSample s;
@@ -91,24 +76,14 @@ RunSample RunOnce(std::size_t zones, sim::EventQueueKind kind) {
 
 void BM_Fig4EndToEnd(benchmark::State& state) {
   auto zones = static_cast<std::size_t>(state.range(0));
-  // Alternate queue kinds and keep each kind's best repetition (see
-  // BM_SchedulerHold) so background load hits both fairly.
+  // Best-of-N is the standard throughput estimator on a shared machine.
   const int reps = SmokeSweep() ? 1 : 3;
-  RunSample cal, heap;
+  RunSample best;
   for (auto _ : state) {
     for (int r = 0; r < reps; ++r) {
-      RunSample c = RunOnce(zones, sim::EventQueueKind::kCalendar);
-      RunSample h = RunOnce(zones, sim::EventQueueKind::kBinaryHeap);
-      if (c.events_per_sec > cal.events_per_sec) cal = c;
-      if (h.events_per_sec > heap.events_per_sec) heap = h;
+      RunSample s = RunOnce(zones);
+      if (s.events_per_sec > best.events_per_sec) best = s;
     }
-  }
-  // The determinism headline: same seed => the two schedulers dispatch the
-  // identical event schedule (differential test asserts the full ExportJson
-  // byte equality; the cheap probe here guards the benchmark's validity).
-  if (cal.events != heap.events) {
-    state.SkipWithError("queue kinds dispatched different event counts");
-    return;
   }
   BenchCell cell;
   cell.name = "simperf/fig4/zones:" + std::to_string(zones) +
@@ -117,106 +92,14 @@ void BM_Fig4EndToEnd(benchmark::State& state) {
     state.counters[key] = v;
     cell.metrics[key] = v;
   };
-  put("events", static_cast<double>(cal.events));
-  put("cal_events_per_sec", cal.events_per_sec);
-  put("heap_events_per_sec", heap.events_per_sec);
-  put("speedup", heap.events_per_sec > 0
-                     ? cal.events_per_sec / heap.events_per_sec
-                     : 0);
-  put("cal_allocs_per_event", cal.allocs_per_event);
-  put("heap_allocs_per_event", heap.allocs_per_event);
-  put("tput_ktps", cal.result.throughput_tps / 1000.0);
-  CollectedCells().push_back(std::move(cell));
-}
-
-// ---- Scheduler hot path: hold model on the Fig. 4 event mix -------------
-
-/// Inter-event gap with the Fig. 4 schedule's flavor: mostly intra-region
-/// hops, a WAN tail, and a sprinkle of protocol timers parked seconds out.
-Duration HoldGap(Rng& rng) {
-  std::uint64_t pick = rng.NextBounded(100);
-  if (pick < 60) return rng.NextRange(200, 800);        // LAN link
-  if (pick < 90) return rng.NextRange(30000, 150000);   // WAN link
-  return Seconds(2) + rng.NextRange(0, Millis(500));    // protocol timer
-}
-
-struct HoldSample {
-  double events_per_sec = 0;
-  double allocs_per_event = 0;
-};
-
-HoldSample RunHold(sim::EventQueueKind kind, std::size_t depth,
-                   std::uint64_t ops) {
-  auto q = sim::EventQueue::Create(kind);
-  Rng rng(2026);
-  SimTime now = 0;
-  std::uint64_t seq = 0;
-  for (std::size_t i = 0; i < depth; ++i) {
-    q->Push(sim::SimEvent{now + HoldGap(rng), seq++, 0, nullptr, 0, 0, 0});
-  }
-  // Measure steady state only: the warm queue reuses pooled bucket storage.
-  std::uint64_t allocs0 = AllocCount();
-  auto t0 = std::chrono::steady_clock::now();
-  for (std::uint64_t i = 0; i < ops; ++i) {
-    sim::SimEvent e = q->Pop();
-    now = e.time;
-    q->Push(sim::SimEvent{now + HoldGap(rng), seq++, 0, nullptr, 0, 0, 0});
-  }
-  double secs = SecondsSince(t0);
-  std::uint64_t allocs = AllocCount() - allocs0;
-  HoldSample s;
-  s.events_per_sec = secs > 0 ? static_cast<double>(ops) / secs : 0;
-  s.allocs_per_event = ops > 0 ? static_cast<double>(allocs) / ops : 0;
-  return s;
-}
-
-void BM_SchedulerHold(benchmark::State& state) {
-  auto zones = static_cast<std::size_t>(state.range(0));
-  // Queue depth tracks the deployment: every replica keeps timers and
-  // in-flight messages parked, so depth ~ nodes x in-flight-per-node.
-  std::size_t depth = zones * 4 * 512;
-  std::uint64_t ops = SmokeSweep() ? 100000 : 1000000;
-  // Alternate the two queue kinds and keep each kind's best repetition:
-  // interleaving exposes both to the same background load, and best-of-N
-  // is the standard throughput estimator on a shared machine.
-  const int reps = SmokeSweep() ? 1 : 3;
-  HoldSample cal, heap;
-  for (auto _ : state) {
-    for (int r = 0; r < reps; ++r) {
-      HoldSample c = RunHold(sim::EventQueueKind::kCalendar, depth, ops);
-      HoldSample h = RunHold(sim::EventQueueKind::kBinaryHeap, depth, ops);
-      if (c.events_per_sec > cal.events_per_sec) cal = c;
-      if (h.events_per_sec > heap.events_per_sec) heap = h;
-    }
-  }
-  BenchCell cell;
-  cell.name = "simperf/sched/zones:" + std::to_string(zones) +
-              "/depth:" + std::to_string(depth);
-  auto put = [&](const char* key, double v) {
-    state.counters[key] = v;
-    cell.metrics[key] = v;
-  };
-  put("depth", static_cast<double>(depth));
-  put("events", static_cast<double>(ops));
-  put("cal_events_per_sec", cal.events_per_sec);
-  put("heap_events_per_sec", heap.events_per_sec);
-  put("speedup", heap.events_per_sec > 0
-                     ? cal.events_per_sec / heap.events_per_sec
-                     : 0);
-  put("cal_allocs_per_event", cal.allocs_per_event);
-  put("heap_allocs_per_event", heap.allocs_per_event);
+  put("events", static_cast<double>(best.events));
+  put("events_per_sec", best.events_per_sec);
+  put("allocs_per_event", best.allocs_per_event);
+  put("tput_ktps", best.result.throughput_tps / 1000.0);
   CollectedCells().push_back(std::move(cell));
 }
 
 void RegisterAll() {
-  for (int z : {3, 5, 7}) {
-    benchmark::RegisterBenchmark(
-        ("Simperf/sched/zones:" + std::to_string(z)).c_str(),
-        BM_SchedulerHold)
-        ->Args({z})
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-  }
   for (int z : {3, 5, 7}) {
     benchmark::RegisterBenchmark(
         ("Simperf/fig4/zones:" + std::to_string(z)).c_str(), BM_Fig4EndToEnd)

@@ -27,7 +27,6 @@ namespace {
 SoakOptions SoakFor(bool trim) {
   SoakOptions opt;
   opt.seed = BenchConfig().workload.seed;
-  opt.queue = BenchConfig().workload.queue;
   opt.trim_at_checkpoint = trim;
   opt.compact_sync = trim;
   if (SmokeSweep()) {
@@ -99,7 +98,6 @@ void BM_Rejoin(benchmark::State& state) {
   RejoinProbeOptions opt;
   opt.records = static_cast<std::size_t>(state.range(0));
   opt.delta_state_transfer = state.range(1) != 0;
-  opt.queue = BenchConfig().workload.queue;
   opt.seed = BenchConfig().workload.seed;
   if (SmokeSweep()) {
     opt.warmup = Millis(800);

@@ -60,9 +60,10 @@ banner "BENCH_fig5.json"
 
 banner "BENCH_simperf.json"
 "$CHECK" BENCH_simperf.json \
-  --require=simperf/sched/zones:3:cal_events_per_sec \
-  --require=simperf/sched/zones:3:heap_events_per_sec \
-  --require=simperf/fig4/zones:3:cal_events_per_sec
+  --require=simperf/fig4/zones:3:events \
+  --require=simperf/fig4/zones:3:events_per_sec \
+  --require=simperf/fig4/zones:3:allocs_per_event \
+  --require=simperf/fig4/zones:3:tput_ktps
 
 banner "BENCH_soak.json"
 "$CHECK" BENCH_soak.json \

@@ -206,8 +206,7 @@ std::string ChaosReport::Summary() const {
 
 ChaosReport RunZiziphusChaos(const ChaosOptions& opt) {
   ChaosReport report;
-  core::ZiziphusSystem sys(opt.seed, sim::LatencyModel::PaperGeoMatrix(),
-                           opt.queue);
+  core::ZiziphusSystem sys(opt.seed, sim::LatencyModel::PaperGeoMatrix());
   const std::size_t n_per_zone = 3 * opt.f + 1;
   for (std::size_t z = 0; z < opt.zones; ++z) {
     sys.AddZone(0, static_cast<RegionId>(z % 7), opt.f, n_per_zone);
@@ -475,8 +474,7 @@ ChaosReport RunTwoLevelChaos(const ChaosOptions& opt) {
   std::size_t witnesses =
       participants > opt.zones ? participants - opt.zones : 0;
 
-  baselines::TwoLevelSystem sys(opt.seed, sim::LatencyModel::PaperGeoMatrix(),
-                                opt.queue);
+  baselines::TwoLevelSystem sys(opt.seed, sim::LatencyModel::PaperGeoMatrix());
   for (std::size_t z = 0; z < opt.zones; ++z) {
     sys.AddZone(0, static_cast<RegionId>(z % 7), opt.f, 3 * opt.f + 1);
   }

@@ -9,7 +9,6 @@
 #include "app/workload.h"
 #include "common/types.h"
 #include "pbft/config.h"
-#include "sim/event_queue.h"
 #include "sim/invariants.h"
 
 namespace ziziphus::app {
@@ -21,9 +20,6 @@ struct ChaosOptions {
   std::uint64_t seed = 1;
   std::size_t zones = 3;
   std::size_t f = 1;
-  /// Event-scheduler implementation; both kinds replay the identical
-  /// schedule (same fingerprint), kept selectable for differential tests.
-  sim::EventQueueKind queue = sim::EventQueueKind::kCalendar;
 
   /// Same-zone XFER pairs per zone; each pair is two clients transferring
   /// back and forth (a conservation-friendly local workload).

@@ -264,8 +264,7 @@ ExperimentResult RunZiziphusLike(Protocol protocol,
                                  core::NodeConfig cfg,
                                  const ObsSpec& ospec) {
 
-  core::ZiziphusSystem sys(wl.seed, sim::LatencyModel::PaperGeoMatrix(),
-                           wl.queue);
+  core::ZiziphusSystem sys(wl.seed, sim::LatencyModel::PaperGeoMatrix());
   for (const auto& z : dep.zones) {
     sys.AddZone(z.cluster, z.region, dep.f, dep.nodes_per_zone());
   }
@@ -338,8 +337,7 @@ ExperimentResult RunTwoLevel(const DeploymentSpec& dep,
   std::size_t participants = 3 * big_f + 1;
   std::size_t witnesses = participants > z_real ? participants - z_real : 0;
 
-  baselines::TwoLevelSystem sys(wl.seed, sim::LatencyModel::PaperGeoMatrix(),
-                                wl.queue);
+  baselines::TwoLevelSystem sys(wl.seed, sim::LatencyModel::PaperGeoMatrix());
   for (const auto& z : dep.zones) {
     sys.AddZone(z.cluster, z.region, dep.f, dep.nodes_per_zone());
   }
@@ -409,7 +407,7 @@ ExperimentResult RunFlat(const DeploymentSpec& dep, const WorkloadSpec& wl,
   // "PBFT runs on 4 nodes in CA and 3 nodes in other data centers": 3f
   // replicas per zone-region plus one extra in the first region, a single
   // group tolerating Z*f faults.
-  sim::Simulation sim(wl.seed, sim::LatencyModel::PaperGeoMatrix(), wl.queue);
+  sim::Simulation sim(wl.seed, sim::LatencyModel::PaperGeoMatrix());
   crypto::KeyRegistry keys(wl.seed ^ 0x5eedc0deULL);
 
   std::vector<std::unique_ptr<baselines::PbftReplicaProcess>> replicas;

@@ -9,7 +9,6 @@
 #include "app/workload.h"
 #include "common/types.h"
 #include "core/system.h"
-#include "sim/event_queue.h"
 #include "sim/latency_model.h"
 
 namespace ziziphus::app {
@@ -64,10 +63,6 @@ struct WorkloadSpec {
   Duration warmup = Millis(800);
   Duration measure = Seconds(2);
   std::uint64_t seed = 42;
-  /// Event-scheduler implementation. Both kinds dispatch the identical
-  /// (time, seq) order, so results are byte-identical; the heap is kept
-  /// selectable for differential testing and A/B benchmarking.
-  sim::EventQueueKind queue = sim::EventQueueKind::kCalendar;
 };
 
 /// Failure injection (Figure 6: one crashed backup per zone).

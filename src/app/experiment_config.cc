@@ -23,7 +23,6 @@ ChaosOptions ExperimentConfig::ChaosFor() const {
   c.seed = workload.seed;
   c.zones = zones;
   c.f = f;
-  c.queue = workload.queue;
   return c;
 }
 
@@ -49,9 +48,6 @@ std::string ExperimentConfig::ToString() const {
   }
   if (!stable_leader) os << " no-stable-leader";
   if (obs.trace) os << " traced(1/" << obs.sample_every << ")";
-  if (workload.queue != sim::EventQueueKind::kCalendar) {
-    os << " queue=" << sim::EventQueueKindName(workload.queue);
-  }
   os << " seed=" << workload.seed;
   return os.str();
 }
@@ -128,16 +124,6 @@ bool ExperimentConfig::ApplyFlag(const char* arg) {
     workload.measure = Millis(ToU64(v));
   } else if (FlagValue(arg, "seed", &v)) {
     workload.seed = ToU64(v);
-  } else if (FlagValue(arg, "queue", &v)) {
-    if (v == "calendar") {
-      workload.queue = sim::EventQueueKind::kCalendar;
-    } else if (v == "heap" || v == "binary-heap") {
-      workload.queue = sim::EventQueueKind::kBinaryHeap;
-    } else {
-      std::fprintf(stderr, "unknown --queue=%s (want calendar | heap)\n",
-                   v.c_str());
-      std::exit(2);
-    }
   } else if (FlagValue(arg, "faults", &v)) {
     faults.crashed_backups_per_zone = ToU64(v);
   } else if (std::strcmp(arg, "--no-stable-leader") == 0) {
@@ -183,8 +169,10 @@ bool ExperimentConfig::ApplyFlag(const char* arg) {
 ExperimentConfig ExperimentConfig::FromFlags(int argc, char** argv) {
   ExperimentConfig cfg;
   for (int i = 1; i < argc; ++i) {
-    // Unknown flags (--benchmark_*, binary-specific extras) pass through.
-    cfg.ApplyFlag(argv[i]);
+    if (!cfg.ApplyFlag(argv[i])) {
+      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
+      std::exit(2);
+    }
   }
   return cfg;
 }

@@ -26,9 +26,9 @@ namespace ziziphus::app {
 ///                            .Run();
 ///
 /// or from the command line: FromFlags(argc, argv) understands the
-/// `--key=value` vocabulary below and ignores flags it does not know
-/// (google-benchmark's `--benchmark_*`, binary-specific extras), so every
-/// binary can share one flag language.
+/// `--key=value` vocabulary below and rejects flags it does not know;
+/// bench binaries use ConsumeFlags, which leaves google-benchmark's
+/// `--benchmark_*` flags in argv, so every binary shares one flag language.
 struct ExperimentConfig {
   Protocol protocol = Protocol::kZiziphus;
   std::size_t zones = 3;     // zones (per cluster when clusters > 1)
@@ -106,10 +106,6 @@ struct ExperimentConfig {
     workload.seed = seed;
     return *this;
   }
-  ExperimentConfig& WithQueue(sim::EventQueueKind kind) {
-    workload.queue = kind;
-    return *this;
-  }
   ExperimentConfig& WithCrashedBackups(std::size_t per_zone) {
     faults.crashed_backups_per_zone = per_zone;
     return *this;
@@ -150,13 +146,13 @@ struct ExperimentConfig {
 
   /// Parses `--key=value` flags: --protocol= --zones= --clusters= --f=
   /// --clients= --global= --cross= --reads= --verified-reads=0|1 --causal
-  /// --warmup-ms= --measure-ms= --seed= --queue=calendar|heap --faults=
+  /// --warmup-ms= --measure-ms= --seed= --faults=
   /// --no-stable-leader --trace[=0|1] --sample-every= --json-out=
   /// --byzantine= --think-ms= --fault-window-ms= --crash-amnesia=N
   /// (amnesia crash/recover pairs in the chaos timeline)
   /// --ordering=stable|rotating|fast-path --byz-forge-reads[=0|1]
-  /// --latency-flaps=N. Unknown flags
-  /// are ignored so binary-specific extras can ride along.
+  /// --latency-flaps=N. An unknown flag prints "unknown flag: ..." and
+  /// exits with status 2, so a typo never silently runs another cell.
   static ExperimentConfig FromFlags(int argc, char** argv);
 
   /// In-place variant for binaries whose flag framework rejects unknown
@@ -301,7 +297,7 @@ void FinishObservedRun(const obs::Recorder& recorder, const ObsSpec& spec,
 }  // namespace ziziphus::app
 
 /// BENCHMARK_MAIN plus the ZIZIPHUS_BENCH_JSON export hook. Experiment
-/// flags (--seed=, --queue=, ...) are consumed into BenchConfig() first so
+/// flags (--seed=, --zones=, ...) are consumed into BenchConfig() first so
 /// only --benchmark_* flags reach google-benchmark's strict parser.
 /// Expanded in bench binaries, which include benchmark/benchmark.h.
 #define ZIZIPHUS_BENCH_MAIN(bench_name)                                  \

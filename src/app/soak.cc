@@ -88,8 +88,7 @@ std::string SoakReport::Summary() const {
 
 SoakReport RunZiziphusSoak(const SoakOptions& opt) {
   SoakReport report;
-  core::ZiziphusSystem sys(opt.seed, sim::LatencyModel::PaperGeoMatrix(),
-                           opt.queue);
+  core::ZiziphusSystem sys(opt.seed, sim::LatencyModel::PaperGeoMatrix());
   const std::size_t n_per_zone = 3 * opt.f + 1;
   for (std::size_t z = 0; z < opt.zones; ++z) {
     sys.AddZone(0, static_cast<RegionId>(z % 7), opt.f, n_per_zone);
@@ -174,8 +173,7 @@ RejoinProbeResult RunRejoinProbe(const RejoinProbeOptions& opt) {
   result.records = opt.records;
   result.delta_enabled = opt.delta_state_transfer;
 
-  core::ZiziphusSystem sys(opt.seed, sim::LatencyModel::PaperGeoMatrix(),
-                           opt.queue);
+  core::ZiziphusSystem sys(opt.seed, sim::LatencyModel::PaperGeoMatrix());
   sys.AddZone(0, 0, 1, 4);
   core::NodeConfig cfg;
   cfg.pbft.request_timeout_us = Millis(400);

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/types.h"
-#include "sim/event_queue.h"
 #include "sim/invariants.h"
 #include "sim/soak.h"
 
@@ -21,7 +20,6 @@ struct SoakOptions {
   std::uint64_t seed = 1;
   std::size_t zones = 3;
   std::size_t f = 1;
-  sim::EventQueueKind queue = sim::EventQueueKind::kCalendar;
 
   /// Long-horizon schedule: diurnal wave, flash crowds, regional outages,
   /// amnesia crash/recover pairs.
@@ -113,7 +111,6 @@ struct RejoinProbeOptions {
   std::uint64_t seed = 7;
   std::size_t records = 1024;
   bool delta_state_transfer = true;
-  sim::EventQueueKind queue = sim::EventQueueKind::kCalendar;
   /// Light load runs from 0 to crash_at + outage (the victim's gap), then
   /// stops so the catch-up target is fixed.
   Duration warmup = Seconds(2);

@@ -21,8 +21,7 @@ class TwoLevelSystem {
       std::function<std::unique_ptr<core::ZoneStateMachine>(ZoneId)>;
   using ClientSeeder = std::function<storage::KvStore::Map(ClientId)>;
 
-  TwoLevelSystem(std::uint64_t seed, sim::LatencyModel latency,
-                 sim::EventQueueKind queue = sim::EventQueueKind::kCalendar);
+  TwoLevelSystem(std::uint64_t seed, sim::LatencyModel latency);
 
   ZoneId AddZone(ClusterId cluster, RegionId region, std::size_t f,
                  std::size_t n_nodes);

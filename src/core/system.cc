@@ -4,9 +4,8 @@
 
 namespace ziziphus::core {
 
-ZiziphusSystem::ZiziphusSystem(std::uint64_t seed, sim::LatencyModel latency,
-                               sim::EventQueueKind queue)
-    : keys_(seed ^ 0x5eedc0deULL), sim_(seed, std::move(latency), queue) {}
+ZiziphusSystem::ZiziphusSystem(std::uint64_t seed, sim::LatencyModel latency)
+    : keys_(seed ^ 0x5eedc0deULL), sim_(seed, std::move(latency)) {}
 
 ZoneId ZiziphusSystem::AddZone(ClusterId cluster, RegionId region,
                                std::size_t f, std::size_t n_nodes) {

@@ -28,8 +28,7 @@ class ZiziphusSystem {
   /// records in its home zone's application state.
   using ClientSeeder = std::function<storage::KvStore::Map(ClientId client)>;
 
-  ZiziphusSystem(std::uint64_t seed, sim::LatencyModel latency,
-                 sim::EventQueueKind queue = sim::EventQueueKind::kCalendar);
+  ZiziphusSystem(std::uint64_t seed, sim::LatencyModel latency);
 
   /// Declares a zone of `n_nodes` (>= 3f+1) replicas in `region`.
   /// Must be called before Finalize.

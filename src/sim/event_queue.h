@@ -32,57 +32,36 @@ inline bool EventBefore(const SimEvent& a, const SimEvent& b) {
   return a.seq < b.seq;
 }
 
-/// Selectable scheduler implementation. The calendar queue is the default;
-/// the binary heap remains available for differential testing (same seed
-/// must yield byte-identical schedules on both — see
-/// tests/queue_differential_test.cc).
-enum class EventQueueKind {
-  kCalendar,
-  kBinaryHeap,
-};
+/// Exists only for perfbench/probes.cc until the next benchmark change.
+enum class EventQueueKind { kBinaryHeap };
 
-const char* EventQueueKindName(EventQueueKind kind);
-
-/// Priority queue of simulation events, totally ordered by (time, seq).
-///
-/// The contract every implementation must honour exactly (it is what makes
-/// the scheduler swappable without perturbing a single run): Pop returns
-/// the minimum event under EventBefore, MinTime returns that event's time
-/// (kSimTimeMax when empty), and nothing else about internal organisation
-/// may leak into dispatch order.
+/// The simulator's scheduler: a binary heap of events, totally ordered by
+/// (time, seq). Pop returns the minimum under EventBefore and MinTime its
+/// time (kSimTimeMax when empty). Because the order is total, the dispatch
+/// sequence depends only on what was pushed, never on how the heap lays
+/// its elements out.
 class EventQueue {
  public:
-  virtual ~EventQueue() = default;
-
-  virtual void Push(SimEvent e) = 0;
+  void Push(SimEvent e) { queue_.push(std::move(e)); }
   /// Removes and returns the minimum event. Precondition: !Empty().
-  virtual SimEvent Pop() = 0;
-  /// Time of the minimum event, or kSimTimeMax when empty. Non-const: a
-  /// calendar queue may cache the located minimum for the following Pop.
-  virtual SimTime MinTime() = 0;
-  virtual bool Empty() const = 0;
-  virtual std::size_t Size() const = 0;
-
-  static std::unique_ptr<EventQueue> Create(EventQueueKind kind);
-};
-
-/// The classic std::priority_queue scheduler: O(log n) push/pop with an
-/// Event move per sift level. Kept as the differential-testing baseline.
-class BinaryHeapEventQueue : public EventQueue {
- public:
-  void Push(SimEvent e) override { queue_.push(std::move(e)); }
-  SimEvent Pop() override {
+  SimEvent Pop() {
     // priority_queue::top is const; moving out before pop is safe because
     // pop never inspects the moved-from payload's value.
     SimEvent e = std::move(const_cast<SimEvent&>(queue_.top()));
     queue_.pop();
     return e;
   }
-  SimTime MinTime() override {
+  /// Time of the minimum event, or kSimTimeMax when empty.
+  SimTime MinTime() const {
     return queue_.empty() ? kSimTimeMax : queue_.top().time;
   }
-  bool Empty() const override { return queue_.empty(); }
-  std::size_t Size() const override { return queue_.size(); }
+  bool Empty() const { return queue_.empty(); }
+  std::size_t Size() const { return queue_.size(); }
+
+  /// Exists only for perfbench/probes.cc until the next benchmark change.
+  static std::unique_ptr<EventQueue> Create(EventQueueKind) {
+    return std::make_unique<EventQueue>();
+  }
 
  private:
   struct EventLater {
@@ -91,107 +70,6 @@ class BinaryHeapEventQueue : public EventQueue {
     }
   };
   std::priority_queue<SimEvent, std::vector<SimEvent>, EventLater> queue_;
-};
-
-/// Brown's calendar queue: an array of time buckets of width `width_` with
-/// amortized O(1) push/pop under the event-time distributions a discrete
-/// event simulation produces. Buckets are sorted vectors (min at the back)
-/// whose capacity is retained across pops and resizes, so a steady-state
-/// run enqueues events with no allocation at all.
-///
-/// Far-future events (retry/watchdog timers seconds ahead of a µs-scale
-/// event horizon) hash into the same bucket ring; the dequeue scan skips
-/// them via the per-cycle window check and falls back to a direct
-/// minimum search when a whole cycle holds nothing due — see
-/// tests/event_queue_test.cc for the bucket-resize and far-future cases.
-class CalendarEventQueue : public EventQueue {
- public:
-  CalendarEventQueue();
-
-  void Push(SimEvent e) override;
-  SimEvent Pop() override;
-  SimTime MinTime() override;
-  bool Empty() const override { return size_ == 0; }
-  std::size_t Size() const override { return size_; }
-
-  // ---- Introspection (unit tests / bench) -------------------------------
-  std::size_t num_buckets() const { return buckets_.size(); }
-  Duration bucket_width() const { return width_; }
-  std::uint64_t resizes() const { return resizes_; }
-  std::uint64_t cycle_misses() const { return cycle_misses_; }
-
- private:
-  static constexpr std::size_t kMinBuckets = 16;
-  /// Re-estimate the width when dequeue scans average more bucket steps than
-  /// this (width too small: pops walk runs of empty buckets) or pushes
-  /// average more element shifts than this (width too large: sorted inserts
-  /// memmove long due-soon buckets).
-  static constexpr std::uint64_t kMaxStepsPerFind = 8;
-  static constexpr std::uint64_t kMaxShiftsPerPush = 8;
-  /// A retune rebuild costs O(size). Requiring at least max(this, size/8)
-  /// operations between retunes keeps the amortized rebuild cost at a few
-  /// moves per operation even when a hostile distribution defeats every
-  /// width estimate.
-  static constexpr std::uint64_t kMinOpsForRetune = 64;
-  /// Minimum pops since the last rebuild before the mean dequeue gap is
-  /// trusted for width estimation. The gap between successive dequeues
-  /// measures event density exactly where it matters (the head of the
-  /// queue), which a positional sample of queue contents cannot do when
-  /// long-gap timers dominate steady-state contents — but only the mean
-  /// over a long stretch is stable enough to steer on; short windows
-  /// fluctuate several-fold between timer-sparse and burst-dense phases.
-  static constexpr std::uint64_t kMinPopsForGap = 64;
-
-  std::size_t BucketIndex(SimTime t) const {
-    // Width and bucket count are powers of two, so mapping a time to its
-    // bucket is a shift and a mask — a 64-bit division by a runtime width
-    // here would dominate the whole push path (tens of cycles against a
-    // ~100ns/op budget).
-    return static_cast<std::size_t>(t >> width_shift_) & (buckets_.size() - 1);
-  }
-  /// Locates the bucket holding the global minimum event; npos when empty.
-  /// Caches the result for the following Pop.
-  std::size_t FindMinBucket();
-  void MaybeResize();
-  void Rebuild(std::size_t nbuckets);
-  Duration EstimateWidth() const;
-  /// Width the live dequeue rate asks for (2x the mean dequeue gap this
-  /// epoch), or 0 when too few pops have happened to trust the mean.
-  Duration PopGapTarget() const;
-
-  /// Buckets are sorted descending by (time, seq): the minimum is a plain
-  /// pop_back, and with ~8 short events per bucket the occasional insert
-  /// memmove is cheaper than any indirection that would avoid it (an
-  /// ascending-plus-consumed-head layout measured ~35% slower end to end).
-  std::vector<std::vector<SimEvent>> buckets_;
-  std::size_t size_ = 0;
-  /// Always a power of two; width_shift_ == log2(width_).
-  Duration width_ = 1;
-  unsigned width_shift_ = 0;
-  /// Aligned start of the bucket window the dequeue scan is positioned on.
-  SimTime win_start_ = 0;
-  std::size_t cur_ = 0;
-  // Cached minimum location (valid until the next Push/Pop/Rebuild).
-  bool min_valid_ = false;
-  std::size_t min_bucket_ = 0;
-  std::uint64_t resizes_ = 0;
-  std::uint64_t cycle_misses_ = 0;
-  /// Cost accounting since the last rebuild. A right-sized width finds the
-  /// minimum within a couple of bucket steps and inserts near the end of a
-  /// short bucket; a sustained high steps-per-find or shifts-per-push ratio
-  /// means the width is stale for the live event distribution (e.g. it was
-  /// estimated during the dense enqueue burst at t=0), and MaybeResize
-  /// rebuilds purely to re-estimate it.
-  std::uint64_t finds_since_rebuild_ = 0;
-  std::uint64_t scan_steps_since_rebuild_ = 0;
-  std::uint64_t pushes_since_rebuild_ = 0;
-  std::uint64_t shifts_since_rebuild_ = 0;
-  /// First/last dequeued time this epoch (since the last rebuild): the mean
-  /// dequeue gap (last - first) / (pops - 1) feeds EstimateWidth and the
-  /// width-drift check (see kMinPopsForGap).
-  SimTime epoch_first_pop_ = 0;
-  SimTime epoch_last_pop_ = 0;
-  std::uint64_t epoch_pops_ = 0;
 };
 
 }  // namespace ziziphus::sim

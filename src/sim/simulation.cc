@@ -233,14 +233,11 @@ void FaultSchedule::ResetAllAt(SimTime at) {
 
 // ------------------------------------------------------------- Simulation
 
-Simulation::Simulation(std::uint64_t seed, LatencyModel latency,
-                       EventQueueKind queue)
+Simulation::Simulation(std::uint64_t seed, LatencyModel latency)
     : latency_(std::move(latency)),
       rng_(seed),
       jitter_rng_(rng_.Fork(0xbeef)),
-      faults_(rng_.Fork(0xfa01)),
-      queue_kind_(queue),
-      queue_(EventQueue::Create(queue)) {}
+      faults_(rng_.Fork(0xfa01)) {}
 
 NodeId Simulation::Register(Process* process, RegionId region) {
   ZCHECK(process != nullptr);
@@ -295,11 +292,11 @@ void Simulation::EnqueueWire(NodeId from, SimTime depart, NodeId to,
     Duration lat2 = extra + latency_.Sample(from_region, to_region, wire_size,
                                             jitter_rng_);
     obs::SpanId dup_span = open_transit();
-    queue_->Push(
+    queue_.Push(
         SimEvent{depart + lat2, next_seq_++, to, msg, 0, from, dup_span});
   }
   obs::SpanId span = open_transit();
-  queue_->Push(
+  queue_.Push(
       SimEvent{depart + lat, next_seq_++, to, std::move(msg), 0, from, span});
 }
 
@@ -342,7 +339,7 @@ void Simulation::MulticastMessage(NodeId from, SimTime depart,
 }
 
 void Simulation::PostTimer(NodeId owner, SimTime at, std::uint64_t timer_id) {
-  queue_->Push(SimEvent{at, next_seq_++, owner, nullptr, timer_id, owner, 0});
+  queue_.Push(SimEvent{at, next_seq_++, owner, nullptr, timer_id, owner, 0});
 }
 
 void Simulation::CrashAmnesia(NodeId node) {
@@ -390,7 +387,7 @@ void Simulation::RecoverAllNodes() {
 void Simulation::Dispatch(const SimEvent& e) {
   now_ = std::max(now_, e.time);
   events_dispatched_++;
-  recorder_.RecordQueueDepth(queue_->Size());
+  recorder_.RecordQueueDepth(queue_.Size());
   Process* p = processes_[e.dst];
   if (e.msg != nullptr) {
     // The wire span ends at arrival whether or not the receiver is alive.
@@ -417,16 +414,16 @@ void Simulation::PumpSchedule(SimTime horizon) {
   for (;;) {
     SimTime next_action = schedule_.NextTime();
     if (next_action == kSimTimeMax || next_action > horizon) return;
-    if (queue_->MinTime() < next_action) return;
+    if (queue_.MinTime() < next_action) return;
     now_ = std::max(now_, next_action);
     schedule_.ApplyNext(*this);
   }
 }
 
 bool Simulation::Step() {
-  PumpSchedule(queue_->Empty() ? schedule_.NextTime() : queue_->MinTime());
-  if (queue_->Empty()) return false;
-  Dispatch(queue_->Pop());
+  PumpSchedule(queue_.Empty() ? schedule_.NextTime() : queue_.MinTime());
+  if (queue_.Empty()) return false;
+  Dispatch(queue_.Pop());
   return true;
 }
 
@@ -435,8 +432,8 @@ void Simulation::RunUntil(SimTime t) {
     PumpSchedule(t);
     // An applied action (or an earlier dispatch) may have enqueued new
     // events, so re-read the queue head each iteration.
-    if (queue_->Empty() || queue_->MinTime() > t) break;
-    Dispatch(queue_->Pop());
+    if (queue_.Empty() || queue_.MinTime() > t) break;
+    Dispatch(queue_.Pop());
   }
   now_ = std::max(now_, t);
 }
@@ -445,7 +442,7 @@ void Simulation::RunUntilIdle(std::uint64_t max_events) {
   std::uint64_t n = 0;
   for (;;) {
     PumpSchedule(kSimTimeMax);
-    if (queue_->Empty()) {
+    if (queue_.Empty()) {
       if (schedule_.done()) return;
       continue;  // the pump applies the remaining actions
     }
@@ -453,7 +450,7 @@ void Simulation::RunUntilIdle(std::uint64_t max_events) {
       ZLOG(Warn) << "RunUntilIdle: hit max_events=" << max_events;
       return;
     }
-    Dispatch(queue_->Pop());
+    Dispatch(queue_.Pop());
   }
 }
 

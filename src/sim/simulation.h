@@ -349,11 +349,11 @@ class Process {
 /// are exactly reproducible given a seed.
 class Simulation {
  public:
-  Simulation(std::uint64_t seed, LatencyModel latency,
-             EventQueueKind queue = EventQueueKind::kCalendar);
+  Simulation(std::uint64_t seed, LatencyModel latency);
 
   SimTime Now() const { return now_; }
-  EventQueueKind queue_kind() const { return queue_kind_; }
+  /// Exists only for perfbench/probes.cc until the next benchmark change.
+  EventQueueKind queue_kind() const { return EventQueueKind::kBinaryHeap; }
 
   /// Registers a process at a region; assigns and returns its NodeId.
   NodeId Register(Process* process, RegionId region);
@@ -448,8 +448,7 @@ class Simulation {
   FaultInjector faults_;
   FaultSchedule schedule_;
   obs::Recorder recorder_;
-  EventQueueKind queue_kind_;
-  std::unique_ptr<EventQueue> queue_;
+  EventQueue queue_;
   std::vector<Process*> processes_;
   std::unordered_map<NodeId, OutboundInterceptor*> interceptors_;
   SimTime now_ = 0;

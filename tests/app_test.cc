@@ -1,5 +1,9 @@
+#include <string>
+#include <vector>
+
 #include "app/bank.h"
 #include "app/experiment.h"
+#include "app/experiment_config.h"
 #include "app/health.h"
 #include "gtest/gtest.h"
 
@@ -165,6 +169,48 @@ TEST(ExperimentSmokeTest, ClusteredZiziphusRun) {
   wl.mix.cross_cluster_fraction = 0.5;
   auto r = RunExperiment(Protocol::kZiziphus, ClusteredDeployment(2), wl);
   EXPECT_GT(r.local_ops + r.global_ops, 10u) << r.ToString();
+}
+
+/// argv-style view over `args` (argv[0] is the program name).
+std::vector<char*> Argv(std::vector<std::string>& args) {
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  return argv;
+}
+
+TEST(ExperimentConfigFlagsTest, FromFlagsAppliesKnownFlags) {
+  std::vector<std::string> args = {"cli", "--protocol=steward", "--zones=5",
+                                   "--global=0.3", "--seed=9", "--trace"};
+  std::vector<char*> argv = Argv(args);
+  ExperimentConfig cfg =
+      ExperimentConfig::FromFlags(static_cast<int>(argv.size()), argv.data());
+  EXPECT_EQ(cfg.protocol, Protocol::kSteward);
+  EXPECT_EQ(cfg.zones, 5u);
+  EXPECT_DOUBLE_EQ(cfg.workload.mix.global_fraction, 0.3);
+  EXPECT_EQ(cfg.workload.seed, 9u);
+  EXPECT_TRUE(cfg.obs.trace);
+}
+
+TEST(ExperimentConfigFlagsTest, FromFlagsRejectsUnknownFlags) {
+  for (std::string bad : {"--zone=50", "--queue=heap"}) {
+    std::vector<std::string> args = {"cli", "--zones=3", bad};
+    std::vector<char*> argv = Argv(args);
+    EXPECT_EXIT(ExperimentConfig::FromFlags(static_cast<int>(argv.size()),
+                                            argv.data()),
+                ::testing::ExitedWithCode(2), "unknown flag: " + bad);
+  }
+}
+
+TEST(ExperimentConfigFlagsTest, ConsumeFlagsPassesUnknownFlagsThrough) {
+  std::vector<std::string> args = {"bench", "--seed=3",
+                                   "--benchmark_filter=x"};
+  std::vector<char*> argv = Argv(args);
+  int argc = static_cast<int>(argv.size());
+  ExperimentConfig cfg;
+  cfg.ConsumeFlags(&argc, argv.data());
+  EXPECT_EQ(cfg.workload.seed, 3u);
+  ASSERT_EQ(argc, 2);
+  EXPECT_STREQ(argv[1], "--benchmark_filter=x");
 }
 
 }  // namespace

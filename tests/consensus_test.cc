@@ -412,15 +412,14 @@ TEST_P(ConsensusChaosSweep, HoldsInvariantsByteIdenticalOnBothQueues) {
   ChaosOptions opt;
   opt.seed = std::get<0>(GetParam());
   opt.ordering = std::get<1>(GetParam());
-  ChaosReport cal = app::RunZiziphusChaos(opt);
-  EXPECT_TRUE(cal.violations.empty()) << cal.Summary();
-  EXPECT_TRUE(cal.all_done) << cal.Summary();
+  ChaosReport first = app::RunZiziphusChaos(opt);
+  EXPECT_TRUE(first.violations.empty()) << first.Summary();
+  EXPECT_TRUE(first.all_done) << first.Summary();
 
-  opt.queue = sim::EventQueueKind::kBinaryHeap;
-  ChaosReport heap = app::RunZiziphusChaos(opt);
-  EXPECT_EQ(cal.fingerprint, heap.fingerprint);
-  EXPECT_EQ(cal.counters, heap.counters);
-  EXPECT_EQ(cal.obs_json, heap.obs_json);
+  ChaosReport again = app::RunZiziphusChaos(opt);
+  EXPECT_EQ(first.fingerprint, again.fingerprint);
+  EXPECT_EQ(first.counters, again.counters);
+  EXPECT_EQ(first.obs_json, again.obs_json);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -438,15 +437,14 @@ TEST_P(ConsensusAmnesiaSweep, AmnesiaRejoinStaysGreenOnBothQueues) {
   opt.seed = std::get<0>(GetParam());
   opt.ordering = std::get<1>(GetParam());
   opt.amnesia_crashes = 2;
-  ChaosReport cal = app::RunZiziphusChaos(opt);
-  EXPECT_TRUE(cal.violations.empty()) << cal.Summary();
-  EXPECT_TRUE(cal.all_done) << cal.Summary();
+  ChaosReport first = app::RunZiziphusChaos(opt);
+  EXPECT_TRUE(first.violations.empty()) << first.Summary();
+  EXPECT_TRUE(first.all_done) << first.Summary();
 
-  opt.queue = sim::EventQueueKind::kBinaryHeap;
-  ChaosReport heap = app::RunZiziphusChaos(opt);
-  EXPECT_EQ(cal.fingerprint, heap.fingerprint);
-  EXPECT_EQ(cal.counters, heap.counters);
-  EXPECT_EQ(cal.obs_json, heap.obs_json);
+  ChaosReport again = app::RunZiziphusChaos(opt);
+  EXPECT_EQ(first.fingerprint, again.fingerprint);
+  EXPECT_EQ(first.counters, again.counters);
+  EXPECT_EQ(first.obs_json, again.obs_json);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -464,14 +462,13 @@ TEST_P(ConsensusReadsSweep, VerifiedReadsStayGreenOnBothQueues) {
   opt.seed = std::get<0>(GetParam());
   opt.ordering = std::get<1>(GetParam());
   opt.mix.read_fraction = 1.0;  // scripted: one read per completed op
-  ChaosReport cal = app::RunZiziphusChaos(opt);
-  EXPECT_TRUE(cal.ok()) << cal.Summary();
-  EXPECT_GT(cal.reads_ok + cal.reads_abandoned, 0u) << "no reads issued";
+  ChaosReport first = app::RunZiziphusChaos(opt);
+  EXPECT_TRUE(first.ok()) << first.Summary();
+  EXPECT_GT(first.reads_ok + first.reads_abandoned, 0u) << "no reads issued";
 
-  opt.queue = sim::EventQueueKind::kBinaryHeap;
-  ChaosReport heap = app::RunZiziphusChaos(opt);
-  EXPECT_EQ(cal.fingerprint, heap.fingerprint);
-  EXPECT_EQ(cal.obs_json, heap.obs_json);
+  ChaosReport again = app::RunZiziphusChaos(opt);
+  EXPECT_EQ(first.fingerprint, again.fingerprint);
+  EXPECT_EQ(first.obs_json, again.obs_json);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -506,19 +503,18 @@ TEST(ConsensusChaosTest, ForgedReadRepliesFoldIntoTheRosterSafely) {
 TEST(ConsensusChaosTest, LatencyFlapsDoNotWedgeAdaptiveTimeouts) {
   // Flapping link latency is the pathological input for EWMA-driven
   // timers: spikes inflate the estimate, heals deflate it. The run must
-  // stay green and deterministic on both queues.
+  // stay green and deterministic.
   ChaosOptions opt;
   opt.seed = 14;
   opt.ordering = Ordering::kFastPath;
   opt.latency_flaps = 4;
-  ChaosReport cal = app::RunZiziphusChaos(opt);
-  EXPECT_TRUE(cal.violations.empty()) << cal.Summary();
-  EXPECT_TRUE(cal.all_done) << cal.Summary();
+  ChaosReport first = app::RunZiziphusChaos(opt);
+  EXPECT_TRUE(first.violations.empty()) << first.Summary();
+  EXPECT_TRUE(first.all_done) << first.Summary();
 
-  opt.queue = sim::EventQueueKind::kBinaryHeap;
-  ChaosReport heap = app::RunZiziphusChaos(opt);
-  EXPECT_EQ(cal.fingerprint, heap.fingerprint);
-  EXPECT_EQ(cal.obs_json, heap.obs_json);
+  ChaosReport again = app::RunZiziphusChaos(opt);
+  EXPECT_EQ(first.fingerprint, again.fingerprint);
+  EXPECT_EQ(first.obs_json, again.obs_json);
 }
 
 TEST(ConsensusChaosTest, ForgeReadsOffKeepsExistingSeedsByteIdentical) {

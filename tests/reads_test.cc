@@ -612,26 +612,17 @@ TEST(ReadMixTest, ReadsInterleaveWithMigrations) {
 
 // ------------------------------------------------------------- chaos
 
-TEST(ReadChaosTest, SweepGreenAndByteIdenticalOnBothQueues) {
+TEST(ReadChaosTest, SweepGreen) {
   std::uint64_t total_ok = 0;
   for (std::uint64_t seed : {3u, 11u}) {
     app::ChaosOptions opt;
     opt.seed = seed;
     opt.mix.read_fraction = 1.0;  // scripted: one read per completed op
-    opt.queue = sim::EventQueueKind::kCalendar;
-    app::ChaosReport calendar = app::RunZiziphusChaos(opt);
-    EXPECT_TRUE(calendar.ok()) << "seed " << seed << ": "
-                               << calendar.Summary();
-    EXPECT_GT(calendar.reads_ok + calendar.reads_abandoned, 0u)
+    app::ChaosReport report = app::RunZiziphusChaos(opt);
+    EXPECT_TRUE(report.ok()) << "seed " << seed << ": " << report.Summary();
+    EXPECT_GT(report.reads_ok + report.reads_abandoned, 0u)
         << "seed " << seed << " issued no reads";
-    total_ok += calendar.reads_ok;
-
-    opt.queue = sim::EventQueueKind::kBinaryHeap;
-    app::ChaosReport heap = app::RunZiziphusChaos(opt);
-    EXPECT_TRUE(heap.ok()) << "seed " << seed << ": " << heap.Summary();
-    EXPECT_EQ(calendar.fingerprint, heap.fingerprint) << "seed " << seed;
-    EXPECT_EQ(calendar.obs_json, heap.obs_json)
-        << "seed " << seed << ": obs export differs across queue kinds";
+    total_ok += report.reads_ok;
   }
   // Across the sweep, at least some reads must actually be served and
   // verified (all-abandoned would make the invariant sweep vacuous).
