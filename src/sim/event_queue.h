@@ -1,9 +1,9 @@
 #ifndef ZIZIPHUS_SIM_EVENT_QUEUE_H_
 #define ZIZIPHUS_SIM_EVENT_QUEUE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "common/types.h"
@@ -39,24 +39,40 @@ enum class EventQueueKind { kBinaryHeap };
 /// (time, seq). Pop returns the minimum under EventBefore and MinTime its
 /// time (kSimTimeMax when empty). Because the order is total, the dispatch
 /// sequence depends only on what was pushed, never on how the heap lays
-/// its elements out.
+/// its elements out — so RemoveIf, which drops events and re-heapifies,
+/// leaves the order of the survivors unchanged.
 class EventQueue {
  public:
-  void Push(SimEvent e) { queue_.push(std::move(e)); }
+  void Push(SimEvent e) {
+    heap_.push_back(std::move(e));
+    std::push_heap(heap_.begin(), heap_.end(), EventLater{});
+  }
   /// Removes and returns the minimum event. Precondition: !Empty().
   SimEvent Pop() {
-    // priority_queue::top is const; moving out before pop is safe because
-    // pop never inspects the moved-from payload's value.
-    SimEvent e = std::move(const_cast<SimEvent&>(queue_.top()));
-    queue_.pop();
+    std::pop_heap(heap_.begin(), heap_.end(), EventLater{});
+    SimEvent e = std::move(heap_.back());
+    heap_.pop_back();
     return e;
   }
+  /// The minimum event. Precondition: !Empty().
+  const SimEvent& Top() const { return heap_.front(); }
   /// Time of the minimum event, or kSimTimeMax when empty.
   SimTime MinTime() const {
-    return queue_.empty() ? kSimTimeMax : queue_.top().time;
+    return heap_.empty() ? kSimTimeMax : heap_.front().time;
   }
-  bool Empty() const { return queue_.empty(); }
-  std::size_t Size() const { return queue_.size(); }
+  bool Empty() const { return heap_.empty(); }
+  std::size_t Size() const { return heap_.size(); }
+
+  /// Drops every event matching `pred` in one O(Size) pass and restores
+  /// the heap; returns how many were dropped.
+  template <typename Pred>
+  std::size_t RemoveIf(Pred pred) {
+    auto end = std::remove_if(heap_.begin(), heap_.end(), pred);
+    std::size_t removed = static_cast<std::size_t>(heap_.end() - end);
+    heap_.erase(end, heap_.end());
+    std::make_heap(heap_.begin(), heap_.end(), EventLater{});
+    return removed;
+  }
 
   /// Exists only for perfbench/probes.cc until the next benchmark change.
   static std::unique_ptr<EventQueue> Create(EventQueueKind) {
@@ -69,7 +85,7 @@ class EventQueue {
       return EventBefore(b, a);
     }
   };
-  std::priority_queue<SimEvent, std::vector<SimEvent>, EventLater> queue_;
+  std::vector<SimEvent> heap_;
 };
 
 }  // namespace ziziphus::sim

@@ -35,8 +35,9 @@ void Process::DeliverMessage(SimTime arrival, const MessagePtr& msg,
 }
 
 void Process::DeliverTimer(SimTime arrival, std::uint64_t timer_id) {
+  // The scheduler drops cancelled timers before dispatch.
   auto it = active_timers_.find(timer_id);
-  if (it == active_timers_.end()) return;  // cancelled
+  ZCHECK(it != active_timers_.end());
   std::uint64_t tag = it->second;
   active_timers_.erase(it);
   logical_now_ = std::max(arrival, busy_until_);
@@ -117,7 +118,7 @@ std::uint64_t Process::SetTimer(Duration delay, std::uint64_t tag) {
 }
 
 void Process::CancelTimer(std::uint64_t timer_id) {
-  active_timers_.erase(timer_id);
+  if (active_timers_.erase(timer_id) != 0) sim_->AddCancelled(1);
 }
 
 // ---------------------------------------------------------- FaultSchedule
@@ -346,11 +347,12 @@ void Simulation::CrashAmnesia(NodeId node) {
   ZCHECK(node < processes_.size());
   faults_.CrashAmnesia(node);
   Process* p = processes_[node];
-  // Flush pending timers: events already queued for these ids are
-  // discarded at delivery (DeliverTimer finds no active entry), and timer
-  // ids are globally monotonic so post-recovery timers can never collide
-  // with a stale pre-crash event.
+  // Flush pending timers: their queued events become cancelled timers, and
+  // timer ids are globally monotonic so post-recovery timers can never
+  // collide with a stale pre-crash event.
+  std::size_t flushed = p->active_timers_.size();
   p->active_timers_.clear();
+  AddCancelled(flushed);
   p->OnAmnesiaCrash();
 }
 
@@ -384,10 +386,26 @@ void Simulation::RecoverAllNodes() {
   }
 }
 
+void Simulation::CompactIfMostlyCancelled() {
+  if (2 * cancelled_timers_ <= queue_.Size()) return;
+  std::size_t removed =
+      queue_.RemoveIf([this](const SimEvent& e) { return IsCancelled(e); });
+  ZCHECK(removed == cancelled_timers_);
+  cancelled_timers_ = 0;
+}
+
+void Simulation::DropCancelledHead() {
+  while (cancelled_timers_ > 0 && IsCancelled(queue_.Top())) {
+    queue_.Pop();
+    cancelled_timers_--;
+  }
+}
+
 void Simulation::Dispatch(const SimEvent& e) {
+  CompactIfMostlyCancelled();  // the pop shrank the queue
   now_ = std::max(now_, e.time);
   events_dispatched_++;
-  recorder_.RecordQueueDepth(queue_.Size());
+  recorder_.RecordQueueDepth(live_events());
   Process* p = processes_[e.dst];
   if (e.msg != nullptr) {
     // The wire span ends at arrival whether or not the receiver is alive.
@@ -401,8 +419,9 @@ void Simulation::Dispatch(const SimEvent& e) {
     }
     p->scoped_counters().Inc(obs::CounterId::kNetMsgsDelivered);
     p->DeliverMessage(e.time, e.msg, e.transit_span);
+  } else if (faults_.IsCrashed(e.dst)) {
+    p->active_timers_.erase(e.timer_id);  // expired unhandled: not pending
   } else {
-    if (faults_.IsCrashed(e.dst)) return;
     p->DeliverTimer(e.time, e.timer_id);
   }
 }
@@ -412,6 +431,7 @@ void Simulation::PumpSchedule(SimTime horizon) {
   // and the next queued event (actions win ties against events, so a crash
   // scheduled at t drops messages arriving at t).
   for (;;) {
+    DropCancelledHead();  // an applied action may have cancelled the head
     SimTime next_action = schedule_.NextTime();
     if (next_action == kSimTimeMax || next_action > horizon) return;
     if (queue_.MinTime() < next_action) return;
@@ -421,6 +441,7 @@ void Simulation::PumpSchedule(SimTime horizon) {
 }
 
 bool Simulation::Step() {
+  DropCancelledHead();  // the horizon must be the next live event
   PumpSchedule(queue_.Empty() ? schedule_.NextTime() : queue_.MinTime());
   if (queue_.Empty()) return false;
   Dispatch(queue_.Pop());

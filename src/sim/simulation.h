@@ -378,8 +378,8 @@ class Simulation {
   void PostTimer(NodeId owner, SimTime at, std::uint64_t timer_id);
 
   /// Amnesia-crashes `node`: marks it crashed-with-state-loss, flushes its
-  /// pending timers (queued timer events become stale ids and are
-  /// discarded at delivery, never handled) and runs OnAmnesiaCrash.
+  /// pending timers (their queued events count as cancelled and are never
+  /// dispatched) and runs OnAmnesiaCrash.
   void CrashAmnesia(NodeId node);
 
   /// Recovers `node` from an amnesia crash and runs its rejoin hook
@@ -428,7 +428,12 @@ class Simulation {
   const std::vector<TraceEntry>& trace() const { return trace_; }
   void ClearTrace() { trace_.clear(); }
 
+  /// Events dispatched so far; cancelled timers are never dispatched.
   std::uint64_t events_dispatched() const { return events_dispatched_; }
+  /// Events in the queue, including cancelled timers not yet dropped.
+  std::size_t queued_events() const { return queue_.Size(); }
+  /// Queued events still to be dispatched: the depth `sim.queue_depth` samples.
+  std::size_t live_events() const { return queue_.Size() - cancelled_timers_; }
 
  private:
   void Dispatch(const SimEvent& e);
@@ -439,8 +444,27 @@ class Simulation {
                    CounterSet& sender, std::size_t wire_size,
                    RegionId from_region);
   /// Applies fault-schedule entries due at or before `horizon` and before
-  /// the next queued event.
+  /// the next queued event. Returns with a live event (or nothing) at the
+  /// head of the queue.
   void PumpSchedule(SimTime horizon);
+
+  /// A queued timer whose id its owner no longer holds: cancelled, or
+  /// flushed by an amnesia crash.
+  bool IsCancelled(const SimEvent& e) const {
+    return e.msg == nullptr &&
+           processes_[e.dst]->active_timers_.count(e.timer_id) == 0;
+  }
+  /// Counts `n` more cancelled timers still in the queue.
+  void AddCancelled(std::size_t n) {
+    cancelled_timers_ += n;
+    CompactIfMostlyCancelled();
+  }
+  /// Once cancelled timers exceed half the queue, drops them all in one
+  /// pass, so the queue never holds more than twice the live events.
+  void CompactIfMostlyCancelled();
+  /// Pops cancelled timers off the head of the queue, so Empty/MinTime
+  /// describe the next event that will actually be dispatched.
+  void DropCancelledHead();
 
   LatencyModel latency_;
   Rng rng_;
@@ -455,6 +479,7 @@ class Simulation {
   std::uint64_t next_seq_ = 0;
   std::uint64_t next_timer_id_ = 1;
   std::uint64_t events_dispatched_ = 0;
+  std::size_t cancelled_timers_ = 0;  // queued, never to be dispatched
   bool trace_enabled_ = false;
   std::vector<TraceEntry> trace_;
 

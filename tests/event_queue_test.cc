@@ -118,5 +118,50 @@ TEST(EventQueueTest, RandomDifferentialAgainstSortedReference) {
   EXPECT_EQ(Drain(q), want);
 }
 
+TEST(EventQueueTest, RemoveIfKeepsTheOrderOfTheSurvivors) {
+  // The simulator compacts cancelled timers out of the heap in bulk; the
+  // events that stay must still pop in exact (time, seq) order.
+  EventQueue q;
+  Rng rng(77);
+  std::set<std::pair<SimTime, std::uint64_t>> ref;
+  std::uint64_t seq = 0;
+  for (int round = 0; round < 5000; ++round) {
+    std::uint64_t r = rng.NextBounded(100);
+    if (r < 55 || q.Empty()) {
+      SimTime t = rng.NextBounded(4) == 0 ? Seconds(rng.NextBounded(8))
+                                          : rng.NextBounded(500);
+      q.Push(Ev(t, seq));
+      ref.emplace(t, seq);
+      ++seq;
+    } else if (r < 58) {
+      // Drop one residue class of seqs: an arbitrary subset of the heap.
+      std::uint64_t mod = 2 + rng.NextBounded(3);
+      std::uint64_t rem = rng.NextBounded(mod);
+      std::size_t want = 0;
+      for (auto it = ref.begin(); it != ref.end();) {
+        if (it->second % mod == rem) {
+          it = ref.erase(it);
+          ++want;
+        } else {
+          ++it;
+        }
+      }
+      EXPECT_EQ(q.RemoveIf([&](const SimEvent& e) {
+                  return e.seq % mod == rem;
+                }),
+                want);
+    } else {
+      EXPECT_EQ(q.Top().seq, ref.begin()->second);
+      SimEvent e = q.Pop();
+      EXPECT_EQ((std::pair<SimTime, std::uint64_t>{e.time, e.seq}),
+                *ref.begin());
+      ref.erase(ref.begin());
+    }
+    ASSERT_EQ(q.Size(), ref.size());
+  }
+  std::vector<std::pair<SimTime, std::uint64_t>> want(ref.begin(), ref.end());
+  EXPECT_EQ(Drain(q), want);
+}
+
 }  // namespace
 }  // namespace ziziphus::sim

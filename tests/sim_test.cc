@@ -1,3 +1,5 @@
+#include <map>
+#include <memory>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -213,6 +215,116 @@ TEST(SimulationTest, TieBreakByInsertionOrder) {
   ASSERT_EQ(a.timers.size(), 2u);
   EXPECT_EQ(a.timers[0].second, 10u);
   EXPECT_EQ(a.timers[1].second, 20u);
+}
+
+TEST(SimulationTest, TimerExpiringAtACrashedNodeIsNotLeaked) {
+  Simulation sim(1, LatencyModel::Uniform(1, 1000));
+  Recorder a;
+  NodeId ida = sim.Register(&a, 0);
+  std::uint64_t lost = a.SetTimer(1000, 1);
+  a.SetTimer(5000, 2);
+  sim.faults().Crash(ida);
+  sim.RunUntil(2000);  // `lost` expires unhandled while the node is down
+  sim.faults().Recover(ida);
+  EXPECT_TRUE(a.timers.empty());
+  // No longer pending, so cancelling it must not count a queued timer.
+  a.CancelTimer(lost);
+  EXPECT_EQ(sim.queued_events(), 1u);
+  EXPECT_EQ(sim.live_events(), 1u);
+  sim.RunUntilIdle();
+  ASSERT_EQ(a.timers.size(), 1u);
+  EXPECT_EQ(a.timers[0].second, 2u);
+  EXPECT_EQ(sim.events_dispatched(), 2u);
+}
+
+/// Appends every firing, from any node, to one shared log.
+class TimerLog : public Process {
+ public:
+  explicit TimerLog(std::vector<std::pair<SimTime, std::uint64_t>>* log)
+      : log_(log) {}
+  void OnMessage(const MessagePtr&) override {}
+  void OnTimer(std::uint64_t tag) override { log_->emplace_back(Now(), tag); }
+
+  using Process::CancelTimer;
+  using Process::SetTimer;
+
+ private:
+  std::vector<std::pair<SimTime, std::uint64_t>>* log_;
+};
+
+TEST(SimulationTest, CancelledTimersAreNeverDispatchedAndQueueStaysBounded) {
+  Simulation sim(1, LatencyModel::Uniform(1, 1000));
+  std::vector<std::pair<SimTime, std::uint64_t>> fired;
+  std::vector<std::unique_ptr<TimerLog>> nodes;
+  for (int i = 0; i < 3; ++i) {
+    nodes.push_back(std::make_unique<TimerLog>(&fired));
+    sim.Register(nodes.back().get(), 0);
+  }
+  struct Set {
+    std::size_t node;
+    std::uint64_t id;
+  };
+  std::vector<Set> history;  // every timer ever set, fired or cancelled
+  // Sorted reference of the uncancelled timers: (time, set order) -> id.
+  // Each timer's tag is its set order, so a firing logs its own key.
+  std::map<std::pair<SimTime, std::uint64_t>, std::uint64_t> live;
+  std::map<std::uint64_t, std::pair<SimTime, std::uint64_t>> key_of;
+  auto drop = [&](std::uint64_t id) {
+    auto it = key_of.find(id);
+    if (it == key_of.end()) return;
+    live.erase(it->second);
+    key_of.erase(it);
+  };
+  Rng rng(2024);
+  std::uint64_t order = 0;
+  // Cancels that compacted the queue, and steps that dropped cancelled
+  // timers besides their one dispatch: the run must exercise both.
+  int cancel_drops = 0, step_drops = 0;
+  for (int round = 0; round < 20000; ++round) {
+    const std::size_t queued = sim.queued_events();
+    std::uint64_t r = rng.NextBounded(100);
+    if (r < 40) {  // set: small delays tie often, a few are parked far out
+      std::size_t n = rng.NextBounded(nodes.size());
+      Duration delay = rng.NextBounded(8) == 0 ? Seconds(8)
+                                               : rng.NextBounded(40) * 10;
+      std::uint64_t id = nodes[n]->SetTimer(delay, order);
+      history.push_back({n, id});
+      auto key = std::make_pair(sim.Now() + delay, order++);
+      live.emplace(key, id);
+      key_of.emplace(id, key);
+    } else if (r < 70 && !history.empty()) {
+      // Cancel any timer ever set: pending, cancelled already, or fired.
+      const Set& s = history[rng.NextBounded(history.size())];
+      nodes[s.node]->CancelTimer(s.id);
+      if (rng.NextBool(0.2)) nodes[s.node]->CancelTimer(s.id);
+      drop(s.id);
+      if (sim.queued_events() < queued) cancel_drops++;
+    } else if (r < 72) {  // amnesia flush of one node's pending timers
+      std::size_t n = rng.NextBounded(nodes.size());
+      sim.CrashAmnesia(static_cast<NodeId>(n));
+      sim.RecoverAmnesia(static_cast<NodeId>(n));
+      for (const Set& s : history) {
+        if (s.node == n) drop(s.id);
+      }
+    } else {
+      const std::size_t before = fired.size();
+      const bool stepped = sim.Step();
+      ASSERT_EQ(stepped, !live.empty());
+      if (sim.queued_events() + 1 < queued) step_drops++;
+      if (stepped) {
+        ASSERT_EQ(fired.size(), before + 1);
+        auto head = live.begin();
+        ASSERT_EQ(fired.back(), head->first);
+        key_of.erase(head->second);
+        live.erase(head);
+      }
+    }
+    ASSERT_EQ(sim.live_events(), live.size());
+    ASSERT_LE(sim.queued_events(), 2 * sim.live_events() + 1);
+    ASSERT_EQ(sim.events_dispatched(), fired.size());
+  }
+  EXPECT_GT(cancel_drops, 0);
+  EXPECT_GT(step_drops, 0);
 }
 
 }  // namespace
