@@ -31,7 +31,7 @@ class FootprintSampler : public sim::Process {
     s.at = Now();
     for (const auto& node : sys_->nodes()) {
       core::ZiziphusNode::MemoryFootprint f = node->Footprint();
-      s.live_bytes += f.pbft_bytes + f.sync_bytes;
+      s.live_bytes += f.live_bytes();
       s.app_bytes += f.app_bytes;
       s.commit_log_bytes += f.commit_log_bytes;
       s.wal_entries += f.wal_entries;

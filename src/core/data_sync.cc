@@ -48,12 +48,14 @@ Ballot DataSyncEngine::NextBallot(ZoneId chain_zone) {
 }
 
 std::uint64_t DataSyncEngine::ArmTimer(std::uint64_t request_id,
-                                       TimerKind kind, Duration delay) {
-  std::uint64_t token = next_timer_token_++;
-  timers_[token] = {request_id, kind};
+                                       TimerKind kind, Duration delay,
+                                       std::uint64_t* token) {
+  std::uint64_t t = next_timer_token_++;
+  timers_[t] = {request_id, kind};
+  if (token != nullptr) *token = t;
   return transport_->SetTimer(
       delay, sim::PackTimer(sim::TimerEngine::kDataSync,
-                            static_cast<std::uint8_t>(kind), token));
+                            static_cast<std::uint8_t>(kind), t));
 }
 
 Status DataSyncEngine::VerifyZoneCert(const crypto::Certificate& cert,
@@ -193,6 +195,13 @@ bool DataSyncEngine::HandleTimer(std::uint64_t tag) {
       break;
     }
     case kChainSkip:
+      for (auto [cs, end] = chain_skips_.equal_range(request_id); cs != end;
+           ++cs) {
+        if (cs->second.second == token) {
+          chain_skips_.erase(cs);
+          break;
+        }
+      }
       if (!req.executed && req.commit_msg != nullptr) {
         transport_->counters().Inc(obs::CounterId::kSyncChainSkip);
         ExecuteCommit(req);
@@ -413,6 +422,12 @@ bool DataSyncEngine::ValidateEndorse(const EndorsePrePrepareMsg& pp) {
     req.id = id;
     req.ops = ops;
   }
+  // The endorser validates each time it opens an instance, including a
+  // higher ballot re-opening a completed one: the old certificate is void
+  // from here on, whatever the outcome.
+  if (pp.phase == EndorsePhase::kAccepted) {
+    req.accepted_cert = crypto::Certificate{};
+  }
   req.saw_endorse = true;
   if (!req.trace.active()) {
     // Remember the trace at every node: if this node becomes primary after
@@ -508,6 +523,7 @@ void DataSyncEngine::OnEndorseQuorum(const EndorseKey& key,
   auto it = requests_.find(key.request_id);
   if (it == requests_.end()) return;
   RequestState& req = it->second;
+  if (key.phase == EndorsePhase::kAccepted) req.accepted_cert = cert;
 
   switch (key.phase) {
     case EndorsePhase::kPropose: {
@@ -624,6 +640,19 @@ void DataSyncEngine::OnEndorseQuorum(const EndorseKey& key,
     default:
       break;
   }
+}
+
+void DataSyncEngine::OnLateEndorseVote(const EndorseKey& key,
+                                       const crypto::Signature& sig) {
+  if (key.phase != EndorsePhase::kAccepted) return;
+  auto it = requests_.find(key.request_id);
+  if (it == requests_.end()) return;
+  crypto::Certificate& cert = it->second.accepted_cert;
+  if (cert.empty()) return;
+  for (const auto& s : cert.signatures) {
+    if (s.signer == sig.signer) return;
+  }
+  cert.signatures.push_back(sig);
 }
 
 void DataSyncEngine::StartAcceptPhase(RequestState& req) {
@@ -788,15 +817,13 @@ void DataSyncEngine::HandleAccept(
     // not a duplicate: a new leader re-led the request after a view change
     // and needs a fresh endorsement at its ballot (the old-ballot ACCEPTED
     // is useless to it), so that case falls through below.
-    const crypto::Certificate* cert =
-        endorser_->CertFor({req.id, EndorsePhase::kAccepted});
-    if (cert != nullptr) {
+    if (!req.accepted_cert.empty()) {
       auto acc = std::make_shared<AcceptedMsg>();
       acc->request_id = req.id;
       acc->ballot = req.ballot;
       acc->prev = req.prev;
       acc->zone = my_zone_;
-      acc->cert = *cert;
+      acc->cert = req.accepted_cert;
       const auto& members = topology_->zone(msg->initiator_zone).members;
       transport_->ChargeCpu(config_.costs.send_us * members.size());
       transport_->Multicast(members, acc);
@@ -955,12 +982,22 @@ void DataSyncEngine::MaybeExecute(std::uint64_t request_id) {
   // Predecessor not executed yet: wait for it (and arm a skip guard so a
   // predecessor lost to a failed leader cannot wedge the chain forever).
   waiting_on_[req.exec_prev].push_back(request_id);
-  ArmTimer(request_id, kChainSkip, config_.retry_timeout_us * 2);
+  std::uint64_t token = 0;
+  std::uint64_t timer =
+      ArmTimer(request_id, kChainSkip, config_.retry_timeout_us * 2, &token);
+  chain_skips_.emplace(request_id, std::make_pair(timer, token));
 }
 
 void DataSyncEngine::ExecuteCommit(RequestState& req) {
   if (req.executed) return;
   req.executed = true;
+  // Executed: every pending skip guard would fire into a no-op.
+  auto [cs, end] = chain_skips_.equal_range(req.id);
+  for (auto it = cs; it != end; ++it) {
+    transport_->CancelTimer(it->second.first);
+    timers_.erase(it->second.second);
+  }
+  chain_skips_.erase(cs, end);
   for (const MigrationOp& op : req.ops) {
     std::uint64_t op_id = op.RequestId();
     if (!executed_op_ids_.insert(op_id).second) continue;  // re-led twin

@@ -110,6 +110,8 @@ class DataSyncEngine {
   bool ValidateEndorse(const EndorsePrePrepareMsg& msg);
   void OnEndorseQuorum(const EndorseKey& key, const EndorsePrePrepareMsg& pp,
                        const crypto::Certificate& cert);
+  /// A vote that arrived after the instance's certificate completed.
+  void OnLateEndorseVote(const EndorseKey& key, const crypto::Signature& sig);
 
   /// Local view changed (mirrors the zone's PBFT view). The new primary
   /// re-initiates pending uncommitted requests with fresh ballots.
@@ -229,6 +231,10 @@ class DataSyncEngine {
     bool is_source_leg = false;
     std::uint64_t peer_request_id = 0;
     std::shared_ptr<const PreparedMsg> prepared;
+    /// This zone's kAccepted certificate, grown by late votes, for
+    /// re-sending ACCEPTED on a duplicate ACCEPT. Survives compaction: a
+    /// late duplicate still gets its answer.
+    crypto::Certificate accepted_cert;
     crypto::Certificate commit_cert;
     bool commit_cert_ready = false;
     // Execution chain coordinates.
@@ -296,8 +302,9 @@ class DataSyncEngine {
                         crypto::Digest expected, ZoneId zone) const;
 
   Ballot NextBallot(ZoneId chain_zone);
+  /// Arms an engine timer; `token` (if given) receives its timers_ key.
   std::uint64_t ArmTimer(std::uint64_t request_id, TimerKind kind,
-                         Duration delay);
+                         Duration delay, std::uint64_t* token = nullptr);
 
   sim::Transport* transport_;
   const crypto::KeyRegistry* keys_;
@@ -342,6 +349,12 @@ class DataSyncEngine {
   std::map<Ballot, std::vector<std::uint64_t>> waiting_on_;
   std::map<std::uint64_t, std::uint64_t> relay_watch_;
   std::unordered_map<std::uint64_t, std::pair<std::uint64_t, int>> timers_;
+  /// Pending chain-skip guards, request id -> {timer id, token}. Cancelled
+  /// when the request executes, so a guard that can no longer fire into
+  /// anything does not sit in the event queue for its whole timeout.
+  std::unordered_multimap<std::uint64_t,
+                          std::pair<std::uint64_t, std::uint64_t>>
+      chain_skips_;
   std::uint64_t next_timer_token_ = 1;
 
   std::uint64_t committed_count_ = 0;

@@ -43,11 +43,28 @@ struct SyncDurableState {
 /// re-install an already-appended client's records into the rebuilt app).
 struct MigrationDurableState {
   struct Marker {
-    MigrationOp op;
-    Ballot ballot;
+    /// The migration op, minus its command (always empty for a migration).
+    ClientId client = kInvalidClient;
+    ZoneId source = kInvalidZone;
+    ZoneId destination = kInvalidZone;
+    RequestTimestamp timestamp = 0;
+    bool cross_zone = false;
     bool appended = false;
-    storage::KvStore::Map records;  // destination side, once appended
+    Ballot ballot;
+    RecordSet records;  // destination side, once appended
     std::shared_ptr<const StateTransferMsg> state_msg;  // source side cache
+
+    MigrationOp op() const {
+      return MigrationOp{client, source, destination, timestamp, "",
+                         cross_zone};
+    }
+    void set_op(const MigrationOp& op) {
+      client = op.client;
+      source = op.source;
+      destination = op.destination;
+      timestamp = op.timestamp;
+      cross_zone = op.cross_zone;
+    }
   };
   std::map<std::uint64_t, Marker> in_flight;  // request id -> marker
 };

@@ -27,7 +27,8 @@ void ZoneEndorser::OnViewChange(ViewId view) {
   if (view <= view_) return;
   view_ = view;
   // Drop in-flight (not yet quorate) endorsements; the protocol layer
-  // re-initiates pending requests under the new primary.
+  // re-initiates pending requests under the new primary. Completed ones are
+  // tombstones and stay.
   for (auto it = states_.begin(); it != states_.end();) {
     if (!it->second.done) {
       it = states_.erase(it);
@@ -42,7 +43,7 @@ void ZoneEndorser::Start(EndorsePhase phase, std::uint64_t request_id,
                          crypto::Digest content_digest,
                          sim::MessagePtr payload, const MigrationOp& op,
                          std::vector<MigrationOp> ops,
-                         storage::KvStore::Map records, bool full_prepare) {
+                         RecordSet records, bool full_prepare) {
   ZCHECK(IsPrimary());
   auto msg = std::make_shared<EndorsePrePrepareMsg>();
   msg->phase = phase;
@@ -97,6 +98,17 @@ void ZoneEndorser::HandlePrePrepare(
     return;
   }
   EndorseKey key{m->request_id, m->phase};
+  if (auto d = done_.find(key); d != done_.end()) {
+    // Completed here: a matching duplicate changes nothing, a conflicting
+    // one at the same or a lower ballot is equivocation, and a higher ballot
+    // re-opens the instance below.
+    if (d->second.content_digest == m->content_digest) return;
+    if (m->ballot <= d->second.ballot) {
+      transport_->counters().Inc(obs::CounterId::kEndorseEquivocationDetected);
+      return;
+    }
+    done_.erase(d);
+  }
   State& st = states_[key];
   if (st.pre_prepare != nullptr) {
     if (st.pre_prepare->content_digest == m->content_digest) {
@@ -161,6 +173,7 @@ void ZoneEndorser::HandlePrepare(
   if (!IsMember(m->replica) || m->replica != m->from()) return;
   if (!keys_->Verify(m->sig, m->digest())) return;
   EndorseKey key{m->request_id, m->phase};
+  if (done_.count(key) != 0) return;
   State& st = states_[key];
   if (st.pre_prepare != nullptr &&
       st.pre_prepare->content_digest != m->content_digest) {
@@ -200,6 +213,7 @@ void ZoneEndorser::CastVote(const EndorseKey& key, State& st) {
   transport_->ChargeCrypto(costs_.crypto.sign_us);
   transport_->ChargeCpu(costs_.send_us * zone_->members.size());
   transport_->Multicast(zone_->members, vote);
+  if (st.done) Retire(key);
 }
 
 void ZoneEndorser::HandleVote(
@@ -211,9 +225,21 @@ void ZoneEndorser::HandleVote(
     return;
   }
   EndorseKey key{m->request_id, m->phase};
+  auto d = done_.find(key);
+  if (d != done_.end()) {
+    if (d->second.content_digest == m->content_digest &&
+        callbacks_.on_late_vote) {
+      callbacks_.on_late_vote(key, m->sig);
+    }
+    return;
+  }
   State& st = states_[key];
   if (st.pre_prepare != nullptr &&
       st.pre_prepare->content_digest != m->content_digest) {
+    return;
+  }
+  if (st.done) {
+    if (callbacks_.on_late_vote) callbacks_.on_late_vote(key, m->sig);
     return;
   }
   if (st.pre_prepare == nullptr) {
@@ -233,26 +259,40 @@ void ZoneEndorser::MaybeFinish(const EndorseKey& key, State& st) {
   st.build_span = 0;
   transport_->EndSpan(st.round_span);
   st.round_span = 0;
+  // Retire before the callback so it sees a consistent endorser; what it
+  // gets (pre-prepare, certificate) is held outside the retired state.
+  std::shared_ptr<const EndorsePrePrepareMsg> pp = st.pre_prepare;
+  crypto::CertificateBuilder builder = std::move(st.builder);
+  if (st.voted) Retire(key);
   if (callbacks_.on_quorum) {
-    callbacks_.on_quorum(key, *st.pre_prepare, st.builder.certificate());
+    callbacks_.on_quorum(key, *pp, builder.certificate());
   }
 }
 
+void ZoneEndorser::Retire(const EndorseKey& key) {
+  auto it = states_.find(key);
+  const EndorsePrePrepareMsg& pp = *it->second.pre_prepare;
+  done_[key] = Tombstone{pp.ballot, pp.content_digest};
+  states_.erase(it);
+}
+
 bool ZoneEndorser::IsDone(const EndorseKey& key) const {
+  if (done_.count(key) != 0) return true;
   auto it = states_.find(key);
   return it != states_.end() && it->second.done;
 }
 
-const EndorsePrePrepareMsg* ZoneEndorser::PrePrepareFor(
-    const EndorseKey& key) const {
-  auto it = states_.find(key);
-  return it == states_.end() ? nullptr : it->second.pre_prepare.get();
-}
-
-const crypto::Certificate* ZoneEndorser::CertFor(const EndorseKey& key) const {
-  auto it = states_.find(key);
-  if (it == states_.end() || !it->second.done) return nullptr;
-  return &it->second.builder.certificate();
+ZoneEndorser::RetentionStats ZoneEndorser::retention() const {
+  RetentionStats r;
+  r.live = states_.size();
+  r.tombstones = done_.size();
+  for (const auto& [key, st] : states_) {
+    r.approx_bytes += 192 + st.prepares.size() * 40 +
+                      st.early_votes.size() * 24 +
+                      st.builder.count() * 16;
+  }
+  r.approx_bytes += done_.size() * 56;
+  return r;
 }
 
 }  // namespace ziziphus::core

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <unordered_map>
 #include <utility>
 
 #include "common/costs.h"
@@ -27,6 +28,13 @@ struct EndorseKey {
   }
 };
 
+struct EndorseKeyHash {
+  std::size_t operator()(const EndorseKey& k) const {
+    return static_cast<std::size_t>(k.request_id * 0x9e3779b97f4a7c15ULL) ^
+           static_cast<std::size_t>(k.phase);
+  }
+};
+
 /// Runs intra-zone endorsement consensus: the zone primary pre-prepares a
 /// top-level message's content digest; nodes optionally run a prepare round
 /// (full PBFT — used where the ballot is being *assigned*, Alg. 1 lines
@@ -36,6 +44,13 @@ struct EndorseKey {
 /// Votes are multicast to the whole zone, so every node — primary, proxies
 /// (Section VI), and the append finalizers of Alg. 2 — can assemble the
 /// certificate locally.
+///
+/// Per-instance state lives only while the instance is in flight: once
+/// on_quorum has fired and this node's own vote is out, it shrinks to a
+/// fixed-size tombstone (ballot + content digest) that keeps duplicates
+/// no-ops, still flags same-ballot equivocation, and lets a higher ballot
+/// re-open the instance. Whoever needs the certificate later keeps its
+/// own copy.
 class ZoneEndorser {
  public:
   struct Callbacks {
@@ -48,6 +63,12 @@ class ZoneEndorser {
     std::function<void(const EndorseKey&, const EndorsePrePrepareMsg&,
                        const crypto::Certificate&)>
         on_quorum;
+    /// Fires for each valid vote that matches a completed instance's digest
+    /// (a signer the certificate may not hold yet; the receiver dedups).
+    /// Lets a retained certificate keep growing as it would have in the
+    /// endorser.
+    std::function<void(const EndorseKey&, const crypto::Signature&)>
+        on_late_vote;
   };
 
   ZoneEndorser(sim::Transport* transport, const crypto::KeyRegistry* keys,
@@ -68,20 +89,24 @@ class ZoneEndorser {
   void Start(EndorsePhase phase, std::uint64_t request_id, Ballot ballot,
              Ballot prev, crypto::Digest content_digest,
              sim::MessagePtr payload, const MigrationOp& op,
-             std::vector<MigrationOp> ops, storage::KvStore::Map records,
+             std::vector<MigrationOp> ops, RecordSet records,
              bool full_prepare);
 
   /// Routes endorsement messages; returns true if consumed.
   bool HandleMessage(const sim::MessagePtr& msg);
 
-  /// True once this node has observed a quorum for the key.
+  /// True once this node has observed a quorum for the key (and no higher
+  /// ballot has re-opened it since).
   bool IsDone(const EndorseKey& key) const;
 
-  /// The pre-prepare observed for a key (nullptr if none yet).
-  const EndorsePrePrepareMsg* PrePrepareFor(const EndorseKey& key) const;
-
-  /// The completed certificate for a key (nullptr until IsDone).
-  const crypto::Certificate* CertFor(const EndorseKey& key) const;
+  /// Retention introspection: instances still in flight (full per-instance
+  /// state) and completed ones reduced to tombstones.
+  struct RetentionStats {
+    std::size_t live = 0;
+    std::size_t tombstones = 0;
+    std::size_t approx_bytes = 0;
+  };
+  RetentionStats retention() const;
 
  private:
   struct State {
@@ -91,6 +116,10 @@ class ZoneEndorser {
     crypto::CertificateBuilder builder;
     /// Votes that arrived before the pre-prepare fixed the digest.
     std::vector<std::pair<crypto::Signature, crypto::Digest>> early_votes;
+    /// Quorum reached and on_quorum fired, but this node's own vote is not
+    /// out yet (full-prepare rounds where the other votes outran our
+    /// prepare quorum). A later prepare can still trigger that vote, so the
+    /// instance stays live until it is cast; then it retires.
     bool done = false;
     /// Trace spans (0 when untraced): the endorsement round as seen by this
     /// node (pre-prepare accepted -> certificate complete) and the
@@ -106,6 +135,7 @@ class ZoneEndorser {
   void CastVote(const EndorseKey& key, State& st);
   void MulticastPrepare(const EndorsePrePrepareMsg& m);
   void MaybeFinish(const EndorseKey& key, State& st);
+  void Retire(const EndorseKey& key);
 
   sim::Transport* transport_;
   const crypto::KeyRegistry* keys_;
@@ -113,7 +143,14 @@ class ZoneEndorser {
   NodeCosts costs_;
   Callbacks callbacks_;
   ViewId view_ = 0;
+  /// Instances in flight. A key is in at most one of states_ / done_.
   std::map<EndorseKey, State> states_;
+  /// What a completed instance leaves behind.
+  struct Tombstone {
+    Ballot ballot;
+    crypto::Digest content_digest = 0;
+  };
+  std::unordered_map<EndorseKey, Tombstone, EndorseKeyHash> done_;
 };
 
 }  // namespace ziziphus::core

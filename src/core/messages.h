@@ -1,6 +1,7 @@
 #ifndef ZIZIPHUS_CORE_MESSAGES_H_
 #define ZIZIPHUS_CORE_MESSAGES_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -56,6 +57,17 @@ enum class EndorsePhase : std::uint8_t {
 };
 
 const char* EndorsePhaseName(EndorsePhase phase);
+
+/// A migrating client's records R(c). Read once at the source and never
+/// modified after, so the pre-prepare, each node's migration state, the
+/// STATE message and the durable marker share one map instead of copying
+/// it. Null reads as empty.
+using RecordSet = std::shared_ptr<const storage::KvStore::Map>;
+
+inline const storage::KvStore::Map& RecordsOf(const RecordSet& records) {
+  static const storage::KvStore::Map kEmpty;
+  return records != nullptr ? *records : kEmpty;
+}
 
 /// <MIG-REQUEST, op, ts_c, c>_sigma_c — sent by a migrating client to the
 /// primary of the destination (initiator) zone.
@@ -120,7 +132,7 @@ struct EndorsePrePrepareMsg : sim::Message {
   /// Batched global operations (data synchronization phases).
   std::vector<MigrationOp> ops;
   /// Client records for migration phases.
-  storage::KvStore::Map records;
+  RecordSet records;
   /// Whether the endorsement runs the prepare round (full PBFT). True where
   /// a ballot is being assigned; false where the zone merely certifies a
   /// message whose order is already fixed (Section IV-B1).
@@ -136,7 +148,7 @@ struct EndorsePrePrepareMsg : sim::Message {
         .Finish();
   }
   std::size_t WireSize() const override {
-    return 96 + ops.size() * 32 + records.size() * 48 +
+    return 96 + ops.size() * 32 + RecordsOf(records).size() * 48 +
            (payload != nullptr ? 64 : 0);
   }
 };
@@ -332,7 +344,7 @@ struct StateTransferMsg : sim::Message {
   ClientId client = kInvalidClient;
   RequestTimestamp timestamp = 0;
   ZoneId source_zone = kInvalidZone;
-  storage::KvStore::Map records;
+  RecordSet records;
   std::uint64_t records_digest = 0;
   crypto::Certificate cert;
 
@@ -340,7 +352,7 @@ struct StateTransferMsg : sim::Message {
     return StateContentDigest(request_id, client, records_digest);
   }
   std::size_t WireSize() const override {
-    return 128 + records.size() * 48 + cert.size() * 16;
+    return 128 + RecordsOf(records).size() * 48 + cert.size() * 16;
   }
 };
 

@@ -45,10 +45,49 @@ Status MigrationEngine::VerifyZoneCert(const crypto::Certificate& cert,
   return status;
 }
 
+MigrationEngine::MigState& MigrationEngine::StateFor(std::uint64_t id) {
+  auto [it, inserted] = states_.try_emplace(id);
+  if (inserted) {
+    it->second.live = std::make_unique<InFlight>();
+    query_ids_.emplace(QueryId(id), id);
+  }
+  return it->second;
+}
+
+MigrationEngine::InFlight& MigrationEngine::Live(MigState& st) {
+  if (st.live == nullptr) st.live = std::make_unique<InFlight>();
+  return *st.live;
+}
+
+void MigrationEngine::Retire(std::uint64_t id, MigState& st, bool appended) {
+  if (st.live != nullptr && st.live->wait_timer != 0) {
+    transport_->CancelTimer(st.live->wait_timer);
+    timers_.erase(st.live->wait_token);
+  }
+  st.live.reset();
+  if (appended) {
+    // The destination's verified STATE served only the append, and its
+    // probes went to the source zone: no response query ever names this
+    // migration here.
+    st.state_msg.reset();
+    query_ids_.erase(QueryId(id));
+  }
+}
+
+void MigrationEngine::ArmStateWait(std::uint64_t id, InFlight& live,
+                                   Duration delay) {
+  std::uint64_t token = next_timer_token_++;
+  timers_[token] = id;
+  live.wait_token = token;
+  live.wait_timer = transport_->SetTimer(
+      delay,
+      sim::PackTimer(sim::TimerEngine::kMigration, kStateWaitTimer, token));
+}
+
 void MigrationEngine::OnGlobalExecuted(const MigrationOp& op, Ballot ballot) {
   std::uint64_t id = op.RequestId();
-  MigState& st = states_[id];
-  st.op = op;
+  MigState& st = StateFor(id);
+  if (st.live != nullptr) st.live->op = op;
   st.ballot = ballot;
   if (durable_ != nullptr &&
       (my_zone_ == op.source || my_zone_ == op.destination)) {
@@ -56,7 +95,7 @@ void MigrationEngine::OnGlobalExecuted(const MigrationOp& op, Ballot ballot) {
     // this migration to resume (destination) or keep answering queries
     // (source) after restart.
     auto& marker = durable_->in_flight[id];
-    marker.op = op;
+    marker.set_op(op);
     marker.ballot = ballot;
   }
 
@@ -64,37 +103,36 @@ void MigrationEngine::OnGlobalExecuted(const MigrationOp& op, Ballot ballot) {
       st.state_msg == nullptr) {
     StartRecordGeneration(st);
   }
-  if (my_zone_ == op.destination && !st.appended && st.wait_timer == 0) {
+  if (my_zone_ == op.destination && st.live != nullptr &&
+      st.live->wait_timer == 0) {
     // Wait for the STATE message; probe the source zone if it never comes
     // ("the data migration protocol handles failure in the same way for
     // state messages" — Section V-A).
-    std::uint64_t token = next_timer_token_++;
-    timers_[token] = id;
-    st.wait_timer = transport_->SetTimer(
-        config_.state_wait_timeout_us,
-        sim::PackTimer(sim::TimerEngine::kMigration, kStateWaitTimer, token));
+    ArmStateWait(id, *st.live, config_.state_wait_timeout_us);
   }
 }
 
 void MigrationEngine::StartRecordGeneration(MigState& st) {
   ZCHECK(provider_ != nullptr);
-  if (st.source_span != 0) transport_->EndSpan(st.source_span);
-  st.source_span = transport_->BeginSpan(obs::SpanKind::kMigSourceRead);
-  st.records = provider_(st.op.client);
-  st.records_digest = RecordsDigest(st.records);
-  std::uint64_t id = st.op.RequestId();
+  InFlight& live = Live(st);
+  if (live.source_span != 0) transport_->EndSpan(live.source_span);
+  live.source_span = transport_->BeginSpan(obs::SpanKind::kMigSourceRead);
+  live.records =
+      std::make_shared<const storage::KvStore::Map>(provider_(live.op.client));
+  live.records_digest = RecordsDigest(*live.records);
+  std::uint64_t id = live.op.RequestId();
   transport_->counters().Inc(obs::CounterId::kMigRecordGenerations);
   endorser_->Start(
       EndorsePhase::kMigrationState, id, st.ballot, kNullBallot,
-      StateContentDigest(id, st.op.client, st.records_digest), nullptr, st.op,
-      {}, st.records, /*full_prepare=*/true);
+      StateContentDigest(id, live.op.client, live.records_digest), nullptr,
+      live.op, {}, live.records, /*full_prepare=*/true);
 }
 
 void MigrationEngine::ShipState(MigState& st) {
   const std::shared_ptr<const StateTransferMsg>& msg = st.state_msg;
-  const auto& members = topology_->zone(st.op.destination).members;
-  if (config_.chunk_records == 0 ||
-      msg->records.size() <= config_.chunk_records) {
+  const auto& members = topology_->zone(st.live->op.destination).members;
+  const storage::KvStore::Map& records = RecordsOf(msg->records);
+  if (config_.chunk_records == 0 || records.size() <= config_.chunk_records) {
     transport_->ChargeCpu(config_.costs.send_us * members.size());
     transport_->counters().Inc(obs::CounterId::kMigStatesSent);
     transport_->Multicast(members, msg);
@@ -111,7 +149,7 @@ void MigrationEngine::ShipState(MigState& st) {
   manifest->records_digest = msg->records_digest;
   manifest->cert = msg->cert;
   std::vector<std::shared_ptr<MigrationChunkMsg>> chunks;
-  for (const auto& [k, v] : msg->records) {
+  for (const auto& [k, v] : records) {
     if (chunks.empty() || chunks.back()->records.size() >= config_.chunk_records) {
       auto chunk = std::make_shared<MigrationChunkMsg>();
       chunk->request_id = msg->request_id;
@@ -153,17 +191,11 @@ bool MigrationEngine::HandleMessage(const sim::MessagePtr& msg) {
     case kResponseQuery: {
       auto q = std::static_pointer_cast<const ResponseQueryMsg>(msg);
       // Only consume queries in the migration id namespace.
-      bool known = false;
-      for (const auto& [id, st] : states_) {
-        if (QueryId(id) == q->request_id) {
-          known = true;
-          break;
-        }
-      }
-      if (!known) return false;
+      auto known = query_ids_.find(q->request_id);
+      if (known == query_ids_.end()) return false;
       transport_->ChargeCpu(config_.costs.base_handle_us);
       transport_->ChargeCrypto(config_.costs.mac_us);
-      HandleResponseQuery(q);
+      HandleResponseQuery(q, states_.at(known->second));
       return true;
     }
     default:
@@ -179,10 +211,11 @@ bool MigrationEngine::HandleTimer(std::uint64_t tag) {
   std::uint64_t id = it->second;
   timers_.erase(it);
   auto sit = states_.find(id);
-  if (sit == states_.end()) return true;
+  if (sit == states_.end() || sit->second.live == nullptr) return true;
   MigState& st = sit->second;
-  st.wait_timer = 0;
-  if (st.appended || my_zone_ != st.op.destination) return true;
+  InFlight& live = *st.live;
+  live.wait_timer = 0;
+  if (my_zone_ != live.op.destination) return true;
 
   if (st.state_msg != nullptr) {
     // We already hold the certified STATE (the source multicasts it to the
@@ -207,7 +240,7 @@ bool MigrationEngine::HandleTimer(std::uint64_t tag) {
     query->zone = my_zone_;
     query->replica = transport_->self();
     query->sig = keys_->Sign(transport_->self(), query->digest());
-    const auto& members = topology_->zone(st.op.source).members;
+    const auto& members = topology_->zone(live.op.source).members;
     transport_->ChargeCrypto(config_.costs.crypto.sign_us);
     transport_->ChargeCpu(config_.costs.send_us * members.size());
     transport_->counters().Inc(obs::CounterId::kMigStateQueriesSent);
@@ -217,8 +250,8 @@ bool MigrationEngine::HandleTimer(std::uint64_t tag) {
     // commit broadcast went out), in which case no source node can generate
     // the records. Re-deliver the commit we hold — idempotent for nodes
     // that already executed it, bootstrapping for ones that never saw it.
-    if (st.wait_rounds >= 2 && reship_) {
-      reship_(id, st.op.source);
+    if (live.wait_rounds >= 2 && reship_) {
+      reship_(id, live.op.source);
     }
   }
   // Probe with capped exponential backoff. The round budget is generous:
@@ -226,14 +259,10 @@ bool MigrationEngine::HandleTimer(std::uint64_t tag) {
   // can re-form the STATE certificate (amnesia crashes), and a destination
   // that stops probing wedges the migration permanently. The cap still
   // bounds total events so idle-driven runs terminate.
-  if (++st.wait_rounds < 64) {
-    std::uint64_t token2 = next_timer_token_++;
-    timers_[token2] = id;
+  if (++live.wait_rounds < 64) {
     std::uint64_t mult = std::min<std::uint64_t>(
-        1ULL << std::min(st.wait_rounds, 3), 8ULL);
-    st.wait_timer = transport_->SetTimer(
-        config_.state_wait_timeout_us * mult,
-        sim::PackTimer(sim::TimerEngine::kMigration, kStateWaitTimer, token2));
+        1ULL << std::min(live.wait_rounds, 3), 8ULL);
+    ArmStateWait(id, live, config_.state_wait_timeout_us * mult);
   }
   return true;
 }
@@ -246,7 +275,7 @@ bool MigrationEngine::ValidateEndorse(const EndorsePrePrepareMsg& pp) {
       // their own copy of the client's data — a Byzantine primary cannot
       // ship a forged state.
       if (my_zone_ != pp.op.source) return false;
-      std::uint64_t claimed = RecordsDigest(pp.records);
+      std::uint64_t claimed = RecordsDigest(RecordsOf(pp.records));
       if (StateContentDigest(id, pp.op.client, claimed) !=
           pp.content_digest) {
         transport_->counters().Inc(obs::CounterId::kMigBadStateDigest);
@@ -260,15 +289,15 @@ bool MigrationEngine::ValidateEndorse(const EndorsePrePrepareMsg& pp) {
           return false;
         }
       }
-      MigState& st = states_[id];
-      st.op = pp.op;
-      st.records = pp.records;
-      st.records_digest = claimed;
+      InFlight& live = Live(StateFor(id));
+      live.op = pp.op;
+      live.records = pp.records;
+      live.records_digest = claimed;
       return true;
     }
     case EndorsePhase::kMigrationAppend: {
       if (my_zone_ != pp.op.destination) return false;
-      std::uint64_t claimed = RecordsDigest(pp.records);
+      std::uint64_t claimed = RecordsDigest(RecordsOf(pp.records));
       if (StateContentDigest(id, pp.op.client, claimed) !=
           pp.content_digest) {
         transport_->counters().Inc(obs::CounterId::kMigBadAppendDigest);
@@ -289,10 +318,14 @@ bool MigrationEngine::ValidateEndorse(const EndorsePrePrepareMsg& pp) {
         transport_->counters().Inc(obs::CounterId::kMigAppendDigestMismatch);
         return false;
       }
-      MigState& st = states_[id];
-      st.op = pp.op;
-      st.records = pp.records;
-      st.records_digest = claimed;
+      // Once appended (a tombstone) the op and records are never read again.
+      MigState& st = StateFor(id);
+      if (st.live != nullptr) {
+        InFlight& live = *st.live;
+        live.op = pp.op;
+        live.records = pp.records;
+        live.records_digest = claimed;
+      }
       return true;
     }
     default:
@@ -317,52 +350,52 @@ void MigrationEngine::OnEndorseQuorum(const EndorseKey& key,
       // state_msg on all cert-holders lets any of them answer destination
       // probes in HandleResponseQuery. Only the primary ships unprompted to
       // keep the common case a single cross-zone transfer.
+      InFlight& live = Live(st);
       auto msg = std::make_shared<StateTransferMsg>();
       msg->request_id = key.request_id;
       msg->ballot = pp.ballot;
-      msg->client = st.op.client;
-      msg->timestamp = st.op.timestamp;
+      msg->client = live.op.client;
+      msg->timestamp = live.op.timestamp;
       msg->source_zone = my_zone_;
-      msg->records = st.records;
-      msg->records_digest = st.records_digest;
+      msg->records = live.records;
+      msg->records_digest = live.records_digest;
       msg->cert = cert;
       st.state_msg = msg;
       if (durable_ != nullptr) {
         auto& marker = durable_->in_flight[key.request_id];
-        marker.op = st.op;
+        marker.set_op(live.op);
         marker.ballot = st.ballot;
         marker.state_msg = msg;
       }
       if (endorser_->IsPrimary()) ShipState(st);
-      transport_->EndSpan(st.source_span);  // record read -> STATE shipped
-      st.source_span = 0;
+      transport_->EndSpan(live.source_span);  // record read -> STATE shipped
+      // Finished here: only the certified STATE stays, for late probes.
+      Retire(key.request_id, st, /*appended=*/false);
       break;
     }
     case EndorsePhase::kMigrationAppend: {
       // Finalizes at every destination-zone node (Alg. 2 lines 22-25).
-      if (st.appended) break;
-      st.appended = true;
+      if (st.live == nullptr) break;  // already appended here
       completed_++;
+      InFlight& live = *st.live;
+      const MigrationOp op = live.op;
       if (durable_ != nullptr) {
         auto& marker = durable_->in_flight[key.request_id];
-        marker.op = st.op;
+        marker.set_op(op);
         marker.ballot = st.ballot;
         marker.appended = true;
-        marker.records = st.records;
+        marker.records = live.records;
       }
       transport_->ChargeCpu(config_.costs.apply_us);
       if (installer_ != nullptr) {
-        installer_(st.op.client, st.records, st.op.timestamp);
+        installer_(op.client, RecordsOf(live.records), op.timestamp);
       }
-      locks_->SetLocked(st.op.client, true);
-      transport_->EndSpan(st.install_span);  // STATE received -> installed
-      st.install_span = 0;
+      locks_->SetLocked(op.client, true);
+      transport_->EndSpan(live.install_span);  // STATE received -> installed
       transport_->counters().Inc(obs::CounterId::kMigAppends);
-      if (st.wait_timer != 0) {
-        // Timer cancellation happens lazily (token map erased on fire).
-        st.wait_timer = 0;
-      }
-      if (done_) done_(st.op);
+      // Finished here: drop the working set and cancel the state-wait probe.
+      Retire(key.request_id, st, /*appended=*/true);
+      if (done_) done_(op);
       break;
     }
     default:
@@ -373,17 +406,17 @@ void MigrationEngine::OnEndorseQuorum(const EndorseKey& key,
 void MigrationEngine::HandleStateTransfer(
     const std::shared_ptr<const StateTransferMsg>& msg) {
   std::uint64_t id = msg->request_id;
-  MigState& st = states_[id];
-  if (st.op.client == kInvalidClient) {
+  MigState& st = StateFor(id);
+  // Finished here (appended, or a source, which never takes a STATE).
+  if (st.live == nullptr) return;
+  MigrationOp& op = st.live->op;
+  if (op.client == kInvalidClient) {
     // STATE can arrive before the commit executes here; remember enough to
     // validate when the append endorsement starts.
-    st.op.client = msg->client;
-    st.op.timestamp = msg->timestamp;
+    op.client = msg->client;
+    op.timestamp = msg->timestamp;
   }
-  if (st.appended) return;
-  if (st.op.destination != kInvalidZone && my_zone_ != st.op.destination) {
-    return;
-  }
+  if (op.destination != kInvalidZone && my_zone_ != op.destination) return;
   if (!VerifyZoneCert(msg->cert, msg->digest(), msg->source_zone)
            .ok()) {
     transport_->counters().Inc(obs::CounterId::kMigBadStateCert);
@@ -396,12 +429,13 @@ void MigrationEngine::HandleStateTransfer(
   // fires (see HandleTimer) — without a round-trip back to the source zone.
   st.state_msg = msg;
   if (!endorser_->IsPrimary()) return;
-  st.install_span = transport_->BeginSpan(obs::SpanKind::kMigDestInstall);
+  st.live->install_span =
+      transport_->BeginSpan(obs::SpanKind::kMigDestInstall);
   endorser_->Start(
       EndorsePhase::kMigrationAppend, id, msg->ballot, kNullBallot,
       StateContentDigest(id, msg->client, msg->records_digest), msg,
-      st.op.client != kInvalidClient && st.op.destination != kInvalidZone
-          ? st.op
+      op.client != kInvalidClient && op.destination != kInvalidZone
+          ? op
           : MigrationOp{msg->client, msg->source_zone, my_zone_,
                         msg->timestamp, ""},
       {}, msg->records, /*full_prepare=*/false);
@@ -409,46 +443,49 @@ void MigrationEngine::HandleStateTransfer(
 
 void MigrationEngine::HandleManifest(
     const std::shared_ptr<const MigrationManifestMsg>& msg) {
-  MigState& st = states_[msg->request_id];
-  if (st.appended || st.manifest != nullptr) return;
-  if (st.op.destination != kInvalidZone && my_zone_ != st.op.destination) {
+  MigState& st = StateFor(msg->request_id);
+  if (st.live == nullptr || st.live->manifest != nullptr) return;
+  InFlight& live = *st.live;
+  if (live.op.destination != kInvalidZone && my_zone_ != live.op.destination) {
     return;
   }
-  st.manifest = msg;
+  live.manifest = msg;
   MaybeAssembleChunks(st);
 }
 
 void MigrationEngine::HandleChunk(
     const std::shared_ptr<const MigrationChunkMsg>& msg) {
-  MigState& st = states_[msg->request_id];
-  if (st.appended) return;
-  if (st.op.destination != kInvalidZone && my_zone_ != st.op.destination) {
+  MigState& st = StateFor(msg->request_id);
+  if (st.live == nullptr) return;
+  InFlight& live = *st.live;
+  if (live.op.destination != kInvalidZone && my_zone_ != live.op.destination) {
     return;
   }
   transport_->counters().Inc(obs::CounterId::kMigChunksReceived);
   // Chunks may outrun the manifest; buffer now, digest-check on assembly.
-  st.chunks.emplace(msg->index, msg->records);
+  live.chunks.emplace(msg->index, msg->records);
   MaybeAssembleChunks(st);
 }
 
 void MigrationEngine::MaybeAssembleChunks(MigState& st) {
-  if (st.manifest == nullptr || st.appended) return;
-  const MigrationManifestMsg& m = *st.manifest;
+  InFlight& live = *st.live;
+  if (live.manifest == nullptr) return;
+  const MigrationManifestMsg& m = *live.manifest;
   for (std::uint32_t i = 0; i < m.chunk_digests.size(); ++i) {
-    auto it = st.chunks.find(i);
-    if (it == st.chunks.end()) return;  // still streaming
+    auto it = live.chunks.find(i);
+    if (it == live.chunks.end()) return;  // still streaming
     transport_->ChargeCrypto(config_.costs.crypto.digest_us);
     if (RecordsDigest(it->second) != m.chunk_digests[i]) {
       // Corrupt or forged slice: drop it and wait for a resend (the probe
       // path falls back to the cached full STATE at the source).
       transport_->counters().Inc(obs::CounterId::kMigBadChunkDigest);
-      st.chunks.erase(it);
+      live.chunks.erase(it);
       return;
     }
   }
   storage::KvStore::Map merged;
   for (std::uint32_t i = 0; i < m.chunk_digests.size(); ++i) {
-    const auto& slice = st.chunks[i];
+    const auto& slice = live.chunks[i];
     merged.insert(slice.begin(), slice.end());
   }
   transport_->ChargeCrypto(config_.costs.crypto.digest_us);
@@ -456,8 +493,8 @@ void MigrationEngine::MaybeAssembleChunks(MigState& st) {
     // Slices individually matched but the whole does not hash to the
     // certified digest (e.g. overlapping keys): discard everything.
     transport_->counters().Inc(obs::CounterId::kMigBadChunkDigest);
-    st.chunks.clear();
-    st.manifest.reset();
+    live.chunks.clear();
+    live.manifest.reset();
     return;
   }
   // Synthesize the classic STATE message; its certificate covers
@@ -470,46 +507,76 @@ void MigrationEngine::MaybeAssembleChunks(MigState& st) {
   synth->client = m.client;
   synth->timestamp = m.timestamp;
   synth->source_zone = m.source_zone;
-  synth->records = std::move(merged);
+  synth->records =
+      std::make_shared<const storage::KvStore::Map>(std::move(merged));
   synth->records_digest = m.records_digest;
   synth->cert = m.cert;
-  st.chunks.clear();
-  st.manifest.reset();
+  live.chunks.clear();
+  live.manifest.reset();
   HandleStateTransfer(synth);
 }
 
 void MigrationEngine::HandleResponseQuery(
-    const std::shared_ptr<const ResponseQueryMsg>& msg) {
-  for (auto& [id, st] : states_) {
-    if (QueryId(id) != msg->request_id) continue;
-    if (st.state_msg != nullptr) {
-      transport_->ChargeCpu(config_.costs.send_us);
-      transport_->counters().Inc(obs::CounterId::kMigStatesResent);
-      transport_->Send(msg->replica, st.state_msg);
-    } else if (my_zone_ == st.op.source && endorser_->IsPrimary() &&
-               provider_ != nullptr && st.op.client != kInvalidClient) {
-      // No STATE certificate yet: the in-flight endorsement was dropped by
-      // a zone view change or lost to an amnesia crash. The destination's
-      // probe doubles as the re-initiation trigger the endorser expects —
-      // restart the record endorsement round (idempotent for replicas that
-      // already voted; a rejoined replica validates from the fresh
-      // pre-prepare and supplies the missing vote).
-      StartRecordGeneration(st);
-    }
-    return;
+    const std::shared_ptr<const ResponseQueryMsg>& msg, MigState& st) {
+  if (st.state_msg != nullptr) {
+    transport_->ChargeCpu(config_.costs.send_us);
+    transport_->counters().Inc(obs::CounterId::kMigStatesResent);
+    transport_->Send(msg->replica, st.state_msg);
+  } else if (st.live != nullptr && my_zone_ == st.live->op.source &&
+             endorser_->IsPrimary() && provider_ != nullptr &&
+             st.live->op.client != kInvalidClient) {
+    // No STATE certificate yet: the in-flight endorsement was dropped by
+    // a zone view change or lost to an amnesia crash. The destination's
+    // probe doubles as the re-initiation trigger the endorser expects —
+    // restart the record endorsement round (idempotent for replicas that
+    // already voted; a rejoined replica validates from the fresh
+    // pre-prepare and supplies the missing vote).
+    StartRecordGeneration(st);
   }
 }
 
 void MigrationEngine::DumpStuckStates(std::FILE* out) const {
   for (const auto& [id, st] : states_) {
-    if (st.appended) continue;
+    if (st.live == nullptr) continue;
+    const MigrationOp& op = st.live->op;
     std::fprintf(out,
                  "  mig id %llx client %llu src %u dst %u state_msg %d "
                  "wait_rounds %d\n",
-                 (unsigned long long)id, (unsigned long long)st.op.client,
-                 (unsigned)st.op.source, (unsigned)st.op.destination,
-                 st.state_msg != nullptr ? 1 : 0, st.wait_rounds);
+                 (unsigned long long)id, (unsigned long long)op.client,
+                 (unsigned)op.source, (unsigned)op.destination,
+                 st.state_msg != nullptr ? 1 : 0, st.live->wait_rounds);
   }
+}
+
+MigrationEngine::RetentionStats MigrationEngine::retention() const {
+  RetentionStats r;
+  for (const auto& [id, st] : states_) {
+    // A shared record set is counted at every holder: these are the bytes
+    // this node's state keeps reachable, not its exclusive share.
+    std::size_t state_bytes = 0;
+    if (st.state_msg != nullptr) {
+      state_bytes = 160 + st.state_msg->cert.size() * 16 +
+                    RecordsOf(st.state_msg->records).size() * 96;
+    }
+    if (st.live == nullptr) {
+      ++r.tombstones;
+      if (st.state_msg != nullptr) ++r.state_caches;
+      r.approx_bytes += 72 + state_bytes;
+      continue;
+    }
+    const InFlight& live = *st.live;
+    ++r.live;
+    r.record_maps += (live.records != nullptr ? 1 : 0) +
+                     (st.state_msg != nullptr ? 1 : 0) + live.chunks.size();
+    r.approx_bytes += 72 + 208 + state_bytes +
+                      RecordsOf(live.records).size() * 96 +
+                      (live.manifest != nullptr ? 160 : 0);
+    for (const auto& [index, slice] : live.chunks) {
+      r.approx_bytes += 64 + slice.size() * 96;
+    }
+  }
+  r.approx_bytes += query_ids_.size() * 32 + timers_.size() * 32;
+  return r;
 }
 
 // -------------------------------------------------------------- recovery
@@ -517,31 +584,28 @@ void MigrationEngine::DumpStuckStates(std::FILE* out) const {
 void MigrationEngine::RestoreFromDurable() {
   if (durable_ == nullptr) return;
   for (const auto& [id, marker] : durable_->in_flight) {
-    MigState& st = states_[id];
-    st.op = marker.op;
+    MigState& st = StateFor(id);
+    st.live->op = marker.op();
     st.ballot = marker.ballot;
     st.state_msg = marker.state_msg;
-    st.appended = marker.appended;
     if (marker.appended) {
       // The append already finalized before the crash; re-install the
       // migrated records into the rebuilt application state. The lock table
       // (durable, node-owned) already shows the client re-enabled.
-      st.records = marker.records;
-      st.records_digest = RecordsDigest(marker.records);
       completed_++;
-      if (my_zone_ == marker.op.destination && installer_ != nullptr) {
+      if (my_zone_ == marker.destination && installer_ != nullptr) {
         transport_->ChargeCpu(config_.costs.apply_us);
-        installer_(marker.op.client, marker.records, marker.op.timestamp);
+        installer_(marker.client, RecordsOf(marker.records),
+                   marker.timestamp);
       }
-    } else if (my_zone_ == marker.op.destination) {
+      Retire(id, st, /*appended=*/true);
+    } else if (my_zone_ == marker.destination) {
       // Mid-migration at the destination: resume waiting for STATE with a
       // fresh probe timer (Section V-A failure handling).
-      std::uint64_t token = next_timer_token_++;
-      timers_[token] = id;
-      st.wait_timer = transport_->SetTimer(
-          config_.state_wait_timeout_us,
-          sim::PackTimer(sim::TimerEngine::kMigration, kStateWaitTimer,
-                         token));
+      ArmStateWait(id, *st.live, config_.state_wait_timeout_us);
+    } else if (st.state_msg != nullptr) {
+      // Source with a certified STATE: finished, kept for late probes.
+      Retire(id, st, /*appended=*/false);
     }
   }
 }

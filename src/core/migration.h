@@ -110,15 +110,27 @@ class MigrationEngine {
   /// CHAOS_DEBUG introspection: one stderr line per unfinished migration.
   void DumpStuckStates(std::FILE* out) const;
 
+  /// Retention introspection: migrations with a working set (in flight),
+  /// finished ones reduced to tombstones, how many record sets the working
+  /// sets hold (records, a pending STATE, buffered chunks), and how many
+  /// tombstones keep a certified STATE for late probes.
+  struct RetentionStats {
+    std::size_t live = 0;
+    std::size_t tombstones = 0;
+    std::size_t record_maps = 0;
+    std::size_t state_caches = 0;
+    std::size_t approx_bytes = 0;
+  };
+  RetentionStats retention() const;
+
  private:
-  struct MigState {
+  /// Working set of a migration still in flight at this node.
+  struct InFlight {
     MigrationOp op;
-    Ballot ballot;
-    storage::KvStore::Map records;
+    RecordSet records;
     std::uint64_t records_digest = 0;
-    std::shared_ptr<const StateTransferMsg> state_msg;  // source side cache
-    bool appended = false;
     std::uint64_t wait_timer = 0;
+    std::uint64_t wait_token = 0;
     int wait_rounds = 0;
     /// Trace spans (0 when untraced): source primary's record read ->
     /// STATE shipped, and destination primary's STATE received -> installed.
@@ -131,7 +143,27 @@ class MigrationEngine {
     std::shared_ptr<const MigrationManifestMsg> manifest;
     std::map<std::uint32_t, storage::KvStore::Map> chunks;
   };
+  /// One migration as this node sees it. `live` holds the working set and is
+  /// dropped once the migration is finished here (destination: appended;
+  /// source: STATE certified). What remains is a tombstone: the ballot and,
+  /// at the source, the certified STATE late probes get.
+  struct MigState {
+    Ballot ballot;
+    /// Source: the certified STATE (kept after finishing, for probes).
+    /// Destination: the verified STATE, until the append.
+    std::shared_ptr<const StateTransferMsg> state_msg;
+    std::unique_ptr<InFlight> live;
+  };
 
+  /// The state for `id`, created (and indexed by its query id) if new.
+  MigState& StateFor(std::uint64_t id);
+  /// The working set of `st`, re-created if the state was a tombstone.
+  static InFlight& Live(MigState& st);
+  /// Drops the working set once the migration is finished at this node,
+  /// cancelling a pending state-wait probe; an appended destination also
+  /// drops its STATE.
+  void Retire(std::uint64_t id, MigState& st, bool appended);
+  void ArmStateWait(std::uint64_t id, InFlight& live, Duration delay);
   void StartRecordGeneration(MigState& st);
   void ShipState(MigState& st);
   void HandleStateTransfer(
@@ -140,8 +172,8 @@ class MigrationEngine {
       const std::shared_ptr<const MigrationManifestMsg>& msg);
   void HandleChunk(const std::shared_ptr<const MigrationChunkMsg>& msg);
   void MaybeAssembleChunks(MigState& st);
-  void HandleResponseQuery(
-      const std::shared_ptr<const ResponseQueryMsg>& msg);
+  void HandleResponseQuery(const std::shared_ptr<const ResponseQueryMsg>& msg,
+                           MigState& st);
   Status VerifyZoneCert(const crypto::Certificate& cert,
                         crypto::Digest expected, ZoneId zone) const;
 
@@ -159,6 +191,10 @@ class MigrationEngine {
   CommitReshipper reship_;
 
   std::unordered_map<std::uint64_t, MigState> states_;
+  /// QueryId(id) -> id for every id in states_ that can still be asked
+  /// about (all but appended destinations), so a response query is routed
+  /// without scanning the migration history.
+  std::unordered_map<std::uint64_t, std::uint64_t> query_ids_;
   std::unordered_map<std::uint64_t, std::uint64_t> timers_;  // token -> req
   std::uint64_t next_timer_token_ = 1;
   std::uint64_t completed_ = 0;

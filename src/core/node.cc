@@ -53,6 +53,10 @@ void ZiziphusNode::BuildEngines() {
         break;
     }
   };
+  cbs.on_late_vote = [this](const EndorseKey& key,
+                            const crypto::Signature& sig) {
+    sync_->OnLateEndorseVote(key, sig);
+  };
   endorser_ = std::make_unique<ZoneEndorser>(this, keys_, &zi,
                                              config_.sync.costs, cbs);
 
@@ -248,6 +252,8 @@ ZiziphusNode::MemoryFootprint ZiziphusNode::Footprint() const {
   DataSyncEngine::RetentionStats s = sync_->retention();
   f.sync_bytes = s.approx_bytes;
   f.sync_requests = s.requests;
+  f.endorse_bytes = endorser_->retention().approx_bytes;
+  f.migration_bytes = migration_->retention().approx_bytes;
   for (const auto& [k, v] : app_->Snapshot()) {
     f.app_bytes += k.size() + v.size() + 64;
   }

@@ -118,15 +118,21 @@ class ZiziphusNode : public sim::Process, public sim::Transport {
   struct MemoryFootprint {
     std::size_t pbft_bytes = 0;
     std::size_t sync_bytes = 0;
+    /// Endorsement instances in flight plus completed-instance tombstones.
+    std::size_t endorse_bytes = 0;
+    /// Migration working sets, tombstones and source-side STATE caches.
+    std::size_t migration_bytes = 0;
     std::size_t app_bytes = 0;
     std::size_t commit_log_bytes = 0;
     std::size_t wal_entries = 0;
     std::size_t prepared_proofs = 0;
     std::size_t reply_cache_entries = 0;
     std::size_t sync_requests = 0;
-    std::size_t total_bytes() const {
-      return pbft_bytes + sync_bytes + app_bytes;
+    /// The protocol state the soak's retention.live_bytes gauge sums.
+    std::size_t live_bytes() const {
+      return pbft_bytes + sync_bytes + endorse_bytes + migration_bytes;
     }
+    std::size_t total_bytes() const { return live_bytes() + app_bytes; }
   };
   MemoryFootprint Footprint() const;
 

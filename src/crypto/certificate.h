@@ -33,10 +33,12 @@ class CertificateBuilder {
   CertificateBuilder(Digest digest, std::size_t quorum)
       : digest_(digest), quorum_(quorum) {}
 
+  /// Starts over for `digest`, with room for a full quorum up front.
   void Reset(Digest digest, std::size_t quorum) {
     digest_ = digest;
     quorum_ = quorum;
     cert_ = Certificate{digest, {}};
+    cert_.signatures.reserve(quorum);
   }
 
   /// Adds a signature; returns true if it was accepted (right digest, new

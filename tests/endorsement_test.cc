@@ -21,6 +21,9 @@ class EndorserHost : public sim::Process, public sim::Transport {
       last_cert = cert;
       last_digest = pp.content_digest;
     };
+    cbs.on_late_vote = [this](const EndorseKey&, const crypto::Signature&) {
+      late_votes++;
+    };
     endorser = std::make_unique<ZoneEndorser>(this, keys, zone, NodeCosts{},
                                               cbs);
   }
@@ -42,6 +45,7 @@ class EndorserHost : public sim::Process, public sim::Transport {
   CounterSet& counters() override { return simulation()->counters(); }
 
   std::vector<EndorseKey> quorums;
+  std::size_t late_votes = 0;
   crypto::Certificate last_cert;
   crypto::Digest last_digest = 0;
   std::unique_ptr<ZoneEndorser> endorser;
@@ -72,10 +76,13 @@ struct EndorserFixture {
   }
 
   void Start(EndorsePhase phase, std::uint64_t id, crypto::Digest digest,
-             bool full_prepare) {
-    hosts[0]->endorser->Start(phase, id, Ballot{1, 0}, kNullBallot, digest,
-                              nullptr, MigrationOp{}, {}, {}, full_prepare);
+             bool full_prepare, std::uint64_t ballot = 1) {
+    hosts[0]->endorser->Start(phase, id, Ballot{ballot, 0}, kNullBallot,
+                              digest, nullptr, MigrationOp{}, {}, {},
+                              full_prepare);
   }
+
+  std::uint64_t Counter(obs::CounterId id) { return sim.counters().Get(id); }
 
   crypto::KeyRegistry keys;
   sim::Simulation sim;
@@ -176,6 +183,84 @@ TEST(EndorsementTest, ViewChangeDropsInFlightInstances) {
   fx.hosts[1]->endorser->OnViewChange(1);
   EXPECT_EQ(fx.hosts[1]->endorser->primary(), fx.zone.members[1]);
   EXPECT_FALSE(fx.hosts[1]->endorser->IsDone({4, EndorsePhase::kAccepted}));
+}
+
+// ---- retirement: after on_quorum only a tombstone stays ------------------
+
+TEST(EndorsementRetirementTest, LateFourthVoteBringsBackNoState) {
+  EndorserFixture fx;
+  fx.Start(EndorsePhase::kAccepted, 11, 0xa11, /*full_prepare=*/false);
+  fx.sim.RunUntilIdle();
+  for (auto& h : fx.hosts) {
+    ASSERT_EQ(h->quorums.size(), 1u);
+    // The quorum fired on the third vote; the fourth reached the tombstone,
+    // was handed to on_late_vote and left nothing behind.
+    EXPECT_EQ(h->late_votes, 1u);
+    EXPECT_EQ(h->endorser->retention().live, 0u);
+    EXPECT_EQ(h->endorser->retention().tombstones, 1u);
+    EXPECT_TRUE(h->endorser->IsDone({11, EndorsePhase::kAccepted}));
+  }
+}
+
+TEST(EndorsementRetirementTest, DuplicatePrePrepareAfterCompletionIsNoOp) {
+  EndorserFixture fx;
+  fx.Start(EndorsePhase::kAccept, 12, 0xb12, /*full_prepare=*/true);
+  fx.sim.RunUntilIdle();
+  const std::uint64_t sent = fx.Counter(obs::CounterId::kNetMsgsSent);
+  fx.Start(EndorsePhase::kAccept, 12, 0xb12, /*full_prepare=*/true);
+  fx.sim.RunUntilIdle();
+  // Only the re-sent pre-prepare travelled: no prepare, no vote re-cast.
+  EXPECT_EQ(fx.Counter(obs::CounterId::kNetMsgsSent), sent + 4);
+  EXPECT_EQ(fx.Counter(obs::CounterId::kEndorseEquivocationDetected), 0u);
+  for (auto& h : fx.hosts) {
+    EXPECT_EQ(h->quorums.size(), 1u);
+    EXPECT_EQ(h->endorser->retention().live, 0u);
+  }
+}
+
+TEST(EndorsementRetirementTest, SameBallotEquivocationAfterCompletionCounted) {
+  EndorserFixture fx;
+  fx.Start(EndorsePhase::kAccepted, 13, 0xc13, false);
+  fx.sim.RunUntilIdle();
+  fx.Start(EndorsePhase::kAccepted, 13, 0xdead, false);
+  fx.sim.RunUntilIdle();
+  // Every node's tombstone still knows the certified digest and ballot.
+  EXPECT_EQ(fx.Counter(obs::CounterId::kEndorseEquivocationDetected), 4u);
+  for (auto& h : fx.hosts) {
+    EXPECT_EQ(h->quorums.size(), 1u);
+    EXPECT_EQ(h->last_digest, 0xc13u);
+    EXPECT_EQ(h->endorser->retention().live, 0u);
+  }
+}
+
+TEST(EndorsementRetirementTest, HigherBallotReopensCompletedInstance) {
+  EndorserFixture fx;
+  fx.Start(EndorsePhase::kAccepted, 14, 0xd14, false);
+  fx.sim.RunUntilIdle();
+  fx.Start(EndorsePhase::kAccepted, 14, 0xe14, false, /*ballot=*/2);
+  fx.sim.RunUntilIdle();
+  EXPECT_EQ(fx.Counter(obs::CounterId::kEndorseEquivocationDetected), 0u);
+  for (auto& h : fx.hosts) {
+    ASSERT_EQ(h->quorums.size(), 2u);
+    EXPECT_EQ(h->last_digest, 0xe14u);
+    // The re-opened instance retired again into the same single tombstone.
+    EXPECT_EQ(h->endorser->retention().live, 0u);
+    EXPECT_EQ(h->endorser->retention().tombstones, 1u);
+  }
+}
+
+TEST(EndorsementRetirementTest, OnQuorumFiresExactlyOnce) {
+  EndorserFixture fx;
+  fx.Start(EndorsePhase::kPropose, 15, 0xf15, /*full_prepare=*/true);
+  fx.sim.RunUntilIdle();
+  // Re-driving, duplicate votes and late prepares cannot fire it again.
+  fx.Start(EndorsePhase::kPropose, 15, 0xf15, /*full_prepare=*/true);
+  fx.sim.RunUntilIdle();
+  for (auto& h : fx.hosts) {
+    ASSERT_EQ(h->quorums.size(), 1u);
+    EXPECT_EQ(h->quorums[0].request_id, 15u);
+    EXPECT_EQ(h->last_cert.size(), fx.zone.quorum());
+  }
 }
 
 }  // namespace

@@ -17,9 +17,10 @@
 namespace ziziphus::app {
 namespace {
 
-/// Long enough for the live depth to plateau: replicas leave their 2 s
-/// migration state-wait timers to fire rather than cancel them, so the
-/// depth ramps up until the first of them expire.
+/// Past the start-up burst, where the peak sits. Destinations cancel their
+/// 2 s migration state-wait timer at append and data sync cancels its
+/// chain-skip guards once a request executes, so no finished op leaves a
+/// timer behind and the live depth is flat after this.
 constexpr Duration kWarmup = Seconds(3);
 
 /// Peak sampled `sim.queue_depth` of a 2-zone closed-loop Ziziphus run
