@@ -1,12 +1,10 @@
-// Ordering-strategy race: stable leader vs rotating primaries vs the
-// optimistic fast path, each at 0 failures and again with f crashed
-// backups per zone.
+// Ordering race: stable leader vs the optimistic fast path, each at 0
+// failures and again with f crashed backups per zone.
 //
 // Cells: consensus/<ordering>/failures:<k> for ordering in
-// {stable, rotating, fast-path} and k in {0, f}. All Ziziphus, 3 zones,
-// paper placement, identical workload — only the zone-ordering strategy
-// and the fault load vary, so the latency columns are directly
-// comparable.
+// {stable, fast-path} and k in {0, f}. All Ziziphus, 3 zones, paper
+// placement, identical workload — only the zone ordering and the fault
+// load vary, so the latency columns are directly comparable.
 //
 // Expected shape: at 0 failures the fast path commits a slot on one
 // FastVote round instead of prepare+commit, so its commit latency (and
@@ -16,7 +14,8 @@
 // latency degrades by a bounded factor rather than collapsing. The
 // committed BENCH_consensus.json at the repo root is validated by the
 // bench_consensus_committed ctest (schema, fast-path win at 0 failures,
-// bounded degradation at f).
+// bounded degradation at f) and re-run live by bench_consensus_replay
+// (the fresh export must match it byte for byte).
 
 #include "app/experiment_config.h"
 #include "benchmark/benchmark.h"
@@ -49,8 +48,7 @@ void BM_Consensus(benchmark::State& state) {
 }
 
 void RegisterAll() {
-  for (pbft::Ordering o : {pbft::Ordering::kStable, pbft::Ordering::kRotating,
-                           pbft::Ordering::kFastPath}) {
+  for (pbft::Ordering o : {pbft::Ordering::kStable, pbft::Ordering::kFastPath}) {
     for (std::size_t crashed : {std::size_t{0}, std::size_t{1}}) {
       std::string name = std::string("Consensus/") + pbft::OrderingName(o) +
                          "/crashed:" + std::to_string(crashed);

@@ -18,6 +18,9 @@
 //   --warmup-ms=N --measure-ms=N --seed=N
 //   --faults=N          crashed backups per zone
 //   --no-stable-leader  per-request leader election (Alg. 1 full form)
+//   --ordering=stable|fast-path
+//                       zone ordering: classic stable-primary PBFT (default)
+//                       or the optimistic one-round FastVote path
 //   --trace             causal tracing over the measurement window
 //   --sample-every=N    trace every n-th client operation (default: all)
 //   --json-out=PATH     write the Recorder's JSON export to PATH

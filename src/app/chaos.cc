@@ -156,7 +156,7 @@ enum class ByzKind {
   // NextBounded(6)), so read-free seeds keep their exact roster.
   kStaleReadResponder,
   // Drawn only under fast-path ordering (the draw widens to 8/9), so
-  // stable/rotating rosters replay the historic stream exactly.
+  // stable-ordering rosters replay the historic stream exactly.
   kFastVoteEquivocate,
   kFastVoteWithhold,
   // Never drawn from the main stream: substituted per rostered replica by
@@ -260,17 +260,6 @@ ChaosReport RunZiziphusChaos(const ChaosOptions& opt) {
   core::NodeConfig cfg;
   cfg.pbft.request_timeout_us = Millis(400);
   cfg.pbft.ordering = opt.ordering;
-  if (opt.ordering != pbft::Ordering::kStable) {
-    // The non-stable strategies are the fault-adaptive lab: drive the
-    // progress and abandon timers from the commit-latency EWMA.
-    cfg.pbft.adaptive_timeouts = true;
-  }
-  if (opt.ordering == pbft::Ordering::kRotating) {
-    // Rotation fires at stable checkpoints; the default interval of 128
-    // seqs would never rotate inside a short chaos run.
-    cfg.pbft.checkpoint_interval =
-        std::min<std::uint64_t>(cfg.pbft.checkpoint_interval, 8);
-  }
   if (opt.mix.read_fraction > 0) {
     // Reads anchor on stable checkpoints; the default interval would leave
     // the short chaos workload with no anchor at all. The interval counts
@@ -425,7 +414,7 @@ ChaosReport RunZiziphusChaos(const ChaosOptions& opt) {
   TallyClients(clients, &report);
 
   // Converged application state per zone: the digest of the honest replica
-  // that executed furthest. Strategy-differential tests compare these —
+  // that executed furthest. Ordering-differential tests compare these —
   // different orderings batch differently, so commit-log digests differ
   // even when the resulting state is identical.
   for (ZoneId z = 0; z < sys.topology().num_zones(); ++z) {

@@ -43,11 +43,10 @@ struct ChaosOptions {
   /// Byzantine kind distribution stays exactly as before.
   WorkloadMix mix;
 
-  /// Zone-ordering strategy under test. Non-stable orderings also enable
-  /// fault-adaptive timeouts (the EWMA-driven progress timer) and, for
-  /// rotating, tighten the checkpoint interval so several rotation windows
-  /// fit inside a chaos run. The stable default changes nothing, keeping
-  /// every pre-existing seed byte-identical.
+  /// Zone ordering under test. Fast-path also runs the fault-adaptive
+  /// timers (the EWMA-driven progress and abandon timers) and widens the
+  /// Byzantine roster draw; the stable default keeps every pre-existing
+  /// seed byte-identical.
   pbft::Ordering ordering = pbft::Ordering::kStable;
 
   /// Byzantine replicas per zone. Clamped to f unless allow_over_budget —
@@ -111,12 +110,12 @@ struct ChaosReport {
   /// "byz.equivocations_emitted", "pbft.new_views_entered", ...).
   std::map<std::string, std::uint64_t> counters;
   /// Full Recorder::ExportJson of the run ("ziziphus.obs.v1"). Two runs of
-  /// one seed must produce byte-identical exports on either event queue —
-  /// the recovery tests diff this directly.
+  /// one seed must produce byte-identical exports — the recovery and
+  /// consensus tests diff this directly.
   std::string obs_json;
   /// Per zone, the application state digest of the furthest-executed honest
-  /// replica at run end. Ordering strategies batch and order differently,
-  /// so cross-strategy tests compare converged state through this instead
+  /// replica at run end. The two orderings batch and order differently,
+  /// so cross-ordering tests compare converged state through this instead
   /// of commit-log digests.
   std::map<ZoneId, std::uint64_t> final_state_digests;
 

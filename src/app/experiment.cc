@@ -214,25 +214,22 @@ struct ReadCounterSnap {
   }
 };
 
-/// Ordering-strategy counter totals at one instant; reported as the delta
+/// Fast-path counter totals at one instant; reported as the delta
 /// over the measurement window, like the reads.* counters above.
 struct ConsensusCounterSnap {
   std::uint64_t fast_commits = 0;
   std::uint64_t fast_fallbacks = 0;
-  std::uint64_t rotations = 0;
 
   static ConsensusCounterSnap Take(const CounterSet& c) {
     ConsensusCounterSnap s;
     s.fast_commits = c.Get(obs::CounterId::kPbftFastCommits);
     s.fast_fallbacks = c.Get(obs::CounterId::kPbftFastFallbacks);
-    s.rotations = c.Get(obs::CounterId::kPbftRotations);
     return s;
   }
   void DeltaInto(const CounterSet& c, ExperimentResult* r) const {
     ConsensusCounterSnap now = Take(c);
     r->fast_commits = now.fast_commits - fast_commits;
     r->fast_fallbacks = now.fast_fallbacks - fast_fallbacks;
-    r->rotations = now.rotations - rotations;
   }
 };
 

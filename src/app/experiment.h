@@ -101,11 +101,10 @@ struct ExperimentResult {
   std::uint64_t reads_cert_rejected = 0;
   std::uint64_t reads_redirects = 0;
   std::uint64_t reads_session_violations = 0;
-  // ---- Ordering-strategy counters (measurement-window deltas; zero under
-  // the stable strategy, which neither rotates nor runs the fast path) ----
+  // ---- Fast-path counters (measurement-window deltas; zero under the
+  // stable ordering) ------------------------------------------------------
   std::uint64_t fast_commits = 0;    // slots committed on the optimistic path
   std::uint64_t fast_fallbacks = 0;  // fast rounds demoted to prepare/commit
-  std::uint64_t rotations = 0;       // scheduled checkpoint-driven rotations
   std::uint64_t messages_sent = 0;
   /// Total simulator events dispatched over the whole run (warmup +
   /// measurement); the denominator for scheduler-throughput benchmarks.

@@ -59,7 +59,6 @@ ExperimentResult ExperimentConfig::Run() const {
   }
   node.sync.stable_leader = stable_leader;
   node.pbft.ordering = ordering;
-  if (ordering != pbft::Ordering::kStable) node.pbft.adaptive_timeouts = true;
   return RunExperimentWithConfig(protocol, Deployment(), workload, node,
                                  faults, obs);
 }
@@ -148,8 +147,7 @@ bool ExperimentConfig::ApplyFlag(const char* arg) {
     std::optional<pbft::Ordering> o = pbft::ParseOrdering(v);
     if (!o.has_value()) {
       std::fprintf(stderr,
-                   "unknown --ordering=%s (want stable | rotating | "
-                   "fast-path)\n",
+                   "unknown --ordering=%s (want stable | fast-path)\n",
                    v.c_str());
       std::exit(2);
     }

@@ -35,8 +35,8 @@ struct ExperimentConfig {
   std::size_t clusters = 1;  // > 1 selects the Fig. 8 clustered placement
   std::size_t f = 1;         // per-zone fault tolerance (3f+1 nodes)
   bool stable_leader = true;  // Alg. 1 stable-leader optimization
-  /// Zone-ordering strategy (stable | rotating | fast-path). Non-stable
-  /// strategies also enable the EWMA-driven adaptive progress timer.
+  /// Zone ordering (stable | fast-path); fast-path also runs the
+  /// EWMA-driven adaptive progress timer.
   pbft::Ordering ordering = pbft::Ordering::kStable;
   WorkloadSpec workload;
   FaultSpec faults;
@@ -150,7 +150,7 @@ struct ExperimentConfig {
   /// --no-stable-leader --trace[=0|1] --sample-every= --json-out=
   /// --byzantine= --think-ms= --fault-window-ms= --crash-amnesia=N
   /// (amnesia crash/recover pairs in the chaos timeline)
-  /// --ordering=stable|rotating|fast-path --byz-forge-reads[=0|1]
+  /// --ordering=stable|fast-path --byz-forge-reads[=0|1]
   /// --latency-flaps=N. An unknown flag prints "unknown flag: ..." and
   /// exits with status 2, so a typo never silently runs another cell.
   static ExperimentConfig FromFlags(int argc, char** argv);
@@ -236,10 +236,9 @@ void ReportResult(State& state, std::string name,
     put("reads_session_violations",
         static_cast<double>(r.reads_session_violations));
   }
-  if (r.fast_commits + r.fast_fallbacks + r.rotations > 0) {
+  if (r.fast_commits + r.fast_fallbacks > 0) {
     put("fast_commits", static_cast<double>(r.fast_commits));
     put("fast_fallbacks", static_cast<double>(r.fast_fallbacks));
-    put("rotations", static_cast<double>(r.rotations));
   }
   if (r.traces_completed > 0) {
     put("traces", static_cast<double>(r.traces_completed));

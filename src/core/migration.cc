@@ -345,8 +345,8 @@ void MigrationEngine::OnEndorseQuorum(const EndorseKey& key,
       // Every node that completes the certificate materializes the STATE
       // message, not just the current primary: the records it carries were
       // pinned by ValidateEndorse, so the bytes are identical everywhere.
-      // Under rotating primaries the quorum can land while the lead sits on
-      // a replica that never ships (or has already rotated away); holding
+      // Across a view change the quorum can land while the lead sits on a
+      // replica that never ships (or has already been deposed); holding
       // state_msg on all cert-holders lets any of them answer destination
       // probes in HandleResponseQuery. Only the primary ships unprompted to
       // keep the common case a single cross-zone transfer.

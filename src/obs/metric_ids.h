@@ -101,7 +101,6 @@
   X(kPbftOutOfWindow,           "pbft.out_of_window")                     \
   X(kPbftProgressTimeout,       "pbft.progress_timeout")                  \
   X(kPbftReplyCacheEvictions,   "pbft.reply_cache_evictions")             \
-  X(kPbftRotations,             "pbft.rotations")                         \
   X(kPbftStableCheckpoints,     "pbft.stable_checkpoints")                \
   X(kPbftStateTransfers,        "pbft.state_transfers")                   \
   X(kPbftViewChangesStarted,    "pbft.view_changes_started")              \

@@ -18,8 +18,7 @@ PbftEngine::PbftEngine(sim::Transport* transport,
     : transport_(transport),
       keys_(keys),
       config_(std::move(config)),
-      state_machine_(state_machine),
-      ordering_(OrderingStrategy::Make(config_.ordering)) {
+      state_machine_(state_machine) {
   ZCHECK(config_.members.size() >= 3 * config_.f + 1);
   ZCHECK(state_machine_ != nullptr);
 }
@@ -397,12 +396,13 @@ void PbftEngine::HandlePrePrepare(
   slot.prepare_span = transport_->BeginSpan(obs::SpanKind::kPbftPreparePhase);
   ArmProgressTimer();
 
-  if (ordering_->use_fast_votes() && !FastArmAllowed(msg->seq)) {
-    // Hysteresis: unanimity has failed fast_disable_after times in a row,
+  const bool fast = config_.ordering == Ordering::kFastPath;
+  if (fast && !FastArmAllowed(fast_fallback_streak_, msg->seq)) {
+    // Hysteresis: unanimity has failed kFastDisableAfter times in a row,
     // so this slot votes a classic Prepare immediately instead of paying
     // the abandon wait again (re-probe slots exempted — see FastArmAllowed).
     transport_->counters().Inc(obs::CounterId::kPbftFastSuppressed);
-  } else if (ordering_->use_fast_votes()) {
+  } else if (fast) {
     // Optimistic fast path: vote with a FastVote instead of a Prepare. Fast
     // votes double as prepares at every receiver, so if unanimity does not
     // materialize the classic 2f+1 machinery is already fed — the fallback
@@ -667,17 +667,6 @@ void PbftEngine::TriggerFastFallback(SeqNum seq) {
   }
   // Not prepared yet: the TryPrepare gate is off now, so the Commit goes
   // out the moment the prepare quorum completes.
-}
-
-bool PbftEngine::FastArmAllowed(SeqNum seq) const {
-  if (config_.fast_disable_after == 0) return true;
-  if (fast_fallback_streak_ < config_.fast_disable_after) return true;
-  // Suppressed: probe unanimity on a thin, seq-keyed schedule so every
-  // replica re-arms the same slots without coordination. One unanimous
-  // probe resets the streak and re-enables the fast path everywhere.
-  const std::uint64_t n =
-      config_.fast_reprobe_slots == 0 ? 16 : config_.fast_reprobe_slots;
-  return seq % n == 0;
 }
 
 void PbftEngine::ArmFastAbandon(SeqNum seq) {
@@ -950,25 +939,6 @@ void PbftEngine::AdvanceStable(SeqNum seq, const crypto::Certificate& cert,
   transport_->counters().Inc(obs::CounterId::kPbftStableCheckpoints);
   if (stable_checkpoint_callback_) {
     stable_checkpoint_callback_(last_stable_checkpoint_);
-  }
-  // Rotating ordering: hand the primary role to the next replica at
-  // checkpoint-window boundaries. Riding the view-change machinery keeps
-  // rotation safety-free-of-charge (prepared certificates carry over), and
-  // because every replica crosses the same stable checkpoint, the f+1 join
-  // rule assembles the rotation quorum immediately rather than waiting out
-  // a timeout. The rotation point is the zone-global checkpoint ordinal
-  // (seq / interval), not a boot-relative counter: a replica recovered from
-  // amnesia mid-window must agree with the zone on which checkpoints
-  // rotate, or its solo planned view changes can never gather f+1 joiners.
-  // Skipped while a state transfer is in flight — a catching-up replica
-  // rotating solo would only run its view number away from the zone.
-  const std::uint64_t checkpoint_ordinal =
-      config_.checkpoint_interval == 0 ? 0
-                                       : seq / config_.checkpoint_interval;
-  if (view_changes_enabled_ && view_active_ && pending_transfer_seq_ == 0 &&
-      ordering_->RotateAt(checkpoint_ordinal, config_)) {
-    transport_->counters().Inc(obs::CounterId::kPbftRotations);
-    StartViewChange(view_ + 1);
   }
 }
 
@@ -1304,12 +1274,12 @@ bool PbftEngine::ApplyDelta(const StateResponseMsg& msg) {
 void PbftEngine::ArmProgressTimer() {
   if (!view_changes_enabled_) return;
   if (progress_timer_ != 0) transport_->CancelTimer(progress_timer_);
-  // Fault-adaptive mode tracks the observed commit latency instead of the
-  // fixed configured timeout: suspicion fires sooner on a healthy zone and
+  // The fast-path ordering tracks the observed commit latency instead of
+  // the fixed configured timeout: suspicion fires sooner on a healthy zone and
   // relaxes (up to the cap) when latency genuinely degrades, so a flapping
   // link does not trigger spurious view changes.
   const Duration timeout =
-      config_.adaptive_timeouts
+      config_.ordering == Ordering::kFastPath
           ? AdaptiveProgressTimeout(config_, commit_ewma_.value(),
                                     transport_->self(), view_)
           : config_.request_timeout_us;

@@ -89,8 +89,6 @@ class PbftEngine {
   /// for tests; 0 until the first commit is observed).
   Duration commit_latency_ewma() const { return commit_ewma_.value(); }
 
-  const OrderingStrategy& ordering() const { return *ordering_; }
-
   /// Last stable checkpoint with its 2f+1 certificate (lazy sync source).
   const storage::Checkpoint& last_stable_checkpoint() const {
     return last_stable_checkpoint_;
@@ -290,7 +288,6 @@ class PbftEngine {
   void TriggerFastFallback(SeqNum seq);
   void ArmFastAbandon(SeqNum seq);
   void CancelFastAbandon(Slot& slot);
-  bool FastArmAllowed(SeqNum seq) const;
   void ExecuteReady();
   void ExecuteOp(SeqNum seq, const Operation& op);
   // Checkpoint materials frozen when this replica cast its vote at `seq`:
@@ -393,19 +390,14 @@ class PbftEngine {
   std::uint64_t view_change_attempts_ = 0;
   bool batch_timer_armed_ = false;
 
-  // Ordering strategy (never null) and the fault-adaptive timer inputs.
-  // Rotation is keyed to the zone-global checkpoint ordinal (stable seq /
-  // checkpoint interval) computed in AdvanceStable, never to a boot-relative
-  // counter, so a replica recovered from amnesia rotates at the same
-  // checkpoints as the rest of the zone. Fallback grace is per-slot
+  // Fast-path timer input and certificates. Fallback grace is per-slot
   // (Slot::fast_grace_spent). fast_certified_ is documented at its accessor.
-  std::unique_ptr<OrderingStrategy> ordering_;
   CommitLatencyEwma commit_ewma_;
   std::map<SeqNum, crypto::Digest> fast_certified_;
   // Consecutive fast-path fallbacks with no intervening fast commit. Once
-  // it reaches fast_disable_after, FastArmAllowed suppresses the optimistic
+  // it reaches kFastDisableAfter, FastArmAllowed suppresses the optimistic
   // round except on re-probe slots; a unanimous probe (or a new view)
-  // resets it. See PbftConfig::fast_disable_after for why.
+  // resets it. See kFastDisableAfter (pbft/ordering.h) for why.
   std::uint64_t fast_fallback_streak_ = 0;
 
   // In-flight state transfer target (0 = none). When the target digest is

@@ -242,7 +242,7 @@ struct ViewChangeMsg : sim::Message {
     for (const auto& p : prepared) h.Add(p.ComputeDigest());
     // Domain-separated per entry so a proof cannot migrate between the
     // prepared and fast-vote sections without breaking the signature. An
-    // empty vector adds nothing: stable/rotating view changes hash (and
+    // empty vector adds nothing: stable-ordering view changes hash (and
     // sign) exactly as before.
     for (const auto& p : fast_votes) h.Add(0xfa).Add(p.ComputeDigest());
     return h.Finish();

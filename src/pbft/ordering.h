@@ -2,7 +2,6 @@
 #define ZIZIPHUS_PBFT_ORDERING_H_
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string_view>
 
@@ -11,9 +10,9 @@
 
 namespace ziziphus::pbft {
 
-/// Canonical flag spelling of an ordering ("stable", "rotating",
-/// "fast-path") and its inverse; ParseOrdering returns nullopt on anything
-/// unrecognized so callers can report the bad flag value.
+/// Canonical flag spelling of an ordering ("stable", "fast-path") and its
+/// inverse; ParseOrdering returns nullopt on anything unrecognized so
+/// callers can report the bad flag value.
 const char* OrderingName(Ordering o);
 std::optional<Ordering> ParseOrdering(std::string_view name);
 
@@ -53,57 +52,57 @@ class CommitLatencyEwma {
   bool seeded_ = false;
 };
 
+// Fast-path timer tuning. Under Ordering::kFastPath the progress timer and
+// the fast-path abandon timer derive from the commit-latency EWMA (clamped,
+// deterministically jittered) instead of the fixed request_timeout_us;
+// kStable keeps the fixed timers.
+
+/// Adaptive progress timeout = kAdaptiveTimeoutMultiplier * ewma, clamped
+/// to [request_timeout/4, 2 * request_timeout].
+inline constexpr std::uint64_t kAdaptiveTimeoutMultiplier = 8;
+
+/// Fast-path abandon timeout before the EWMA has a sample. The unanimity
+/// wait is one intra-zone round, so it is scaled to the message round-trip
+/// regime, not the (possibly geo-scale) request_timeout_us.
+inline constexpr Duration kFastAbandonColdUs = Millis(25);
+
+/// Fast-path hysteresis: after this many consecutive fallbacks, stop
+/// arming the optimistic round (vote a classic Prepare immediately) and
+/// only re-probe unanimity every kFastReprobeSlots sequence numbers.
+/// Without it a single crashed or withholding replica makes every slot pay
+/// the abandon wait, and the commit-latency EWMA then learns its own
+/// abandon delay — a feedback loop that ratchets the timeout to its cap.
+inline constexpr std::uint64_t kFastDisableAfter = 3;
+
+/// While the fast path is suppressed, re-arm it on sequence numbers
+/// divisible by this, so recovery is self-detecting: the first probe that
+/// reaches unanimity resets the fallback streak and re-enables the
+/// optimistic path for every following slot. seq-keyed so replicas probe
+/// the same slots without coordination.
+inline constexpr std::uint64_t kFastReprobeSlots = 16;
+
 /// Adaptive progress timeout (the timer whose expiry suspects the primary):
-/// clamp(multiplier * ewma, request_timeout/4, cap) plus a deterministic
-/// per-(replica, view) jitter of up to 1/8 of the clamped value — the same
-/// shape as the PR 1 view-change/state-transfer backoffs, so the bounds are
-/// unit-testable as a pure function. An unseeded EWMA (0) falls back to the
-/// fixed request_timeout_us.
+/// clamp(kAdaptiveTimeoutMultiplier * ewma, request_timeout/4,
+/// 2 * request_timeout) plus a deterministic per-(replica, view) jitter of
+/// up to 1/8 of the clamped value — the same shape as the view-change and
+/// state-transfer backoffs, so the bounds are unit-testable as a pure
+/// function. An unseeded EWMA (0) falls back to the fixed
+/// request_timeout_us.
 Duration AdaptiveProgressTimeout(const PbftConfig& config, Duration ewma_us,
                                  NodeId replica, ViewId view);
 
 /// Fast-path abandon timeout: how long a replica waits for unanimity before
 /// falling the slot back to the classic prepare/commit path. Much tighter
 /// than the progress timeout — clamp(4 * ewma, batch_timeout,
-/// request_timeout) with per-(replica, seq) jitter; unseeded EWMA uses
-/// fast_abandon_cold_us (round-trip scale; request_timeout/2 when the knob
-/// is 0).
+/// request_timeout) with per-(replica, seq) jitter; an unseeded EWMA uses
+/// kFastAbandonColdUs.
 Duration FastPathAbandonTimeout(const PbftConfig& config, Duration ewma_us,
                                 NodeId replica, SeqNum seq);
 
-/// Pluggable zone-ordering strategy. The engine owns one instance, built
-/// from PbftConfig::ordering, and consults it at the two points where the
-/// strategies diverge: which vote message the replica broadcasts on
-/// accepting a pre-prepare, and whether crossing a stable checkpoint should
-/// hand the primary role to the next replica. Everything else — view
-/// change, state transfer, durable proofs — is strategy-agnostic by
-/// construction (fast votes double as prepares; rotation rides the view
-/// change machinery).
-class OrderingStrategy {
- public:
-  virtual ~OrderingStrategy() = default;
-
-  virtual Ordering kind() const = 0;
-  const char* name() const { return OrderingName(kind()); }
-
-  /// True when replicas vote with FastVote (optimistic single-round path)
-  /// instead of Prepare.
-  virtual bool use_fast_votes() const { return false; }
-
-  /// Called with the zone-global checkpoint ordinal of the stable
-  /// checkpoint just installed (stable seq / checkpoint interval — NOT a
-  /// boot-relative counter, which would desynchronize a replica's rotation
-  /// phase from the zone after an amnesia restart); true asks the engine to
-  /// rotate the primary (a planned view change to view+1).
-  virtual bool RotateAt(std::uint64_t checkpoint_ordinal,
-                        const PbftConfig& config) const {
-    (void)checkpoint_ordinal;
-    (void)config;
-    return false;
-  }
-
-  static std::unique_ptr<OrderingStrategy> Make(Ordering o);
-};
+/// Whether slot `seq` arms the optimistic round after `fallback_streak`
+/// consecutive fallbacks: always below kFastDisableAfter, then only on
+/// re-probe slots.
+bool FastArmAllowed(std::uint64_t fallback_streak, SeqNum seq);
 
 }  // namespace ziziphus::pbft
 

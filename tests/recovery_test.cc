@@ -1,8 +1,8 @@
 // Amnesia crash-recovery tests: the durable-state model, the rejoin
 // protocol (WAL replay, checkpoint install, state-transfer catch-up), the
 // recovery-aware invariants, and a seeded chaos sweep that amnesia-crashes
-// nodes mid-protocol and demands byte-identical observability exports on
-// both event-queue implementations.
+// nodes mid-protocol and demands that every seed hold the invariants,
+// finish its workload and rejoin at least once.
 
 #include <memory>
 #include <string>
