@@ -58,6 +58,18 @@ std::uint64_t DataSyncEngine::ArmTimer(std::uint64_t request_id,
                             static_cast<std::uint8_t>(kind), t));
 }
 
+void DataSyncEngine::DisarmTimer(std::uint64_t& timer, std::uint64_t& token) {
+  if (timer != 0) transport_->CancelTimer(timer);
+  timers_.erase(token);
+  timer = 0;
+  token = 0;
+}
+
+DataSyncEngine::RequestState& DataSyncEngine::Track(std::uint64_t id) {
+  request_order_.insert(id);
+  return requests_[id];
+}
+
 Status DataSyncEngine::VerifyZoneCert(const crypto::Certificate& cert,
                                       crypto::Digest expected,
                                       ZoneId zone) const {
@@ -178,7 +190,8 @@ bool DataSyncEngine::HandleTimer(std::uint64_t tag) {
               1ULL << std::min(req.commit_wait_rounds, 3), 8ULL);
           req.commit_wait_timer =
               ArmTimer(request_id, kCommitWait,
-                       config_.response_query_timeout_us * mult);
+                       config_.response_query_timeout_us * mult,
+                       &req.commit_wait_token);
         }
       }
       break;
@@ -186,7 +199,7 @@ bool DataSyncEngine::HandleTimer(std::uint64_t tag) {
       auto wit = relay_watch_.find(request_id);
       if (wit != relay_watch_.end() && !req.saw_endorse &&
           req.commit_msg == nullptr &&
-          executed_op_ids_.count(request_id) == 0) {
+          !executed_ops_.Contains(req.op0().client, req.op0().timestamp)) {
         // The primary ignored a relayed migration request: suspect it.
         transport_->counters().Inc(obs::CounterId::kSyncRelayWatchExpired);
         relay_watch_.erase(wit);
@@ -204,6 +217,12 @@ bool DataSyncEngine::HandleTimer(std::uint64_t tag) {
       }
       if (!req.executed && req.commit_msg != nullptr) {
         transport_->counters().Inc(obs::CounterId::kSyncChainSkip);
+        if (!BallotExecuted(req.exec_prev)) {
+          chain_holes_[req.exec_prev.zone].insert(req.exec_prev);
+          if (durable_ != nullptr) {
+            durable_->chain_holes[req.exec_prev.zone].insert(req.exec_prev);
+          }
+        }
         ExecuteCommit(req);
       }
       break;
@@ -229,7 +248,8 @@ void DataSyncEngine::HandleMigrationRequest(
     return;  // malformed; faulty client
   }
   std::uint64_t op_id = op.RequestId();
-  if (executed_op_ids_.count(op_id) > 0 || queued_op_ids_.count(op_id) > 0) {
+  if (executed_ops_.Contains(op.client, op.timestamp) ||
+      queued_op_ids_.count(op_id) > 0) {
     return;  // duplicate
   }
   if (!IsZonePrimary()) {
@@ -240,10 +260,11 @@ void DataSyncEngine::HandleMigrationRequest(
     if (relay_watch_.count(op_id) == 0) {
       queued_op_ids_.insert(op_id);
       pending_ops_.push_back(op);
-      relay_watch_[op_id] =
-          ArmTimer(op_id, kRelayWatch, config_.relay_watch_timeout_us);
+      auto& [timer, token] = relay_watch_[op_id];
+      timer = ArmTimer(op_id, kRelayWatch, config_.relay_watch_timeout_us,
+                       &token);
       // Ensure a request record exists for relay-watch bookkeeping.
-      RequestState& watch = requests_[op_id];
+      RequestState& watch = Track(op_id);
       if (watch.id == 0) {
         watch.id = op_id;
         watch.ops = {op};
@@ -259,7 +280,7 @@ void DataSyncEngine::QueueOrLead(const MigrationOp& op) {
   if (op.cross_zone) {
     // Cross-zone transaction (Section IV-B3): the initiator (destination)
     // zone is the primary; no election; only the involved zones take part.
-    RequestState& req = requests_[op_id];
+    RequestState& req = Track(op_id);
     if (req.id != 0 && req.phase != Phase::kIdle) return;
     req.id = op_id;
     req.ops = {op};
@@ -274,7 +295,7 @@ void DataSyncEngine::QueueOrLead(const MigrationOp& op) {
   if (cross) {
     // Cross-cluster requests run as singleton instances (they coordinate
     // two clusters and cannot share a ballot with intra-cluster traffic).
-    RequestState& req = requests_[op_id];
+    RequestState& req = Track(op_id);
     if (req.id != 0 && req.phase != Phase::kIdle) return;
     req.id = op_id;
     req.ops = {op};
@@ -308,7 +329,7 @@ void DataSyncEngine::FlushBatch() {
     Hasher h(0xba7c);
     for (const auto& op : ops) h.Add(op.RequestId());
     std::uint64_t batch_id = h.Finish();
-    RequestState& req = requests_[batch_id];
+    RequestState& req = Track(batch_id);
     req.id = batch_id;
     req.ops = std::move(ops);
     req.initiator_zone = my_zone_;
@@ -374,8 +395,9 @@ void DataSyncEngine::LeadRequest(RequestState& req) {
                      nullptr, req.ops.front(), req.ops, {},
                      /*full_prepare=*/true);
   }
-  if (req.retry_timer != 0) transport_->CancelTimer(req.retry_timer);
-  req.retry_timer = ArmTimer(req.id, kRetry, config_.retry_timeout_us);
+  DisarmTimer(req.retry_timer, req.retry_token);
+  req.retry_timer =
+      ArmTimer(req.id, kRetry, config_.retry_timeout_us, &req.retry_token);
   transport_->set_trace_context(saved_ctx);
 }
 
@@ -392,7 +414,8 @@ void DataSyncEngine::RetryRequest(std::uint64_t request_id) {
     std::vector<NodeId> targets = ParticipantNodes(my_zone_info().cluster);
     transport_->ChargeCpu(config_.costs.send_us * targets.size());
     transport_->Multicast(targets, req.sent_accept);
-    req.retry_timer = ArmTimer(req.id, kRetry, config_.retry_timeout_us);
+    req.retry_timer =
+        ArmTimer(req.id, kRetry, config_.retry_timeout_us, &req.retry_token);
     return;
   }
   // Re-propose with a fresh, higher ballot after a randomized backoff
@@ -417,7 +440,7 @@ bool DataSyncEngine::ValidateEndorse(const EndorsePrePrepareMsg& pp) {
 
   // Track the request at every node of the zone (needed for relay-watch
   // cancellation, proxies, and follower-side protocol state).
-  RequestState& req = requests_[id];
+  RequestState& req = Track(id);
   if (req.id == 0) {
     req.id = id;
     req.ops = ops;
@@ -445,7 +468,7 @@ bool DataSyncEngine::ValidateEndorse(const EndorsePrePrepareMsg& pp) {
   for (const auto& op : ops) {
     auto wit = relay_watch_.find(op.RequestId());
     if (wit != relay_watch_.end()) {
-      transport_->CancelTimer(wit->second);
+      DisarmTimer(wit->second.first, wit->second.second);
       relay_watch_.erase(wit);
     }
   }
@@ -588,7 +611,8 @@ void DataSyncEngine::OnEndorseQuorum(const EndorseKey& key,
       if (req.commit_wait_timer == 0 && req.commit_msg == nullptr) {
         req.commit_wait_rounds = 0;
         req.commit_wait_timer =
-            ArmTimer(req.id, kCommitWait, config_.response_query_timeout_us);
+            ArmTimer(req.id, kCommitWait, config_.response_query_timeout_us,
+                     &req.commit_wait_token);
       }
       if (!IsZonePrimary()) break;
       auto acc = std::make_shared<AcceptedMsg>();
@@ -653,6 +677,17 @@ void DataSyncEngine::OnLateEndorseVote(const EndorseKey& key,
     if (s.signer == sig.signer) return;
   }
   cert.signatures.push_back(sig);
+}
+
+bool DataSyncEngine::Settled(std::uint64_t request_id, Ballot ballot,
+                             bool erased_settles) const {
+  auto it = requests_.find(request_id);
+  if (it == requests_.end()) return erased_settles;
+  const RequestState& req = it->second;
+  if (!req.executed) return false;
+  // A source leg is done when the commit arrives; it never executes itself.
+  const Ballot done_at = req.is_source_leg ? req.ballot : req.exec_ballot;
+  return ballot.zone == done_at.zone && ballot <= done_at;
 }
 
 void DataSyncEngine::StartAcceptPhase(RequestState& req) {
@@ -748,7 +783,7 @@ void DataSyncEngine::SendCommit(RequestState& req) {
 
 void DataSyncEngine::HandlePropose(
     const std::shared_ptr<const ProposeMsg>& msg) {
-  RequestState& req = requests_[msg->request_id];
+  RequestState& req = Track(msg->request_id);
   req.id = msg->request_id;
   if (req.ops.empty()) req.ops = msg->ops;
   req.initiator_zone = msg->initiator_zone;
@@ -804,7 +839,7 @@ void DataSyncEngine::HandlePromise(
 
 void DataSyncEngine::HandleAccept(
     const std::shared_ptr<const AcceptMsg>& msg) {
-  RequestState& req = requests_[msg->request_id];
+  RequestState& req = Track(msg->request_id);
   req.id = msg->request_id;
   if (req.ops.empty()) req.ops = msg->ops;
   req.initiator_zone = msg->initiator_zone;
@@ -888,7 +923,7 @@ void DataSyncEngine::HandleAccepted(
 
 void DataSyncEngine::HandleGlobalCommit(
     const std::shared_ptr<const GlobalCommitMsg>& msg) {
-  RequestState& req = requests_[msg->request_id];
+  RequestState& req = Track(msg->request_id);
   req.id = msg->request_id;
   if (req.ops.empty()) req.ops = msg->ops;
   if (req.commit_msg != nullptr) return;  // duplicate
@@ -913,14 +948,8 @@ void DataSyncEngine::HandleGlobalCommit(
   req.cross = msg->cross_cluster;
   if (req.ops.empty()) req.ops = msg->ops;
   committed_count_++;
-  if (req.commit_wait_timer != 0) {
-    transport_->CancelTimer(req.commit_wait_timer);
-    req.commit_wait_timer = 0;
-  }
-  if (req.retry_timer != 0) {
-    transport_->CancelTimer(req.retry_timer);
-    req.retry_timer = 0;
-  }
+  DisarmTimer(req.commit_wait_timer, req.commit_wait_token);
+  DisarmTimer(req.retry_timer, req.retry_token);
   if (msg->ballot.zone == my_zone_ && msg->ballot > my_last_ballot_) {
     my_last_ballot_ = msg->ballot;
     if (durable_ != nullptr) durable_->my_last_ballot = my_last_ballot_;
@@ -943,14 +972,9 @@ void DataSyncEngine::HandleGlobalCommit(
       RequestState& leg = lit->second;
       leg.commit_msg = msg;
       leg.executed = true;
-      if (leg.commit_wait_timer != 0) {
-        transport_->CancelTimer(leg.commit_wait_timer);
-        leg.commit_wait_timer = 0;
-      }
-      if (leg.retry_timer != 0) {
-        transport_->CancelTimer(leg.retry_timer);
-        leg.retry_timer = 0;
-      }
+      DisarmTimer(leg.commit_wait_timer, leg.commit_wait_token);
+      DisarmTimer(leg.retry_timer, leg.retry_token);
+      endorser_->Settle(leg.id);
     }
   }
 
@@ -974,8 +998,7 @@ void DataSyncEngine::MaybeExecute(std::uint64_t request_id) {
   if (it == requests_.end()) return;
   RequestState& req = it->second;
   if (req.executed || req.commit_msg == nullptr) return;
-  if (req.exec_prev == kNullBallot ||
-      executed_ballots_.count(req.exec_prev) > 0) {
+  if (req.exec_prev == kNullBallot || BallotExecuted(req.exec_prev)) {
     ExecuteCommit(req);
     return;
   }
@@ -999,10 +1022,16 @@ void DataSyncEngine::ExecuteCommit(RequestState& req) {
   }
   chain_skips_.erase(cs, end);
   for (const MigrationOp& op : req.ops) {
-    std::uint64_t op_id = op.RequestId();
-    if (!executed_op_ids_.insert(op_id).second) continue;  // re-led twin
-    if (durable_ != nullptr) durable_->executed_op_ids.insert(op_id);
+    const bool ran = executed_ops_.Insert(op.client, op.timestamp);
+    if (config_.exec_observer) {
+      config_.exec_observer(transport_->self(), op, ran);
+    }
+    if (!ran) continue;  // re-led twin
     executed_count_++;
+    if (durable_ != nullptr) {
+      durable_->executed_ops.Insert(op.client, op.timestamp);
+      durable_->executed_op_count = executed_count_;
+    }
     transport_->ChargeCpu(config_.costs.apply_us);
     std::string result;
     if (op.IsMigration()) {
@@ -1016,20 +1045,23 @@ void DataSyncEngine::ExecuteCommit(RequestState& req) {
       executed_callback_(op, req.exec_ballot, req.initiator_zone, result);
     }
   }
-  executed_ballots_.insert(req.exec_ballot);
-  Hasher digest(0xe4ec);
-  digest.Add(req.id);
-  for (const MigrationOp& op : req.ops) digest.Add(op.RequestId());
-  executed_digests_[req.exec_ballot] = digest.Finish();
-  Ballot& chain = chain_executed_[req.exec_ballot.zone];
-  if (req.exec_ballot > chain) chain = req.exec_ballot;
-  if (durable_ != nullptr) {
-    durable_->executed_ballots.insert(req.exec_ballot);
-    durable_->executed_digests[req.exec_ballot] =
-        executed_digests_[req.exec_ballot];
-    durable_->chain_executed[req.exec_ballot.zone] = chain;
+  if (ledger_ != nullptr) {
+    Hasher digest(0xe4ec);
+    digest.Add(req.id);
+    for (const MigrationOp& op : req.ops) digest.Add(op.RequestId());
+    ledger_->Record(req.exec_ballot, digest.Finish(), transport_->self());
   }
+  const ZoneId chain_id = req.exec_ballot.zone;
+  Ballot& chain = chain_executed_[chain_id];
+  if (req.exec_ballot > chain) chain = req.exec_ballot;
+  auto hit = chain_holes_.find(chain_id);
+  if (hit != chain_holes_.end() && hit->second.erase(req.exec_ballot) > 0) {
+    if (hit->second.empty()) chain_holes_.erase(hit);
+    if (durable_ != nullptr) durable_->chain_holes = chain_holes_;
+  }
+  if (durable_ != nullptr) durable_->chain_executed[chain_id] = chain;
   FlushWaiters(req.exec_ballot);
+  endorser_->Settle(req.id);
   if (config_.compact_decided) {
     decided_order_.push_back(req.id);
     while (decided_order_.size() > config_.decided_keep_window) {
@@ -1041,30 +1073,26 @@ void DataSyncEngine::ExecuteCommit(RequestState& req) {
 
 void DataSyncEngine::CompactDecided(std::uint64_t request_id) {
   auto it = requests_.find(request_id);
-  if (it == requests_.end()) return;
-  RequestState& req = it->second;
-  if (!req.executed || req.compacted) return;
-  req.ops.clear();
-  req.ops.shrink_to_fit();
-  req.promises.clear();
-  req.accepteds.clear();
-  req.commit_msg.reset();
-  req.prepared.reset();
-  req.sent_propose.reset();
-  req.sent_accept.reset();
-  req.response_queries.clear();
-  req.commit_cert = crypto::Certificate{};
-  req.commit_cert_ready = false;
-  req.trace = obs::TraceContext{};
-  req.compacted = true;
+  if (it == requests_.end() || !it->second.executed) return;
+  // The request ran: its ballot is at or below the chain watermark and its
+  // ops at or below their clients' watermarks, which is all a late
+  // duplicate needs. Its promise bound goes with it.
+  if (durable_ != nullptr) durable_->promised.erase(request_id);
+  requests_.erase(it);
   transport_->counters().Inc(obs::CounterId::kSyncRequestsCompacted);
+}
+
+bool DataSyncEngine::BallotExecuted(Ballot ballot) const {
+  auto it = chain_executed_.find(ballot.zone);
+  if (it == chain_executed_.end() || ballot > it->second) return false;
+  auto hit = chain_holes_.find(ballot.zone);
+  return hit == chain_holes_.end() || hit->second.count(ballot) == 0;
 }
 
 DataSyncEngine::RetentionStats DataSyncEngine::retention() const {
   RetentionStats r;
   r.requests = requests_.size();
   for (const auto& [id, req] : requests_) {
-    if (req.compacted) ++r.compacted;
     r.ops += req.ops.size();
     r.approx_bytes += 160 + req.ops.size() * 96 +
                       (req.promises.size() + req.accepteds.size()) * 64 +
@@ -1074,9 +1102,13 @@ DataSyncEngine::RetentionStats DataSyncEngine::retention() const {
                       (req.sent_accept != nullptr ? 96 : 0) +
                       (req.prepared != nullptr ? 96 : 0);
   }
-  r.approx_bytes += executed_ballots_.size() * 24 +
-                    executed_digests_.size() * 32 +
-                    executed_op_ids_.size() * 16;
+  r.watermarked_clients = executed_ops_.clients();
+  r.approx_bytes += executed_ops_.ApproxBytes() + chain_executed_.size() * 48 +
+                    request_order_.size() * 16;
+  for (const auto& [zone, holes] : chain_holes_) {
+    r.chain_holes += holes.size();
+    r.approx_bytes += 48 + holes.size() * 48;
+  }
   return r;
 }
 
@@ -1105,9 +1137,9 @@ void DataSyncEngine::HandleResponseQuery(
   if (it == requests_.end()) return;
   RequestState& req = it->second;
   if (req.executed) {
-    // Executed but compacted away the commit: nothing to resend, and an
-    // executed request is no evidence of a stuck primary — do not let the
-    // query accumulate toward a suspicion quorum.
+    // Executed but the commit is gone: nothing to resend, and an executed
+    // request is no evidence of a stuck primary — do not let the query
+    // accumulate toward a suspicion quorum.
     return;
   }
   req.response_queries.insert(msg->replica);
@@ -1126,7 +1158,7 @@ void DataSyncEngine::HandleCrossPropose(
   // Received by nodes of the source zone: start the source-cluster leg.
   if (my_zone_ != topology_->zone(msg->op.source).id) return;
   std::uint64_t leg_id = SourceLegId(msg->request_id);
-  RequestState& leg = requests_[leg_id];
+  RequestState& leg = Track(leg_id);
   if (leg.id != 0 && leg.phase != Phase::kIdle) return;  // already running
   if (!VerifyZoneCert(msg->cert, msg->digest(), msg->initiator_zone)
            .ok()) {
@@ -1139,7 +1171,7 @@ void DataSyncEngine::HandleCrossPropose(
   leg.cross = true;
   leg.peer_request_id = msg->request_id;
   // Remember the destination-leg coordinates for the PREPARED reply.
-  RequestState& orig = requests_[msg->request_id];
+  RequestState& orig = Track(msg->request_id);
   if (orig.id == 0) {
     orig.id = msg->request_id;
     orig.ops = {msg->op};
@@ -1177,13 +1209,13 @@ void DataSyncEngine::OnViewChange(ViewId view) {
   (void)view;
   if (!endorser_->IsPrimary()) {
     // Demoted (or still a backup): drop leadership of in-flight requests.
-    for (auto& [id, req] : requests_) {
+    for (std::uint64_t id : request_order_) {
+      auto it = requests_.find(id);
+      if (it == requests_.end()) continue;
+      RequestState& req = it->second;
       if (req.i_am_leader && req.commit_msg == nullptr) {
         req.i_am_leader = false;
-        if (req.retry_timer != 0) {
-          transport_->CancelTimer(req.retry_timer);
-          req.retry_timer = 0;
-        }
+        DisarmTimer(req.retry_timer, req.retry_token);
       }
     }
     return;
@@ -1191,7 +1223,10 @@ void DataSyncEngine::OnViewChange(ViewId view) {
   // New primary: re-lead every known, uncommitted request that this zone is
   // responsible for ("another node from the same zone becomes the primary
   // and will continue to process the request" — Section IV-B1).
-  for (auto& [id, req] : requests_) {
+  for (std::uint64_t id : request_order_) {
+    auto it = requests_.find(id);
+    if (it == requests_.end()) continue;
+    RequestState& req = it->second;
     if (req.commit_msg != nullptr || req.executed) continue;
     if (req.ops.empty()) continue;
     bool ours = req.initiator_zone == my_zone_ ||
@@ -1212,7 +1247,7 @@ void DataSyncEngine::OnViewChange(ViewId view) {
     pending_ops_.clear();
     queued_op_ids_.clear();
     for (const auto& op : backlog) {
-      if (executed_op_ids_.count(op.RequestId()) == 0) QueueOrLead(op);
+      if (!executed_ops_.Contains(op.client, op.timestamp)) QueueOrLead(op);
     }
     FlushBatch();
   }
@@ -1228,7 +1263,10 @@ void DataSyncEngine::ReshipCommit(std::uint64_t request_id, ZoneId zone) {
   if (it != requests_.end() && it->second.commit_msg != nullptr) {
     found = &it->second;
   } else {
-    for (const auto& [id, req] : requests_) {
+    for (std::uint64_t id : request_order_) {
+      auto rit = requests_.find(id);
+      if (rit == requests_.end()) continue;
+      const RequestState& req = rit->second;
       if (req.commit_msg == nullptr) continue;
       for (const auto& op : req.ops) {
         if (op.RequestId() == request_id) {
@@ -1269,21 +1307,19 @@ void DataSyncEngine::RestoreFromDurable() {
   last_accepted_ballot_ = durable_->last_accepted_ballot;
   my_last_ballot_ = durable_->my_last_ballot;
   my_last_cross_ballot_ = durable_->my_last_cross_ballot;
-  // Execution bookkeeping: already-executed ballots and ops stay executed,
-  // so re-delivered commits (peer retransmissions, response-query answers)
-  // dedup instead of double-applying migrations.
+  // Execution bookkeeping: the chain and client watermarks keep executed
+  // ballots and ops executed, so re-delivered commits (peer
+  // retransmissions, response-query answers) dedup instead of
+  // double-applying migrations.
   chain_executed_ = durable_->chain_executed;
-  executed_ballots_ = durable_->executed_ballots;
-  executed_digests_ = durable_->executed_digests;
-  executed_op_ids_.clear();
-  executed_op_ids_.insert(durable_->executed_op_ids.begin(),
-                          durable_->executed_op_ids.end());
-  executed_count_ = durable_->executed_op_ids.size();
+  chain_holes_ = durable_->chain_holes;
+  executed_ops_ = durable_->executed_ops;
+  executed_count_ = durable_->executed_op_count;
   // Per-request promise bounds. Pre-create the request entry with only the
   // bound set: HandlePropose tolerates such stubs (it fills `ops` when
   // empty) and its promise rule then compares against the restored bound.
   for (const auto& [id, ballot] : durable_->promised) {
-    RequestState& req = requests_[id];
+    RequestState& req = Track(id);
     req.id = id;
     if (ballot > req.promised) req.promised = ballot;
   }

@@ -14,6 +14,7 @@
 #include "common/costs.h"
 #include "core/durable.h"
 #include "core/endorsement.h"
+#include "core/ledger.h"
 #include "core/lock_table.h"
 #include "core/messages.h"
 #include "core/metadata.h"
@@ -60,16 +61,21 @@ struct SyncConfig {
 
   /// Retention of decided ballot state: once a request has executed and
   /// fallen `decided_keep_window` executions behind the newest one, its
-  /// heavy per-instance state (ops, quorum messages, cached
-  /// retransmissions) is dropped. The stub entry keeps the promise bound
-  /// and the executed flag — what the recovery invariant and duplicate
-  /// delivery need. Recent decided requests stay whole so ReshipCommit and
-  /// RESPONSE-QUERY handling can still resend their commit. Disabling
-  /// keeps every decided instance forever (soak-bench control arm).
+  /// entry is erased (with its durable promise). Its ballot is at or below
+  /// the chain's executed watermark and its ops at or below their clients'
+  /// watermarks, so a late duplicate re-runs as a no-op. Recent decided
+  /// requests stay whole so ReshipCommit and RESPONSE-QUERY handling can
+  /// still resend their commit. Disabling keeps every decided instance
+  /// forever (soak-bench control arm).
   bool compact_decided = true;
   std::size_t decided_keep_window = 32;
 
   NodeCosts costs;
+
+  /// Test hook: called at `node` for every op an executing request carries,
+  /// with whether it ran (false: the client watermark already held it).
+  std::function<void(NodeId node, const MigrationOp& op, bool ran)>
+      exec_observer;
 };
 
 /// The per-node engine for Ziziphus's global transactions: the data
@@ -112,6 +118,12 @@ class DataSyncEngine {
                        const crypto::Certificate& cert);
   /// A vote that arrived after the instance's certificate completed.
   void OnLateEndorseVote(const EndorseKey& key, const crypto::Signature& sig);
+  /// Whether request `request_id` is finished here at or above `ballot`:
+  /// executed (a source leg: committed) at that ballot or a later one of
+  /// the same chain. An erased request executed, but at an unknown ballot;
+  /// it counts as settled iff `erased_settles`.
+  bool Settled(std::uint64_t request_id, Ballot ballot,
+               bool erased_settles) const;
 
   /// Local view changed (mirrors the zone's PBFT view). The new primary
   /// re-initiates pending uncommitted requests with fresh ballots.
@@ -138,13 +150,9 @@ class DataSyncEngine {
   Ballot last_executed_ballot(ZoneId initiator) const;
   const GlobalMetadata& metadata() const { return *metadata_; }
 
-  /// Digest of the request executed under each ballot (request id + op
-  /// ids). The InvariantChecker compares these across zones: two honest
-  /// nodes executing different requests under one ballot is a global
-  /// safety violation.
-  const std::map<Ballot, std::uint64_t>& executed_digests() const {
-    return executed_digests_;
-  }
+  /// Where each execution's (ballot, request digest) is reported; the
+  /// InvariantChecker compares them across nodes. Null disables reporting.
+  void set_ledger(ExecutionLedger* ledger) { ledger_ = ledger; }
 
   // ---- Durability (amnesia crash recovery) ----------------------------
   /// Attaches the durable write-through target. Ballot promises, accepted
@@ -173,14 +181,16 @@ class DataSyncEngine {
   void DumpStuckRequests(std::FILE* out) const;
 
   /// Memory-footprint introspection for the soak harness: retained request
-  /// instances and a size estimate of the per-instance protocol state. The
-  /// scalar execution bookkeeping (executed ballots / digests / op ids) is
-  /// deliberately never dropped — it is the dedup and audit record — and is
-  /// counted here so its (small, linear in executed ops) share is visible.
+  /// instances and a size estimate of the per-instance protocol state, plus
+  /// the execution bookkeeping that replaces a per-op history — one
+  /// watermark per client and per chain, and the chain holes a skip left.
+  /// None of it grows with the number of executed ops.
   struct RetentionStats {
     std::size_t requests = 0;
-    std::size_t compacted = 0;
     std::size_t ops = 0;
+    /// Clients with an op watermark, and chain holes below a watermark.
+    std::size_t watermarked_clients = 0;
+    std::size_t chain_holes = 0;
     std::size_t approx_bytes = 0;
   };
   RetentionStats retention() const;
@@ -220,8 +230,6 @@ class DataSyncEngine {
     std::map<ZoneId, std::shared_ptr<const AcceptedMsg>> accepteds;
     std::shared_ptr<const GlobalCommitMsg> commit_msg;
     bool executed = false;
-    /// Heavy state dropped by CompactDecided; the stub survives.
-    bool compacted = false;
     int retries = 0;
     // Cross-cluster state (only singleton instances).
     bool cross = false;
@@ -232,8 +240,7 @@ class DataSyncEngine {
     std::uint64_t peer_request_id = 0;
     std::shared_ptr<const PreparedMsg> prepared;
     /// This zone's kAccepted certificate, grown by late votes, for
-    /// re-sending ACCEPTED on a duplicate ACCEPT. Survives compaction: a
-    /// late duplicate still gets its answer.
+    /// re-sending ACCEPTED on a duplicate ACCEPT.
     crypto::Certificate accepted_cert;
     crypto::Certificate commit_cert;
     bool commit_cert_ready = false;
@@ -248,6 +255,9 @@ class DataSyncEngine {
     std::set<NodeId> response_queries;
     std::uint64_t commit_wait_timer = 0;
     std::uint64_t retry_timer = 0;
+    // Their timers_ tokens, erased whenever the timer is cancelled.
+    std::uint64_t commit_wait_token = 0;
+    std::uint64_t retry_token = 0;
     int commit_wait_rounds = 0;
     // Causal trace of the client operation that started this request,
     // bridged across batch timers, retries, and view-change re-leads.
@@ -297,6 +307,9 @@ class DataSyncEngine {
   void ExecuteCommit(RequestState& req);
   void FlushWaiters(Ballot ballot);
   void CompactDecided(std::uint64_t request_id);
+  /// Whether `ballot` ran here: at or below its chain's watermark and not a
+  /// hole a chain skip stepped over.
+  bool BallotExecuted(Ballot ballot) const;
 
   Status VerifyZoneCert(const crypto::Certificate& cert,
                         crypto::Digest expected, ZoneId zone) const;
@@ -305,6 +318,11 @@ class DataSyncEngine {
   /// Arms an engine timer; `token` (if given) receives its timers_ key.
   std::uint64_t ArmTimer(std::uint64_t request_id, TimerKind kind,
                          Duration delay, std::uint64_t* token = nullptr);
+  /// The request's state, created (and its id added to request_order_)
+  /// if new.
+  RequestState& Track(std::uint64_t id);
+  /// Cancels a timer ArmTimer set, erases its token and zeroes both.
+  void DisarmTimer(std::uint64_t& timer, std::uint64_t& token);
 
   sim::Transport* transport_;
   const crypto::KeyRegistry* keys_;
@@ -315,11 +333,17 @@ class DataSyncEngine {
   ZoneEndorser* endorser_;
   SyncConfig config_;
   SyncDurableState* durable_ = nullptr;
+  ExecutionLedger* ledger_ = nullptr;
   ExecutedCallback executed_callback_;
   SuspectPrimaryCallback suspect_primary_callback_;
   GlobalApplyCallback global_apply_callback_;
 
   std::unordered_map<std::uint64_t, RequestState> requests_;
+  /// Every request id this engine ever tracked, in the hash order the view
+  /// change re-leads and ReshipCommit search in. Executed requests leave
+  /// requests_, but that order depends on every id inserted since start,
+  /// so it is kept here (16 bytes an id) to keep same-seed runs identical.
+  std::unordered_set<std::uint64_t> request_order_;
   /// Leader-side batching queue.
   std::vector<MigrationOp> pending_ops_;
   std::unordered_set<std::uint64_t> queued_op_ids_;
@@ -327,8 +351,9 @@ class DataSyncEngine {
   // (the batch timer, not the request handler, often forms the batch).
   std::unordered_map<std::uint64_t, obs::TraceContext> pending_traces_;
   bool batch_timer_armed_ = false;
-  /// Per-operation execution dedup (re-led instances, chain skips).
-  std::unordered_set<std::uint64_t> executed_op_ids_;
+  /// Per-operation execution dedup (re-led instances, chain skips, client
+  /// retransmissions): one watermark per client.
+  ExecutedOps executed_ops_;
   /// Execution order of decided requests, oldest first; the compaction
   /// window slides over it.
   std::deque<std::uint64_t> decided_order_;
@@ -343,11 +368,15 @@ class DataSyncEngine {
   /// Latest migration ballot accepted by this zone (the <l, z_l> carried in
   /// promise messages).
   Ballot last_accepted_ballot_ = kNullBallot;
+  /// Per-chain execution watermark: the highest ballot executed.
   std::map<ZoneId, Ballot> chain_executed_;
-  std::set<Ballot> executed_ballots_;
-  std::map<Ballot, std::uint64_t> executed_digests_;
+  /// Ballots below the watermark that never ran here: predecessors a chain
+  /// skip stepped over, until their own commit executes (usually empty).
+  std::map<ZoneId, std::set<Ballot>> chain_holes_;
   std::map<Ballot, std::vector<std::uint64_t>> waiting_on_;
-  std::map<std::uint64_t, std::uint64_t> relay_watch_;
+  /// Relayed op id -> {watch timer id, its timers_ token}.
+  std::map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>>
+      relay_watch_;
   std::unordered_map<std::uint64_t, std::pair<std::uint64_t, int>> timers_;
   /// Pending chain-skip guards, request id -> {timer id, token}. Cancelled
   /// when the request executes, so a guard that can no longer fire into

@@ -8,6 +8,7 @@
 
 #include "common/types.h"
 #include "core/messages.h"
+#include "core/metadata.h"
 #include "pbft/durable.h"
 #include "storage/kv_store.h"
 
@@ -27,13 +28,14 @@ struct SyncDurableState {
   std::uint64_t highest_n_seen = 0;
   Ballot my_last_ballot = kNullBallot;
   Ballot my_last_cross_ballot = kNullBallot;
-  /// Execution bookkeeping: which ballots ran and what they executed, so a
-  /// recovered node neither re-executes a migration nor breaks the
-  /// per-chain execution order.
+  /// Execution bookkeeping: per-chain watermarks (and the holes a chain
+  /// skip left below them) and per-client op watermarks, so a recovered
+  /// node neither re-executes a migration nor breaks the per-chain
+  /// execution order.
   std::map<ZoneId, Ballot> chain_executed;
-  std::set<Ballot> executed_ballots;
-  std::map<Ballot, std::uint64_t> executed_digests;
-  std::set<std::uint64_t> executed_op_ids;
+  std::map<ZoneId, std::set<Ballot>> chain_holes;
+  ExecutedOps executed_ops;
+  std::uint64_t executed_op_count = 0;
 };
 
 /// Durable migration progress markers (Algorithm 2). One marker per

@@ -16,6 +16,14 @@ ZoneEndorser::ZoneEndorser(sim::Transport* transport,
       costs_(costs),
       callbacks_(std::move(callbacks)) {
   ZCHECK(zone_ != nullptr);
+  const std::size_t n = zone_->members.size();
+  if (n < 64) all_members_ = (std::uint64_t{1} << n) - 1;
+}
+
+std::uint64_t ZoneEndorser::MemberBit(NodeId n) const {
+  auto it = std::find(zone_->members.begin(), zone_->members.end(), n);
+  std::size_t i = static_cast<std::size_t>(it - zone_->members.begin());
+  return it == zone_->members.end() || i >= 64 ? 0 : std::uint64_t{1} << i;
 }
 
 bool ZoneEndorser::IsMember(NodeId n) const {
@@ -108,6 +116,14 @@ void ZoneEndorser::HandlePrePrepare(
       return;
     }
     done_.erase(d);
+  } else if (auto it = states_.find(key);
+             (it == states_.end() || it->second.pre_prepare == nullptr) &&
+             InRetiredRange(m->ballot) &&
+             callbacks_.settled(key, m->ballot, &m->op)) {
+    // A retired tombstone's duplicate (or a stale ballot of it); what
+    // re-cast votes buffered for it goes too.
+    if (it != states_.end()) states_.erase(it);
+    return;
   }
   State& st = states_[key];
   if (st.pre_prepare != nullptr) {
@@ -173,7 +189,13 @@ void ZoneEndorser::HandlePrepare(
   if (!IsMember(m->replica) || m->replica != m->from()) return;
   if (!keys_->Verify(m->sig, m->digest())) return;
   EndorseKey key{m->request_id, m->phase};
-  if (done_.count(key) != 0) return;
+  if (auto d = done_.find(key); d != done_.end()) {
+    if (d->second.content_digest == m->content_digest) {
+      d->second.preparers |= MemberBit(m->replica);
+      MaybeForget(d);
+    }
+    return;
+  }
   State& st = states_[key];
   if (st.pre_prepare != nullptr &&
       st.pre_prepare->content_digest != m->content_digest) {
@@ -227,9 +249,10 @@ void ZoneEndorser::HandleVote(
   EndorseKey key{m->request_id, m->phase};
   auto d = done_.find(key);
   if (d != done_.end()) {
-    if (d->second.content_digest == m->content_digest &&
-        callbacks_.on_late_vote) {
-      callbacks_.on_late_vote(key, m->sig);
+    if (d->second.content_digest == m->content_digest) {
+      if (callbacks_.on_late_vote) callbacks_.on_late_vote(key, m->sig);
+      d->second.voters |= MemberBit(m->replica);
+      MaybeForget(d);
     }
     return;
   }
@@ -240,6 +263,7 @@ void ZoneEndorser::HandleVote(
   }
   if (st.done) {
     if (callbacks_.on_late_vote) callbacks_.on_late_vote(key, m->sig);
+    st.voters |= MemberBit(m->replica);
     return;
   }
   if (st.pre_prepare == nullptr) {
@@ -262,6 +286,9 @@ void ZoneEndorser::MaybeFinish(const EndorseKey& key, State& st) {
   // Retire before the callback so it sees a consistent endorser; what it
   // gets (pre-prepare, certificate) is held outside the retired state.
   std::shared_ptr<const EndorsePrePrepareMsg> pp = st.pre_prepare;
+  for (const crypto::Signature& sig : st.builder.certificate().signatures) {
+    st.voters |= MemberBit(sig.signer);
+  }
   crypto::CertificateBuilder builder = std::move(st.builder);
   if (st.voted) Retire(key);
   if (callbacks_.on_quorum) {
@@ -271,9 +298,47 @@ void ZoneEndorser::MaybeFinish(const EndorseKey& key, State& st) {
 
 void ZoneEndorser::Retire(const EndorseKey& key) {
   auto it = states_.find(key);
-  const EndorsePrePrepareMsg& pp = *it->second.pre_prepare;
-  done_[key] = Tombstone{pp.ballot, pp.content_digest};
+  const State& st = it->second;
+  Tombstone t{st.pre_prepare->ballot, st.pre_prepare->content_digest,
+              st.voters, 0, st.pre_prepare->full_prepare};
+  for (NodeId n : st.prepares) t.preparers |= MemberBit(n);
   states_.erase(it);
+  MaybeForget(done_.insert_or_assign(key, t).first);
+}
+
+bool ZoneEndorser::Heard(const Tombstone& t) const {
+  return all_members_ != 0 && (t.voters & all_members_) == all_members_ &&
+         (!t.full_prepare || (t.preparers & all_members_) == all_members_);
+}
+
+void ZoneEndorser::MaybeForget(
+    std::unordered_map<EndorseKey, Tombstone, EndorseKeyHash>::iterator it) {
+  const Ballot b = it->second.ballot;
+  if (!Heard(it->second) || !callbacks_.settled ||
+      !callbacks_.settled(it->first, b, nullptr)) {
+    return;
+  }
+  auto& [lo, hi] = retired_.try_emplace(b.zone, b, b).first->second;
+  lo = std::min(lo, b);
+  hi = std::max(hi, b);
+  done_.erase(it);
+}
+
+bool ZoneEndorser::InRetiredRange(Ballot ballot) const {
+  auto it = retired_.find(ballot.zone);
+  return it != retired_.end() && it->second.first <= ballot &&
+         ballot <= it->second.second;
+}
+
+void ZoneEndorser::Settle(std::uint64_t request_id) {
+  for (EndorsePhase phase :
+       {EndorsePhase::kPropose, EndorsePhase::kPromise, EndorsePhase::kAccept,
+        EndorsePhase::kAccepted, EndorsePhase::kCommit,
+        EndorsePhase::kMigrationState, EndorsePhase::kMigrationAppend,
+        EndorsePhase::kCrossSource}) {
+    auto it = done_.find(EndorseKey{request_id, phase});
+    if (it != done_.end()) MaybeForget(it);
+  }
 }
 
 bool ZoneEndorser::IsDone(const EndorseKey& key) const {
@@ -291,7 +356,7 @@ ZoneEndorser::RetentionStats ZoneEndorser::retention() const {
                       st.early_votes.size() * 24 +
                       st.builder.count() * 16;
   }
-  r.approx_bytes += done_.size() * 56;
+  r.approx_bytes += done_.size() * 80 + retired_.size() * 48;
   return r;
 }
 

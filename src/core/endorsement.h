@@ -47,10 +47,15 @@ struct EndorseKeyHash {
 ///
 /// Per-instance state lives only while the instance is in flight: once
 /// on_quorum has fired and this node's own vote is out, it shrinks to a
-/// fixed-size tombstone (ballot + content digest) that keeps duplicates
-/// no-ops, still flags same-ballot equivocation, and lets a higher ballot
-/// re-open the instance. Whoever needs the certificate later keeps its
-/// own copy.
+/// fixed-size tombstone (ballot + content digest + which members' votes and
+/// prepares arrived) that keeps duplicates no-ops, still flags same-ballot
+/// equivocation, and lets a higher ballot re-open the instance. Whoever
+/// needs the certificate later keeps its own copy. A tombstone is retired
+/// once every member's vote (and prepare, for full-prepare rounds) is in
+/// and the host reports the instance settled — its ballot executed, its
+/// migration finished. No member has a vote or prepare left to send then,
+/// and a later pre-prepare for it (a re-drive, a stale ballot) is dropped
+/// unseen when the host calls it settled too.
 class ZoneEndorser {
  public:
   struct Callbacks {
@@ -69,6 +74,11 @@ class ZoneEndorser {
     /// endorser.
     std::function<void(const EndorseKey&, const crypto::Signature&)>
         on_late_vote;
+    /// Whether the instance `key` is finished at this node at or above
+    /// `ballot`. `op` is the pre-prepare's op when asked about one, null
+    /// when asked about a tombstone. Null means never.
+    std::function<bool(const EndorseKey&, Ballot ballot, const MigrationOp* op)>
+        settled;
   };
 
   ZoneEndorser(sim::Transport* transport, const crypto::KeyRegistry* keys,
@@ -99,8 +109,14 @@ class ZoneEndorser {
   /// ballot has re-opened it since).
   bool IsDone(const EndorseKey& key) const;
 
+  /// The host settled `request_id`'s instances (e.g. executed its ballot):
+  /// retires those of its tombstones every member has finished voting on.
+  void Settle(std::uint64_t request_id);
+
   /// Retention introspection: instances still in flight (full per-instance
-  /// state) and completed ones reduced to tombstones.
+  /// state) and completed ones reduced to tombstones, which last until
+  /// every member is heard and the host settles them. Neither grows with
+  /// the number of global ops.
   struct RetentionStats {
     std::size_t live = 0;
     std::size_t tombstones = 0;
@@ -126,6 +142,9 @@ class ZoneEndorser {
     /// certificate assembly (own vote cast -> certificate complete).
     obs::SpanId round_span = 0;
     obs::SpanId build_span = 0;
+    /// Members whose matching vote arrived (MemberBit), kept from the
+    /// certificate once it completes.
+    std::uint64_t voters = 0;
   };
 
   bool IsMember(NodeId n) const;
@@ -136,6 +155,8 @@ class ZoneEndorser {
   void MulticastPrepare(const EndorsePrePrepareMsg& m);
   void MaybeFinish(const EndorseKey& key, State& st);
   void Retire(const EndorseKey& key);
+  /// Bit of member `n` in the voter/preparer masks (0 for non-members).
+  std::uint64_t MemberBit(NodeId n) const;
 
   sim::Transport* transport_;
   const crypto::KeyRegistry* keys_;
@@ -149,8 +170,26 @@ class ZoneEndorser {
   struct Tombstone {
     Ballot ballot;
     crypto::Digest content_digest = 0;
+    std::uint64_t voters = 0;
+    std::uint64_t preparers = 0;
+    bool full_prepare = false;
   };
+  /// Every member voted, and prepared if the round had a prepare phase:
+  /// nothing more can arrive for the instance but retransmissions.
+  bool Heard(const Tombstone& t) const;
+  /// Retires `it` if Heard and settled.
+  void MaybeForget(
+      std::unordered_map<EndorseKey, Tombstone, EndorseKeyHash>::iterator it);
   std::unordered_map<EndorseKey, Tombstone, EndorseKeyHash> done_;
+  /// Per chain (ballot zone), the lowest and highest ballot of a tombstone
+  /// this endorser retired. A fresh pre-prepare inside that range that the
+  /// host calls settled is taken for a retired instance's duplicate; one
+  /// below it (say, from before an amnesia crash rebuilt the endorser)
+  /// gets the validate path, as it would with no tombstone.
+  std::map<ZoneId, std::pair<Ballot, Ballot>> retired_;
+  bool InRetiredRange(Ballot ballot) const;
+  /// MemberBit of every member; 0 (never Heard) for zones over 64 nodes.
+  std::uint64_t all_members_ = 0;
 };
 
 }  // namespace ziziphus::core

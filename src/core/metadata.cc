@@ -1,6 +1,41 @@
 #include "core/metadata.h"
 
+#include <algorithm>
+
 namespace ziziphus::core {
+
+bool ExecutedOps::Contains(ClientId client, RequestTimestamp ts) const {
+  auto it = clients_.find(client);
+  if (it == clients_.end()) return false;
+  const Entry& e = it->second;
+  if (ts <= e.floor) return true;
+  for (RequestTimestamp t : e.above) {
+    if (t == ts) return true;
+  }
+  return false;
+}
+
+bool ExecutedOps::Insert(ClientId client, RequestTimestamp ts) {
+  if (Contains(client, ts)) return false;
+  Entry& e = clients_[client];
+  // Fill a free slot, or else displace the lowest timestamp held (the new
+  // one when it is the lowest) into the floor.
+  RequestTimestamp* lowest = nullptr;
+  for (RequestTimestamp& t : e.above) {
+    if (t == 0) {
+      t = ts;
+      return true;
+    }
+    if (lowest == nullptr || t < *lowest) lowest = &t;
+  }
+  if (ts < *lowest) {
+    e.floor = std::max(e.floor, ts);
+  } else {
+    e.floor = std::max(e.floor, *lowest);
+    *lowest = ts;
+  }
+  return true;
+}
 
 void GlobalMetadata::RegisterClient(ClientId client, ZoneId home) {
   auto it = home_.find(client);
@@ -33,9 +68,8 @@ Status GlobalMetadata::ValidateMigration(const MigrationOp& op) const {
 }
 
 std::string GlobalMetadata::Execute(const MigrationOp& op) {
-  if (!executed_.insert({op.client, op.timestamp}).second) {
-    return "dup";
-  }
+  if (!executed_.Insert(op.client, op.timestamp)) return "dup";
+  executed_count_++;
   Status s = ValidateMigration(op);
   if (!s.ok()) return "rejected:" + s.ToString();
   auto it = home_.find(op.client);

@@ -1,8 +1,8 @@
 #ifndef ZIZIPHUS_CORE_METADATA_H_
 #define ZIZIPHUS_CORE_METADATA_H_
 
+#include <array>
 #include <cstdint>
-#include <set>
 #include <string>
 #include <unordered_map>
 
@@ -45,12 +45,49 @@ struct MigrationOp {
   }
 };
 
+/// Exactly-once bookkeeping for global ops without a per-op history: per
+/// client, a high-water `floor` plus the last few timestamps executed above
+/// it. (client, ts) counts as executed when ts is at or below the floor or
+/// in that window.
+///
+/// A node can execute a client's global ops out of timestamp order: a
+/// chain skip runs a successor before its predecessor, and a migrated
+/// client's consecutive ops can ride two initiator chains (an amnesiac that
+/// missed a commit may later run the op as a re-led twin after the client's
+/// next one). So the window keeps the kWindow highest executed timestamps
+/// and only the lowest of them falls into the floor. The answer matches an
+/// exact per-op set unless a node executes more than kWindow of a client's
+/// later global ops before an earlier one reaches it.
+class ExecutedOps {
+ public:
+  static constexpr std::size_t kWindow = 4;
+
+  bool Contains(ClientId client, RequestTimestamp ts) const;
+  /// Records (client, ts); false if it already counted as executed.
+  bool Insert(ClientId client, RequestTimestamp ts);
+
+  std::size_t clients() const { return clients_.size(); }
+  std::size_t ApproxBytes() const {
+    return clients_.size() * (sizeof(ClientId) + sizeof(Entry) + 16);
+  }
+
+ private:
+  struct Entry {
+    RequestTimestamp floor = 0;
+    /// Executed timestamps above `floor`, unordered; 0 marks a free slot
+    /// (client timestamps start at 1).
+    std::array<RequestTimestamp, kWindow> above{};
+  };
+  std::unordered_map<ClientId, Entry> clients_;
+};
+
 /// Global (or, with zone clusters, regional) system meta-data, replicated on
 /// every node of every zone in scope: client counts per zone, migration
 /// counts per client, and each client's current home zone.
 ///
 /// Execution is idempotent per (client, timestamp) so that at-least-once
-/// delivery of commit messages is safe.
+/// delivery of commit messages is safe; the dedup state is one watermark
+/// per client (ExecutedOps), not a history.
 class GlobalMetadata {
  public:
   explicit GlobalMetadata(PolicyConfig policy = {}) : policy_(policy) {}
@@ -74,14 +111,18 @@ class GlobalMetadata {
   /// checks in tests.
   std::uint64_t StateDigest() const;
 
-  std::uint64_t executed_count() const { return executed_.size(); }
+  /// Distinct migration ops executed (duplicates excluded).
+  std::uint64_t executed_count() const { return executed_count_; }
+  /// Clients with an execution watermark (the dedup state's size).
+  std::size_t watermarked_clients() const { return executed_.clients(); }
 
  private:
   PolicyConfig policy_;
   std::unordered_map<ZoneId, std::uint64_t> clients_per_zone_;
   std::unordered_map<ClientId, std::uint32_t> migrations_;
   std::unordered_map<ClientId, ZoneId> home_;
-  std::set<std::pair<ClientId, RequestTimestamp>> executed_;
+  ExecutedOps executed_;
+  std::uint64_t executed_count_ = 0;
 };
 
 }  // namespace ziziphus::core

@@ -60,18 +60,64 @@ MigrationEngine::InFlight& MigrationEngine::Live(MigState& st) {
 }
 
 void MigrationEngine::Retire(std::uint64_t id, MigState& st, bool appended) {
-  if (st.live != nullptr && st.live->wait_timer != 0) {
-    transport_->CancelTimer(st.live->wait_timer);
-    timers_.erase(st.live->wait_token);
+  if (st.live != nullptr) {
+    if (st.live->op.client != kInvalidClient) {
+      st.client = st.live->op.client;
+      st.ts = st.live->op.timestamp;
+    }
+    if (st.live->wait_timer != 0) {
+      transport_->CancelTimer(st.live->wait_timer);
+      timers_.erase(st.live->wait_token);
+    }
   }
   st.live.reset();
   if (appended) {
     // The destination's verified STATE served only the append, and its
     // probes went to the source zone: no response query ever names this
-    // migration here.
+    // migration here. A late STATE for it meets the install watermark.
     st.state_msg.reset();
     query_ids_.erase(QueryId(id));
+    RequestTimestamp& mark = installed_[st.client];
+    mark = std::max(mark, st.ts);
   }
+  endorser_->Settle(id);
+  if (st.client == kInvalidClient) return;
+  // One tombstone per client: its latest finished migration here.
+  auto [it, inserted] = finished_.try_emplace(st.client, id);
+  if (inserted || it->second == id) return;
+  auto prev = states_.find(it->second);
+  if (prev != states_.end() && prev->second.ts > st.ts) {
+    Forget(id);
+    return;
+  }
+  std::uint64_t older = it->second;
+  it->second = id;
+  Forget(older);
+}
+
+void MigrationEngine::Forget(std::uint64_t id) {
+  auto it = states_.find(id);
+  if (it == states_.end() || it->second.live != nullptr) return;
+  query_ids_.erase(QueryId(id));
+  // A source's marker goes with its STATE. A destination's stays: an
+  // amnesia rejoin re-installs every appended migration's records.
+  if (durable_ != nullptr && it->second.state_msg != nullptr) {
+    durable_->in_flight.erase(id);
+  }
+  states_.erase(it);
+}
+
+bool MigrationEngine::Installed(ClientId client, RequestTimestamp ts) const {
+  auto it = installed_.find(client);
+  return it != installed_.end() && ts <= it->second;
+}
+
+bool MigrationEngine::Superseded(const MigrationOp& op) const {
+  if (Installed(op.client, op.timestamp)) return true;
+  auto it = finished_.find(op.client);
+  if (it == finished_.end()) return false;
+  auto st = states_.find(it->second);
+  return st != states_.end() && st->second.ts > op.timestamp;
 }
 
 void MigrationEngine::ArmStateWait(std::uint64_t id, InFlight& live,
@@ -86,6 +132,7 @@ void MigrationEngine::ArmStateWait(std::uint64_t id, InFlight& live,
 
 void MigrationEngine::OnGlobalExecuted(const MigrationOp& op, Ballot ballot) {
   std::uint64_t id = op.RequestId();
+  if (states_.count(id) == 0 && Superseded(op)) return;
   MigState& st = StateFor(id);
   if (st.live != nullptr) st.live->op = op;
   st.ballot = ballot;
@@ -267,6 +314,21 @@ bool MigrationEngine::HandleTimer(std::uint64_t tag) {
   return true;
 }
 
+bool MigrationEngine::Settled(std::uint64_t id, Ballot ballot,
+                              const MigrationOp* op) const {
+  auto it = states_.find(id);
+  if (it != states_.end()) {
+    // A destination can finish before its own commit executes (the STATE
+    // outran it), so the ballot may not be known yet.
+    const MigState& st = it->second;
+    return st.live == nullptr &&
+           (st.ballot == kNullBallot || ballot <= st.ballot);
+  }
+  // No state: erased as a client's older tombstone, or never created past
+  // the install watermark.
+  return op == nullptr || Superseded(*op);
+}
+
 bool MigrationEngine::ValidateEndorse(const EndorsePrePrepareMsg& pp) {
   std::uint64_t id = pp.request_id;
   switch (pp.phase) {
@@ -318,7 +380,11 @@ bool MigrationEngine::ValidateEndorse(const EndorsePrePrepareMsg& pp) {
         transport_->counters().Inc(obs::CounterId::kMigAppendDigestMismatch);
         return false;
       }
-      // Once appended (a tombstone) the op and records are never read again.
+      // Once appended (a tombstone, or past the install watermark) the op
+      // and records are never read again.
+      if (states_.count(id) == 0 && Installed(pp.op.client, pp.op.timestamp)) {
+        return true;
+      }
       MigState& st = StateFor(id);
       if (st.live != nullptr) {
         InFlight& live = *st.live;
@@ -406,6 +472,7 @@ void MigrationEngine::OnEndorseQuorum(const EndorseKey& key,
 void MigrationEngine::HandleStateTransfer(
     const std::shared_ptr<const StateTransferMsg>& msg) {
   std::uint64_t id = msg->request_id;
+  if (states_.count(id) == 0 && Installed(msg->client, msg->timestamp)) return;
   MigState& st = StateFor(id);
   // Finished here (appended, or a source, which never takes a STATE).
   if (st.live == nullptr) return;
@@ -443,6 +510,10 @@ void MigrationEngine::HandleStateTransfer(
 
 void MigrationEngine::HandleManifest(
     const std::shared_ptr<const MigrationManifestMsg>& msg) {
+  if (states_.count(msg->request_id) == 0 &&
+      Installed(msg->client, msg->timestamp)) {
+    return;
+  }
   MigState& st = StateFor(msg->request_id);
   if (st.live == nullptr || st.live->manifest != nullptr) return;
   InFlight& live = *st.live;
@@ -561,21 +632,23 @@ MigrationEngine::RetentionStats MigrationEngine::retention() const {
     if (st.live == nullptr) {
       ++r.tombstones;
       if (st.state_msg != nullptr) ++r.state_caches;
-      r.approx_bytes += 72 + state_bytes;
+      r.approx_bytes += 88 + state_bytes;
       continue;
     }
     const InFlight& live = *st.live;
     ++r.live;
     r.record_maps += (live.records != nullptr ? 1 : 0) +
                      (st.state_msg != nullptr ? 1 : 0) + live.chunks.size();
-    r.approx_bytes += 72 + 208 + state_bytes +
+    r.approx_bytes += 88 + 208 + state_bytes +
                       RecordsOf(live.records).size() * 96 +
                       (live.manifest != nullptr ? 160 : 0);
     for (const auto& [index, slice] : live.chunks) {
       r.approx_bytes += 64 + slice.size() * 96;
     }
   }
-  r.approx_bytes += query_ids_.size() * 32 + timers_.size() * 32;
+  r.install_watermarks = installed_.size();
+  r.approx_bytes += query_ids_.size() * 32 + timers_.size() * 32 +
+                    (finished_.size() + installed_.size()) * 32;
   return r;
 }
 
@@ -583,7 +656,10 @@ MigrationEngine::RetentionStats MigrationEngine::retention() const {
 
 void MigrationEngine::RestoreFromDurable() {
   if (durable_ == nullptr) return;
-  for (const auto& [id, marker] : durable_->in_flight) {
+  // Retire may erase markers (a client's older tombstone), so walk a copy.
+  const std::map<std::uint64_t, MigrationDurableState::Marker> markers =
+      durable_->in_flight;
+  for (const auto& [id, marker] : markers) {
     MigState& st = StateFor(id);
     st.live->op = marker.op();
     st.ballot = marker.ballot;

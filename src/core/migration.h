@@ -87,6 +87,9 @@ class MigrationEngine {
 
   /// Endorsement routing for kMigrationState / kMigrationAppend phases.
   bool ValidateEndorse(const EndorsePrePrepareMsg& pp);
+  /// Whether migration `id` is finished here at or above `ballot`; with no
+  /// state for it, whether `op` (null: nothing to go by) is superseded.
+  bool Settled(std::uint64_t id, Ballot ballot, const MigrationOp* op) const;
   void OnEndorseQuorum(const EndorseKey& key, const EndorsePrePrepareMsg& pp,
                        const crypto::Certificate& cert);
 
@@ -111,14 +114,16 @@ class MigrationEngine {
   void DumpStuckStates(std::FILE* out) const;
 
   /// Retention introspection: migrations with a working set (in flight),
-  /// finished ones reduced to tombstones, how many record sets the working
-  /// sets hold (records, a pending STATE, buffered chunks), and how many
-  /// tombstones keep a certified STATE for late probes.
+  /// finished ones reduced to tombstones (at most one per client: its
+  /// latest), how many record sets the working sets hold (records, a
+  /// pending STATE, buffered chunks), how many tombstones keep a certified
+  /// STATE for late probes, and the clients with an install watermark.
   struct RetentionStats {
     std::size_t live = 0;
     std::size_t tombstones = 0;
     std::size_t record_maps = 0;
     std::size_t state_caches = 0;
+    std::size_t install_watermarks = 0;
     std::size_t approx_bytes = 0;
   };
   RetentionStats retention() const;
@@ -146,9 +151,14 @@ class MigrationEngine {
   /// One migration as this node sees it. `live` holds the working set and is
   /// dropped once the migration is finished here (destination: appended;
   /// source: STATE certified). What remains is a tombstone: the ballot and,
-  /// at the source, the certified STATE late probes get.
+  /// at the source, the certified STATE late probes get. A client keeps only
+  /// its latest tombstone; an older one is erased, and the destination's
+  /// install watermark keeps late STATEs for it no-ops.
   struct MigState {
     Ballot ballot;
+    /// The migrating client and the op's timestamp, once known.
+    ClientId client = kInvalidClient;
+    RequestTimestamp ts = 0;
     /// Source: the certified STATE (kept after finishing, for probes).
     /// Destination: the verified STATE, until the append.
     std::shared_ptr<const StateTransferMsg> state_msg;
@@ -161,8 +171,19 @@ class MigrationEngine {
   static InFlight& Live(MigState& st);
   /// Drops the working set once the migration is finished at this node,
   /// cancelling a pending state-wait probe; an appended destination also
-  /// drops its STATE.
+  /// drops its STATE and raises the client's install watermark. The
+  /// client's older tombstone (or this one, if it is the older) is erased
+  /// with its durable marker, so `st` may be gone on return.
   void Retire(std::uint64_t id, MigState& st, bool appended);
+  /// Erases a finished migration and its durable marker.
+  void Forget(std::uint64_t id);
+  /// Whether a STATE for (client, ts) is late: the destination already
+  /// installed that migration or a newer one of the client.
+  bool Installed(ClientId client, RequestTimestamp ts) const;
+  /// Whether a newly executed `op` with no state here is older than what
+  /// this node already finished for its client (installed, or a newer
+  /// tombstone): it has nothing left to do.
+  bool Superseded(const MigrationOp& op) const;
   void ArmStateWait(std::uint64_t id, InFlight& live, Duration delay);
   void StartRecordGeneration(MigState& st);
   void ShipState(MigState& st);
@@ -191,6 +212,11 @@ class MigrationEngine {
   CommitReshipper reship_;
 
   std::unordered_map<std::uint64_t, MigState> states_;
+  /// Client -> id of its latest finished migration here (a tombstone).
+  std::unordered_map<ClientId, std::uint64_t> finished_;
+  /// Destination install watermark: client -> highest migration timestamp
+  /// appended here.
+  std::unordered_map<ClientId, RequestTimestamp> installed_;
   /// QueryId(id) -> id for every id in states_ that can still be asked
   /// about (all but appended destinations), so a response query is routed
   /// without scanning the migration history.

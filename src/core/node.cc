@@ -57,6 +57,19 @@ void ZiziphusNode::BuildEngines() {
                             const crypto::Signature& sig) {
     sync_->OnLateEndorseVote(key, sig);
   };
+  cbs.settled = [this](const EndorseKey& key, Ballot ballot,
+                       const MigrationOp* op) {
+    switch (key.phase) {
+      case EndorsePhase::kMigrationState:
+      case EndorsePhase::kMigrationAppend:
+        return migration_->Settled(key.request_id, ballot, op);
+      default:
+        // A tombstone outliving its request is settled; a pre-prepare for
+        // an erased request is not known to be stale.
+        return sync_->Settled(key.request_id, ballot,
+                              /*erased_settles=*/op == nullptr);
+    }
+  };
   endorser_ = std::make_unique<ZoneEndorser>(this, keys_, &zi,
                                              config_.sync.costs, cbs);
 
@@ -76,6 +89,7 @@ void ZiziphusNode::BuildEngines() {
   // table); OnAmnesiaRecover restores from it.
   pbft_->set_durable(&durable_.pbft);
   sync_->set_durable(&durable_.sync);
+  sync_->set_ledger(config_.ledger);
   migration_->set_durable(&durable_.migration);
 
   // ---- cross-engine wiring --------------------------------------------

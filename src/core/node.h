@@ -45,6 +45,9 @@ struct NodeConfig {
   bool lazy_sync = true;
   PbftEngineFactory pbft_factory;
   NodeAppFactory app_factory;
+  /// System-wide ballot -> executed-request record (ZiziphusSystem's);
+  /// null leaves executions unreported.
+  ExecutionLedger* ledger = nullptr;
 };
 
 /// One Ziziphus edge replica: a single simulated core running
@@ -114,13 +117,18 @@ class ZiziphusNode : public sim::Process, public sim::Transport {
   /// replica, aggregated from the engines' retention introspection. The
   /// soak harness samples this on a coarse tick to draw heap high-water
   /// curves; it is an estimate with fixed per-entry constants, not an
-  /// allocator measurement, so it is deterministic across runs.
+  /// allocator measurement, so it is deterministic across runs. Global-op
+  /// bookkeeping in it is O(zones + clients + in flight): watermarks, not
+  /// histories (DESIGN.md §11). Durable state is not counted.
   struct MemoryFootprint {
     std::size_t pbft_bytes = 0;
+    /// Undecided and recently decided requests, plus the client and chain
+    /// watermarks that replace the executed-op history.
     std::size_t sync_bytes = 0;
-    /// Endorsement instances in flight plus completed-instance tombstones.
+    /// Endorsement instances in flight plus unretired tombstones.
     std::size_t endorse_bytes = 0;
-    /// Migration working sets, tombstones and source-side STATE caches.
+    /// Migration working sets, each client's latest tombstone (with its
+    /// STATE at a source) and the install watermarks.
     std::size_t migration_bytes = 0;
     std::size_t app_bytes = 0;
     std::size_t commit_log_bytes = 0;

@@ -41,6 +41,7 @@ void ZiziphusSystem::Finalize(const NodeConfig& config,
   for (std::size_t z = 0; z < pending_.size(); ++z) {
     for (NodeId id : members[z]) {
       NodeConfig node_config = config;
+      node_config.ledger = &ledger_;
       if (node_config.app_factory == nullptr) {
         // Recovery path: an amnesiac node rebuilds its app from the same
         // factory Finalize used here.

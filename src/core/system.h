@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/ledger.h"
 #include "core/node.h"
 #include "core/topology.h"
 #include "crypto/signature.h"
@@ -61,6 +62,9 @@ class ZiziphusSystem {
     return nodes_;
   }
 
+  /// Ballot -> executed-request record every node reports to.
+  const ExecutionLedger& ledger() const { return ledger_; }
+
   /// The zone's current primary according to its first member's view.
   ZiziphusNode* PrimaryOf(ZoneId zone);
   /// Any node of the zone by member index.
@@ -80,6 +84,7 @@ class ZiziphusSystem {
   std::vector<PendingZone> pending_;
   std::vector<std::unique_ptr<ZiziphusNode>> nodes_;
   std::unordered_map<NodeId, ZiziphusNode*> node_by_id_;
+  ExecutionLedger ledger_;
   bool finalized_ = false;
 };
 

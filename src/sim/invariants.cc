@@ -154,20 +154,24 @@ void InvariantChecker::CheckCheckpoints(
 
 void InvariantChecker::CheckGlobalAgreement(
     core::ZiziphusSystem& system, std::vector<InvariantViolation>* out) {
-  // ballot -> (request digest, first honest executor).
-  std::map<Ballot, std::pair<std::uint64_t, NodeId>> reference;
-  for (const auto& node : system.nodes()) {
-    if (!Honest(system, node->id())) continue;
-    for (const auto& [ballot, digest] : node->sync().executed_digests()) {
-      auto [it, inserted] = reference.try_emplace(ballot, digest, node->id());
-      if (!inserted && it->second.first != digest) {
-        std::ostringstream detail;
-        detail << "ballot " << ToString(ballot) << ": "
-               << NodeName(it->second.second) << " executed request digest "
-               << it->second.first << " but " << NodeName(node->id())
-               << " executed " << digest;
-        out->push_back({"global-agreement", detail.str()});
+  // The ledger saw every execution as it happened, so a node that is down
+  // now still testifies to what it ran before; only Byzantine executors are
+  // set aside. Per disputed ballot, the first honest executor (node order)
+  // is the reference.
+  for (const auto& [ballot, runs] : system.ledger().Disputed()) {
+    const core::ExecutionLedger::Execution* ref = nullptr;
+    for (const auto& run : runs) {
+      if (opt_.byzantine.count(run.node) != 0) continue;
+      if (ref == nullptr) {
+        ref = &run;
+        continue;
       }
+      if (run.digest == ref->digest) continue;
+      std::ostringstream detail;
+      detail << "ballot " << ToString(ballot) << ": " << NodeName(ref->node)
+             << " executed request digest " << ref->digest << " but "
+             << NodeName(run.node) << " executed " << run.digest;
+      out->push_back({"global-agreement", detail.str()});
     }
   }
 }

@@ -33,7 +33,9 @@ struct InvariantViolation {
 ///      producing zone, and honest replicas agree on the
 ///      (state digest, read root) pair per (zone, seq);
 ///   3. global-agreement: no two honest nodes (any zone) execute different
-///      global requests under the same data-synchronization ballot;
+///      global requests under the same data-synchronization ballot (read
+///      from the system-wide core::ExecutionLedger, which every node
+///      reports to as it executes);
 ///   4. balance-conservation: the bank totals honest replicas hold match
 ///      the funds ever minted (prefix-safe formulations, see Accounts);
 ///   5. recovery-consistency: a node that came back from an amnesia crash
@@ -60,7 +62,8 @@ struct InvariantViolation {
 ///
 /// Every check skips nodes listed as Byzantine or currently crashed —
 /// the paper's guarantees only cover honest replicas, and a crashed
-/// node's state is legitimately stale.
+/// node's state is legitimately stale. The global-agreement check skips
+/// only Byzantine nodes: its evidence was recorded at execution time.
 class InvariantChecker {
  public:
   /// Workload knowledge for the balance-conservation check. All three

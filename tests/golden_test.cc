@@ -208,7 +208,10 @@ TEST(GoldenSoakTest, ShortSoak) {
   // leaves: the retention.live_bytes gauge now also counts endorser and
   // migration state (70016 -> 194728 B at the last sample), and the
   // sim.queue_depth histogram has 12 fewer samples (state-wait timers
-  // cancelled at append instead of firing).
+  // cancelled at append instead of firing). Then, with watermarks for
+  // histories, two gauges moved at the last sample: retention.live_bytes
+  // 194728 -> 147568 B and retention.sync_requests 33 -> 11 (executed
+  // requests are erased, not kept as stubs). The fingerprint held.
   SoakOptions o;
   o.schedule.horizon = Seconds(12);
   o.schedule.wave_period = Seconds(4);
@@ -236,7 +239,7 @@ TEST(GoldenSoakTest, ShortSoak) {
   }
   EXPECT_TRUE(r.ok()) << r.Summary();
   EXPECT_EQ(r.fingerprint, 0xe645ab0b77bf0f56ULL);
-  EXPECT_EQ(obs_hash, 0x97a1f8dff815cdb6ULL);
+  EXPECT_EQ(obs_hash, 0xa2f38bc4ba085000ULL);
   EXPECT_EQ(r.local_completed, 315u);
   EXPECT_EQ(r.global_completed, 3u);
   EXPECT_EQ(r.end_time, 27000000);

@@ -1,3 +1,4 @@
+#include "core/ledger.h"
 #include "core/lock_table.h"
 #include "core/metadata.h"
 #include "core/topology.h"
@@ -46,6 +47,63 @@ TEST(GlobalMetadataTest, ExactlyOncePerTimestamp) {
   EXPECT_EQ(md.Execute(Op(1, 1, 2, 6)), "ok");
   EXPECT_EQ(md.MigrationsOf(1), 2u);
   EXPECT_EQ(md.executed_count(), 2u);  // two distinct (client, ts) keys
+}
+
+TEST(ExecutedOpsTest, LateOpInsideTheWindowStillRuns) {
+  ExecutedOps ops;
+  EXPECT_TRUE(ops.Insert(1, 10));
+  EXPECT_TRUE(ops.Contains(1, 10));
+  EXPECT_FALSE(ops.Contains(1, 9));
+  // ts 9 was issued first but reaches this node second (a chain skip or a
+  // second initiator chain): it must still run, exactly once.
+  EXPECT_TRUE(ops.Insert(1, 9));
+  EXPECT_FALSE(ops.Insert(1, 9));
+  EXPECT_FALSE(ops.Insert(1, 10));
+  EXPECT_FALSE(ops.Contains(2, 9));  // per client
+  EXPECT_EQ(ops.clients(), 1u);
+}
+
+TEST(ExecutedOpsTest, OnlyTheLowestFallsIntoTheFloor) {
+  ExecutedOps ops;
+  // ts 1 never reaches this node; kWindow later ops do. It still runs
+  // when it comes: the window holds all of them above a floor of 0.
+  for (RequestTimestamp ts = 2; ts < 2 + ExecutedOps::kWindow; ++ts) {
+    EXPECT_TRUE(ops.Insert(7, ts));
+  }
+  EXPECT_FALSE(ops.Contains(7, 1));
+  // One more displaces the lowest held (2) into the floor. Everything at
+  // or below it now counts as executed: a memory of kWindow ops per
+  // client, not of every op.
+  EXPECT_TRUE(ops.Insert(7, 2 + ExecutedOps::kWindow));
+  EXPECT_TRUE(ops.Contains(7, 2));
+  EXPECT_TRUE(ops.Contains(7, 1));
+  EXPECT_FALSE(ops.Insert(7, 1));
+  for (RequestTimestamp ts = 3; ts <= 2 + ExecutedOps::kWindow; ++ts) {
+    EXPECT_TRUE(ops.Contains(7, ts));
+  }
+  EXPECT_FALSE(ops.Contains(7, 3 + ExecutedOps::kWindow));
+}
+
+TEST(ExecutionLedgerTest, KeepsEveryExecutorOfADisputedBallot) {
+  ExecutionLedger ledger;
+  const Ballot b{4, 0}, other{5, 0};
+  ledger.Record(b, 11, 3);
+  ledger.Record(b, 11, 0);
+  ledger.Record(b, 11, 70);  // ids past 64 are listed, not bitmapped
+  ledger.Record(other, 9, 1);
+  EXPECT_TRUE(ledger.Disputed().empty());
+  ledger.Record(b, 12, 5);
+  auto disputed = ledger.Disputed();
+  ASSERT_EQ(disputed.size(), 1u);
+  const auto& runs = disputed.at(b);
+  ASSERT_EQ(runs.size(), 4u);
+  EXPECT_EQ(runs[0].node, 0u);
+  EXPECT_EQ(runs[1].node, 3u);
+  EXPECT_EQ(runs[2].node, 5u);
+  EXPECT_EQ(runs[2].digest, 12u);
+  EXPECT_EQ(runs[3].node, 70u);
+  EXPECT_EQ(runs[3].digest, 11u);
+  EXPECT_EQ(ledger.ballots(), 2u);
 }
 
 TEST(GlobalMetadataTest, MigrationQuotaEnforced) {
