@@ -54,7 +54,7 @@ int main() {
   // 5. Every node of every zone agrees on the client's new home.
   for (const auto& node : system.nodes()) {
     if (node->metadata().HomeOf(client.id()) != 2) {
-      std::printf("node %u disagrees!\n", node->self());
+      std::printf("node %u disagrees!\n", node->id());
       return 1;
     }
   }

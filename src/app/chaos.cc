@@ -284,10 +284,10 @@ ChaosReport RunZiziphusChaos(const ChaosOptions& opt) {
           if (p.zone == zone && p.member_index == idx &&
               p.kind == ByzKind::kEquivocateEngine) {
             node_cfg.pbft_factory =
-                [](sim::Transport* t, const crypto::KeyRegistry* k,
+                [](sim::Process* p, const crypto::KeyRegistry* k,
                    pbft::PbftConfig c, pbft::StateMachine* s) {
                   return std::make_unique<sim::EquivocatingPbftEngine>(
-                      t, k, std::move(c), s);
+                      p, k, std::move(c), s);
                 };
           }
         }

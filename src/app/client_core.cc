@@ -103,13 +103,13 @@ void ClientCore::Pace(Duration think) {
 }
 
 void ClientCore::IssueAfter(Duration delay) {
-  SetTimer(delay, sim::PackTimer(sim::TimerEngine::kClient, kIssue));
+  SetTimer(delay, sim::TimerTag{sim::TimerEngine::kClient, kIssue});
 }
 
 void ClientCore::ArmRetry() {
   if (retry_timer_ != 0) CancelTimer(retry_timer_);
   retry_timer_ = SetTimer(retry_timeout_,
-                          sim::PackTimer(sim::TimerEngine::kClient, kRetry));
+                          sim::TimerTag{sim::TimerEngine::kClient, kRetry});
 }
 
 // ------------------------------------------------------- verified reads
@@ -153,7 +153,7 @@ void ClientCore::RetryReadAfter(Duration wait) {
     CancelTimer(retry_timer_);
     retry_timer_ = 0;
   }
-  SetTimer(wait, sim::PackTimer(sim::TimerEngine::kClient, kReadRetry));
+  SetTimer(wait, sim::TimerTag{sim::TimerEngine::kClient, kReadRetry});
 }
 
 void ClientCore::HandleReadReply(const pbft::ReadReplyMsg& r) {
@@ -234,8 +234,8 @@ void ClientCore::OnMessage(const sim::MessagePtr& msg) {
   }
 }
 
-void ClientCore::OnTimer(std::uint64_t tag) {
-  switch (sim::TimerTag::Unpack(tag).kind) {
+void ClientCore::OnTimer(const sim::TimerTag& tag) {
+  switch (tag.kind) {
     case kIssue:
       if (!busy_) IssueNext();
       return;

@@ -134,7 +134,7 @@ class ClientCore : public sim::Process {
   enum TimerKind : std::uint8_t { kIssue = 1, kRetry = 2, kReadRetry = 3 };
 
   void OnMessage(const sim::MessagePtr& msg) final;
-  void OnTimer(std::uint64_t tag) final;
+  void OnTimer(const sim::TimerTag& tag) final;
 
   void Launch(sim::MessagePtr req, RequestTimestamp ts, bool global,
               bool command, const Route& route);

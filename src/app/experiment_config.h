@@ -53,18 +53,6 @@ struct ExperimentConfig {
     zones = z;
     return *this;
   }
-  ExperimentConfig& WithClusters(std::size_t c) {
-    clusters = c;
-    return *this;
-  }
-  ExperimentConfig& WithFaultTolerance(std::size_t per_zone_f) {
-    f = per_zone_f;
-    return *this;
-  }
-  ExperimentConfig& WithStableLeader(bool on) {
-    stable_leader = on;
-    return *this;
-  }
   ExperimentConfig& WithOrdering(pbft::Ordering o) {
     ordering = o;
     chaos.ordering = o;  // one flag drives both harnesses
@@ -76,22 +64,6 @@ struct ExperimentConfig {
   }
   ExperimentConfig& WithGlobalFraction(double frac) {
     workload.mix.global_fraction = frac;
-    return *this;
-  }
-  ExperimentConfig& WithCrossClusterFraction(double frac) {
-    workload.mix.cross_cluster_fraction = frac;
-    return *this;
-  }
-  ExperimentConfig& WithReadFraction(double frac) {
-    workload.mix.read_fraction = frac;
-    return *this;
-  }
-  ExperimentConfig& WithVerifiedReads(bool on) {
-    workload.verified_reads = on;
-    return *this;
-  }
-  ExperimentConfig& WithCausal(bool on = true) {
-    workload.causal = on;
     return *this;
   }
   ExperimentConfig& WithWarmup(Duration d) {

@@ -21,12 +21,12 @@ class FootprintSampler : public sim::Process {
                    SimTime stop_at, std::vector<SoakMemSample>* out)
       : sys_(sys), period_(period), stop_at_(stop_at), out_(out) {}
 
-  void Kick() { SetTimer(period_, 1); }
+  void Kick() { SetTimer(period_, {}); }
 
  protected:
   void OnMessage(const sim::MessagePtr&) override {}
 
-  void OnTimer(std::uint64_t) override {
+  void OnTimer(const sim::TimerTag&) override {
     SoakMemSample s;
     s.at = Now();
     for (const auto& node : sys_->nodes()) {
@@ -48,7 +48,7 @@ class FootprintSampler : public sim::Process {
                  s.reply_cache_entries);
     rec.SetGauge(obs::GaugeId::kRetentionSyncRequests, s.sync_requests);
     out_->push_back(s);
-    if (Now() < stop_at_) SetTimer(period_, 1);
+    if (Now() < stop_at_) SetTimer(period_, {});
   }
 
  private:

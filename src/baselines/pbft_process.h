@@ -6,19 +6,18 @@
 
 #include "pbft/engine.h"
 #include "sim/simulation.h"
-#include "sim/transport.h"
 
 namespace ziziphus::baselines {
 
 /// A standalone PBFT replica: one process, one engine. Used by the flat
 /// PBFT baseline (a single PBFT group spanning every node in every region,
 /// processing every transaction) and by the PBFT unit tests.
-class PbftReplicaProcess : public sim::Process, public sim::Transport {
+class PbftReplicaProcess : public sim::Process {
  public:
   /// Builds the replica's engine; tests pass one to run a Byzantine
   /// PbftEngine subclass on selected replicas.
   using EngineFactory = std::function<std::unique_ptr<pbft::PbftEngine>(
-      sim::Transport*, const crypto::KeyRegistry*, pbft::PbftConfig,
+      sim::Process*, const crypto::KeyRegistry*, pbft::PbftConfig,
       pbft::StateMachine*)>;
 
   PbftReplicaProcess() = default;
@@ -36,43 +35,13 @@ class PbftReplicaProcess : public sim::Process, public sim::Transport {
   pbft::PbftEngine& engine() { return *engine_; }
   pbft::StateMachine& app() { return *app_; }
 
-  // ---- sim::Transport --------------------------------------------------
-  NodeId self() const override { return id(); }
-  SimTime Now() const override { return Process::Now(); }
-  void Send(NodeId dst, sim::MessagePtr msg) override {
-    Process::Send(dst, std::move(msg));
-  }
-  void Multicast(const std::vector<NodeId>& dsts,
-                 sim::MessagePtr msg) override {
-    Process::Multicast(dsts, std::move(msg));
-  }
-  std::uint64_t SetTimer(Duration delay, std::uint64_t tag) override {
-    return Process::SetTimer(delay, tag);
-  }
-  void CancelTimer(std::uint64_t timer_id) override {
-    Process::CancelTimer(timer_id);
-  }
-  void ChargeCpu(Duration cost) override { Process::ChargeCpu(cost); }
-  void ChargeCrypto(Duration cost) override { Process::ChargeCrypto(cost); }
-  /// Node-scoped counters: increments roll up zone -> simulation totals.
-  CounterSet& counters() override { return Process::scoped_counters(); }
-  obs::Recorder& recorder() override { return simulation()->recorder(); }
-  obs::TraceContext trace_context() const override {
-    return Process::trace_context();
-  }
-  void set_trace_context(const obs::TraceContext& ctx) override {
-    Process::set_trace_context(ctx);
-  }
-  obs::SpanId BeginSpan(obs::SpanKind kind) override {
-    return Process::BeginSpan(kind);
-  }
-  void EndSpan(obs::SpanId span) override { Process::EndSpan(span); }
-
  protected:
   void OnMessage(const sim::MessagePtr& msg) override {
     engine_->HandleMessage(msg);
   }
-  void OnTimer(std::uint64_t tag) override { engine_->HandleTimer(tag); }
+  void OnTimer(const sim::TimerTag& tag) override {
+    engine_->HandleTimer(tag);
+  }
 
  private:
   std::unique_ptr<pbft::StateMachine> app_;

@@ -33,11 +33,11 @@ crypto::Digest GCommitDigest(std::uint64_t request_id, SeqNum gseq,
 // ------------------------------------------------------------------ engine
 
 TwoLevelGlobalEngine::TwoLevelGlobalEngine(
-    sim::Transport* transport, const crypto::KeyRegistry* keys,
+    sim::Process* process, const crypto::KeyRegistry* keys,
     const core::Topology* topology, ZoneId my_zone,
     core::GlobalMetadata* metadata, core::LockTable* locks,
     core::ZoneEndorser* endorser, TwoLevelConfig config)
-    : transport_(transport),
+    : process_(process),
       keys_(keys),
       topology_(topology),
       my_zone_(my_zone),
@@ -50,7 +50,7 @@ Status TwoLevelGlobalEngine::VerifyZoneCert(const crypto::Certificate& cert,
                                             crypto::Digest expected,
                                             ZoneId zone) const {
   const core::ZoneInfo& zi = topology_->zone(zone);
-  transport_->ChargeCpu(
+  process_->ChargeCpu(
       config_.costs.crypto.CertificateVerifyCost(cert.size()));
   return crypto::VerifyCertificate(
       *keys_, cert, expected, zi.quorum(), [&zi](NodeId n) {
@@ -63,20 +63,20 @@ bool TwoLevelGlobalEngine::HandleMessage(const sim::MessagePtr& msg) {
   const auto& costs = config_.costs;
   switch (msg->type()) {
     case core::kMigrationRequest:
-      transport_->ChargeCpu(costs.base_handle_us + costs.mac_us);
+      process_->ChargeCpu(costs.base_handle_us + costs.mac_us);
       HandleMigrationRequest(
           std::static_pointer_cast<const core::MigrationRequestMsg>(msg));
       return true;
     case kGPrePrepare:
-      transport_->ChargeCpu(costs.base_handle_us);
+      process_->ChargeCpu(costs.base_handle_us);
       HandleGPrePrepare(std::static_pointer_cast<const GPrePrepareMsg>(msg));
       return true;
     case kGPrepare:
-      transport_->ChargeCpu(costs.base_handle_us);
+      process_->ChargeCpu(costs.base_handle_us);
       HandleGPrepare(std::static_pointer_cast<const GPrepareMsg>(msg));
       return true;
     case kGCommit:
-      transport_->ChargeCpu(costs.base_handle_us);
+      process_->ChargeCpu(costs.base_handle_us);
       HandleGCommit(std::static_pointer_cast<const GCommitMsg>(msg));
       return true;
     default:
@@ -84,11 +84,9 @@ bool TwoLevelGlobalEngine::HandleMessage(const sim::MessagePtr& msg) {
   }
 }
 
-bool TwoLevelGlobalEngine::HandleTimer(std::uint64_t tag) {
-  if (!sim::TimerTag::OwnedBy(tag, sim::TimerEngine::kTwoLevel)) return false;
+void TwoLevelGlobalEngine::HandleTimer() {
   batch_timer_armed_ = false;
   FlushBatch();
-  return true;
 }
 
 void TwoLevelGlobalEngine::HandleMigrationRequest(
@@ -96,8 +94,8 @@ void TwoLevelGlobalEngine::HandleMigrationRequest(
   if (!keys_->Verify(msg->client_sig, msg->digest())) return;
   if (my_zone_ != config_.leader_zone) return;
   if (!endorser_->IsPrimary()) {
-    transport_->ChargeCpu(config_.costs.send_us);
-    transport_->Send(endorser_->primary(), msg);
+    process_->ChargeCpu(config_.costs.send_us);
+    process_->Send(endorser_->primary(), msg);
     return;
   }
   std::uint64_t op_id = msg->op.RequestId();
@@ -110,9 +108,8 @@ void TwoLevelGlobalEngine::HandleMigrationRequest(
     FlushBatch();
   } else if (!batch_timer_armed_) {
     batch_timer_armed_ = true;
-    transport_->SetTimer(config_.batch_timeout_us,
-                         sim::PackTimer(sim::TimerEngine::kTwoLevel,
-                                        kBatchTimer));
+    process_->SetTimer(config_.batch_timeout_us,
+                       sim::TimerTag{sim::TimerEngine::kTwoLevel, kBatchTimer});
   }
 }
 
@@ -181,8 +178,8 @@ void TwoLevelGlobalEngine::OnEndorseQuorum(const EndorseKey& key,
       msg->initiator_zone = my_zone_;
       msg->cert = cert;
       auto targets = AllNodes();
-      transport_->ChargeCpu(config_.costs.send_us * targets.size());
-      transport_->Multicast(targets, msg);
+      process_->ChargeCpu(config_.costs.send_us * targets.size());
+      process_->Multicast(targets, msg);
       break;
     }
     case EndorsePhase::kTLPrepare: {
@@ -193,8 +190,8 @@ void TwoLevelGlobalEngine::OnEndorseQuorum(const EndorseKey& key,
       msg->zone = my_zone_;
       msg->cert = cert;
       auto targets = AllNodes();
-      transport_->ChargeCpu(config_.costs.send_us * targets.size());
-      transport_->Multicast(targets, msg);
+      process_->ChargeCpu(config_.costs.send_us * targets.size());
+      process_->Multicast(targets, msg);
       break;
     }
     case EndorsePhase::kTLCommit: {
@@ -205,8 +202,8 @@ void TwoLevelGlobalEngine::OnEndorseQuorum(const EndorseKey& key,
       msg->zone = my_zone_;
       msg->cert = cert;
       auto targets = AllNodes();
-      transport_->ChargeCpu(config_.costs.send_us * targets.size());
-      transport_->Multicast(targets, msg);
+      process_->ChargeCpu(config_.costs.send_us * targets.size());
+      process_->Multicast(targets, msg);
       break;
     }
     default:
@@ -231,7 +228,7 @@ void TwoLevelGlobalEngine::HandleGPrePrepare(
   }
   if (!VerifyZoneCert(msg->cert, msg->digest(), msg->initiator_zone)
            .ok()) {
-    transport_->counters().Inc(obs::CounterId::kTlBadGPrePrepareCert);
+    process_->scoped_counters().Inc(obs::CounterId::kTlBadGPrePrepareCert);
     return;
   }
   for (const auto& op : req.ops) {
@@ -253,7 +250,7 @@ void TwoLevelGlobalEngine::HandleGPrepare(
     req.id = msg->request_id;
   }
   if (!VerifyZoneCert(msg->cert, msg->digest(), msg->zone).ok()) {
-    transport_->counters().Inc(obs::CounterId::kTlBadGPrepareCert);
+    process_->scoped_counters().Inc(obs::CounterId::kTlBadGPrepareCert);
     return;
   }
   req.gprepares.insert(msg->zone);
@@ -277,7 +274,7 @@ void TwoLevelGlobalEngine::HandleGCommit(
   TLRequest& req = requests_[msg->request_id];
   if (req.id == 0) req.id = msg->request_id;
   if (!VerifyZoneCert(msg->cert, msg->digest(), msg->zone).ok()) {
-    transport_->counters().Inc(obs::CounterId::kTlBadGCommitCert);
+    process_->scoped_counters().Inc(obs::CounterId::kTlBadGCommitCert);
     return;
   }
   req.gcommits.insert(msg->zone);
@@ -288,7 +285,7 @@ void TwoLevelGlobalEngine::TryCommit(TLRequest& req) {
   if (req.committed || req.gseq == 0) return;
   if (req.gcommits.size() < ZoneQuorum()) return;
   req.committed = true;
-  transport_->counters().Inc(obs::CounterId::kTlCommitted);
+  process_->scoped_counters().Inc(obs::CounterId::kTlCommitted);
   ExecuteReady();
 }
 
@@ -304,7 +301,7 @@ void TwoLevelGlobalEngine::ExecuteReady() {
       for (const MigrationOp& op : req.ops) {
         if (!executed_op_ids_.insert(op.RequestId()).second) continue;
         executed_count_++;
-        transport_->ChargeCpu(config_.costs.apply_us);
+        process_->ChargeCpu(config_.costs.apply_us);
         std::string result;
         if (op.IsMigration()) {
           result = metadata_->Execute(op);
@@ -379,7 +376,7 @@ void TwoLevelNode::Init(const crypto::KeyRegistry* keys,
       reply->request_id = op.RequestId();
       reply->client = op.client;
       reply->timestamp = op.timestamp;
-      reply->replica = self();
+      reply->replica = id();
       reply->result = result.empty() ? "synced" : result;
       ChargeCpu(config_.two_level.costs.mac_us +
                 config_.two_level.costs.send_us);
@@ -409,7 +406,7 @@ void TwoLevelNode::Init(const crypto::KeyRegistry* keys,
     reply->request_id = op.RequestId();
     reply->client = op.client;
     reply->timestamp = op.timestamp;
-    reply->replica = self();
+    reply->replica = id();
     reply->result = "migrated";
     ChargeCpu(config_.migration.costs.mac_us + config_.migration.costs.send_us);
     Send(op.client, reply);
@@ -424,7 +421,7 @@ void TwoLevelNode::OnMessage(const sim::MessagePtr& msg) {
   if (t == pbft::kClientRequest) {
     auto req = std::static_pointer_cast<const pbft::ClientRequestMsg>(msg);
     if (!locks_.IsLocked(req->op.client)) {
-      counters().Inc(obs::CounterId::kNodeUnlockedClientRejected);
+      scoped_counters().Inc(obs::CounterId::kNodeUnlockedClientRejected);
       return;
     }
     pbft_->HandleMessage(msg);
@@ -447,13 +444,23 @@ void TwoLevelNode::OnMessage(const sim::MessagePtr& msg) {
     global_->HandleMessage(msg);
     return;
   }
-  counters().Inc(obs::CounterId::kNodeUnroutableMessage);
+  scoped_counters().Inc(obs::CounterId::kNodeUnroutableMessage);
 }
 
-void TwoLevelNode::OnTimer(std::uint64_t tag) {
-  if (pbft_->HandleTimer(tag)) return;
-  if (migration_->HandleTimer(tag)) return;
-  if (global_->HandleTimer(tag)) return;
+void TwoLevelNode::OnTimer(const sim::TimerTag& tag) {
+  switch (tag.engine) {
+    case sim::TimerEngine::kPbft:
+      pbft_->HandleTimer(tag);
+      break;
+    case sim::TimerEngine::kMigration:
+      migration_->HandleTimer(tag);
+      break;
+    case sim::TimerEngine::kTwoLevel:
+      global_->HandleTimer();
+      break;
+    default:
+      break;
+  }
 }
 
 }  // namespace ziziphus::baselines

@@ -18,7 +18,6 @@
 #include "pbft/engine.h"
 #include "sim/simulation.h"
 #include "sim/timer_tag.h"
-#include "sim/transport.h"
 
 namespace ziziphus::baselines {
 
@@ -105,14 +104,15 @@ class TwoLevelGlobalEngine {
   using GlobalApplyCallback =
       std::function<std::string(const core::MigrationOp& op)>;
 
-  TwoLevelGlobalEngine(sim::Transport* transport,
+  TwoLevelGlobalEngine(sim::Process* process,
                        const crypto::KeyRegistry* keys,
                        const core::Topology* topology, ZoneId my_zone,
                        core::GlobalMetadata* metadata, core::LockTable* locks,
                        core::ZoneEndorser* endorser, TwoLevelConfig config);
 
   bool HandleMessage(const sim::MessagePtr& msg);
-  bool HandleTimer(std::uint64_t tag);
+  /// The engine's one timer (the batch timer) fired.
+  void HandleTimer();
   bool ValidateEndorse(const core::EndorsePrePrepareMsg& pp);
   void OnEndorseQuorum(const core::EndorseKey& key,
                        const core::EndorsePrePrepareMsg& pp,
@@ -136,7 +136,6 @@ class TwoLevelGlobalEngine {
     std::set<ZoneId> gprepares;
     std::set<ZoneId> gcommits;
     bool sent_gprepare = false;
-    bool sent_gcommit = false;
     bool committed = false;
     bool executed = false;
   };
@@ -159,7 +158,7 @@ class TwoLevelGlobalEngine {
   Status VerifyZoneCert(const crypto::Certificate& cert,
                         crypto::Digest expected, ZoneId zone) const;
 
-  sim::Transport* transport_;
+  sim::Process* process_;
   const crypto::KeyRegistry* keys_;
   const core::Topology* topology_;
   ZoneId my_zone_;
@@ -184,7 +183,7 @@ class TwoLevelGlobalEngine {
 /// One replica of the two-level PBFT system: local PBFT + the top-level
 /// PBFT engine + the same data migration protocol as Ziziphus (so the
 /// comparison includes equivalent state shipping).
-class TwoLevelNode : public sim::Process, public sim::Transport {
+class TwoLevelNode : public sim::Process {
  public:
   struct Config {
     pbft::PbftConfig pbft;
@@ -199,38 +198,6 @@ class TwoLevelNode : public sim::Process, public sim::Transport {
             ZoneId zone, std::unique_ptr<core::ZoneStateMachine> app,
             Config config);
 
-  // ---- sim::Transport --------------------------------------------------
-  NodeId self() const override { return id(); }
-  SimTime Now() const override { return Process::Now(); }
-  void Send(NodeId dst, sim::MessagePtr msg) override {
-    Process::Send(dst, std::move(msg));
-  }
-  void Multicast(const std::vector<NodeId>& dsts,
-                 sim::MessagePtr msg) override {
-    Process::Multicast(dsts, std::move(msg));
-  }
-  std::uint64_t SetTimer(Duration delay, std::uint64_t tag) override {
-    return Process::SetTimer(delay, tag);
-  }
-  void CancelTimer(std::uint64_t timer_id) override {
-    Process::CancelTimer(timer_id);
-  }
-  void ChargeCpu(Duration cost) override { Process::ChargeCpu(cost); }
-  void ChargeCrypto(Duration cost) override { Process::ChargeCrypto(cost); }
-  /// Node-scoped counters: increments roll up zone -> simulation totals.
-  CounterSet& counters() override { return Process::scoped_counters(); }
-  obs::Recorder& recorder() override { return simulation()->recorder(); }
-  obs::TraceContext trace_context() const override {
-    return Process::trace_context();
-  }
-  void set_trace_context(const obs::TraceContext& ctx) override {
-    Process::set_trace_context(ctx);
-  }
-  obs::SpanId BeginSpan(obs::SpanKind kind) override {
-    return Process::BeginSpan(kind);
-  }
-  void EndSpan(obs::SpanId span) override { Process::EndSpan(span); }
-
   ZoneId zone() const { return zone_; }
   pbft::PbftEngine& pbft() { return *pbft_; }
   TwoLevelGlobalEngine& global() { return *global_; }
@@ -243,7 +210,7 @@ class TwoLevelNode : public sim::Process, public sim::Transport {
 
  protected:
   void OnMessage(const sim::MessagePtr& msg) override;
-  void OnTimer(std::uint64_t tag) override;
+  void OnTimer(const sim::TimerTag& tag) override;
 
  private:
   const crypto::KeyRegistry* keys_ = nullptr;

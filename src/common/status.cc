@@ -10,20 +10,10 @@ const char* StatusCodeName(StatusCode code) {
       return "INVALID_ARGUMENT";
     case StatusCode::kNotFound:
       return "NOT_FOUND";
-    case StatusCode::kAlreadyExists:
-      return "ALREADY_EXISTS";
-    case StatusCode::kFailedPrecondition:
-      return "FAILED_PRECONDITION";
     case StatusCode::kPermissionDenied:
       return "PERMISSION_DENIED";
     case StatusCode::kInvalidCertificate:
       return "INVALID_CERTIFICATE";
-    case StatusCode::kStaleMessage:
-      return "STALE_MESSAGE";
-    case StatusCode::kOutOfRange:
-      return "OUT_OF_RANGE";
-    case StatusCode::kUnavailable:
-      return "UNAVAILABLE";
     case StatusCode::kInternal:
       return "INTERNAL";
   }

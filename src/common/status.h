@@ -13,13 +13,8 @@ enum class StatusCode {
   kOk = 0,
   kInvalidArgument,
   kNotFound,
-  kAlreadyExists,
-  kFailedPrecondition,
   kPermissionDenied,     // bad signature / unauthorized client
   kInvalidCertificate,   // quorum certificate failed verification
-  kStaleMessage,         // old view / old ballot / replayed timestamp
-  kOutOfRange,           // sequence number outside watermarks
-  kUnavailable,          // not enough live participants
   kInternal,
 };
 
@@ -39,26 +34,11 @@ class Status {
   static Status NotFound(std::string m) {
     return Status(StatusCode::kNotFound, std::move(m));
   }
-  static Status AlreadyExists(std::string m) {
-    return Status(StatusCode::kAlreadyExists, std::move(m));
-  }
-  static Status FailedPrecondition(std::string m) {
-    return Status(StatusCode::kFailedPrecondition, std::move(m));
-  }
   static Status PermissionDenied(std::string m) {
     return Status(StatusCode::kPermissionDenied, std::move(m));
   }
   static Status InvalidCertificate(std::string m) {
     return Status(StatusCode::kInvalidCertificate, std::move(m));
-  }
-  static Status StaleMessage(std::string m) {
-    return Status(StatusCode::kStaleMessage, std::move(m));
-  }
-  static Status OutOfRange(std::string m) {
-    return Status(StatusCode::kOutOfRange, std::move(m));
-  }
-  static Status Unavailable(std::string m) {
-    return Status(StatusCode::kUnavailable, std::move(m));
   }
   static Status Internal(std::string m) {
     return Status(StatusCode::kInternal, std::move(m));

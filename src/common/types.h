@@ -17,7 +17,6 @@ using Duration = std::uint64_t;
 inline constexpr SimTime kSimTimeMax = std::numeric_limits<SimTime>::max();
 
 /// Convenience literals for building durations.
-constexpr Duration Micros(std::uint64_t v) { return v; }
 constexpr Duration Millis(std::uint64_t v) { return v * 1000; }
 constexpr Duration Seconds(std::uint64_t v) { return v * 1000 * 1000; }
 

@@ -6,12 +6,12 @@
 
 namespace ziziphus::core {
 
-DataSyncEngine::DataSyncEngine(sim::Transport* transport,
+DataSyncEngine::DataSyncEngine(sim::Process* process,
                                const crypto::KeyRegistry* keys,
                                const Topology* topology, ZoneId my_zone,
                                GlobalMetadata* metadata, LockTable* locks,
                                ZoneEndorser* endorser, SyncConfig config)
-    : transport_(transport),
+    : process_(process),
       keys_(keys),
       topology_(topology),
       my_zone_(my_zone),
@@ -34,7 +34,7 @@ std::vector<NodeId> DataSyncEngine::ProxyNodes(const ZoneInfo& zone,
 
 bool DataSyncEngine::IAmProxy() const {
   auto proxies = ProxyNodes(my_zone_info(), endorser_->view());
-  return std::find(proxies.begin(), proxies.end(), transport_->self()) !=
+  return std::find(proxies.begin(), proxies.end(), process_->id()) !=
          proxies.end();
 }
 
@@ -48,21 +48,15 @@ Ballot DataSyncEngine::NextBallot(ZoneId chain_zone) {
 }
 
 std::uint64_t DataSyncEngine::ArmTimer(std::uint64_t request_id,
-                                       TimerKind kind, Duration delay,
-                                       std::uint64_t* token) {
-  std::uint64_t t = next_timer_token_++;
-  timers_[t] = {request_id, kind};
-  if (token != nullptr) *token = t;
-  return transport_->SetTimer(
-      delay, sim::PackTimer(sim::TimerEngine::kDataSync,
-                            static_cast<std::uint8_t>(kind), t));
+                                       TimerKind kind, Duration delay) {
+  return process_->SetTimer(
+      delay, sim::TimerTag{sim::TimerEngine::kDataSync,
+                           static_cast<std::uint8_t>(kind), request_id});
 }
 
-void DataSyncEngine::DisarmTimer(std::uint64_t& timer, std::uint64_t& token) {
-  if (timer != 0) transport_->CancelTimer(timer);
-  timers_.erase(token);
+void DataSyncEngine::DisarmTimer(std::uint64_t& timer) {
+  if (timer != 0) process_->CancelTimer(timer);
   timer = 0;
-  token = 0;
 }
 
 DataSyncEngine::RequestState& DataSyncEngine::Track(std::uint64_t id) {
@@ -74,15 +68,15 @@ Status DataSyncEngine::VerifyZoneCert(const crypto::Certificate& cert,
                                       crypto::Digest expected,
                                       ZoneId zone) const {
   const ZoneInfo& zi = topology_->zone(zone);
-  obs::SpanId span = transport_->BeginSpan(obs::SpanKind::kCertVerify);
-  transport_->ChargeCrypto(
+  obs::SpanId span = process_->BeginSpan(obs::SpanKind::kCertVerify);
+  process_->ChargeCrypto(
       config_.costs.crypto.CertificateVerifyCost(cert.size()));
   Status status = crypto::VerifyCertificate(
       *keys_, cert, expected, zi.quorum(), [&zi](NodeId n) {
         return std::find(zi.members.begin(), zi.members.end(), n) !=
                zi.members.end();
       });
-  transport_->EndSpan(span);
+  process_->EndSpan(span);
   return status;
 }
 
@@ -97,43 +91,43 @@ bool DataSyncEngine::HandleMessage(const sim::MessagePtr& msg) {
   const auto& costs = config_.costs;
   switch (msg->type()) {
     case kMigrationRequest:
-      transport_->ChargeCpu(costs.base_handle_us);
-      transport_->ChargeCrypto(costs.mac_us);
+      process_->ChargeCpu(costs.base_handle_us);
+      process_->ChargeCrypto(costs.mac_us);
       HandleMigrationRequest(
           std::static_pointer_cast<const MigrationRequestMsg>(msg));
       return true;
     case kPropose:
-      transport_->ChargeCpu(costs.base_handle_us);
+      process_->ChargeCpu(costs.base_handle_us);
       HandlePropose(std::static_pointer_cast<const ProposeMsg>(msg));
       return true;
     case kPromise:
-      transport_->ChargeCpu(costs.base_handle_us);
+      process_->ChargeCpu(costs.base_handle_us);
       HandlePromise(std::static_pointer_cast<const PromiseMsg>(msg));
       return true;
     case kAccept:
-      transport_->ChargeCpu(costs.base_handle_us);
+      process_->ChargeCpu(costs.base_handle_us);
       HandleAccept(std::static_pointer_cast<const AcceptMsg>(msg));
       return true;
     case kAccepted:
-      transport_->ChargeCpu(costs.base_handle_us);
+      process_->ChargeCpu(costs.base_handle_us);
       HandleAccepted(std::static_pointer_cast<const AcceptedMsg>(msg));
       return true;
     case kGlobalCommit:
-      transport_->ChargeCpu(costs.base_handle_us);
+      process_->ChargeCpu(costs.base_handle_us);
       HandleGlobalCommit(std::static_pointer_cast<const GlobalCommitMsg>(msg));
       return true;
     case kResponseQuery:
-      transport_->ChargeCpu(costs.base_handle_us);
-      transport_->ChargeCrypto(costs.mac_us);
+      process_->ChargeCpu(costs.base_handle_us);
+      process_->ChargeCrypto(costs.mac_us);
       HandleResponseQuery(
           std::static_pointer_cast<const ResponseQueryMsg>(msg));
       return true;
     case kCrossPropose:
-      transport_->ChargeCpu(costs.base_handle_us);
+      process_->ChargeCpu(costs.base_handle_us);
       HandleCrossPropose(std::static_pointer_cast<const CrossProposeMsg>(msg));
       return true;
     case kPrepared:
-      transport_->ChargeCpu(costs.base_handle_us);
+      process_->ChargeCpu(costs.base_handle_us);
       HandlePrepared(std::static_pointer_cast<const PreparedMsg>(msg));
       return true;
     default:
@@ -141,25 +135,19 @@ bool DataSyncEngine::HandleMessage(const sim::MessagePtr& msg) {
   }
 }
 
-bool DataSyncEngine::HandleTimer(std::uint64_t tag) {
-  if (!sim::TimerTag::OwnedBy(tag, sim::TimerEngine::kDataSync)) return false;
-  std::uint64_t token = sim::TimerTag::Unpack(tag).slot;
-  auto it = timers_.find(token);
-  if (it == timers_.end()) return true;
-  auto [request_id, kind] = it->second;
-  timers_.erase(it);
-
-  if (kind == kBatch) {
+void DataSyncEngine::HandleTimer(const sim::TimerTag& tag) {
+  if (tag.kind == kBatch) {
     batch_timer_armed_ = false;
     FlushBatch();
-    return true;
+    return;
   }
 
+  const std::uint64_t request_id = tag.key;
   auto rit = requests_.find(request_id);
-  if (rit == requests_.end()) return true;
+  if (rit == requests_.end()) return;
   RequestState& req = rit->second;
 
-  switch (kind) {
+  switch (tag.kind) {
     case kRetry:
       if (req.commit_msg == nullptr && req.i_am_leader) {
         RetryRequest(request_id);
@@ -173,13 +161,14 @@ bool DataSyncEngine::HandleTimer(std::uint64_t tag) {
         query->request_id = request_id;
         query->ballot = req.ballot;
         query->zone = my_zone_;
-        query->replica = transport_->self();
-        query->sig = keys_->Sign(transport_->self(), query->digest());
+        query->replica = process_->id();
+        query->sig = keys_->Sign(process_->id(), query->digest());
         const auto& members = topology_->zone(req.initiator_zone).members;
-        transport_->ChargeCrypto(config_.costs.crypto.sign_us);
-        transport_->ChargeCpu(config_.costs.send_us * members.size());
-        transport_->counters().Inc(obs::CounterId::kSyncResponseQueriesSent);
-        transport_->Multicast(members, query);
+        process_->ChargeCrypto(config_.costs.crypto.sign_us);
+        process_->ChargeCpu(config_.costs.send_us * members.size());
+        process_->scoped_counters().Inc(
+            obs::CounterId::kSyncResponseQueriesSent);
+        process_->Multicast(members, query);
         // Capped exponential backoff with a generous round budget: the
         // initiator zone may be unreachable (cuts, crashes, rejoining
         // amnesiacs) for longer than a handful of rounds, and a follower
@@ -190,8 +179,7 @@ bool DataSyncEngine::HandleTimer(std::uint64_t tag) {
               1ULL << std::min(req.commit_wait_rounds, 3), 8ULL);
           req.commit_wait_timer =
               ArmTimer(request_id, kCommitWait,
-                       config_.response_query_timeout_us * mult,
-                       &req.commit_wait_token);
+                       config_.response_query_timeout_us * mult);
         }
       }
       break;
@@ -201,22 +189,17 @@ bool DataSyncEngine::HandleTimer(std::uint64_t tag) {
           req.commit_msg == nullptr &&
           !executed_ops_.Contains(req.op0().client, req.op0().timestamp)) {
         // The primary ignored a relayed migration request: suspect it.
-        transport_->counters().Inc(obs::CounterId::kSyncRelayWatchExpired);
+        process_->scoped_counters().Inc(obs::CounterId::kSyncRelayWatchExpired);
         relay_watch_.erase(wit);
         if (suspect_primary_callback_) suspect_primary_callback_();
       }
       break;
     }
     case kChainSkip:
-      for (auto [cs, end] = chain_skips_.equal_range(request_id); cs != end;
-           ++cs) {
-        if (cs->second.second == token) {
-          chain_skips_.erase(cs);
-          break;
-        }
-      }
+      // ExecuteCommit cancels the request's other guards; this one already
+      // fired, so cancelling it there is a no-op.
       if (!req.executed && req.commit_msg != nullptr) {
-        transport_->counters().Inc(obs::CounterId::kSyncChainSkip);
+        process_->scoped_counters().Inc(obs::CounterId::kSyncChainSkip);
         if (!BallotExecuted(req.exec_prev)) {
           chain_holes_[req.exec_prev.zone].insert(req.exec_prev);
           if (durable_ != nullptr) {
@@ -229,7 +212,6 @@ bool DataSyncEngine::HandleTimer(std::uint64_t tag) {
     default:
       break;
   }
-  return true;
 }
 
 // ----------------------------------------------------- request admission
@@ -237,7 +219,7 @@ bool DataSyncEngine::HandleTimer(std::uint64_t tag) {
 void DataSyncEngine::HandleMigrationRequest(
     const std::shared_ptr<const MigrationRequestMsg>& msg) {
   if (!keys_->Verify(msg->client_sig, msg->digest())) {
-    transport_->counters().Inc(obs::CounterId::kSyncBadClientSig);
+    process_->scoped_counters().Inc(obs::CounterId::kSyncBadClientSig);
     return;
   }
   const MigrationOp& op = msg->op;
@@ -255,14 +237,13 @@ void DataSyncEngine::HandleMigrationRequest(
   if (!IsZonePrimary()) {
     // Relay to the primary and watch for progress (Section V-A). Track the
     // op so a future primary (after a view change) can lead it.
-    transport_->ChargeCpu(config_.costs.send_us);
-    transport_->Send(endorser_->primary(), msg);
+    process_->ChargeCpu(config_.costs.send_us);
+    process_->Send(endorser_->primary(), msg);
     if (relay_watch_.count(op_id) == 0) {
       queued_op_ids_.insert(op_id);
       pending_ops_.push_back(op);
-      auto& [timer, token] = relay_watch_[op_id];
-      timer = ArmTimer(op_id, kRelayWatch, config_.relay_watch_timeout_us,
-                       &token);
+      relay_watch_[op_id] =
+          ArmTimer(op_id, kRelayWatch, config_.relay_watch_timeout_us);
       // Ensure a request record exists for relay-watch bookkeeping.
       RequestState& watch = Track(op_id);
       if (watch.id == 0) {
@@ -304,7 +285,7 @@ void DataSyncEngine::QueueOrLead(const MigrationOp& op) {
     LeadRequest(req);
     return;
   }
-  if (obs::TraceContext ctx = transport_->trace_context(); ctx.active()) {
+  if (obs::TraceContext ctx = process_->trace_context(); ctx.active()) {
     pending_traces_.emplace(op_id, ctx);
   }
   queued_op_ids_.insert(op_id);
@@ -341,7 +322,7 @@ void DataSyncEngine::FlushBatch() {
       if (!req.trace.active()) req.trace = tit->second;
       pending_traces_.erase(tit);
     }
-    transport_->counters().Inc(obs::CounterId::kSyncBatchesFormed);
+    process_->scoped_counters().Inc(obs::CounterId::kSyncBatchesFormed);
     LeadRequest(req);
   }
 }
@@ -352,14 +333,14 @@ void DataSyncEngine::LeadRequest(RequestState& req) {
   // inside a traced handler, remember the context for later re-leads. The
   // previous context is restored on exit so loops over many requests do not
   // leak one request's trace into the next one's sends.
-  obs::TraceContext saved_ctx = transport_->trace_context();
+  obs::TraceContext saved_ctx = process_->trace_context();
   if (!saved_ctx.active() && req.trace.active()) {
-    transport_->set_trace_context(req.trace);
+    process_->set_trace_context(req.trace);
   } else if (saved_ctx.active() && !req.trace.active()) {
     req.trace = saved_ctx;
   }
-  transport_->EndSpan(req.ballot_span);  // re-led: close the stale round
-  req.ballot_span = transport_->BeginSpan(obs::SpanKind::kSyncBallot);
+  process_->EndSpan(req.ballot_span);  // re-led: close the stale round
+  req.ballot_span = process_->BeginSpan(obs::SpanKind::kSyncBallot);
   req.i_am_leader = true;
   bool cross_chain = req.cross || req.is_source_leg || req.cross_zone;
   ZoneId chain_zone =
@@ -376,7 +357,7 @@ void DataSyncEngine::LeadRequest(RequestState& req) {
   req.initiator_zone = my_zone_;
   req.exec_ballot = req.ballot;
   req.exec_prev = req.prev;
-  transport_->counters().Inc(obs::CounterId::kSyncRequestsLed);
+  process_->scoped_counters().Inc(obs::CounterId::kSyncRequestsLed);
 
   if (config_.stable_leader || req.is_source_leg) {
     // Stable leader: no propose/promise phases. The first endorsement both
@@ -395,10 +376,9 @@ void DataSyncEngine::LeadRequest(RequestState& req) {
                      nullptr, req.ops.front(), req.ops, {},
                      /*full_prepare=*/true);
   }
-  DisarmTimer(req.retry_timer, req.retry_token);
-  req.retry_timer =
-      ArmTimer(req.id, kRetry, config_.retry_timeout_us, &req.retry_token);
-  transport_->set_trace_context(saved_ctx);
+  DisarmTimer(req.retry_timer);
+  req.retry_timer = ArmTimer(req.id, kRetry, config_.retry_timeout_us);
+  process_->set_trace_context(saved_ctx);
 }
 
 void DataSyncEngine::RetryRequest(std::uint64_t request_id) {
@@ -407,19 +387,18 @@ void DataSyncEngine::RetryRequest(std::uint64_t request_id) {
   RequestState& req = it->second;
   if (req.retries >= 8 || !IsZonePrimary()) return;
   req.retries++;
-  transport_->counters().Inc(obs::CounterId::kSyncRetries);
+  process_->scoped_counters().Inc(obs::CounterId::kSyncRetries);
 
   if (config_.stable_leader && req.sent_accept != nullptr) {
     // Retransmit; followers deduplicate by request id.
     std::vector<NodeId> targets = ParticipantNodes(my_zone_info().cluster);
-    transport_->ChargeCpu(config_.costs.send_us * targets.size());
-    transport_->Multicast(targets, req.sent_accept);
-    req.retry_timer =
-        ArmTimer(req.id, kRetry, config_.retry_timeout_us, &req.retry_token);
+    process_->ChargeCpu(config_.costs.send_us * targets.size());
+    process_->Multicast(targets, req.sent_accept);
+    req.retry_timer = ArmTimer(req.id, kRetry, config_.retry_timeout_us);
     return;
   }
-  // Re-propose with a fresh, higher ballot after a randomized backoff
-  // (collision handling, Lemma 5.6).
+  // Re-propose at once with a fresh, higher ballot (collision handling;
+  // Lemma 5.6's randomized backoff before re-proposing is not modeled).
   req.promises.clear();
   req.accepteds.clear();
   req.phase = Phase::kIdle;
@@ -455,7 +434,7 @@ bool DataSyncEngine::ValidateEndorse(const EndorsePrePrepareMsg& pp) {
   if (!req.trace.active()) {
     // Remember the trace at every node: if this node becomes primary after
     // a view change, the re-led request continues the client's chain.
-    req.trace = transport_->trace_context();
+    req.trace = process_->trace_context();
   }
   req.ballot = pp.ballot;
   req.prev = pp.prev;
@@ -468,7 +447,7 @@ bool DataSyncEngine::ValidateEndorse(const EndorsePrePrepareMsg& pp) {
   for (const auto& op : ops) {
     auto wit = relay_watch_.find(op.RequestId());
     if (wit != relay_watch_.end()) {
-      DisarmTimer(wit->second.first, wit->second.second);
+      DisarmTimer(wit->second);
       relay_watch_.erase(wit);
     }
   }
@@ -503,7 +482,7 @@ bool DataSyncEngine::ValidateEndorse(const EndorsePrePrepareMsg& pp) {
       return false;  // not a data-sync phase
   }
   if (expect != pp.content_digest) {
-    transport_->counters().Inc(obs::CounterId::kSyncBadEndorseDigest);
+    process_->scoped_counters().Inc(obs::CounterId::kSyncBadEndorseDigest);
     return false;
   }
 
@@ -565,8 +544,8 @@ void DataSyncEngine::OnEndorseQuorum(const EndorseKey& key,
         const auto& m = topology_->zone(z).members;
         targets.insert(targets.end(), m.begin(), m.end());
       }
-      transport_->ChargeCpu(config_.costs.send_us * targets.size());
-      transport_->Multicast(targets, prop);
+      process_->ChargeCpu(config_.costs.send_us * targets.size());
+      process_->Multicast(targets, prop);
       break;
     }
     case EndorsePhase::kPromise: {
@@ -578,8 +557,8 @@ void DataSyncEngine::OnEndorseQuorum(const EndorseKey& key,
       promise->zone = my_zone_;
       promise->cert = cert;
       const auto& members = topology_->zone(req.initiator_zone).members;
-      transport_->ChargeCpu(config_.costs.send_us * members.size());
-      transport_->Multicast(members, promise);
+      process_->ChargeCpu(config_.costs.send_us * members.size());
+      process_->Multicast(members, promise);
       break;
     }
     case EndorsePhase::kAccept:
@@ -587,7 +566,7 @@ void DataSyncEngine::OnEndorseQuorum(const EndorseKey& key,
       // Cross-cluster: the f+1 proxies of the destination zone forward the
       // certified request to the source zone (Section VI).
       if (req.cross && !req.is_source_leg && IAmProxy()) {
-        obs::SpanId relay = transport_->BeginSpan(obs::SpanKind::kProxyRelay);
+        obs::SpanId relay = process_->BeginSpan(obs::SpanKind::kProxyRelay);
         auto cp = std::make_shared<CrossProposeMsg>();
         cp->request_id = req.id;
         cp->ballot = pp.ballot;
@@ -596,10 +575,10 @@ void DataSyncEngine::OnEndorseQuorum(const EndorseKey& key,
         cp->initiator_zone = my_zone_;
         cp->cert = cert;
         const auto& members = topology_->zone(req.op0().source).members;
-        transport_->ChargeCpu(config_.costs.send_us * members.size());
-        transport_->counters().Inc(obs::CounterId::kSyncCrossProposesSent);
-        transport_->Multicast(members, cp);
-        transport_->EndSpan(relay);
+        process_->ChargeCpu(config_.costs.send_us * members.size());
+        process_->scoped_counters().Inc(obs::CounterId::kSyncCrossProposesSent);
+        process_->Multicast(members, cp);
+        process_->EndSpan(relay);
       }
       if (!IsZonePrimary() || !req.i_am_leader) break;
       SendAccept(req, cert);
@@ -611,8 +590,7 @@ void DataSyncEngine::OnEndorseQuorum(const EndorseKey& key,
       if (req.commit_wait_timer == 0 && req.commit_msg == nullptr) {
         req.commit_wait_rounds = 0;
         req.commit_wait_timer =
-            ArmTimer(req.id, kCommitWait, config_.response_query_timeout_us,
-                     &req.commit_wait_token);
+            ArmTimer(req.id, kCommitWait, config_.response_query_timeout_us);
       }
       if (!IsZonePrimary()) break;
       auto acc = std::make_shared<AcceptedMsg>();
@@ -622,8 +600,8 @@ void DataSyncEngine::OnEndorseQuorum(const EndorseKey& key,
       acc->zone = my_zone_;
       acc->cert = cert;
       const auto& members = topology_->zone(req.initiator_zone).members;
-      transport_->ChargeCpu(config_.costs.send_us * members.size());
-      transport_->Multicast(members, acc);
+      process_->ChargeCpu(config_.costs.send_us * members.size());
+      process_->Multicast(members, acc);
       break;
     }
     case EndorsePhase::kCommit: {
@@ -632,7 +610,7 @@ void DataSyncEngine::OnEndorseQuorum(const EndorseKey& key,
         // the destination zone with a PREPARED message.
         if (IAmProxy()) {
           obs::SpanId relay =
-              transport_->BeginSpan(obs::SpanKind::kProxyRelay);
+              process_->BeginSpan(obs::SpanKind::kProxyRelay);
           auto prep = std::make_shared<PreparedMsg>();
           prep->request_id = req.peer_request_id;
           prep->source_ballot = req.ballot;
@@ -646,10 +624,10 @@ void DataSyncEngine::OnEndorseQuorum(const EndorseKey& key,
                   ? pit->second.initiator_zone
                   : topology_->zone(req.op0().destination).id;
           const auto& members = topology_->zone(dest_zone).members;
-          transport_->ChargeCpu(config_.costs.send_us * members.size());
-          transport_->counters().Inc(obs::CounterId::kSyncPreparedSent);
-          transport_->Multicast(members, prep);
-          transport_->EndSpan(relay);
+          process_->ChargeCpu(config_.costs.send_us * members.size());
+          process_->scoped_counters().Inc(obs::CounterId::kSyncPreparedSent);
+          process_->Multicast(members, prep);
+          process_->EndSpan(relay);
         }
         break;
       }
@@ -736,8 +714,8 @@ void DataSyncEngine::SendAccept(RequestState& req,
       targets.insert(targets.end(), m.begin(), m.end());
     }
   }
-  transport_->ChargeCpu(config_.costs.send_us * targets.size());
-  transport_->Multicast(targets, acc);
+  process_->ChargeCpu(config_.costs.send_us * targets.size());
+  process_->Multicast(targets, acc);
 
   // A single-zone cluster has no followers: the accept quorum already
   // implies the zone majority, so move straight to the commit phase.
@@ -772,10 +750,10 @@ void DataSyncEngine::SendCommit(RequestState& req) {
     auto src = ParticipantNodes(topology_->zone(commit->source_zone).cluster);
     targets.insert(targets.end(), src.begin(), src.end());
   }
-  transport_->ChargeCpu(config_.costs.send_us * targets.size());
-  transport_->counters().Inc(obs::CounterId::kSyncCommitsSent);
-  transport_->Multicast(targets, commit);
-  transport_->EndSpan(req.ballot_span);  // ballot round: led -> commit sent
+  process_->ChargeCpu(config_.costs.send_us * targets.size());
+  process_->scoped_counters().Inc(obs::CounterId::kSyncCommitsSent);
+  process_->Multicast(targets, commit);
+  process_->EndSpan(req.ballot_span);  // ballot round: led -> commit sent
   req.ballot_span = 0;
 }
 
@@ -792,13 +770,13 @@ void DataSyncEngine::HandlePropose(
 
   if (!VerifyZoneCert(msg->cert, msg->digest(), msg->initiator_zone)
            .ok()) {
-    transport_->counters().Inc(obs::CounterId::kSyncBadProposeCert);
+    process_->scoped_counters().Inc(obs::CounterId::kSyncBadProposeCert);
     return;
   }
   // Paxos promise rule, scoped per instance: only promise ballots above
   // anything promised for this request.
   if (!(msg->ballot > req.promised)) {
-    transport_->counters().Inc(obs::CounterId::kSyncProposeRejectedStale);
+    process_->scoped_counters().Inc(obs::CounterId::kSyncProposeRejectedStale);
     return;
   }
   req.promised = msg->ballot;
@@ -827,7 +805,7 @@ void DataSyncEngine::HandlePromise(
   if (!req.i_am_leader || req.phase != Phase::kPromised) return;
   if (msg->ballot != req.ballot) return;
   if (!VerifyZoneCert(msg->cert, msg->digest(), msg->zone).ok()) {
-    transport_->counters().Inc(obs::CounterId::kSyncBadPromiseCert);
+    process_->scoped_counters().Inc(obs::CounterId::kSyncBadPromiseCert);
     return;
   }
   req.promises[msg->zone] = msg;
@@ -860,20 +838,20 @@ void DataSyncEngine::HandleAccept(
       acc->zone = my_zone_;
       acc->cert = req.accepted_cert;
       const auto& members = topology_->zone(msg->initiator_zone).members;
-      transport_->ChargeCpu(config_.costs.send_us * members.size());
-      transport_->Multicast(members, acc);
+      process_->ChargeCpu(config_.costs.send_us * members.size());
+      process_->Multicast(members, acc);
     }
     return;
   }
   if (!VerifyZoneCert(msg->cert, msg->digest(), msg->initiator_zone)
            .ok()) {
-    transport_->counters().Inc(obs::CounterId::kSyncBadAcceptCert);
+    process_->scoped_counters().Inc(obs::CounterId::kSyncBadAcceptCert);
     return;
   }
   // Paxos accept rule (non-stable mode): reject ballots below this
   // instance's promise.
   if (!config_.stable_leader && msg->ballot < req.promised) {
-    transport_->counters().Inc(obs::CounterId::kSyncAcceptRejectedStale);
+    process_->scoped_counters().Inc(obs::CounterId::kSyncAcceptRejectedStale);
     return;
   }
   req.ballot = msg->ballot;
@@ -902,7 +880,7 @@ void DataSyncEngine::HandleAccepted(
   if (msg->ballot != req.ballot) return;
   if (req.phase != Phase::kAccepted && req.phase != Phase::kAccepting) return;
   if (!VerifyZoneCert(msg->cert, msg->digest(), msg->zone).ok()) {
-    transport_->counters().Inc(obs::CounterId::kSyncBadAcceptedCert);
+    process_->scoped_counters().Inc(obs::CounterId::kSyncBadAcceptedCert);
     return;
   }
   req.accepteds[msg->zone] = msg;
@@ -929,7 +907,7 @@ void DataSyncEngine::HandleGlobalCommit(
   if (req.commit_msg != nullptr) return;  // duplicate
   if (!VerifyZoneCert(msg->cert, msg->digest(), msg->initiator_zone)
            .ok()) {
-    transport_->counters().Inc(obs::CounterId::kSyncBadCommitCert);
+    process_->scoped_counters().Inc(obs::CounterId::kSyncBadCommitCert);
     return;
   }
   if (msg->cross_cluster) {
@@ -939,7 +917,7 @@ void DataSyncEngine::HandleGlobalCommit(
                                               msg->source_zone),
                         msg->source_zone)
              .ok()) {
-      transport_->counters().Inc(obs::CounterId::kSyncBadCommitSourceCert);
+      process_->scoped_counters().Inc(obs::CounterId::kSyncBadCommitSourceCert);
       return;
     }
   }
@@ -948,8 +926,8 @@ void DataSyncEngine::HandleGlobalCommit(
   req.cross = msg->cross_cluster;
   if (req.ops.empty()) req.ops = msg->ops;
   committed_count_++;
-  DisarmTimer(req.commit_wait_timer, req.commit_wait_token);
-  DisarmTimer(req.retry_timer, req.retry_token);
+  DisarmTimer(req.commit_wait_timer);
+  DisarmTimer(req.retry_timer);
   if (msg->ballot.zone == my_zone_ && msg->ballot > my_last_ballot_) {
     my_last_ballot_ = msg->ballot;
     if (durable_ != nullptr) durable_->my_last_ballot = my_last_ballot_;
@@ -972,8 +950,8 @@ void DataSyncEngine::HandleGlobalCommit(
       RequestState& leg = lit->second;
       leg.commit_msg = msg;
       leg.executed = true;
-      DisarmTimer(leg.commit_wait_timer, leg.commit_wait_token);
-      DisarmTimer(leg.retry_timer, leg.retry_token);
+      DisarmTimer(leg.commit_wait_timer);
+      DisarmTimer(leg.retry_timer);
       endorser_->Settle(leg.id);
     }
   }
@@ -1005,10 +983,9 @@ void DataSyncEngine::MaybeExecute(std::uint64_t request_id) {
   // Predecessor not executed yet: wait for it (and arm a skip guard so a
   // predecessor lost to a failed leader cannot wedge the chain forever).
   waiting_on_[req.exec_prev].push_back(request_id);
-  std::uint64_t token = 0;
-  std::uint64_t timer =
-      ArmTimer(request_id, kChainSkip, config_.retry_timeout_us * 2, &token);
-  chain_skips_.emplace(request_id, std::make_pair(timer, token));
+  chain_skips_.emplace(
+      request_id,
+      ArmTimer(request_id, kChainSkip, config_.retry_timeout_us * 2));
 }
 
 void DataSyncEngine::ExecuteCommit(RequestState& req) {
@@ -1016,15 +993,12 @@ void DataSyncEngine::ExecuteCommit(RequestState& req) {
   req.executed = true;
   // Executed: every pending skip guard would fire into a no-op.
   auto [cs, end] = chain_skips_.equal_range(req.id);
-  for (auto it = cs; it != end; ++it) {
-    transport_->CancelTimer(it->second.first);
-    timers_.erase(it->second.second);
-  }
+  for (auto it = cs; it != end; ++it) process_->CancelTimer(it->second);
   chain_skips_.erase(cs, end);
   for (const MigrationOp& op : req.ops) {
     const bool ran = executed_ops_.Insert(op.client, op.timestamp);
     if (config_.exec_observer) {
-      config_.exec_observer(transport_->self(), op, ran);
+      config_.exec_observer(process_->id(), op, ran);
     }
     if (!ran) continue;  // re-led twin
     executed_count_++;
@@ -1032,7 +1006,7 @@ void DataSyncEngine::ExecuteCommit(RequestState& req) {
       durable_->executed_ops.Insert(op.client, op.timestamp);
       durable_->executed_op_count = executed_count_;
     }
-    transport_->ChargeCpu(config_.costs.apply_us);
+    process_->ChargeCpu(config_.costs.apply_us);
     std::string result;
     if (op.IsMigration()) {
       result = metadata_->Execute(op);
@@ -1049,7 +1023,7 @@ void DataSyncEngine::ExecuteCommit(RequestState& req) {
     Hasher digest(0xe4ec);
     digest.Add(req.id);
     for (const MigrationOp& op : req.ops) digest.Add(op.RequestId());
-    ledger_->Record(req.exec_ballot, digest.Finish(), transport_->self());
+    ledger_->Record(req.exec_ballot, digest.Finish(), process_->id());
   }
   const ZoneId chain_id = req.exec_ballot.zone;
   Ballot& chain = chain_executed_[chain_id];
@@ -1079,7 +1053,7 @@ void DataSyncEngine::CompactDecided(std::uint64_t request_id) {
   // duplicate needs. Its promise bound goes with it.
   if (durable_ != nullptr) durable_->promised.erase(request_id);
   requests_.erase(it);
-  transport_->counters().Inc(obs::CounterId::kSyncRequestsCompacted);
+  process_->scoped_counters().Inc(obs::CounterId::kSyncRequestsCompacted);
 }
 
 bool DataSyncEngine::BallotExecuted(Ballot ballot) const {
@@ -1125,13 +1099,13 @@ void DataSyncEngine::FlushWaiters(Ballot ballot) {
 void DataSyncEngine::HandleResponseQuery(
     const std::shared_ptr<const ResponseQueryMsg>& msg) {
   if (!keys_->Verify(msg->sig, msg->digest())) return;
-  transport_->counters().Inc(obs::CounterId::kSyncResponseQueriesReceived);
+  process_->scoped_counters().Inc(obs::CounterId::kSyncResponseQueriesReceived);
   auto it = requests_.find(msg->request_id);
   if (it != requests_.end() && it->second.commit_msg != nullptr) {
     // Already processed: re-send the response (Section V-A), and log the
     // query to detect denial-of-service attempts.
-    transport_->ChargeCpu(config_.costs.send_us);
-    transport_->Send(msg->replica, it->second.commit_msg);
+    process_->ChargeCpu(config_.costs.send_us);
+    process_->Send(msg->replica, it->second.commit_msg);
     return;
   }
   if (it == requests_.end()) return;
@@ -1145,7 +1119,7 @@ void DataSyncEngine::HandleResponseQuery(
   req.response_queries.insert(msg->replica);
   std::size_t suspicion_quorum = topology_->zone(msg->zone).quorum();
   if (req.response_queries.size() >= suspicion_quorum && !IsZonePrimary()) {
-    transport_->counters().Inc(obs::CounterId::kSyncPrimarySuspected);
+    process_->scoped_counters().Inc(obs::CounterId::kSyncPrimarySuspected);
     req.response_queries.clear();
     if (suspect_primary_callback_) suspect_primary_callback_();
   }
@@ -1162,7 +1136,7 @@ void DataSyncEngine::HandleCrossPropose(
   if (leg.id != 0 && leg.phase != Phase::kIdle) return;  // already running
   if (!VerifyZoneCert(msg->cert, msg->digest(), msg->initiator_zone)
            .ok()) {
-    transport_->counters().Inc(obs::CounterId::kSyncBadCrossProposeCert);
+    process_->scoped_counters().Inc(obs::CounterId::kSyncBadCrossProposeCert);
     return;
   }
   leg.id = leg_id;
@@ -1181,7 +1155,7 @@ void DataSyncEngine::HandleCrossPropose(
 
   if (!IsZonePrimary()) return;  // backups track; primary leads the leg
   leg.initiator_zone = my_zone_;
-  transport_->counters().Inc(obs::CounterId::kSyncSourceLegsStarted);
+  process_->scoped_counters().Inc(obs::CounterId::kSyncSourceLegsStarted);
   LeadRequest(leg);
 }
 
@@ -1193,11 +1167,11 @@ void DataSyncEngine::HandlePrepared(
   if (req.prepared != nullptr) return;
   if (!VerifyZoneCert(msg->cert, msg->digest(), msg->source_zone)
            .ok()) {
-    transport_->counters().Inc(obs::CounterId::kSyncBadPreparedCert);
+    process_->scoped_counters().Inc(obs::CounterId::kSyncBadPreparedCert);
     return;
   }
   req.prepared = msg;
-  transport_->counters().Inc(obs::CounterId::kSyncPreparedReceived);
+  process_->scoped_counters().Inc(obs::CounterId::kSyncPreparedReceived);
   if (req.i_am_leader && req.commit_cert_ready && req.commit_msg == nullptr) {
     SendCommit(req);
   }
@@ -1215,7 +1189,7 @@ void DataSyncEngine::OnViewChange(ViewId view) {
       RequestState& req = it->second;
       if (req.i_am_leader && req.commit_msg == nullptr) {
         req.i_am_leader = false;
-        DisarmTimer(req.retry_timer, req.retry_token);
+        DisarmTimer(req.retry_timer);
       }
     }
     return;
@@ -1238,7 +1212,8 @@ void DataSyncEngine::OnViewChange(ViewId view) {
     req.commit_cert_ready = false;
     req.sent_propose = nullptr;
     req.sent_accept = nullptr;
-    transport_->counters().Inc(obs::CounterId::kSyncReleadsAfterViewChange);
+    process_->scoped_counters().Inc(
+        obs::CounterId::kSyncReleadsAfterViewChange);
     LeadRequest(req);
   }
   // Relayed-but-never-endorsed ops queue for a fresh batch.
@@ -1279,9 +1254,9 @@ void DataSyncEngine::ReshipCommit(std::uint64_t request_id, ZoneId zone) {
   }
   if (found == nullptr) return;
   const auto& members = topology_->zone(zone).members;
-  transport_->ChargeCpu(config_.costs.send_us * members.size());
-  transport_->counters().Inc(obs::CounterId::kSyncCommitsReshipped);
-  transport_->Multicast(members, found->commit_msg);
+  process_->ChargeCpu(config_.costs.send_us * members.size());
+  process_->scoped_counters().Inc(obs::CounterId::kSyncCommitsReshipped);
+  process_->Multicast(members, found->commit_msg);
 }
 
 void DataSyncEngine::DumpStuckRequests(std::FILE* out) const {

@@ -20,8 +20,8 @@
 #include "core/metadata.h"
 #include "core/topology.h"
 #include "crypto/certificate.h"
+#include "sim/simulation.h"
 #include "sim/timer_tag.h"
-#include "sim/transport.h"
 
 namespace ziziphus::core {
 
@@ -45,10 +45,6 @@ struct SyncConfig {
 
   /// Follower-side wait before multicasting RESPONSE-QUERY messages.
   Duration response_query_timeout_us = Seconds(1);
-
-  /// Upper bound of the randomized backoff before re-proposing after a
-  /// collision (non-stable mode, Lemma 5.6).
-  Duration backoff_max_us = Millis(300);
 
   /// Watchdog at initiator-zone backups: how long a relayed migration
   /// request may sit without the primary starting consensus on it.
@@ -102,14 +98,16 @@ class DataSyncEngine {
   using GlobalApplyCallback =
       std::function<std::string(const MigrationOp& op)>;
 
-  DataSyncEngine(sim::Transport* transport, const crypto::KeyRegistry* keys,
+  DataSyncEngine(sim::Process* process, const crypto::KeyRegistry* keys,
                  const Topology* topology, ZoneId my_zone,
                  GlobalMetadata* metadata, LockTable* locks,
                  ZoneEndorser* endorser, SyncConfig config);
 
   /// Routes top-level protocol messages; returns true if consumed.
   bool HandleMessage(const sim::MessagePtr& msg);
-  bool HandleTimer(std::uint64_t tag);
+  /// Feeds an expired timer the host routed here (tag.engine ==
+  /// kDataSync); `tag.key` is the request or op id it guards.
+  void HandleTimer(const sim::TimerTag& tag);
 
   /// Endorsement routing: the host's ZoneEndorser calls these for data-sync
   /// phases (kPropose..kCommit, kCrossSource).
@@ -255,9 +253,6 @@ class DataSyncEngine {
     std::set<NodeId> response_queries;
     std::uint64_t commit_wait_timer = 0;
     std::uint64_t retry_timer = 0;
-    // Their timers_ tokens, erased whenever the timer is cancelled.
-    std::uint64_t commit_wait_token = 0;
-    std::uint64_t retry_token = 0;
     int commit_wait_rounds = 0;
     // Causal trace of the client operation that started this request,
     // bridged across batch timers, retries, and view-change re-leads.
@@ -315,16 +310,16 @@ class DataSyncEngine {
                         crypto::Digest expected, ZoneId zone) const;
 
   Ballot NextBallot(ZoneId chain_zone);
-  /// Arms an engine timer; `token` (if given) receives its timers_ key.
+  /// Arms an engine timer keyed by the request (or op) id it guards.
   std::uint64_t ArmTimer(std::uint64_t request_id, TimerKind kind,
-                         Duration delay, std::uint64_t* token = nullptr);
+                         Duration delay);
   /// The request's state, created (and its id added to request_order_)
   /// if new.
   RequestState& Track(std::uint64_t id);
-  /// Cancels a timer ArmTimer set, erases its token and zeroes both.
-  void DisarmTimer(std::uint64_t& timer, std::uint64_t& token);
+  /// Cancels a timer ArmTimer set and zeroes its id.
+  void DisarmTimer(std::uint64_t& timer);
 
-  sim::Transport* transport_;
+  sim::Process* process_;
   const crypto::KeyRegistry* keys_;
   const Topology* topology_;
   ZoneId my_zone_;
@@ -374,17 +369,12 @@ class DataSyncEngine {
   /// skip stepped over, until their own commit executes (usually empty).
   std::map<ZoneId, std::set<Ballot>> chain_holes_;
   std::map<Ballot, std::vector<std::uint64_t>> waiting_on_;
-  /// Relayed op id -> {watch timer id, its timers_ token}.
-  std::map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>>
-      relay_watch_;
-  std::unordered_map<std::uint64_t, std::pair<std::uint64_t, int>> timers_;
-  /// Pending chain-skip guards, request id -> {timer id, token}. Cancelled
-  /// when the request executes, so a guard that can no longer fire into
-  /// anything does not sit in the event queue for its whole timeout.
-  std::unordered_multimap<std::uint64_t,
-                          std::pair<std::uint64_t, std::uint64_t>>
-      chain_skips_;
-  std::uint64_t next_timer_token_ = 1;
+  /// Relayed op id -> its watch timer id.
+  std::map<std::uint64_t, std::uint64_t> relay_watch_;
+  /// Chain-skip guards, request id -> timer id. Cancelled when the request
+  /// executes, so a guard that can no longer fire into anything does not
+  /// sit in the event queue for its whole timeout.
+  std::unordered_multimap<std::uint64_t, std::uint64_t> chain_skips_;
 
   std::uint64_t committed_count_ = 0;
   std::uint64_t executed_count_ = 0;

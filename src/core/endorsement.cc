@@ -6,11 +6,11 @@
 
 namespace ziziphus::core {
 
-ZoneEndorser::ZoneEndorser(sim::Transport* transport,
+ZoneEndorser::ZoneEndorser(sim::Process* process,
                            const crypto::KeyRegistry* keys,
                            const ZoneInfo* zone, NodeCosts costs,
                            Callbacks callbacks)
-    : transport_(transport),
+    : process_(process),
       keys_(keys),
       zone_(zone),
       costs_(costs),
@@ -65,31 +65,31 @@ void ZoneEndorser::Start(EndorsePhase phase, std::uint64_t request_id,
   msg->ops = std::move(ops);
   msg->records = std::move(records);
   msg->full_prepare = full_prepare;
-  msg->sig = keys_->Sign(transport_->self(), msg->digest());
-  transport_->ChargeCrypto(costs_.crypto.sign_us);
-  transport_->ChargeCpu(costs_.send_us * zone_->members.size());
-  transport_->Multicast(zone_->members, msg);
+  msg->sig = keys_->Sign(process_->id(), msg->digest());
+  process_->ChargeCrypto(costs_.crypto.sign_us);
+  process_->ChargeCpu(costs_.send_us * zone_->members.size());
+  process_->Multicast(zone_->members, msg);
 }
 
 bool ZoneEndorser::HandleMessage(const sim::MessagePtr& msg) {
   switch (msg->type()) {
     case kEndorsePrePrepare:
-      transport_->ChargeCpu(costs_.base_handle_us);
-      transport_->ChargeCrypto(costs_.crypto.verify_us);
+      process_->ChargeCpu(costs_.base_handle_us);
+      process_->ChargeCrypto(costs_.crypto.verify_us);
       HandlePrePrepare(
           std::static_pointer_cast<const EndorsePrePrepareMsg>(msg));
       return true;
     case kEndorsePrepare:
-      transport_->ChargeCpu(costs_.base_handle_us);
-      transport_->ChargeCrypto(costs_.mac_us);
+      process_->ChargeCpu(costs_.base_handle_us);
+      process_->ChargeCrypto(costs_.mac_us);
       HandlePrepare(std::static_pointer_cast<const EndorsePrepareMsg>(msg));
       return true;
     case kEndorseVote:
       // Vote tags are threshold-signature shares: cheap to check
       // individually; the assembled certificate costs one full verify at
       // its consumer.
-      transport_->ChargeCpu(costs_.base_handle_us);
-      transport_->ChargeCrypto(costs_.mac_us);
+      process_->ChargeCpu(costs_.base_handle_us);
+      process_->ChargeCrypto(costs_.mac_us);
       HandleVote(std::static_pointer_cast<const EndorseVoteMsg>(msg));
       return true;
     default:
@@ -102,7 +102,7 @@ void ZoneEndorser::HandlePrePrepare(
   if (m->view != view_) return;
   if (m->from() != primary()) return;
   if (!keys_->Verify(m->sig, m->digest())) {
-    transport_->counters().Inc(obs::CounterId::kEndorseBadSig);
+    process_->scoped_counters().Inc(obs::CounterId::kEndorseBadSig);
     return;
   }
   EndorseKey key{m->request_id, m->phase};
@@ -112,7 +112,8 @@ void ZoneEndorser::HandlePrePrepare(
     // re-opens the instance below.
     if (d->second.content_digest == m->content_digest) return;
     if (m->ballot <= d->second.ballot) {
-      transport_->counters().Inc(obs::CounterId::kEndorseEquivocationDetected);
+      process_->scoped_counters().Inc(
+          obs::CounterId::kEndorseEquivocationDetected);
       return;
     }
     done_.erase(d);
@@ -141,7 +142,7 @@ void ZoneEndorser::HandlePrePrepare(
         MulticastPrepare(*m);
       }
       if (st.voted) {
-        transport_->EndSpan(st.build_span);
+        process_->EndSpan(st.build_span);
         st.build_span = 0;
         st.voted = false;
         CastVote(key, st);
@@ -154,17 +155,18 @@ void ZoneEndorser::HandlePrePrepare(
       st = State{};
     } else {
       // Same ballot, different content: the primary is equivocating.
-      transport_->counters().Inc(obs::CounterId::kEndorseEquivocationDetected);
+      process_->scoped_counters().Inc(
+          obs::CounterId::kEndorseEquivocationDetected);
       return;
     }
   }
   if (callbacks_.validate && !callbacks_.validate(*m)) {
-    transport_->counters().Inc(obs::CounterId::kEndorseRejected);
+    process_->scoped_counters().Inc(obs::CounterId::kEndorseRejected);
     states_.erase(key);
     return;
   }
   st.pre_prepare = m;
-  st.round_span = transport_->BeginSpan(obs::SpanKind::kEndorseRound);
+  st.round_span = process_->BeginSpan(obs::SpanKind::kEndorseRound);
   st.builder.Reset(m->content_digest, zone_->quorum());
   for (const auto& [sig, digest] : st.early_votes) {
     st.builder.Add(sig, digest);
@@ -214,27 +216,27 @@ void ZoneEndorser::MulticastPrepare(const EndorsePrePrepareMsg& m) {
   prep->request_id = m.request_id;
   prep->view = view_;
   prep->content_digest = m.content_digest;
-  prep->replica = transport_->self();
-  prep->sig = keys_->Sign(transport_->self(), prep->digest());
-  transport_->ChargeCrypto(costs_.mac_us);
-  transport_->ChargeCpu(costs_.send_us * zone_->members.size());
-  transport_->Multicast(zone_->members, prep);
+  prep->replica = process_->id();
+  prep->sig = keys_->Sign(process_->id(), prep->digest());
+  process_->ChargeCrypto(costs_.mac_us);
+  process_->ChargeCpu(costs_.send_us * zone_->members.size());
+  process_->Multicast(zone_->members, prep);
 }
 
 void ZoneEndorser::CastVote(const EndorseKey& key, State& st) {
   if (st.voted || st.pre_prepare == nullptr) return;
   st.voted = true;
-  st.build_span = transport_->BeginSpan(obs::SpanKind::kCertBuild);
+  st.build_span = process_->BeginSpan(obs::SpanKind::kCertBuild);
   auto vote = std::make_shared<EndorseVoteMsg>();
   vote->phase = key.phase;
   vote->request_id = key.request_id;
   vote->view = view_;
   vote->content_digest = st.pre_prepare->content_digest;
-  vote->replica = transport_->self();
-  vote->sig = keys_->Sign(transport_->self(), vote->content_digest);
-  transport_->ChargeCrypto(costs_.crypto.sign_us);
-  transport_->ChargeCpu(costs_.send_us * zone_->members.size());
-  transport_->Multicast(zone_->members, vote);
+  vote->replica = process_->id();
+  vote->sig = keys_->Sign(process_->id(), vote->content_digest);
+  process_->ChargeCrypto(costs_.crypto.sign_us);
+  process_->ChargeCpu(costs_.send_us * zone_->members.size());
+  process_->Multicast(zone_->members, vote);
   if (st.done) Retire(key);
 }
 
@@ -243,7 +245,7 @@ void ZoneEndorser::HandleVote(
   if (m->view != view_) return;
   if (!IsMember(m->replica) || m->replica != m->from()) return;
   if (!keys_->Verify(m->sig, m->content_digest)) {
-    transport_->counters().Inc(obs::CounterId::kEndorseBadVote);
+    process_->scoped_counters().Inc(obs::CounterId::kEndorseBadVote);
     return;
   }
   EndorseKey key{m->request_id, m->phase};
@@ -279,9 +281,9 @@ void ZoneEndorser::MaybeFinish(const EndorseKey& key, State& st) {
   if (st.done || st.pre_prepare == nullptr) return;
   if (!st.builder.Complete()) return;
   st.done = true;
-  transport_->EndSpan(st.build_span);
+  process_->EndSpan(st.build_span);
   st.build_span = 0;
-  transport_->EndSpan(st.round_span);
+  process_->EndSpan(st.round_span);
   st.round_span = 0;
   // Retire before the callback so it sees a consistent endorser; what it
   // gets (pre-prepare, certificate) is held outside the retired state.

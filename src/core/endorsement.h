@@ -12,7 +12,7 @@
 #include "core/messages.h"
 #include "core/topology.h"
 #include "crypto/certificate.h"
-#include "sim/transport.h"
+#include "sim/simulation.h"
 
 namespace ziziphus::core {
 
@@ -81,14 +81,14 @@ class ZoneEndorser {
         settled;
   };
 
-  ZoneEndorser(sim::Transport* transport, const crypto::KeyRegistry* keys,
+  ZoneEndorser(sim::Process* process, const crypto::KeyRegistry* keys,
                const ZoneInfo* zone, NodeCosts costs, Callbacks callbacks);
 
   ViewId view() const { return view_; }
   NodeId primary() const {
     return zone_->members[view_ % zone_->members.size()];
   }
-  bool IsPrimary() const { return primary() == transport_->self(); }
+  bool IsPrimary() const { return primary() == process_->id(); }
 
   /// Installs a new view; clears in-flight endorsements from older views
   /// (the new primary re-initiates pending work).
@@ -158,7 +158,7 @@ class ZoneEndorser {
   /// Bit of member `n` in the voter/preparer masks (0 for non-members).
   std::uint64_t MemberBit(NodeId n) const;
 
-  sim::Transport* transport_;
+  sim::Process* process_;
   const crypto::KeyRegistry* keys_;
   const ZoneInfo* zone_;
   NodeCosts costs_;

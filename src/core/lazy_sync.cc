@@ -28,16 +28,16 @@ void LazySyncEngine::OnLocalStableCheckpoint(const storage::Checkpoint& cp,
     const auto& m = topology_->zone(z).members;
     targets.insert(targets.end(), m.begin(), m.end());
   }
-  transport_->ChargeCpu(costs_.send_us * targets.size());
-  transport_->counters().Inc(obs::CounterId::kLazyCheckpointsShared);
-  transport_->Multicast(targets, msg);
+  process_->ChargeCpu(costs_.send_us * targets.size());
+  process_->scoped_counters().Inc(obs::CounterId::kLazyCheckpointsShared);
+  process_->Multicast(targets, msg);
 }
 
 bool LazySyncEngine::HandleMessage(const sim::MessagePtr& msg) {
   if (msg->type() != kZoneCheckpoint) return false;
   auto m = std::static_pointer_cast<const ZoneCheckpointMsg>(msg);
-  transport_->ChargeCpu(costs_.base_handle_us +
-                        costs_.crypto.CertificateVerifyCost(m->cert.size()));
+  process_->ChargeCpu(costs_.base_handle_us +
+                      costs_.crypto.CertificateVerifyCost(m->cert.size()));
   if (m->zone >= topology_->num_zones()) return true;
   const ZoneInfo& zi = topology_->zone(m->zone);
   // The certificate is the PBFT checkpoint proof: 2f+1 signatures over
@@ -48,7 +48,7 @@ bool LazySyncEngine::HandleMessage(const sim::MessagePtr& msg) {
                zi.members.end();
       });
   if (!s.ok()) {
-    transport_->counters().Inc(obs::CounterId::kLazyBadCheckpointCert);
+    process_->scoped_counters().Inc(obs::CounterId::kLazyBadCheckpointCert);
     return true;
   }
   storage::Checkpoint cp;
@@ -59,7 +59,7 @@ bool LazySyncEngine::HandleMessage(const sim::MessagePtr& msg) {
   cp.coverage = m->coverage;
   cp.certificate = m->cert;
   if (remote_.Install(m->zone, std::move(cp))) {
-    transport_->counters().Inc(obs::CounterId::kLazyCheckpointsInstalled);
+    process_->scoped_counters().Inc(obs::CounterId::kLazyCheckpointsInstalled);
   }
   return true;
 }

@@ -9,7 +9,7 @@
 #include "crypto/certificate.h"
 #include "crypto/read_certificate.h"
 #include "sim/message.h"
-#include "sim/transport.h"
+#include "sim/simulation.h"
 #include "storage/checkpoint.h"
 
 namespace ziziphus::core {
@@ -46,9 +46,9 @@ struct ZoneCheckpointMsg : sim::Message {
 /// elsewhere. The certificate is the 2f+1-signed PBFT checkpoint proof.
 class LazySyncEngine {
  public:
-  LazySyncEngine(sim::Transport* transport, const crypto::KeyRegistry* keys,
+  LazySyncEngine(sim::Process* process, const crypto::KeyRegistry* keys,
                  const Topology* topology, ZoneId my_zone, NodeCosts costs)
-      : transport_(transport),
+      : process_(process),
         keys_(keys),
         topology_(topology),
         my_zone_(my_zone),
@@ -68,7 +68,7 @@ class LazySyncEngine {
   }
 
  private:
-  sim::Transport* transport_;
+  sim::Process* process_;
   const crypto::KeyRegistry* keys_;
   const Topology* topology_;
   ZoneId my_zone_;

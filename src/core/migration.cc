@@ -7,12 +7,12 @@
 
 namespace ziziphus::core {
 
-MigrationEngine::MigrationEngine(sim::Transport* transport,
+MigrationEngine::MigrationEngine(sim::Process* process,
                                  const crypto::KeyRegistry* keys,
                                  const Topology* topology, ZoneId my_zone,
                                  LockTable* locks, ZoneEndorser* endorser,
                                  MigrationConfig config)
-    : transport_(transport),
+    : process_(process),
       keys_(keys),
       topology_(topology),
       my_zone_(my_zone),
@@ -33,15 +33,15 @@ Status MigrationEngine::VerifyZoneCert(const crypto::Certificate& cert,
                                        crypto::Digest expected,
                                        ZoneId zone) const {
   const ZoneInfo& zi = topology_->zone(zone);
-  obs::SpanId span = transport_->BeginSpan(obs::SpanKind::kCertVerify);
-  transport_->ChargeCrypto(
+  obs::SpanId span = process_->BeginSpan(obs::SpanKind::kCertVerify);
+  process_->ChargeCrypto(
       config_.costs.crypto.CertificateVerifyCost(cert.size()));
   Status status = crypto::VerifyCertificate(
       *keys_, cert, expected, zi.quorum(), [&zi](NodeId n) {
         return std::find(zi.members.begin(), zi.members.end(), n) !=
                zi.members.end();
       });
-  transport_->EndSpan(span);
+  process_->EndSpan(span);
   return status;
 }
 
@@ -65,10 +65,7 @@ void MigrationEngine::Retire(std::uint64_t id, MigState& st, bool appended) {
       st.client = st.live->op.client;
       st.ts = st.live->op.timestamp;
     }
-    if (st.live->wait_timer != 0) {
-      transport_->CancelTimer(st.live->wait_timer);
-      timers_.erase(st.live->wait_token);
-    }
+    if (st.live->wait_timer != 0) process_->CancelTimer(st.live->wait_timer);
   }
   st.live.reset();
   if (appended) {
@@ -122,12 +119,8 @@ bool MigrationEngine::Superseded(const MigrationOp& op) const {
 
 void MigrationEngine::ArmStateWait(std::uint64_t id, InFlight& live,
                                    Duration delay) {
-  std::uint64_t token = next_timer_token_++;
-  timers_[token] = id;
-  live.wait_token = token;
-  live.wait_timer = transport_->SetTimer(
-      delay,
-      sim::PackTimer(sim::TimerEngine::kMigration, kStateWaitTimer, token));
+  live.wait_timer = process_->SetTimer(
+      delay, sim::TimerTag{sim::TimerEngine::kMigration, kStateWaitTimer, id});
 }
 
 void MigrationEngine::OnGlobalExecuted(const MigrationOp& op, Ballot ballot) {
@@ -162,13 +155,13 @@ void MigrationEngine::OnGlobalExecuted(const MigrationOp& op, Ballot ballot) {
 void MigrationEngine::StartRecordGeneration(MigState& st) {
   ZCHECK(provider_ != nullptr);
   InFlight& live = Live(st);
-  if (live.source_span != 0) transport_->EndSpan(live.source_span);
-  live.source_span = transport_->BeginSpan(obs::SpanKind::kMigSourceRead);
+  if (live.source_span != 0) process_->EndSpan(live.source_span);
+  live.source_span = process_->BeginSpan(obs::SpanKind::kMigSourceRead);
   live.records =
       std::make_shared<const storage::KvStore::Map>(provider_(live.op.client));
   live.records_digest = RecordsDigest(*live.records);
   std::uint64_t id = live.op.RequestId();
-  transport_->counters().Inc(obs::CounterId::kMigRecordGenerations);
+  process_->scoped_counters().Inc(obs::CounterId::kMigRecordGenerations);
   endorser_->Start(
       EndorsePhase::kMigrationState, id, st.ballot, kNullBallot,
       StateContentDigest(id, live.op.client, live.records_digest), nullptr,
@@ -180,9 +173,9 @@ void MigrationEngine::ShipState(MigState& st) {
   const auto& members = topology_->zone(st.live->op.destination).members;
   const storage::KvStore::Map& records = RecordsOf(msg->records);
   if (config_.chunk_records == 0 || records.size() <= config_.chunk_records) {
-    transport_->ChargeCpu(config_.costs.send_us * members.size());
-    transport_->counters().Inc(obs::CounterId::kMigStatesSent);
-    transport_->Multicast(members, msg);
+    process_->ChargeCpu(config_.costs.send_us * members.size());
+    process_->scoped_counters().Inc(obs::CounterId::kMigStatesSent);
+    process_->Multicast(members, msg);
     return;
   }
   // Streamed transfer: one certified manifest plus fixed-size slices, so a
@@ -208,31 +201,31 @@ void MigrationEngine::ShipState(MigState& st) {
   for (const auto& chunk : chunks) {
     manifest->chunk_digests.push_back(RecordsDigest(chunk->records));
   }
-  transport_->ChargeCpu(config_.costs.send_us * members.size() *
-                        (chunks.size() + 1));
-  transport_->counters().Inc(obs::CounterId::kMigChunkedTransfers);
-  transport_->counters().Inc(obs::CounterId::kMigManifestsSent);
-  transport_->Multicast(members, manifest);
+  process_->ChargeCpu(config_.costs.send_us * members.size() *
+                      (chunks.size() + 1));
+  process_->scoped_counters().Inc(obs::CounterId::kMigChunkedTransfers);
+  process_->scoped_counters().Inc(obs::CounterId::kMigManifestsSent);
+  process_->Multicast(members, manifest);
   for (const auto& chunk : chunks) {
-    transport_->counters().Inc(obs::CounterId::kMigChunksSent);
-    transport_->Multicast(members, chunk);
+    process_->scoped_counters().Inc(obs::CounterId::kMigChunksSent);
+    process_->Multicast(members, chunk);
   }
 }
 
 bool MigrationEngine::HandleMessage(const sim::MessagePtr& msg) {
   switch (msg->type()) {
     case kStateTransfer:
-      transport_->ChargeCpu(config_.costs.base_handle_us);
+      process_->ChargeCpu(config_.costs.base_handle_us);
       HandleStateTransfer(
           std::static_pointer_cast<const StateTransferMsg>(msg));
       return true;
     case kMigrationManifest:
-      transport_->ChargeCpu(config_.costs.base_handle_us);
+      process_->ChargeCpu(config_.costs.base_handle_us);
       HandleManifest(
           std::static_pointer_cast<const MigrationManifestMsg>(msg));
       return true;
     case kMigrationChunk:
-      transport_->ChargeCpu(config_.costs.base_handle_us);
+      process_->ChargeCpu(config_.costs.base_handle_us);
       HandleChunk(std::static_pointer_cast<const MigrationChunkMsg>(msg));
       return true;
     case kResponseQuery: {
@@ -240,8 +233,8 @@ bool MigrationEngine::HandleMessage(const sim::MessagePtr& msg) {
       // Only consume queries in the migration id namespace.
       auto known = query_ids_.find(q->request_id);
       if (known == query_ids_.end()) return false;
-      transport_->ChargeCpu(config_.costs.base_handle_us);
-      transport_->ChargeCrypto(config_.costs.mac_us);
+      process_->ChargeCpu(config_.costs.base_handle_us);
+      process_->ChargeCrypto(config_.costs.mac_us);
       HandleResponseQuery(q, states_.at(known->second));
       return true;
     }
@@ -250,19 +243,14 @@ bool MigrationEngine::HandleMessage(const sim::MessagePtr& msg) {
   }
 }
 
-bool MigrationEngine::HandleTimer(std::uint64_t tag) {
-  if (!sim::TimerTag::OwnedBy(tag, sim::TimerEngine::kMigration)) return false;
-  std::uint64_t token = sim::TimerTag::Unpack(tag).slot;
-  auto it = timers_.find(token);
-  if (it == timers_.end()) return true;
-  std::uint64_t id = it->second;
-  timers_.erase(it);
+void MigrationEngine::HandleTimer(const sim::TimerTag& tag) {
+  const std::uint64_t id = tag.key;
   auto sit = states_.find(id);
-  if (sit == states_.end() || sit->second.live == nullptr) return true;
+  if (sit == states_.end() || sit->second.live == nullptr) return;
   MigState& st = sit->second;
   InFlight& live = *st.live;
   live.wait_timer = 0;
-  if (my_zone_ != live.op.destination) return true;
+  if (my_zone_ != live.op.destination) return;
 
   if (st.state_msg != nullptr) {
     // We already hold the certified STATE (the source multicasts it to the
@@ -275,9 +263,9 @@ bool MigrationEngine::HandleTimer(std::uint64_t tag) {
       auto state = st.state_msg;
       HandleStateTransfer(state);
     } else {
-      transport_->ChargeCpu(config_.costs.send_us);
-      transport_->counters().Inc(obs::CounterId::kMigStatesResent);
-      transport_->Send(endorser_->primary(), st.state_msg);
+      process_->ChargeCpu(config_.costs.send_us);
+      process_->scoped_counters().Inc(obs::CounterId::kMigStatesResent);
+      process_->Send(endorser_->primary(), st.state_msg);
     }
   } else {
     // Probe the source zone for the missing state.
@@ -285,13 +273,13 @@ bool MigrationEngine::HandleTimer(std::uint64_t tag) {
     query->request_id = QueryId(id);
     query->ballot = st.ballot;
     query->zone = my_zone_;
-    query->replica = transport_->self();
-    query->sig = keys_->Sign(transport_->self(), query->digest());
+    query->replica = process_->id();
+    query->sig = keys_->Sign(process_->id(), query->digest());
     const auto& members = topology_->zone(live.op.source).members;
-    transport_->ChargeCrypto(config_.costs.crypto.sign_us);
-    transport_->ChargeCpu(config_.costs.send_us * members.size());
-    transport_->counters().Inc(obs::CounterId::kMigStateQueriesSent);
-    transport_->Multicast(members, query);
+    process_->ChargeCrypto(config_.costs.crypto.sign_us);
+    process_->ChargeCpu(config_.costs.send_us * members.size());
+    process_->scoped_counters().Inc(obs::CounterId::kMigStateQueriesSent);
+    process_->Multicast(members, query);
     // Probes keep going unanswered: the source zone may have missed the
     // global commit entirely (its primary was amnesia-crashed when the
     // commit broadcast went out), in which case no source node can generate
@@ -311,7 +299,6 @@ bool MigrationEngine::HandleTimer(std::uint64_t tag) {
         1ULL << std::min(live.wait_rounds, 3), 8ULL);
     ArmStateWait(id, live, config_.state_wait_timeout_us * mult);
   }
-  return true;
 }
 
 bool MigrationEngine::Settled(std::uint64_t id, Ballot ballot,
@@ -340,14 +327,15 @@ bool MigrationEngine::ValidateEndorse(const EndorsePrePrepareMsg& pp) {
       std::uint64_t claimed = RecordsDigest(RecordsOf(pp.records));
       if (StateContentDigest(id, pp.op.client, claimed) !=
           pp.content_digest) {
-        transport_->counters().Inc(obs::CounterId::kMigBadStateDigest);
+        process_->scoped_counters().Inc(obs::CounterId::kMigBadStateDigest);
         return false;
       }
       if (provider_ != nullptr) {
-        transport_->ChargeCrypto(config_.costs.crypto.digest_us);
+        process_->ChargeCrypto(config_.costs.crypto.digest_us);
         std::uint64_t own = RecordsDigest(provider_(pp.op.client));
         if (own != claimed) {
-          transport_->counters().Inc(obs::CounterId::kMigStateMismatchRejected);
+          process_->scoped_counters().Inc(
+              obs::CounterId::kMigStateMismatchRejected);
           return false;
         }
       }
@@ -362,7 +350,7 @@ bool MigrationEngine::ValidateEndorse(const EndorsePrePrepareMsg& pp) {
       std::uint64_t claimed = RecordsDigest(RecordsOf(pp.records));
       if (StateContentDigest(id, pp.op.client, claimed) !=
           pp.content_digest) {
-        transport_->counters().Inc(obs::CounterId::kMigBadAppendDigest);
+        process_->scoped_counters().Inc(obs::CounterId::kMigBadAppendDigest);
         return false;
       }
       // The embedded STATE message's certificate proves 2f+1 source-zone
@@ -373,11 +361,12 @@ bool MigrationEngine::ValidateEndorse(const EndorsePrePrepareMsg& pp) {
           !VerifyZoneCert(state->cert, state->digest(),
                           state->source_zone)
                .ok()) {
-        transport_->counters().Inc(obs::CounterId::kMigBadStateCert);
+        process_->scoped_counters().Inc(obs::CounterId::kMigBadStateCert);
         return false;
       }
       if (state->records_digest != claimed) {
-        transport_->counters().Inc(obs::CounterId::kMigAppendDigestMismatch);
+        process_->scoped_counters().Inc(
+            obs::CounterId::kMigAppendDigestMismatch);
         return false;
       }
       // Once appended (a tombstone, or past the install watermark) the op
@@ -434,7 +423,7 @@ void MigrationEngine::OnEndorseQuorum(const EndorseKey& key,
         marker.state_msg = msg;
       }
       if (endorser_->IsPrimary()) ShipState(st);
-      transport_->EndSpan(live.source_span);  // record read -> STATE shipped
+      process_->EndSpan(live.source_span);  // record read -> STATE shipped
       // Finished here: only the certified STATE stays, for late probes.
       Retire(key.request_id, st, /*appended=*/false);
       break;
@@ -452,13 +441,13 @@ void MigrationEngine::OnEndorseQuorum(const EndorseKey& key,
         marker.appended = true;
         marker.records = live.records;
       }
-      transport_->ChargeCpu(config_.costs.apply_us);
+      process_->ChargeCpu(config_.costs.apply_us);
       if (installer_ != nullptr) {
         installer_(op.client, RecordsOf(live.records), op.timestamp);
       }
       locks_->SetLocked(op.client, true);
-      transport_->EndSpan(live.install_span);  // STATE received -> installed
-      transport_->counters().Inc(obs::CounterId::kMigAppends);
+      process_->EndSpan(live.install_span);  // STATE received -> installed
+      process_->scoped_counters().Inc(obs::CounterId::kMigAppends);
       // Finished here: drop the working set and cancel the state-wait probe.
       Retire(key.request_id, st, /*appended=*/true);
       if (done_) done_(op);
@@ -486,7 +475,7 @@ void MigrationEngine::HandleStateTransfer(
   if (op.destination != kInvalidZone && my_zone_ != op.destination) return;
   if (!VerifyZoneCert(msg->cert, msg->digest(), msg->source_zone)
            .ok()) {
-    transport_->counters().Inc(obs::CounterId::kMigBadStateCert);
+    process_->scoped_counters().Inc(obs::CounterId::kMigBadStateCert);
     return;
   }
   // Every destination node retains the verified STATE, not just the
@@ -497,7 +486,7 @@ void MigrationEngine::HandleStateTransfer(
   st.state_msg = msg;
   if (!endorser_->IsPrimary()) return;
   st.live->install_span =
-      transport_->BeginSpan(obs::SpanKind::kMigDestInstall);
+      process_->BeginSpan(obs::SpanKind::kMigDestInstall);
   endorser_->Start(
       EndorsePhase::kMigrationAppend, id, msg->ballot, kNullBallot,
       StateContentDigest(id, msg->client, msg->records_digest), msg,
@@ -532,7 +521,7 @@ void MigrationEngine::HandleChunk(
   if (live.op.destination != kInvalidZone && my_zone_ != live.op.destination) {
     return;
   }
-  transport_->counters().Inc(obs::CounterId::kMigChunksReceived);
+  process_->scoped_counters().Inc(obs::CounterId::kMigChunksReceived);
   // Chunks may outrun the manifest; buffer now, digest-check on assembly.
   live.chunks.emplace(msg->index, msg->records);
   MaybeAssembleChunks(st);
@@ -545,11 +534,11 @@ void MigrationEngine::MaybeAssembleChunks(MigState& st) {
   for (std::uint32_t i = 0; i < m.chunk_digests.size(); ++i) {
     auto it = live.chunks.find(i);
     if (it == live.chunks.end()) return;  // still streaming
-    transport_->ChargeCrypto(config_.costs.crypto.digest_us);
+    process_->ChargeCrypto(config_.costs.crypto.digest_us);
     if (RecordsDigest(it->second) != m.chunk_digests[i]) {
       // Corrupt or forged slice: drop it and wait for a resend (the probe
       // path falls back to the cached full STATE at the source).
-      transport_->counters().Inc(obs::CounterId::kMigBadChunkDigest);
+      process_->scoped_counters().Inc(obs::CounterId::kMigBadChunkDigest);
       live.chunks.erase(it);
       return;
     }
@@ -559,11 +548,11 @@ void MigrationEngine::MaybeAssembleChunks(MigState& st) {
     const auto& slice = live.chunks[i];
     merged.insert(slice.begin(), slice.end());
   }
-  transport_->ChargeCrypto(config_.costs.crypto.digest_us);
+  process_->ChargeCrypto(config_.costs.crypto.digest_us);
   if (RecordsDigest(merged) != m.records_digest) {
     // Slices individually matched but the whole does not hash to the
     // certified digest (e.g. overlapping keys): discard everything.
-    transport_->counters().Inc(obs::CounterId::kMigBadChunkDigest);
+    process_->scoped_counters().Inc(obs::CounterId::kMigBadChunkDigest);
     live.chunks.clear();
     live.manifest.reset();
     return;
@@ -590,9 +579,9 @@ void MigrationEngine::MaybeAssembleChunks(MigState& st) {
 void MigrationEngine::HandleResponseQuery(
     const std::shared_ptr<const ResponseQueryMsg>& msg, MigState& st) {
   if (st.state_msg != nullptr) {
-    transport_->ChargeCpu(config_.costs.send_us);
-    transport_->counters().Inc(obs::CounterId::kMigStatesResent);
-    transport_->Send(msg->replica, st.state_msg);
+    process_->ChargeCpu(config_.costs.send_us);
+    process_->scoped_counters().Inc(obs::CounterId::kMigStatesResent);
+    process_->Send(msg->replica, st.state_msg);
   } else if (st.live != nullptr && my_zone_ == st.live->op.source &&
              endorser_->IsPrimary() && provider_ != nullptr &&
              st.live->op.client != kInvalidClient) {
@@ -639,16 +628,18 @@ MigrationEngine::RetentionStats MigrationEngine::retention() const {
     ++r.live;
     r.record_maps += (live.records != nullptr ? 1 : 0) +
                      (st.state_msg != nullptr ? 1 : 0) + live.chunks.size();
+    // An armed probe timer keeps an entry in the host's timer table.
     r.approx_bytes += 88 + 208 + state_bytes +
                       RecordsOf(live.records).size() * 96 +
-                      (live.manifest != nullptr ? 160 : 0);
+                      (live.manifest != nullptr ? 160 : 0) +
+                      (live.wait_timer != 0 ? 32 : 0);
     for (const auto& [index, slice] : live.chunks) {
       r.approx_bytes += 64 + slice.size() * 96;
     }
   }
   r.install_watermarks = installed_.size();
-  r.approx_bytes += query_ids_.size() * 32 + timers_.size() * 32 +
-                    (finished_.size() + installed_.size()) * 32;
+  r.approx_bytes +=
+      (query_ids_.size() + finished_.size() + installed_.size()) * 32;
   return r;
 }
 
@@ -670,7 +661,7 @@ void MigrationEngine::RestoreFromDurable() {
       // (durable, node-owned) already shows the client re-enabled.
       completed_++;
       if (my_zone_ == marker.destination && installer_ != nullptr) {
-        transport_->ChargeCpu(config_.costs.apply_us);
+        process_->ChargeCpu(config_.costs.apply_us);
         installer_(marker.client, RecordsOf(marker.records),
                    marker.timestamp);
       }

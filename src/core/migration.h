@@ -13,8 +13,8 @@
 #include "core/lock_table.h"
 #include "core/messages.h"
 #include "core/topology.h"
+#include "sim/simulation.h"
 #include "sim/timer_tag.h"
-#include "sim/transport.h"
 
 namespace ziziphus::core {
 
@@ -58,12 +58,12 @@ class MigrationEngine {
   using CommitReshipper = std::function<void(std::uint64_t request_id,
                                              ZoneId zone)>;
 
-  MigrationEngine(sim::Transport* transport, const crypto::KeyRegistry* keys,
+  MigrationEngine(sim::Process* process, const crypto::KeyRegistry* keys,
                   const Topology* topology, ZoneId my_zone, LockTable* locks,
                   ZoneEndorser* endorser, MigrationConfig config);
 
   /// Kind byte for the single timer this engine arms (state-wait probe),
-  /// carried in sim::TimerTag{kMigration, kStateWaitTimer, token}.
+  /// carried in sim::TimerTag{kMigration, kStateWaitTimer, migration id}.
   enum TimerKind : std::uint8_t { kStateWaitTimer = 1 };
 
   /// Request-id namespace for migration-related response queries, so they
@@ -83,7 +83,8 @@ class MigrationEngine {
 
   /// Routes kStateTransfer and migration-scoped kResponseQuery messages.
   bool HandleMessage(const sim::MessagePtr& msg);
-  bool HandleTimer(std::uint64_t tag);
+  /// Feeds an expired timer the host routed here (tag.engine == kMigration).
+  void HandleTimer(const sim::TimerTag& tag);
 
   /// Endorsement routing for kMigrationState / kMigrationAppend phases.
   bool ValidateEndorse(const EndorsePrePrepareMsg& pp);
@@ -135,7 +136,6 @@ class MigrationEngine {
     RecordSet records;
     std::uint64_t records_digest = 0;
     std::uint64_t wait_timer = 0;
-    std::uint64_t wait_token = 0;
     int wait_rounds = 0;
     /// Trace spans (0 when untraced): source primary's record read ->
     /// STATE shipped, and destination primary's STATE received -> installed.
@@ -198,7 +198,7 @@ class MigrationEngine {
   Status VerifyZoneCert(const crypto::Certificate& cert,
                         crypto::Digest expected, ZoneId zone) const;
 
-  sim::Transport* transport_;
+  sim::Process* process_;
   const crypto::KeyRegistry* keys_;
   const Topology* topology_;
   ZoneId my_zone_;
@@ -221,8 +221,6 @@ class MigrationEngine {
   /// about (all but appended destinations), so a response query is routed
   /// without scanning the migration history.
   std::unordered_map<std::uint64_t, std::uint64_t> query_ids_;
-  std::unordered_map<std::uint64_t, std::uint64_t> timers_;  // token -> req
-  std::uint64_t next_timer_token_ = 1;
   std::uint64_t completed_ = 0;
 };
 

@@ -142,7 +142,7 @@ void ZiziphusNode::BuildEngines() {
     reply->request_id = op.RequestId();
     reply->client = op.client;
     reply->timestamp = op.timestamp;
-    reply->replica = self();
+    reply->replica = id();
     reply->result = "migrated";
     ChargeCpu(config_.migration.costs.mac_us + config_.migration.costs.send_us);
     Send(op.client, reply);
@@ -171,7 +171,7 @@ void ZiziphusNode::OnGlobalExecuted(const MigrationOp& op, Ballot ballot,
     reply->request_id = op.RequestId();
     reply->client = op.client;
     reply->timestamp = op.timestamp;
-    reply->replica = self();
+    reply->replica = id();
     reply->result = result.empty() ? "synced" : result;
     ChargeCpu(config_.sync.costs.mac_us + config_.sync.costs.send_us);
     Send(op.client, reply);
@@ -192,7 +192,7 @@ void ZiziphusNode::OnMessage(const sim::MessagePtr& msg) {
   if (t == pbft::kClientRequest) {
     auto req = std::static_pointer_cast<const pbft::ClientRequestMsg>(msg);
     if (!locks_.IsLocked(req->op.client)) {
-      counters().Inc(obs::CounterId::kNodeUnlockedClientRejected);
+      scoped_counters().Inc(obs::CounterId::kNodeUnlockedClientRejected);
       return;
     }
     pbft_->HandleMessage(msg);
@@ -205,14 +205,14 @@ void ZiziphusNode::OnMessage(const sim::MessagePtr& msg) {
   if (t == pbft::kReadRequest) {
     auto req = std::static_pointer_cast<const pbft::ReadRequestMsg>(msg);
     if (!locks_.IsLocked(req->client)) {
-      counters().Inc(obs::CounterId::kNodeUnlockedClientRejected);
+      scoped_counters().Inc(obs::CounterId::kNodeUnlockedClientRejected);
       auto reply = std::make_shared<pbft::ReadReplyMsg>();
       reply->client = req->client;
       reply->nonce = req->nonce;
-      reply->replica = self();
+      reply->replica = id();
       reply->key = req->key;
       reply->behind = true;
-      counters().Inc(obs::CounterId::kReadsRedirects);
+      scoped_counters().Inc(obs::CounterId::kReadsRedirects);
       ChargeCpu(config_.pbft.costs.send_us);
       Send(req->client, reply);
       return;
@@ -246,13 +246,23 @@ void ZiziphusNode::OnMessage(const sim::MessagePtr& msg) {
     sync_->HandleMessage(msg);
     return;
   }
-  counters().Inc(obs::CounterId::kNodeUnroutableMessage);
+  scoped_counters().Inc(obs::CounterId::kNodeUnroutableMessage);
 }
 
-void ZiziphusNode::OnTimer(std::uint64_t tag) {
-  if (pbft_->HandleTimer(tag)) return;
-  if (sync_->HandleTimer(tag)) return;
-  if (migration_->HandleTimer(tag)) return;
+void ZiziphusNode::OnTimer(const sim::TimerTag& tag) {
+  switch (tag.engine) {
+    case sim::TimerEngine::kPbft:
+      pbft_->HandleTimer(tag);
+      break;
+    case sim::TimerEngine::kDataSync:
+      sync_->HandleTimer(tag);
+      break;
+    case sim::TimerEngine::kMigration:
+      migration_->HandleTimer(tag);
+      break;
+    default:
+      break;
+  }
 }
 
 ZiziphusNode::MemoryFootprint ZiziphusNode::Footprint() const {
@@ -285,7 +295,7 @@ void ZiziphusNode::InstallBootstrapRecords(
 void ZiziphusNode::OnAmnesiaRecover() {
   recoveries_++;
   rejoin_started_at_ = Now();
-  counters().Inc(obs::CounterId::kRecoveryRejoins);
+  scoped_counters().Inc(obs::CounterId::kRecoveryRejoins);
 
   // RAM is gone: rebuild the application and every engine from scratch.
   // GlobalMetadata, the lock table, the bootstrap records and the durable

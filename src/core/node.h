@@ -16,16 +16,15 @@
 #include "core/zone_app.h"
 #include "pbft/engine.h"
 #include "sim/simulation.h"
-#include "sim/transport.h"
 
 namespace ziziphus::core {
 
 /// Builds the local PBFT engine for one replica. Lets chaos tests
 /// substitute a Byzantine PbftEngine subclass on selected replicas: the
-/// factory sees the transport and can key off transport->self(). A null
+/// factory sees the host process and can key off process->id(). A null
 /// factory means the stock engine.
 using PbftEngineFactory = std::function<std::unique_ptr<pbft::PbftEngine>(
-    sim::Transport* transport, const crypto::KeyRegistry* keys,
+    sim::Process* process, const crypto::KeyRegistry* keys,
     pbft::PbftConfig config, pbft::StateMachine* state_machine)>;
 
 /// Rebuilds a node's application state machine from scratch after an
@@ -60,7 +59,7 @@ struct NodeConfig {
 /// The node routes delivered messages and timers into the right engine and
 /// wires the cross-engine callbacks (commit → migration, suspicion → view
 /// change, view change → re-lead, executed → client replies).
-class ZiziphusNode : public sim::Process, public sim::Transport {
+class ZiziphusNode : public sim::Process {
  public:
   ZiziphusNode() = default;
 
@@ -69,38 +68,6 @@ class ZiziphusNode : public sim::Process, public sim::Transport {
   void Init(const crypto::KeyRegistry* keys, const Topology* topology,
             ZoneId zone, std::unique_ptr<ZoneStateMachine> app,
             NodeConfig config);
-
-  // ---- sim::Transport --------------------------------------------------
-  NodeId self() const override { return id(); }
-  SimTime Now() const override { return Process::Now(); }
-  void Send(NodeId dst, sim::MessagePtr msg) override {
-    Process::Send(dst, std::move(msg));
-  }
-  void Multicast(const std::vector<NodeId>& dsts,
-                 sim::MessagePtr msg) override {
-    Process::Multicast(dsts, std::move(msg));
-  }
-  std::uint64_t SetTimer(Duration delay, std::uint64_t tag) override {
-    return Process::SetTimer(delay, tag);
-  }
-  void CancelTimer(std::uint64_t timer_id) override {
-    Process::CancelTimer(timer_id);
-  }
-  void ChargeCpu(Duration cost) override { Process::ChargeCpu(cost); }
-  void ChargeCrypto(Duration cost) override { Process::ChargeCrypto(cost); }
-  /// Node-scoped counters: increments roll up zone -> simulation totals.
-  CounterSet& counters() override { return Process::scoped_counters(); }
-  obs::Recorder& recorder() override { return simulation()->recorder(); }
-  obs::TraceContext trace_context() const override {
-    return Process::trace_context();
-  }
-  void set_trace_context(const obs::TraceContext& ctx) override {
-    Process::set_trace_context(ctx);
-  }
-  obs::SpanId BeginSpan(obs::SpanKind kind) override {
-    return Process::BeginSpan(kind);
-  }
-  void EndSpan(obs::SpanId span) override { Process::EndSpan(span); }
 
   // ---- Introspection ---------------------------------------------------
   ZoneId zone() const { return zone_; }
@@ -163,7 +130,7 @@ class ZiziphusNode : public sim::Process, public sim::Transport {
 
  protected:
   void OnMessage(const sim::MessagePtr& msg) override;
-  void OnTimer(std::uint64_t tag) override;
+  void OnTimer(const sim::TimerTag& tag) override;
   void OnAmnesiaRecover() override;
 
  private:

@@ -1,9 +1,7 @@
 #include "obs/json.h"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/logging.h"
 
@@ -149,202 +147,6 @@ void JsonWriter::Escape(std::string_view s) {
     }
   }
   out_ += '"';
-}
-
-// ------------------------------------------------------------------ Parse
-
-const JsonValue* JsonValue::Find(const std::string& key) const {
-  if (kind != Kind::kObject) return nullptr;
-  auto it = object.find(key);
-  return it == object.end() ? nullptr : &it->second;
-}
-
-namespace {
-
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  std::optional<JsonValue> Parse() {
-    auto v = ParseValue();
-    if (!v) return std::nullopt;
-    SkipWs();
-    if (pos_ != text_.size()) return std::nullopt;  // trailing garbage
-    return v;
-  }
-
- private:
-  void SkipWs() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      pos_++;
-    }
-  }
-
-  bool Consume(char c) {
-    SkipWs();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      pos_++;
-      return true;
-    }
-    return false;
-  }
-
-  bool ConsumeLiteral(std::string_view lit) {
-    if (text_.substr(pos_, lit.size()) == lit) {
-      pos_ += lit.size();
-      return true;
-    }
-    return false;
-  }
-
-  std::optional<JsonValue> ParseValue() {
-    SkipWs();
-    if (pos_ >= text_.size()) return std::nullopt;
-    char c = text_[pos_];
-    switch (c) {
-      case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray();
-      case '"': {
-        auto s = ParseString();
-        if (!s) return std::nullopt;
-        JsonValue v;
-        v.kind = JsonValue::Kind::kString;
-        v.string_value = std::move(*s);
-        return v;
-      }
-      case 't': {
-        if (!ConsumeLiteral("true")) return std::nullopt;
-        JsonValue v;
-        v.kind = JsonValue::Kind::kBool;
-        v.bool_value = true;
-        return v;
-      }
-      case 'f': {
-        if (!ConsumeLiteral("false")) return std::nullopt;
-        JsonValue v;
-        v.kind = JsonValue::Kind::kBool;
-        return v;
-      }
-      case 'n':
-        if (!ConsumeLiteral("null")) return std::nullopt;
-        return JsonValue{};
-      default:
-        return ParseNumber();
-    }
-  }
-
-  std::optional<JsonValue> ParseObject() {
-    if (!Consume('{')) return std::nullopt;
-    JsonValue v;
-    v.kind = JsonValue::Kind::kObject;
-    SkipWs();
-    if (Consume('}')) return v;
-    for (;;) {
-      SkipWs();
-      auto key = ParseString();
-      if (!key) return std::nullopt;
-      if (!Consume(':')) return std::nullopt;
-      auto member = ParseValue();
-      if (!member) return std::nullopt;
-      v.object.emplace(std::move(*key), std::move(*member));
-      if (Consume(',')) continue;
-      if (Consume('}')) return v;
-      return std::nullopt;
-    }
-  }
-
-  std::optional<JsonValue> ParseArray() {
-    if (!Consume('[')) return std::nullopt;
-    JsonValue v;
-    v.kind = JsonValue::Kind::kArray;
-    SkipWs();
-    if (Consume(']')) return v;
-    for (;;) {
-      auto item = ParseValue();
-      if (!item) return std::nullopt;
-      v.array.push_back(std::move(*item));
-      if (Consume(',')) continue;
-      if (Consume(']')) return v;
-      return std::nullopt;
-    }
-  }
-
-  std::optional<std::string> ParseString() {
-    if (pos_ >= text_.size() || text_[pos_] != '"') return std::nullopt;
-    pos_++;
-    std::string out;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return std::nullopt;
-        char esc = text_[pos_++];
-        switch (esc) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) return std::nullopt;
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = text_[pos_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-              else return std::nullopt;
-            }
-            // ASCII-only escapes are what the writer emits; anything wider
-            // round-trips as '?' (sufficient for metric names).
-            out += code < 0x80 ? static_cast<char>(code) : '?';
-            break;
-          }
-          default:
-            return std::nullopt;
-        }
-      } else {
-        out += c;
-      }
-    }
-    return std::nullopt;  // unterminated
-  }
-
-  std::optional<JsonValue> ParseNumber() {
-    std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') pos_++;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      pos_++;
-    }
-    if (pos_ == start) return std::nullopt;
-    std::string num(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    double d = std::strtod(num.c_str(), &end);
-    if (end == nullptr || *end != '\0') return std::nullopt;
-    JsonValue v;
-    v.kind = JsonValue::Kind::kNumber;
-    v.number = d;
-    return v;
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
-std::optional<JsonValue> ParseJson(std::string_view text) {
-  return Parser(text).Parse();
 }
 
 }  // namespace ziziphus::obs

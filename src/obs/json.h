@@ -2,9 +2,6 @@
 #define ZIZIPHUS_OBS_JSON_H_
 
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -56,31 +53,6 @@ class JsonWriter {
   std::vector<bool> has_value_;
   bool pending_key_ = false;
 };
-
-/// Minimal parsed JSON value, enough for the bench schema checker. Numbers
-/// are kept as doubles (bench metrics fit without precision loss).
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-
-  Kind kind = Kind::kNull;
-  bool bool_value = false;
-  double number = 0;
-  std::string string_value;
-  std::vector<JsonValue> array;
-  std::map<std::string, JsonValue> object;
-
-  bool is_object() const { return kind == Kind::kObject; }
-  bool is_array() const { return kind == Kind::kArray; }
-  bool is_number() const { return kind == Kind::kNumber; }
-  bool is_string() const { return kind == Kind::kString; }
-
-  /// Object member lookup; nullptr when absent or not an object.
-  const JsonValue* Find(const std::string& key) const;
-};
-
-/// Recursive-descent parse of a complete JSON document. Returns nullopt on
-/// any syntax error or trailing garbage.
-std::optional<JsonValue> ParseJson(std::string_view text);
 
 }  // namespace ziziphus::obs
 

@@ -12,10 +12,10 @@ namespace {
 crypto::Digest EmptyBatchDigest() { return Batch{}.ComputeDigest(); }
 }  // namespace
 
-PbftEngine::PbftEngine(sim::Transport* transport,
+PbftEngine::PbftEngine(sim::Process* process,
                        const crypto::KeyRegistry* keys, PbftConfig config,
                        StateMachine* state_machine)
-    : transport_(transport),
+    : process_(process),
       keys_(keys),
       config_(std::move(config)),
       state_machine_(state_machine) {
@@ -34,63 +34,63 @@ bool PbftEngine::HandleMessage(const sim::MessagePtr& msg) {
   const auto& costs = config_.costs;
   switch (msg->type()) {
     case kClientRequest:
-      transport_->ChargeCpu(costs.base_handle_us);
-      transport_->ChargeCrypto(costs.mac_us);
+      process_->ChargeCpu(costs.base_handle_us);
+      process_->ChargeCrypto(costs.mac_us);
       HandleClientRequest(
           std::static_pointer_cast<const ClientRequestMsg>(msg));
       return true;
     case kPrePrepare: {
       auto m = std::static_pointer_cast<const PrePrepareMsg>(msg);
       // Verify the primary's signature plus the client MACs in the batch.
-      transport_->ChargeCpu(costs.base_handle_us);
-      transport_->ChargeCrypto(costs.crypto.verify_us +
-                               costs.mac_us * m->batch.ops.size());
+      process_->ChargeCpu(costs.base_handle_us);
+      process_->ChargeCrypto(costs.crypto.verify_us +
+                             costs.mac_us * m->batch.ops.size());
       HandlePrePrepare(m);
       return true;
     }
     case kPrepare:
-      transport_->ChargeCpu(costs.base_handle_us);
-      transport_->ChargeCrypto(costs.crypto.verify_us);
+      process_->ChargeCpu(costs.base_handle_us);
+      process_->ChargeCrypto(costs.crypto.verify_us);
       HandlePrepare(std::static_pointer_cast<const PrepareMsg>(msg));
       return true;
     case kFastVote:
-      transport_->ChargeCpu(costs.base_handle_us);
-      transport_->ChargeCrypto(costs.crypto.verify_us);
+      process_->ChargeCpu(costs.base_handle_us);
+      process_->ChargeCrypto(costs.crypto.verify_us);
       HandleFastVote(std::static_pointer_cast<const FastVoteMsg>(msg));
       return true;
     case kCommit:
-      transport_->ChargeCpu(costs.base_handle_us);
-      transport_->ChargeCrypto(costs.crypto.verify_us);
+      process_->ChargeCpu(costs.base_handle_us);
+      process_->ChargeCrypto(costs.crypto.verify_us);
       HandleCommit(std::static_pointer_cast<const CommitMsg>(msg));
       return true;
     case kCheckpoint:
-      transport_->ChargeCpu(costs.base_handle_us);
-      transport_->ChargeCrypto(costs.crypto.verify_us);
+      process_->ChargeCpu(costs.base_handle_us);
+      process_->ChargeCrypto(costs.crypto.verify_us);
       HandleCheckpoint(std::static_pointer_cast<const CheckpointMsg>(msg));
       return true;
     case kViewChange:
-      transport_->ChargeCpu(costs.base_handle_us);
-      transport_->ChargeCrypto(costs.crypto.verify_us);
+      process_->ChargeCpu(costs.base_handle_us);
+      process_->ChargeCrypto(costs.crypto.verify_us);
       HandleViewChange(std::static_pointer_cast<const ViewChangeMsg>(msg));
       return true;
     case kNewView:
-      transport_->ChargeCpu(costs.base_handle_us);
-      transport_->ChargeCrypto(costs.crypto.verify_us);
+      process_->ChargeCpu(costs.base_handle_us);
+      process_->ChargeCrypto(costs.crypto.verify_us);
       HandleNewView(std::static_pointer_cast<const NewViewMsg>(msg));
       return true;
     case kStateRequest:
-      transport_->ChargeCpu(costs.base_handle_us);
+      process_->ChargeCpu(costs.base_handle_us);
       HandleStateRequest(std::static_pointer_cast<const StateRequestMsg>(msg));
       return true;
     case kStateResponse:
-      transport_->ChargeCpu(costs.base_handle_us);
-      transport_->ChargeCrypto(costs.crypto.digest_us);
+      process_->ChargeCpu(costs.base_handle_us);
+      process_->ChargeCrypto(costs.crypto.digest_us);
       HandleStateResponse(
           std::static_pointer_cast<const StateResponseMsg>(msg));
       return true;
     case kReadRequest:
-      transport_->ChargeCpu(costs.base_handle_us);
-      transport_->ChargeCrypto(costs.mac_us);
+      process_->ChargeCpu(costs.base_handle_us);
+      process_->ChargeCrypto(costs.mac_us);
       HandleReadRequest(std::static_pointer_cast<const ReadRequestMsg>(msg));
       return true;
     default:
@@ -98,9 +98,8 @@ bool PbftEngine::HandleMessage(const sim::MessagePtr& msg) {
   }
 }
 
-bool PbftEngine::HandleTimer(std::uint64_t tag) {
-  if (!sim::TimerTag::OwnedBy(tag, sim::TimerEngine::kPbft)) return false;
-  switch (sim::TimerTag::Unpack(tag).kind) {
+void PbftEngine::HandleTimer(const sim::TimerTag& tag) {
+  switch (tag.kind) {
     case kBatchTimer:
       batch_timer_armed_ = false;
       MaybeProposeBatch(/*timer_fired=*/true);
@@ -108,7 +107,7 @@ bool PbftEngine::HandleTimer(std::uint64_t tag) {
     case kProgressTimer:
       progress_timer_ = 0;
       if (view_changes_enabled_) {
-        transport_->counters().Inc(obs::CounterId::kPbftProgressTimeout);
+        process_->scoped_counters().Inc(obs::CounterId::kPbftProgressTimeout);
         if (pending_transfer_seq_ != 0) {
           // A state transfer is in flight: the stall is our own lag, not
           // the primary's fault. Escalating to a view change here runs the
@@ -137,7 +136,8 @@ bool PbftEngine::HandleTimer(std::uint64_t tag) {
           if (hit != slots_.end() && hit->second.fast_fallback &&
               !hit->second.committed && !hit->second.fast_grace_spent) {
             hit->second.fast_grace_spent = true;
-            transport_->counters().Inc(obs::CounterId::kPbftFallbackGraces);
+            process_->scoped_counters().Inc(
+                obs::CounterId::kPbftFallbackGraces);
             ArmProgressTimer();
           } else {
             StartViewChange(view_ + 1);
@@ -160,7 +160,7 @@ bool PbftEngine::HandleTimer(std::uint64_t tag) {
       // withholding replica, or plain latency): fall back to the classic
       // prepare/commit rounds. The slot may already be gone (committed and
       // trimmed, or erased by a view change) — the trigger no-ops then.
-      SeqNum seq = sim::TimerTag::Unpack(tag).slot;
+      SeqNum seq = tag.key;
       auto it = slots_.find(seq);
       if (it != slots_.end()) it->second.fast_abandon_timer = 0;
       TriggerFastFallback(seq);
@@ -169,7 +169,6 @@ bool PbftEngine::HandleTimer(std::uint64_t tag) {
     default:
       break;
   }
-  return true;
 }
 
 // ------------------------------------------------------------ normal case
@@ -182,7 +181,7 @@ void PbftEngine::HandleClientRequest(
   // too, so a relaying backup cannot strip or lower the writer's causal
   // floors in transit.
   if (!keys_->Verify(msg->client_sig, msg->ComputeDigest())) {
-    transport_->counters().Inc(obs::CounterId::kPbftBadClientSig);
+    process_->scoped_counters().Inc(obs::CounterId::kPbftBadClientSig);
     return;
   }
   auto it = clients_.find(msg->op.client);
@@ -201,11 +200,11 @@ void PbftEngine::HandleClientRequest(
         synth->view = view_;
         synth->timestamp = msg->op.timestamp;
         synth->client = msg->op.client;
-        synth->replica = transport_->self();
+        synth->replica = process_->id();
         reply = synth;
       }
-      transport_->ChargeCpu(config_.costs.send_us);
-      transport_->Send(msg->op.client, reply);
+      process_->ChargeCpu(config_.costs.send_us);
+      process_->Send(msg->op.client, reply);
     }
     return;
   }
@@ -219,8 +218,8 @@ void PbftEngine::HandleClientRequest(
   if (!IsPrimary()) {
     // Relay to the primary, remember the request (so a future primary can
     // propose it after a view change), and watch for progress.
-    transport_->ChargeCpu(config_.costs.send_us);
-    transport_->Send(primary(), msg);
+    process_->ChargeCpu(config_.costs.send_us);
+    process_->Send(primary(), msg);
   }
   EnqueueOp(msg->op);
 }
@@ -228,13 +227,13 @@ void PbftEngine::HandleClientRequest(
 void PbftEngine::HandleReadRequest(
     const std::shared_ptr<const ReadRequestMsg>& msg) {
   if (!keys_->Verify(msg->client_sig, msg->ComputeDigest())) {
-    transport_->counters().Inc(obs::CounterId::kPbftBadClientSig);
+    process_->scoped_counters().Inc(obs::CounterId::kPbftBadClientSig);
     return;
   }
   auto reply = std::make_shared<ReadReplyMsg>();
   reply->client = msg->client;
   reply->nonce = msg->nonce;
-  reply->replica = transport_->self();
+  reply->replica = process_->id();
   reply->key = msg->key;
   const storage::Checkpoint& cp = last_stable_checkpoint_;
   RequestTimestamp covered = 0;
@@ -251,12 +250,12 @@ void PbftEngine::HandleReadRequest(
       read_tree_.root() != cp.read_root ||
       cp.seq < msg->min_stable_seq || covered < msg->min_write_ts) {
     reply->behind = true;
-    transport_->counters().Inc(obs::CounterId::kReadsRedirects);
-    transport_->ChargeCpu(config_.costs.send_us);
-    transport_->Send(msg->client, reply);
+    process_->scoped_counters().Inc(obs::CounterId::kReadsRedirects);
+    process_->ChargeCpu(config_.costs.send_us);
+    process_->Send(msg->client, reply);
     return;
   }
-  obs::SpanId span = transport_->BeginSpan(obs::SpanKind::kReadServe);
+  obs::SpanId span = process_->BeginSpan(obs::SpanKind::kReadServe);
   auto vit = cp.snapshot.find(msg->key);
   reply->found = vit != cp.snapshot.end();
   if (reply->found) reply->value = vit->second;
@@ -270,12 +269,12 @@ void PbftEngine::HandleReadRequest(
   reply->proof.certificate = cp.certificate;
   reply->covered_write_ts = covered;
   reply->deps = checkpoint_deps_;
-  transport_->ChargeCrypto(config_.costs.crypto.digest_us +
-                           config_.costs.mac_us);
-  transport_->ChargeCpu(config_.costs.send_us);
-  transport_->counters().Inc(obs::CounterId::kReadsServed);
-  transport_->EndSpan(span);
-  transport_->Send(msg->client, reply);
+  process_->ChargeCrypto(config_.costs.crypto.digest_us +
+                         config_.costs.mac_us);
+  process_->ChargeCpu(config_.costs.send_us);
+  process_->scoped_counters().Inc(obs::CounterId::kReadsServed);
+  process_->EndSpan(span);
+  process_->Send(msg->client, reply);
 }
 
 void PbftEngine::EnqueueOp(const Operation& op) {
@@ -293,7 +292,7 @@ void PbftEngine::EnqueueOp(const Operation& op) {
     return;
   }
   seen_ops_[d] = true;
-  if (obs::TraceContext ctx = transport_->trace_context(); ctx.active()) {
+  if (obs::TraceContext ctx = process_->trace_context(); ctx.active()) {
     pending_traces_.emplace(d, ctx);
   }
   pending_.push_back(op);
@@ -321,9 +320,9 @@ void PbftEngine::MaybeProposeBatch(bool timer_fired) {
     ProposeBatch(std::move(batch));
   } else if (!batch_timer_armed_) {
     batch_timer_armed_ = true;
-    batch_timer_ = transport_->SetTimer(
+    batch_timer_ = process_->SetTimer(
         config_.batch_timeout_us,
-        sim::PackTimer(sim::TimerEngine::kPbft, kBatchTimer));
+        sim::TimerTag{sim::TimerEngine::kPbft, kBatchTimer});
   }
 }
 
@@ -343,8 +342,8 @@ void PbftEngine::ProposeBatch(Batch batch) {
   for (const auto& op : batch.ops) {
     auto it = pending_traces_.find(op.ComputeDigest());
     if (it == pending_traces_.end()) continue;
-    if (!transport_->trace_context().active()) {
-      transport_->set_trace_context(it->second);
+    if (!process_->trace_context().active()) {
+      process_->set_trace_context(it->second);
     }
     pending_traces_.erase(it);
   }
@@ -353,15 +352,15 @@ void PbftEngine::ProposeBatch(Batch batch) {
   msg->seq = seq;
   msg->batch_digest = batch.ComputeDigest();
   msg->batch = std::move(batch);
-  msg->sig = keys_->Sign(transport_->self(), msg->digest());
-  transport_->ChargeCrypto(config_.costs.crypto.sign_us);
-  transport_->ChargeCpu(config_.costs.send_us * config_.members.size());
-  transport_->counters().Inc(obs::CounterId::kPbftBatchesProposed);
+  msg->sig = keys_->Sign(process_->id(), msg->digest());
+  process_->ChargeCrypto(config_.costs.crypto.sign_us);
+  process_->ChargeCpu(config_.costs.send_us * config_.members.size());
+  process_->scoped_counters().Inc(obs::CounterId::kPbftBatchesProposed);
   EmitPrePrepare(msg);
 }
 
 void PbftEngine::EmitPrePrepare(const std::shared_ptr<PrePrepareMsg>& msg) {
-  transport_->Multicast(config_.members, msg);
+  process_->Multicast(config_.members, msg);
 }
 
 void PbftEngine::HandlePrePrepare(
@@ -369,31 +368,32 @@ void PbftEngine::HandlePrePrepare(
   if (!view_active_ || msg->view != view_) return;
   if (msg->from() != primary()) return;
   if (!keys_->Verify(msg->sig, msg->digest())) {
-    transport_->counters().Inc(obs::CounterId::kPbftBadSig);
+    process_->scoped_counters().Inc(obs::CounterId::kPbftBadSig);
     return;
   }
   if (msg->batch_digest != msg->batch.ComputeDigest()) {
-    transport_->counters().Inc(obs::CounterId::kPbftBadBatchDigest);
+    process_->scoped_counters().Inc(obs::CounterId::kPbftBadBatchDigest);
     return;
   }
   if (msg->seq <= stable_seq_ ||
       msg->seq > stable_seq_ + config_.watermark_window) {
-    transport_->counters().Inc(obs::CounterId::kPbftOutOfWindow);
+    process_->scoped_counters().Inc(obs::CounterId::kPbftOutOfWindow);
     return;
   }
   Slot& slot = slots_[msg->seq];
   if (slot.pre_prepare != nullptr) {
     if (slot.pre_prepare->batch_digest != msg->batch_digest) {
       // Equivocating primary: keep the first, suspect the primary.
-      transport_->counters().Inc(obs::CounterId::kPbftEquivocationDetected);
+      process_->scoped_counters().Inc(
+          obs::CounterId::kPbftEquivocationDetected);
       if (view_changes_enabled_) StartViewChange(view_ + 1);
     }
     return;
   }
   slot.pre_prepare = msg;
-  slot.proposed_at = transport_->Now();
-  slot.consensus_span = transport_->BeginSpan(obs::SpanKind::kPbftConsensus);
-  slot.prepare_span = transport_->BeginSpan(obs::SpanKind::kPbftPreparePhase);
+  slot.proposed_at = process_->Now();
+  slot.consensus_span = process_->BeginSpan(obs::SpanKind::kPbftConsensus);
+  slot.prepare_span = process_->BeginSpan(obs::SpanKind::kPbftPreparePhase);
   ArmProgressTimer();
 
   const bool fast = config_.ordering == Ordering::kFastPath;
@@ -401,7 +401,7 @@ void PbftEngine::HandlePrePrepare(
     // Hysteresis: unanimity has failed kFastDisableAfter times in a row,
     // so this slot votes a classic Prepare immediately instead of paying
     // the abandon wait again (re-probe slots exempted — see FastArmAllowed).
-    transport_->counters().Inc(obs::CounterId::kPbftFastSuppressed);
+    process_->scoped_counters().Inc(obs::CounterId::kPbftFastSuppressed);
   } else if (fast) {
     // Optimistic fast path: vote with a FastVote instead of a Prepare. Fast
     // votes double as prepares at every receiver, so if unanimity does not
@@ -422,11 +422,11 @@ void PbftEngine::HandlePrePrepare(
     vote->view = msg->view;
     vote->seq = msg->seq;
     vote->batch_digest = msg->batch_digest;
-    vote->replica = transport_->self();
-    vote->sig = keys_->Sign(transport_->self(), vote->digest());
-    transport_->ChargeCrypto(config_.costs.crypto.sign_us);
-    transport_->ChargeCpu(config_.costs.send_us * config_.members.size());
-    transport_->Multicast(config_.members, vote);
+    vote->replica = process_->id();
+    vote->sig = keys_->Sign(process_->id(), vote->digest());
+    process_->ChargeCrypto(config_.costs.crypto.sign_us);
+    process_->ChargeCpu(config_.costs.send_us * config_.members.size());
+    process_->Multicast(config_.members, vote);
     ArmFastAbandon(msg->seq);
     TryPrepare(msg->seq);
     TryFastCommit(msg->seq);
@@ -437,11 +437,11 @@ void PbftEngine::HandlePrePrepare(
   prep->view = msg->view;
   prep->seq = msg->seq;
   prep->batch_digest = msg->batch_digest;
-  prep->replica = transport_->self();
-  prep->sig = keys_->Sign(transport_->self(), prep->digest());
-  transport_->ChargeCrypto(config_.costs.crypto.sign_us);
-  transport_->ChargeCpu(config_.costs.send_us * config_.members.size());
-  transport_->Multicast(config_.members, prep);
+  prep->replica = process_->id();
+  prep->sig = keys_->Sign(process_->id(), prep->digest());
+  process_->ChargeCrypto(config_.costs.crypto.sign_us);
+  process_->ChargeCpu(config_.costs.send_us * config_.members.size());
+  process_->Multicast(config_.members, prep);
   TryPrepare(msg->seq);
 }
 
@@ -449,7 +449,7 @@ void PbftEngine::HandlePrepare(const std::shared_ptr<const PrepareMsg>& msg) {
   if (!view_active_ || msg->view != view_) return;
   if (!IsMember(msg->replica) || msg->replica != msg->from()) return;
   if (!keys_->Verify(msg->sig, msg->digest())) {
-    transport_->counters().Inc(obs::CounterId::kPbftBadSig);
+    process_->scoped_counters().Inc(obs::CounterId::kPbftBadSig);
     return;
   }
   Slot& slot = slots_[msg->seq];
@@ -466,7 +466,7 @@ void PbftEngine::HandleFastVote(
   if (!view_active_ || msg->view != view_) return;
   if (!IsMember(msg->replica) || msg->replica != msg->from()) return;
   if (!keys_->Verify(msg->sig, msg->digest())) {
-    transport_->counters().Inc(obs::CounterId::kPbftBadSig);
+    process_->scoped_counters().Inc(obs::CounterId::kPbftBadSig);
     return;
   }
   if (msg->seq <= stable_seq_) return;
@@ -479,7 +479,7 @@ void PbftEngine::HandleFastVote(
   if (!inserted && vit->second != msg->batch_digest) {
     if (!slot.fast_conflict) {
       slot.fast_conflict = true;
-      transport_->counters().Inc(obs::CounterId::kPbftFastConflicts);
+      process_->scoped_counters().Inc(obs::CounterId::kPbftFastConflicts);
     }
     TriggerFastFallback(msg->seq);
     return;
@@ -506,9 +506,9 @@ void PbftEngine::TryPrepare(SeqNum seq) {
   if (!slot.prepares.count(slot.pre_prepare->from())) votes += 1;
   if (votes < Quorum()) return;
   slot.prepared = true;
-  transport_->EndSpan(slot.prepare_span);
+  process_->EndSpan(slot.prepare_span);
   slot.prepare_span = 0;
-  slot.commit_span = transport_->BeginSpan(obs::SpanKind::kPbftCommitPhase);
+  slot.commit_span = process_->BeginSpan(obs::SpanKind::kPbftCommitPhase);
   prepared_proofs_[seq] =
       PreparedProof{slot.pre_prepare->view, seq,
                     slot.pre_prepare->batch_digest, slot.pre_prepare->batch};
@@ -527,11 +527,11 @@ void PbftEngine::TryPrepare(SeqNum seq) {
   commit->view = slot.pre_prepare->view;
   commit->seq = seq;
   commit->batch_digest = slot.pre_prepare->batch_digest;
-  commit->replica = transport_->self();
-  commit->sig = keys_->Sign(transport_->self(), commit->digest());
-  transport_->ChargeCrypto(config_.costs.crypto.sign_us);
-  transport_->ChargeCpu(config_.costs.send_us * config_.members.size());
-  transport_->Multicast(config_.members, commit);
+  commit->replica = process_->id();
+  commit->sig = keys_->Sign(process_->id(), commit->digest());
+  process_->ChargeCrypto(config_.costs.crypto.sign_us);
+  process_->ChargeCpu(config_.costs.send_us * config_.members.size());
+  process_->Multicast(config_.members, commit);
   TryCommit(seq);
 }
 
@@ -539,7 +539,7 @@ void PbftEngine::HandleCommit(const std::shared_ptr<const CommitMsg>& msg) {
   if (msg->view > view_ || (!view_active_ && msg->view == view_)) return;
   if (!IsMember(msg->replica) || msg->replica != msg->from()) return;
   if (!keys_->Verify(msg->sig, msg->digest())) {
-    transport_->counters().Inc(obs::CounterId::kPbftBadSig);
+    process_->scoped_counters().Inc(obs::CounterId::kPbftBadSig);
     return;
   }
   if (msg->seq <= stable_seq_) return;
@@ -560,16 +560,16 @@ void PbftEngine::TryCommit(SeqNum seq) {
   if (slot.commits.size() < Quorum()) return;
   slot.committed = true;
   CancelFastAbandon(slot);
-  transport_->EndSpan(slot.commit_span);
+  process_->EndSpan(slot.commit_span);
   slot.commit_span = 0;
   // Fallback slots are excluded from the latency EWMA: their commit time
   // is dominated by the abandon wait itself, and feeding it back would
   // make the next abandon timeout learn its own delay (each paid wait
   // quadruples the following one until it hits the cap).
   if (slot.proposed_at != 0 && !slot.fast_fallback) {
-    commit_ewma_.Observe(transport_->Now() - slot.proposed_at);
+    commit_ewma_.Observe(process_->Now() - slot.proposed_at);
   }
-  transport_->counters().Inc(obs::CounterId::kPbftBatchesCommitted);
+  process_->scoped_counters().Inc(obs::CounterId::kPbftBatchesCommitted);
   ExecuteReady();
 }
 
@@ -591,7 +591,7 @@ void PbftEngine::TryFastCommit(SeqNum seq) {
       continue;
     }
     slot.fast_conflict = true;
-    transport_->counters().Inc(obs::CounterId::kPbftFastConflicts);
+    process_->scoped_counters().Inc(obs::CounterId::kPbftFastConflicts);
     TriggerFastFallback(seq);
     return;
   }
@@ -612,14 +612,14 @@ void PbftEngine::TryFastCommit(SeqNum seq) {
   slot.committed = true;
   fast_fallback_streak_ = 0;
   CancelFastAbandon(slot);
-  transport_->EndSpan(slot.commit_span);
+  process_->EndSpan(slot.commit_span);
   slot.commit_span = 0;
   fast_certified_[seq] = slot.pre_prepare->batch_digest;
   if (slot.proposed_at != 0) {
-    commit_ewma_.Observe(transport_->Now() - slot.proposed_at);
+    commit_ewma_.Observe(process_->Now() - slot.proposed_at);
   }
-  transport_->counters().Inc(obs::CounterId::kPbftFastCommits);
-  transport_->counters().Inc(obs::CounterId::kPbftBatchesCommitted);
+  process_->scoped_counters().Inc(obs::CounterId::kPbftFastCommits);
+  process_->scoped_counters().Inc(obs::CounterId::kPbftBatchesCommitted);
   // Still announce a Commit — off the critical path — so a replica whose
   // fast votes were lost can assemble a classic commit quorum instead of
   // wedging until the next checkpoint rescues it by state transfer.
@@ -627,11 +627,11 @@ void PbftEngine::TryFastCommit(SeqNum seq) {
   commit->view = slot.pre_prepare->view;
   commit->seq = seq;
   commit->batch_digest = slot.pre_prepare->batch_digest;
-  commit->replica = transport_->self();
-  commit->sig = keys_->Sign(transport_->self(), commit->digest());
-  transport_->ChargeCrypto(config_.costs.crypto.sign_us);
-  transport_->ChargeCpu(config_.costs.send_us * config_.members.size());
-  transport_->Multicast(config_.members, commit);
+  commit->replica = process_->id();
+  commit->sig = keys_->Sign(process_->id(), commit->digest());
+  process_->ChargeCrypto(config_.costs.crypto.sign_us);
+  process_->ChargeCpu(config_.costs.send_us * config_.members.size());
+  process_->Multicast(config_.members, commit);
   ExecuteReady();
 }
 
@@ -646,7 +646,7 @@ void PbftEngine::TriggerFastFallback(SeqNum seq) {
   if (!slot.fast_eligible || slot.committed || slot.fast_fallback) return;
   slot.fast_fallback = true;
   ++fast_fallback_streak_;
-  transport_->counters().Inc(obs::CounterId::kPbftFastFallbacks);
+  process_->scoped_counters().Inc(obs::CounterId::kPbftFastFallbacks);
   // The fast_fallback flag doubles as the progress-timer grace marker: if
   // this slot is the one stalling execution when the timer fires, it buys
   // one cycle before view-change escalation (see the kProgressTimer
@@ -658,11 +658,11 @@ void PbftEngine::TriggerFastFallback(SeqNum seq) {
     commit->view = slot.pre_prepare->view;
     commit->seq = seq;
     commit->batch_digest = slot.pre_prepare->batch_digest;
-    commit->replica = transport_->self();
-    commit->sig = keys_->Sign(transport_->self(), commit->digest());
-    transport_->ChargeCrypto(config_.costs.crypto.sign_us);
-    transport_->ChargeCpu(config_.costs.send_us * config_.members.size());
-    transport_->Multicast(config_.members, commit);
+    commit->replica = process_->id();
+    commit->sig = keys_->Sign(process_->id(), commit->digest());
+    process_->ChargeCrypto(config_.costs.crypto.sign_us);
+    process_->ChargeCpu(config_.costs.send_us * config_.members.size());
+    process_->Multicast(config_.members, commit);
     TryCommit(seq);
   }
   // Not prepared yet: the TryPrepare gate is off now, so the Commit goes
@@ -674,17 +674,17 @@ void PbftEngine::ArmFastAbandon(SeqNum seq) {
   if (it == slots_.end()) return;
   Slot& slot = it->second;
   if (slot.fast_abandon_timer != 0) {
-    transport_->CancelTimer(slot.fast_abandon_timer);
+    process_->CancelTimer(slot.fast_abandon_timer);
   }
-  slot.fast_abandon_timer = transport_->SetTimer(
-      FastPathAbandonTimeout(config_, commit_ewma_.value(), transport_->self(),
+  slot.fast_abandon_timer = process_->SetTimer(
+      FastPathAbandonTimeout(config_, commit_ewma_.value(), process_->id(),
                              seq),
-      sim::PackTimer(sim::TimerEngine::kPbft, kFastAbandonTimer, seq));
+      sim::TimerTag{sim::TimerEngine::kPbft, kFastAbandonTimer, seq});
 }
 
 void PbftEngine::CancelFastAbandon(Slot& slot) {
   if (slot.fast_abandon_timer != 0) {
-    transport_->CancelTimer(slot.fast_abandon_timer);
+    process_->CancelTimer(slot.fast_abandon_timer);
     slot.fast_abandon_timer = 0;
   }
 }
@@ -699,12 +699,12 @@ void PbftEngine::ExecuteReady() {
     Slot& slot = it->second;
     slot.executed = true;
     SeqNum seq = it->first;
-    obs::SpanId exec_span = transport_->BeginSpan(obs::SpanKind::kPbftExecute);
+    obs::SpanId exec_span = process_->BeginSpan(obs::SpanKind::kPbftExecute);
     for (const auto& op : slot.pre_prepare->batch.ops) {
       ExecuteOp(seq, op);
     }
-    transport_->EndSpan(exec_span);
-    transport_->EndSpan(slot.consensus_span);
+    process_->EndSpan(exec_span);
+    process_->EndSpan(slot.consensus_span);
     slot.consensus_span = 0;
     storage::LogEntry entry{
         seq, slot.pre_prepare->batch_digest,
@@ -747,7 +747,7 @@ void PbftEngine::ExecuteOp(SeqNum seq, const Operation& op) {
   if (op.client != kInvalidClient && op.timestamp <= cs.last_executed_ts) {
     return;  // duplicate delivery of an already-executed request
   }
-  transport_->ChargeCpu(config_.costs.apply_us);
+  process_->ChargeCpu(config_.costs.apply_us);
   std::string result = state_machine_->Apply(op);
   cs.last_executed_ts = op.timestamp;
   if (op.client != kInvalidClient) {
@@ -762,13 +762,13 @@ void PbftEngine::ExecuteOp(SeqNum seq, const Operation& op) {
     reply->view = view_;
     reply->timestamp = op.timestamp;
     reply->client = op.client;
-    reply->replica = transport_->self();
+    reply->replica = process_->id();
     reply->result = result;
     cs.last_reply = reply;
     cs.last_reply_seq = seq;
-    transport_->ChargeCrypto(config_.costs.mac_us);
-    transport_->ChargeCpu(config_.costs.send_us);
-    transport_->Send(op.client, reply);
+    process_->ChargeCrypto(config_.costs.mac_us);
+    process_->ChargeCpu(config_.costs.send_us);
+    process_->Send(op.client, reply);
   }
   if (executed_callback_) executed_callback_(seq, op, result);
 }
@@ -797,19 +797,19 @@ void PbftEngine::MaybeCheckpoint() {
   msg->seq = pending.seq;
   msg->state_digest = pending.state_digest;
   msg->read_root = pending.tree.root();
-  msg->replica = transport_->self();
-  msg->sig = keys_->Sign(transport_->self(), msg->digest());
+  msg->replica = process_->id();
+  msg->sig = keys_->Sign(process_->id(), msg->digest());
   pending_checkpoints_[pending.seq] = std::move(pending);
-  transport_->ChargeCrypto(config_.costs.crypto.sign_us);
-  transport_->ChargeCpu(config_.costs.send_us * config_.members.size());
-  transport_->Multicast(config_.members, msg);
+  process_->ChargeCrypto(config_.costs.crypto.sign_us);
+  process_->ChargeCpu(config_.costs.send_us * config_.members.size());
+  process_->Multicast(config_.members, msg);
 }
 
 void PbftEngine::HandleCheckpoint(
     const std::shared_ptr<const CheckpointMsg>& msg) {
   if (!IsMember(msg->replica) || msg->replica != msg->from()) return;
   if (!keys_->Verify(msg->sig, msg->digest())) {
-    transport_->counters().Inc(obs::CounterId::kPbftBadSig);
+    process_->scoped_counters().Inc(obs::CounterId::kPbftBadSig);
     return;
   }
   if (msg->seq <= stable_seq_) return;
@@ -846,7 +846,7 @@ void PbftEngine::HandleCheckpoint(
     if (last_executed_ < msg->seq || state_machine_->StateDigest() != digest) {
       // We are behind (or diverged): fetch the snapshot from a voter.
       NodeId peer = votes.begin()->first;
-      if (peer == transport_->self() && votes.size() > 1) {
+      if (peer == process_->id() && votes.size() > 1) {
         peer = std::next(votes.begin())->first;
       }
       RequestStateTransfer(msg->seq, digest, peer);
@@ -868,7 +868,7 @@ void PbftEngine::HandleCheckpoint(
       return;
     }
     NodeId peer = votes.begin()->first;
-    if (peer == transport_->self() && votes.size() > 1) {
+    if (peer == process_->id() && votes.size() > 1) {
       peer = std::next(votes.begin())->first;
     }
     RequestStateTransfer(msg->seq, digest, peer);
@@ -914,10 +914,11 @@ void PbftEngine::AdvanceStable(SeqNum seq, const crypto::Certificate& cert,
     for (auto& [client, cs] : clients_) {
       if (cs.last_reply != nullptr && cs.last_reply_seq <= seq) {
         cs.last_reply.reset();
-        transport_->counters().Inc(obs::CounterId::kPbftReplyCacheEvictions);
+        process_->scoped_counters().Inc(
+            obs::CounterId::kPbftReplyCacheEvictions);
       }
     }
-    transport_->counters().Inc(obs::CounterId::kPbftLogTrims);
+    process_->scoped_counters().Inc(obs::CounterId::kPbftLogTrims);
   }
   if (durable_ != nullptr) {
     durable_->stable_checkpoint = last_stable_checkpoint_;
@@ -936,7 +937,7 @@ void PbftEngine::AdvanceStable(SeqNum seq, const crypto::Certificate& cert,
       }
     }
   }
-  transport_->counters().Inc(obs::CounterId::kPbftStableCheckpoints);
+  process_->scoped_counters().Inc(obs::CounterId::kPbftStableCheckpoints);
   if (stable_checkpoint_callback_) {
     stable_checkpoint_callback_(last_stable_checkpoint_);
   }
@@ -965,35 +966,35 @@ void PbftEngine::RequestStateTransfer(SeqNum seq, std::uint64_t digest,
 void PbftEngine::SendStateRequest() {
   auto req = std::make_shared<StateRequestMsg>();
   req->seq = pending_transfer_seq_;
-  req->replica = transport_->self();
+  req->replica = process_->id();
   // Advertise the delta anchor: everything up to last_executed_ is already
   // applied locally, so a responder that still holds the batches above it
   // can ship just those instead of the full snapshot.
   req->have_seq =
       config_.delta_state_transfer && !force_full_ ? last_executed_ : 0;
   if (pending_transfer_digest_ != 0) {
-    transport_->ChargeCpu(config_.costs.send_us);
-    transport_->Send(config_.members[state_transfer_peer_idx_], req);
+    process_->ChargeCpu(config_.costs.send_us);
+    process_->Send(config_.members[state_transfer_peer_idx_], req);
   } else {
     // Digest unknown: ask everyone, install on f+1 matching responses.
-    transport_->ChargeCpu(config_.costs.send_us * config_.members.size());
-    transport_->Multicast(config_.members, req);
+    process_->ChargeCpu(config_.costs.send_us * config_.members.size());
+    process_->Multicast(config_.members, req);
   }
 }
 
 void PbftEngine::ArmStateTransferRetry() {
   if (state_transfer_timer_ != 0) {
-    transport_->CancelTimer(state_transfer_timer_);
+    process_->CancelTimer(state_transfer_timer_);
   }
-  state_transfer_timer_ = transport_->SetTimer(
+  state_transfer_timer_ = process_->SetTimer(
       StateTransferBackoff(config_, state_transfer_attempts_,
-                           transport_->self(), pending_transfer_seq_),
-      sim::PackTimer(sim::TimerEngine::kPbft, kStateTransferTimer));
+                           process_->id(), pending_transfer_seq_),
+      sim::TimerTag{sim::TimerEngine::kPbft, kStateTransferTimer});
 }
 
 void PbftEngine::CancelStateTransferRetry() {
   if (state_transfer_timer_ != 0) {
-    transport_->CancelTimer(state_transfer_timer_);
+    process_->CancelTimer(state_transfer_timer_);
     state_transfer_timer_ = 0;
   }
   state_transfer_attempts_ = 0;
@@ -1011,13 +1012,14 @@ void PbftEngine::OnStateTransferTimer() {
     catch_up_abandoned_ = true;
     return;
   }
-  transport_->counters().Inc(obs::CounterId::kRecoveryStateTransferRetries);
+  process_->scoped_counters().Inc(
+      obs::CounterId::kRecoveryStateTransferRetries);
   if (pending_transfer_digest_ != 0 && config_.members.size() > 1) {
     // Rotate away from an unresponsive (crashed/Byzantine) peer.
     do {
       state_transfer_peer_idx_ =
           (state_transfer_peer_idx_ + 1) % config_.members.size();
-    } while (config_.members[state_transfer_peer_idx_] == transport_->self());
+    } while (config_.members[state_transfer_peer_idx_] == process_->id());
   }
   SendStateRequest();
   ArmStateTransferRetry();
@@ -1049,9 +1051,9 @@ void PbftEngine::HandleStateRequest(
   // of stalling in an old view until the next view change finds it.
   if (view_active_ && last_new_view_ != nullptr &&
       last_new_view_->new_view == view_ &&
-      msg->replica != transport_->self()) {
-    transport_->ChargeCpu(config_.costs.send_us);
-    transport_->Send(msg->replica, last_new_view_);
+      msg->replica != process_->id()) {
+    process_->ChargeCpu(config_.costs.send_us);
+    process_->Send(msg->replica, last_new_view_);
   }
   if (last_executed_ < msg->seq) return;  // cannot help
   auto resp = std::make_shared<StateResponseMsg>();
@@ -1081,17 +1083,17 @@ void PbftEngine::HandleStateRequest(
   if (delta_ok) {
     resp->is_delta = true;
     resp->base_seq = msg->have_seq;
-    transport_->counters().Inc(obs::CounterId::kPbftDeltaTransfers);
+    process_->scoped_counters().Inc(obs::CounterId::kPbftDeltaTransfers);
   } else {
     resp->snapshot = state_machine_->Snapshot();
-    transport_->counters().Inc(obs::CounterId::kPbftFullTransfers);
+    process_->scoped_counters().Inc(obs::CounterId::kPbftFullTransfers);
   }
   for (const auto& [client, cs] : clients_) {
     if (client != kInvalidClient) resp->client_ts[client] = cs.last_executed_ts;
   }
-  transport_->ChargeCrypto(config_.costs.crypto.digest_us);
-  transport_->ChargeCpu(config_.costs.send_us);
-  transport_->Send(msg->replica, resp);
+  process_->ChargeCrypto(config_.costs.crypto.digest_us);
+  process_->ChargeCpu(config_.costs.send_us);
+  process_->Send(msg->replica, resp);
 }
 
 void PbftEngine::HandleStateResponse(
@@ -1104,7 +1106,7 @@ void PbftEngine::HandleStateResponse(
   if (pending_transfer_digest_ != 0 && msg->seq == pending_transfer_seq_) {
     // Digest certified by 2f+1 checkpoint votes: one matching copy suffices.
     if (msg->state_digest != pending_transfer_digest_) {
-      transport_->counters().Inc(obs::CounterId::kPbftBadStateTransfer);
+      process_->scoped_counters().Inc(obs::CounterId::kPbftBadStateTransfer);
       return;
     }
     install = true;
@@ -1128,7 +1130,7 @@ void PbftEngine::InstallStateResponse(const StateResponseMsg& msg) {
       // install that peers applied below the anchor) — in which case every
       // responder's delta fails identically. Demand a snapshot next so one
       // bad base cannot wedge catch-up forever.
-      transport_->counters().Inc(obs::CounterId::kPbftBadStateTransfer);
+      process_->scoped_counters().Inc(obs::CounterId::kPbftBadStateTransfer);
       force_full_ = true;
       SendStateRequest();
       return;
@@ -1139,7 +1141,7 @@ void PbftEngine::InstallStateResponse(const StateResponseMsg& msg) {
     state_machine_->Restore(msg.snapshot);
     if (state_machine_->StateDigest() != msg.state_digest) {
       // Snapshot does not hash to the claimed digest: reject, keep waiting.
-      transport_->counters().Inc(obs::CounterId::kPbftBadStateTransfer);
+      process_->scoped_counters().Inc(obs::CounterId::kPbftBadStateTransfer);
       return;
     }
     last_executed_ = std::max(last_executed_, msg.seq);
@@ -1175,7 +1177,7 @@ void PbftEngine::InstallStateResponse(const StateResponseMsg& msg) {
   force_full_ = false;
   catch_up_abandoned_ = false;
   catch_up_retry_budget_ = kCatchUpRetryCycles;
-  transport_->counters().Inc(obs::CounterId::kPbftStateTransfers);
+  process_->scoped_counters().Inc(obs::CounterId::kPbftStateTransfers);
   ExecuteReady();
 }
 
@@ -1211,7 +1213,7 @@ bool PbftEngine::ApplyDelta(const StateResponseMsg& msg) {
         if (op.timestamp <= seen) continue;  // duplicate of executed request
         staged_ts[op.client] = op.timestamp;
       }
-      transport_->ChargeCpu(config_.costs.apply_us);
+      process_->ChargeCpu(config_.costs.apply_us);
       std::string result = state_machine_->Apply(op);
       st.executed.emplace_back(&op, std::move(result));
     }
@@ -1244,13 +1246,13 @@ bool PbftEngine::ApplyDelta(const StateResponseMsg& msg) {
         reply->view = view_;
         reply->timestamp = op->timestamp;
         reply->client = op->client;
-        reply->replica = transport_->self();
+        reply->replica = process_->id();
         reply->result = result;
         cs.last_reply = reply;
         cs.last_reply_seq = st.seq;
-        transport_->ChargeCrypto(config_.costs.mac_us);
-        transport_->ChargeCpu(config_.costs.send_us);
-        transport_->Send(op->client, reply);
+        process_->ChargeCrypto(config_.costs.mac_us);
+        process_->ChargeCpu(config_.costs.send_us);
+        process_->Send(op->client, reply);
       }
       if (executed_callback_) executed_callback_(st.seq, *op, result);
     }
@@ -1273,7 +1275,7 @@ bool PbftEngine::ApplyDelta(const StateResponseMsg& msg) {
 
 void PbftEngine::ArmProgressTimer() {
   if (!view_changes_enabled_) return;
-  if (progress_timer_ != 0) transport_->CancelTimer(progress_timer_);
+  if (progress_timer_ != 0) process_->CancelTimer(progress_timer_);
   // The fast-path ordering tracks the observed commit latency instead of
   // the fixed configured timeout: suspicion fires sooner on a healthy zone and
   // relaxes (up to the cap) when latency genuinely degrades, so a flapping
@@ -1281,15 +1283,15 @@ void PbftEngine::ArmProgressTimer() {
   const Duration timeout =
       config_.ordering == Ordering::kFastPath
           ? AdaptiveProgressTimeout(config_, commit_ewma_.value(),
-                                    transport_->self(), view_)
+                                    process_->id(), view_)
           : config_.request_timeout_us;
-  progress_timer_ = transport_->SetTimer(
-      timeout, sim::PackTimer(sim::TimerEngine::kPbft, kProgressTimer));
+  progress_timer_ = process_->SetTimer(
+      timeout, sim::TimerTag{sim::TimerEngine::kPbft, kProgressTimer});
 }
 
 void PbftEngine::DisarmProgressTimer() {
   if (progress_timer_ != 0) {
-    transport_->CancelTimer(progress_timer_);
+    process_->CancelTimer(progress_timer_);
     progress_timer_ = 0;
   }
 }
@@ -1304,9 +1306,9 @@ void PbftEngine::StartViewChange(ViewId new_view) {
   view_active_ = false;
   DisarmProgressTimer();
   if (view_change_started_at_ == 0) {
-    view_change_started_at_ = transport_->Now();
+    view_change_started_at_ = process_->Now();
   }
-  transport_->counters().Inc(obs::CounterId::kPbftViewChangesStarted);
+  process_->scoped_counters().Inc(obs::CounterId::kPbftViewChangesStarted);
   if (view_callback_) view_callback_(view_, false);
 
   auto msg = std::make_shared<ViewChangeMsg>();
@@ -1324,21 +1326,21 @@ void PbftEngine::StartViewChange(ViewId new_view) {
     if (seq <= stable_seq_) continue;
     msg->fast_votes.push_back(vote);
   }
-  msg->replica = transport_->self();
-  msg->sig = keys_->Sign(transport_->self(), msg->digest());
-  transport_->ChargeCrypto(config_.costs.crypto.sign_us);
-  transport_->ChargeCpu(config_.costs.send_us * config_.members.size());
-  transport_->Multicast(config_.members, msg);
+  msg->replica = process_->id();
+  msg->sig = keys_->Sign(process_->id(), msg->digest());
+  process_->ChargeCrypto(config_.costs.crypto.sign_us);
+  process_->ChargeCpu(config_.costs.send_us * config_.members.size());
+  process_->Multicast(config_.members, msg);
 
-  if (view_change_timer_ != 0) transport_->CancelTimer(view_change_timer_);
+  if (view_change_timer_ != 0) process_->CancelTimer(view_change_timer_);
   // Exponential backoff (classic PBFT liveness argument: timeouts grow
   // until correct replicas overlap in one view long enough to agree),
   // capped and jittered so a lossy zone cannot grow timeouts unboundedly
   // and concurrent view changes de-synchronize.
-  view_change_timer_ = transport_->SetTimer(
-      ViewChangeBackoff(config_, view_change_attempts_++, transport_->self(),
+  view_change_timer_ = process_->SetTimer(
+      ViewChangeBackoff(config_, view_change_attempts_++, process_->id(),
                         new_view),
-      sim::PackTimer(sim::TimerEngine::kPbft, kViewChangeTimer));
+      sim::TimerTag{sim::TimerEngine::kPbft, kViewChangeTimer});
 }
 
 Duration PbftEngine::ViewChangeBackoff(const PbftConfig& config,
@@ -1362,7 +1364,7 @@ void PbftEngine::HandleViewChange(
     const std::shared_ptr<const ViewChangeMsg>& msg) {
   if (!IsMember(msg->replica) || msg->replica != msg->from()) return;
   if (!keys_->Verify(msg->sig, msg->digest())) {
-    transport_->counters().Inc(obs::CounterId::kPbftBadSig);
+    process_->scoped_counters().Inc(obs::CounterId::kPbftBadSig);
     return;
   }
   if (msg->new_view < view_ || (msg->new_view == view_ && view_active_)) {
@@ -1373,9 +1375,9 @@ void PbftEngine::HandleViewChange(
     // signature regardless of who relays it.
     if (view_active_ && last_new_view_ != nullptr &&
         last_new_view_->new_view == view_ &&
-        msg->replica != transport_->self()) {
-      transport_->ChargeCpu(config_.costs.send_us);
-      transport_->Send(msg->replica, last_new_view_);
+        msg->replica != process_->id()) {
+      process_->ChargeCpu(config_.costs.send_us);
+      process_->Send(msg->replica, last_new_view_);
     }
     return;
   }
@@ -1391,9 +1393,9 @@ void PbftEngine::HandleViewChange(
   // == view_ + 1 during a genuine view change) from being yanked back.
   if (view_active_ && msg->new_view > view_ + 1 &&
       last_new_view_ != nullptr && last_new_view_->new_view == view_ &&
-      msg->replica != transport_->self()) {
-    transport_->ChargeCpu(config_.costs.send_us);
-    transport_->Send(msg->replica, last_new_view_);
+      msg->replica != process_->id()) {
+    process_->ChargeCpu(config_.costs.send_us);
+    process_->Send(msg->replica, last_new_view_);
   }
 
   // Liveness rule: join a view change once f+1 replicas demand it.
@@ -1405,7 +1407,7 @@ void PbftEngine::HandleViewChange(
 }
 
 void PbftEngine::MaybeSendNewView(ViewId v) {
-  if (PrimaryOf(v) != transport_->self()) return;
+  if (PrimaryOf(v) != process_->id()) return;
   if (view_active_ && view_ >= v) return;
   auto it = view_change_votes_.find(v);
   if (it == view_change_votes_.end() || it->second.size() < Quorum()) return;
@@ -1481,11 +1483,11 @@ void PbftEngine::MaybeSendNewView(ViewId v) {
           PreparedProof{v, s, EmptyBatchDigest(), Batch{}});
     }
   }
-  msg->sig = keys_->Sign(transport_->self(), msg->digest());
-  transport_->ChargeCrypto(config_.costs.crypto.sign_us);
-  transport_->ChargeCpu(config_.costs.send_us * config_.members.size());
-  transport_->counters().Inc(obs::CounterId::kPbftNewViewsSent);
-  transport_->Multicast(config_.members, msg);
+  msg->sig = keys_->Sign(process_->id(), msg->digest());
+  process_->ChargeCrypto(config_.costs.crypto.sign_us);
+  process_->ChargeCpu(config_.costs.send_us * config_.members.size());
+  process_->scoped_counters().Inc(obs::CounterId::kPbftNewViewsSent);
+  process_->Multicast(config_.members, msg);
 }
 
 void PbftEngine::HandleNewView(const std::shared_ptr<const NewViewMsg>& msg) {
@@ -1511,15 +1513,15 @@ void PbftEngine::EnterNewView(const std::shared_ptr<const NewViewMsg>& msg) {
   if (durable_ != nullptr) durable_->view = view_;
   last_new_view_ = msg;
   if (view_change_started_at_ != 0) {
-    transport_->recorder().Record(
+    process_->recorder().Record(
         obs::HistogramId::kSpanViewChangeUs,
-        static_cast<double>(transport_->Now() - view_change_started_at_));
+        static_cast<double>(process_->Now() - view_change_started_at_));
     view_change_started_at_ = 0;
   }
-  transport_->counters().Inc(obs::CounterId::kPbftNewViewsEntered);
+  process_->scoped_counters().Inc(obs::CounterId::kPbftNewViewsEntered);
   if (view_callback_) view_callback_(view_, true);
   if (view_change_timer_ != 0) {
-    transport_->CancelTimer(view_change_timer_);
+    process_->CancelTimer(view_change_timer_);
     view_change_timer_ = 0;
   }
   view_change_votes_.erase(view_change_votes_.begin(),
@@ -1580,11 +1582,11 @@ void PbftEngine::EnterNewView(const std::shared_ptr<const NewViewMsg>& msg) {
     prep->seq = proof.seq;
     prep->batch_digest = slot.committed ? slot.pre_prepare->batch_digest
                                         : proof.batch_digest;
-    prep->replica = transport_->self();
-    prep->sig = keys_->Sign(transport_->self(), prep->digest());
-    transport_->ChargeCrypto(config_.costs.crypto.sign_us);
-    transport_->ChargeCpu(config_.costs.send_us * config_.members.size());
-    transport_->Multicast(config_.members, prep);
+    prep->replica = process_->id();
+    prep->sig = keys_->Sign(process_->id(), prep->digest());
+    process_->ChargeCrypto(config_.costs.crypto.sign_us);
+    process_->ChargeCpu(config_.costs.send_us * config_.members.size());
+    process_->Multicast(config_.members, prep);
     if (slot.committed) {
       // Re-announce the commit in the new view so laggards can assemble a
       // fresh commit quorum for the slot they missed.
@@ -1592,11 +1594,11 @@ void PbftEngine::EnterNewView(const std::shared_ptr<const NewViewMsg>& msg) {
       commit->view = msg->new_view;
       commit->seq = proof.seq;
       commit->batch_digest = slot.pre_prepare->batch_digest;
-      commit->replica = transport_->self();
-      commit->sig = keys_->Sign(transport_->self(), commit->digest());
-      transport_->ChargeCrypto(config_.costs.crypto.sign_us);
-      transport_->ChargeCpu(config_.costs.send_us * config_.members.size());
-      transport_->Multicast(config_.members, commit);
+      commit->replica = process_->id();
+      commit->sig = keys_->Sign(process_->id(), commit->digest());
+      process_->ChargeCrypto(config_.costs.crypto.sign_us);
+      process_->ChargeCpu(config_.costs.send_us * config_.members.size());
+      process_->Multicast(config_.members, commit);
     }
   }
   next_seq_ = std::max(max_seq, stable_seq_);
@@ -1616,8 +1618,8 @@ void PbftEngine::EnterNewView(const std::shared_ptr<const NewViewMsg>& msg) {
       auto req = std::make_shared<ClientRequestMsg>();
       req->op = op;
       req->client_sig = keys_->Sign(op.client, req->ComputeDigest());
-      transport_->ChargeCpu(config_.costs.send_us);
-      transport_->Send(primary(), req);
+      process_->ChargeCpu(config_.costs.send_us);
+      process_->Send(primary(), req);
     }
     ArmProgressTimer();
   }
@@ -1685,7 +1687,7 @@ void PbftEngine::RestoreFromDurable() {
           op.timestamp <= cs.last_executed_ts) {
         continue;  // was a duplicate at first execution; stays one at replay
       }
-      transport_->ChargeCpu(config_.costs.apply_us);
+      process_->ChargeCpu(config_.costs.apply_us);
       state_machine_->Apply(op);
       cs.last_executed_ts = op.timestamp;
       if (op.client != kInvalidClient) {

@@ -17,8 +17,8 @@
 #include "pbft/messages.h"
 #include "pbft/ordering.h"
 #include "pbft/state_machine.h"
+#include "sim/simulation.h"
 #include "sim/timer_tag.h"
-#include "sim/transport.h"
 #include "storage/checkpoint.h"
 #include "storage/log.h"
 
@@ -29,11 +29,12 @@ namespace ziziphus::pbft {
 /// periodic checkpointing with log garbage collection, and the view-change /
 /// new-view routine for primary failure.
 ///
-/// The engine is transport-agnostic: a host sim::Process feeds it messages
-/// and timers (HandleMessage / HandleTimer) and it emits messages through
-/// the Transport. This allows a Ziziphus node to run a PBFT engine for
-/// local transactions next to the global protocol engines on one core, and
-/// allows the flat-PBFT baseline to reuse the identical implementation.
+/// The engine runs inside a host sim::Process: the host feeds it messages
+/// and timers (HandleMessage / HandleTimer) and the engine sends, charges
+/// CPU and arms timers through that process. This allows a Ziziphus node
+/// to run a PBFT engine for local transactions next to the global protocol
+/// engines on one core, and allows the flat-PBFT baseline to reuse the
+/// identical implementation.
 class PbftEngine {
  public:
   /// Called after an operation executes, with its global slot and result.
@@ -47,7 +48,7 @@ class PbftEngine {
   /// starts a view change, active=true when the new view is installed.
   using ViewCallback = std::function<void(ViewId view, bool active)>;
 
-  PbftEngine(sim::Transport* transport, const crypto::KeyRegistry* keys,
+  PbftEngine(sim::Process* process, const crypto::KeyRegistry* keys,
              PbftConfig config, StateMachine* state_machine);
   virtual ~PbftEngine() = default;
 
@@ -58,8 +59,8 @@ class PbftEngine {
   /// (consumed), false if the host should route it elsewhere.
   bool HandleMessage(const sim::MessagePtr& msg);
 
-  /// Feeds an expired timer. Returns true if the tag belongs to this engine.
-  bool HandleTimer(std::uint64_t tag);
+  /// Feeds an expired timer the host routed here (tag.engine == kPbft).
+  void HandleTimer(const sim::TimerTag& tag);
 
   /// Directly submits an operation at this replica, as if a valid client
   /// request arrived (used by engines layered on top of PBFT).
@@ -70,7 +71,7 @@ class PbftEngine {
   ViewId view() const { return view_; }
   bool view_active() const { return view_active_; }
   NodeId primary() const { return PrimaryOf(view_); }
-  bool IsPrimary() const { return primary() == transport_->self(); }
+  bool IsPrimary() const { return primary() == process_->id(); }
   SeqNum last_executed() const { return last_executed_; }
   SeqNum stable_seq() const { return stable_seq_; }
   const PbftConfig& config() const { return config_; }
@@ -195,7 +196,7 @@ class PbftEngine {
   // Virtual so Byzantine test doubles can misbehave in controlled ways.
   virtual void EmitPrePrepare(const std::shared_ptr<PrePrepareMsg>& msg);
 
-  sim::Transport* transport_;
+  sim::Process* process_;
   const crypto::KeyRegistry* keys_;
   PbftConfig config_;
 
@@ -243,13 +244,13 @@ class PbftEngine {
     SeqNum last_reply_seq = 0;
   };
 
-  // Timer kinds, carried in sim::TimerTag{kPbft, kind} (timer_tag.h).
+  // Timer kinds, carried in sim::TimerTag{kPbft, kind, key} (timer_tag.h).
   enum TimerKind : std::uint8_t {
     kBatchTimer = 1,
     kProgressTimer = 2,
     kViewChangeTimer = 3,
     kStateTransferTimer = 4,
-    kFastAbandonTimer = 5,  // slot field carries the sequence number
+    kFastAbandonTimer = 5,  // key carries the sequence number
   };
 
   NodeId PrimaryOf(ViewId v) const {

@@ -98,16 +98,16 @@ void EquivocatingPbftEngine::EmitPrePrepare(
     const std::shared_ptr<pbft::PrePrepareMsg>& msg) {
   const std::vector<NodeId>& members = config_.members;
   auto forged =
-      ForgeConflictingPrePrepare(*msg, *keys_, transport_->self());
+      ForgeConflictingPrePrepare(*msg, *keys_, process_->id());
   equivocations_++;
-  transport_->counters().Inc(obs::CounterId::kByzEquivocationsEmitted);
+  process_->scoped_counters().Inc(obs::CounterId::kByzEquivocationsEmitted);
   std::vector<NodeId> truth_half, lie_half;
   for (std::size_t i = 0; i < members.size(); ++i) {
     (i < (members.size() + 1) / 2 ? truth_half : lie_half)
         .push_back(members[i]);
   }
-  transport_->Multicast(truth_half, msg);
-  transport_->Multicast(lie_half, forged);
+  process_->Multicast(truth_half, msg);
+  process_->Multicast(lie_half, forged);
 }
 
 // ------------------------------------------------------- signature garbling

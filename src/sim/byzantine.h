@@ -245,11 +245,11 @@ class FastVoteWithholdingBehavior : public ByzantineBehavior {
 /// baselines::PbftReplicaProcess::Init).
 class EquivocatingPbftEngine : public pbft::PbftEngine {
  public:
-  EquivocatingPbftEngine(sim::Transport* transport,
+  EquivocatingPbftEngine(sim::Process* process,
                          const crypto::KeyRegistry* keys,
                          pbft::PbftConfig config,
                          pbft::StateMachine* state_machine)
-      : PbftEngine(transport, keys, std::move(config), state_machine) {}
+      : PbftEngine(process, keys, std::move(config), state_machine) {}
 
   std::uint64_t equivocations() const { return equivocations_; }
 

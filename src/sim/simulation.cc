@@ -38,7 +38,7 @@ void Process::DeliverTimer(SimTime arrival, std::uint64_t timer_id) {
   // The scheduler drops cancelled timers before dispatch.
   auto it = active_timers_.find(timer_id);
   ZCHECK(it != active_timers_.end());
-  std::uint64_t tag = it->second;
+  TimerTag tag = it->second;
   active_timers_.erase(it);
   logical_now_ = std::max(arrival, busy_until_);
   trace_ctx_ = {};  // timers are not causally traced unless a handler
@@ -93,6 +93,11 @@ CounterSet& Process::scoped_counters() {
   return sim_->counters();
 }
 
+obs::Recorder& Process::recorder() {
+  ZCHECK(sim_ != nullptr);
+  return sim_->recorder();
+}
+
 void Process::Send(NodeId dst, MessagePtr msg) {
   ZCHECK(sim_ != nullptr);
   Message* m = const_cast<Message*>(msg.get());
@@ -109,7 +114,7 @@ void Process::Multicast(const std::vector<NodeId>& dsts, MessagePtr msg) {
   sim_->MulticastMessage(id_, Now(), dsts, std::move(msg));
 }
 
-std::uint64_t Process::SetTimer(Duration delay, std::uint64_t tag) {
+std::uint64_t Process::SetTimer(Duration delay, TimerTag tag) {
   ZCHECK(sim_ != nullptr);
   std::uint64_t timer_id = sim_->next_timer_id_++;
   active_timers_[timer_id] = tag;

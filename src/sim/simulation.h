@@ -16,6 +16,7 @@
 #include "sim/event_queue.h"
 #include "sim/latency_model.h"
 #include "sim/message.h"
+#include "sim/timer_tag.h"
 
 namespace ziziphus::sim {
 
@@ -262,6 +263,10 @@ struct TraceEntry {
 /// max(arrival, busy_until); the handler advances its logical clock with
 /// ChargeCpu(), and messages it sends depart at the logical time reached so
 /// far. This yields realistic queueing and saturation behaviour.
+///
+/// Protocol engines (pbft::PbftEngine, the core engines, the baselines)
+/// hold a pointer to their host Process and call its public members
+/// directly; the host routes delivered messages and timers back into them.
 class Process {
  public:
   virtual ~Process() = default;
@@ -277,18 +282,6 @@ class Process {
   void DeliverMessage(SimTime arrival, const MessagePtr& msg,
                       obs::SpanId transit_span = 0);
   void DeliverTimer(SimTime arrival, std::uint64_t timer_id);
-
- protected:
-  /// Handles a delivered message. `Now()` is the processing start time.
-  virtual void OnMessage(const MessagePtr& msg) = 0;
-  /// Handles an expired (uncancelled) timer with the tag it was set with.
-  virtual void OnTimer(std::uint64_t tag) { (void)tag; }
-  /// Called by Simulation::CrashAmnesia right after the node's pending
-  /// timers were flushed: drop volatile state here. Default no-op.
-  virtual void OnAmnesiaCrash() {}
-  /// Called by Simulation::RecoverAmnesia under the CPU model: rebuild
-  /// from durable state and start the rejoin protocol. Default no-op.
-  virtual void OnAmnesiaRecover() {}
 
   /// Current logical time inside a handler (arrival + CPU charged so far).
   SimTime Now() const;
@@ -308,13 +301,18 @@ class Process {
   const obs::TraceContext& trace_context() const { return trace_ctx_; }
   void set_trace_context(const obs::TraceContext& ctx) { trace_ctx_ = ctx; }
 
-  /// Opens/closes a protocol-phase span under the current trace context.
+  /// Opens a protocol-phase span under the current trace context (0 when
+  /// untraced). Does not re-parent subsequent sends.
   obs::SpanId BeginSpan(obs::SpanKind kind);
+  /// Closes a span from BeginSpan at the current logical time. Safe on 0.
   void EndSpan(obs::SpanId span);
 
   /// This node's counter scope (rolls up into the simulation totals), or
   /// the simulation root before registration.
   CounterSet& scoped_counters();
+
+  /// The run's recorder (histograms, tracer, profiles).
+  obs::Recorder& recorder();
 
   /// Sends `msg` to `dst`, departing at the current logical time.
   void Send(NodeId dst, MessagePtr msg);
@@ -323,11 +321,25 @@ class Process {
   void Multicast(const std::vector<NodeId>& dsts, MessagePtr msg);
 
   /// Schedules OnTimer(tag) after `delay`; returns a cancellable id.
-  std::uint64_t SetTimer(Duration delay, std::uint64_t tag);
+  std::uint64_t SetTimer(Duration delay, TimerTag tag);
+  /// Drops a pending timer. A no-op for an id that already fired or was
+  /// cancelled, so holders may cancel without tracking which.
   void CancelTimer(std::uint64_t timer_id);
 
   Simulation* simulation() const { return sim_; }
   Rng& rng() { return rng_; }
+
+ protected:
+  /// Handles a delivered message. `Now()` is the processing start time.
+  virtual void OnMessage(const MessagePtr& msg) = 0;
+  /// Handles an expired (uncancelled) timer with the tag it was set with.
+  virtual void OnTimer(const TimerTag& tag) { (void)tag; }
+  /// Called by Simulation::CrashAmnesia right after the node's pending
+  /// timers were flushed: drop volatile state here. Default no-op.
+  virtual void OnAmnesiaCrash() {}
+  /// Called by Simulation::RecoverAmnesia under the CPU model: rebuild
+  /// from durable state and start the rejoin protocol. Default no-op.
+  virtual void OnAmnesiaRecover() {}
 
  private:
   friend class Simulation;
@@ -338,7 +350,7 @@ class Process {
   SimTime busy_until_ = 0;
   SimTime logical_now_ = 0;
   Rng rng_{0};
-  std::unordered_map<std::uint64_t, std::uint64_t> active_timers_;
+  std::unordered_map<std::uint64_t, TimerTag> active_timers_;
   obs::TraceContext trace_ctx_;
   CounterSet* scoped_counters_ = nullptr;  // owned by the Recorder
 };
@@ -419,9 +431,6 @@ class Simulation {
   /// Attaches (or, with nullptr, detaches) a Byzantine outbound
   /// interceptor to `node`. Not owned.
   void SetInterceptor(NodeId node, OutboundInterceptor* interceptor);
-  bool HasInterceptor(NodeId node) const {
-    return interceptors_.count(node) > 0;
-  }
 
   /// Message-flow tracing (off by default; costs memory).
   void EnableTrace(bool on) { trace_enabled_ = on; }

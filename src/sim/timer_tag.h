@@ -5,53 +5,30 @@
 
 namespace ziziphus::sim {
 
-/// Which protocol engine owns a timer. Multiple engines share one host
-/// Process (core::Node routes OnTimer through pbft → data_sync → migration),
-/// so every timer tag carries its owner in the top byte instead of each
-/// engine inventing a private base/mask convention.
+/// Which protocol engine owns a timer. Several engines share one host
+/// Process (core::ZiziphusNode runs pbft, data sync and migration on one
+/// core), so every timer names its owner and the host's OnTimer switches
+/// on it once.
 enum class TimerEngine : std::uint8_t {
-  kHost = 0,        // raw Process users (tests, ad-hoc drivers)
-  kPbft = 1,
-  kDataSync = 2,
-  kMigration = 3,
-  kTwoLevel = 4,
-  kEndorsement = 5,  // reserved: the endorsement engine is timer-free today
-  kClient = 6,
+  kHost = 0,  // raw Process users (tests, ad-hoc drivers)
+  kPbft,
+  kDataSync,
+  kMigration,
+  kTwoLevel,
+  kClient,
 };
 
-/// A decoded timer tag: {engine, kind, slot}. `kind` is the engine's own
-/// timer enum (batch / retry / view-change / ...); `slot` is 48 bits of
-/// engine-private payload, typically a token into the engine's pending-timer
-/// map. Layout: [engine:8][kind:8][slot:48].
+/// What a timer carries back to OnTimer: {engine, kind, key}. `kind` is the
+/// engine's own timer enum (batch / retry / view-change / ...); `key` is a
+/// full 64-bit engine-chosen id, typically the request, op or sequence
+/// number the timer guards, so the engine learns what fired from the tag
+/// alone. The process stores the tag beside the timer id until the timer
+/// fires or is cancelled.
 struct TimerTag {
   TimerEngine engine = TimerEngine::kHost;
   std::uint8_t kind = 0;
-  std::uint64_t slot = 0;
-
-  static constexpr std::uint64_t kSlotMask = (1ULL << 48) - 1;
-
-  constexpr std::uint64_t Pack() const {
-    return (static_cast<std::uint64_t>(engine) << 56) |
-           (static_cast<std::uint64_t>(kind) << 48) | (slot & kSlotMask);
-  }
-
-  static constexpr TimerTag Unpack(std::uint64_t tag) {
-    return TimerTag{static_cast<TimerEngine>(tag >> 56),
-                    static_cast<std::uint8_t>((tag >> 48) & 0xffu),
-                    tag & kSlotMask};
-  }
-
-  /// Cheap ownership test for OnTimer dispatch chains.
-  static constexpr bool OwnedBy(std::uint64_t tag, TimerEngine engine) {
-    return static_cast<TimerEngine>(tag >> 56) == engine;
-  }
+  std::uint64_t key = 0;
 };
-
-/// Convenience for call sites that pack in place.
-constexpr std::uint64_t PackTimer(TimerEngine engine, std::uint8_t kind,
-                                  std::uint64_t slot = 0) {
-  return TimerTag{engine, kind, slot}.Pack();
-}
 
 }  // namespace ziziphus::sim
 

@@ -246,10 +246,10 @@ TEST(ByzantineBehaviorTest, EquivocatingEngineStallsSlotUntilViewChange) {
   for (std::size_t i = 0; i < replicas.size(); ++i) {
     baselines::PbftReplicaProcess::EngineFactory factory = nullptr;
     if (i == 0) {
-      factory = [](sim::Transport* t, const crypto::KeyRegistry* k,
+      factory = [](sim::Process* p, const crypto::KeyRegistry* k,
                    pbft::PbftConfig cfg, pbft::StateMachine* sm) {
         return std::make_unique<sim::EquivocatingPbftEngine>(
-            t, k, std::move(cfg), sm);
+            p, k, std::move(cfg), sm);
       };
     }
     replicas[i]->Init(&keys, base, std::make_unique<pbft::EchoStateMachine>(),
@@ -298,6 +298,7 @@ TEST_P(ChaosSweep, SeededRunHoldsAllInvariants) {
   ChaosOptions opt;
   opt.seed = GetParam();
   ChaosReport r = app::RunZiziphusChaos(opt);
+  testutil::RecordRunProperties(r);
   EXPECT_TRUE(r.violations.empty()) << r.Summary();
   EXPECT_TRUE(r.all_done) << r.Summary();
   // Every run fields at least one Byzantine replica per zone (budget <= f).

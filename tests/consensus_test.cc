@@ -373,6 +373,7 @@ TEST_P(ConsensusChaosSweep, HoldsInvariantsByteIdenticalOnBothQueues) {
   opt.seed = std::get<0>(GetParam());
   opt.ordering = std::get<1>(GetParam());
   ChaosReport first = app::RunZiziphusChaos(opt);
+  testutil::RecordRunProperties(first);
   EXPECT_TRUE(first.violations.empty()) << first.Summary();
   EXPECT_TRUE(first.all_done) << first.Summary();
 
@@ -397,6 +398,7 @@ TEST_P(ConsensusAmnesiaSweep, AmnesiaRejoinStaysGreenOnBothQueues) {
   opt.ordering = std::get<1>(GetParam());
   opt.amnesia_crashes = 2;
   ChaosReport first = app::RunZiziphusChaos(opt);
+  testutil::RecordRunProperties(first);
   EXPECT_TRUE(first.violations.empty()) << first.Summary();
   EXPECT_TRUE(first.all_done) << first.Summary();
 
@@ -421,6 +423,7 @@ TEST_P(ConsensusReadsSweep, VerifiedReadsStayGreenOnBothQueues) {
   opt.ordering = std::get<1>(GetParam());
   opt.mix.read_fraction = 1.0;  // scripted: one read per completed op
   ChaosReport first = app::RunZiziphusChaos(opt);
+  testutil::RecordRunProperties(first);
   EXPECT_TRUE(first.ok()) << first.Summary();
   EXPECT_GT(first.reads_ok + first.reads_abandoned, 0u) << "no reads issued";
 

@@ -56,7 +56,7 @@ TEST(DataSyncTest, MigrationCommitsOnAllZones) {
   // Every node of every zone executed the meta-data update.
   for (const auto& node : fx.sys.nodes()) {
     EXPECT_EQ(node->metadata().HomeOf(c), 1u)
-        << "node " << node->self() << " zone " << node->zone();
+        << "node " << node->id() << " zone " << node->zone();
     EXPECT_EQ(node->metadata().MigrationsOf(c), 1u);
   }
 }
@@ -169,7 +169,7 @@ TEST(DataSyncTest, MetadataDigestsConvergeAcrossAllNodes) {
   std::uint64_t digest = fx.sys.nodes()[0]->metadata().StateDigest();
   for (const auto& node : fx.sys.nodes()) {
     EXPECT_EQ(node->metadata().StateDigest(), digest)
-        << "node " << node->self();
+        << "node " << node->id();
     EXPECT_EQ(node->metadata().executed_count(), 6u);
   }
 }

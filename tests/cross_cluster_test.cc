@@ -87,7 +87,7 @@ TEST(CrossClusterTest, CrossClusterMigrationCommitsOnBothClusters) {
 
   // Both clusters executed the transaction on their regional meta-data.
   for (const auto& node : fx.sys.nodes()) {
-    EXPECT_EQ(node->metadata().HomeOf(c), 4u) << "node " << node->self();
+    EXPECT_EQ(node->metadata().HomeOf(c), 4u) << "node " << node->id();
   }
   // Records landed in the destination zone.
   for (std::size_t m = 0; m < 4; ++m) {

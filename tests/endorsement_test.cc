@@ -8,7 +8,7 @@ namespace ziziphus::core {
 namespace {
 
 /// Hosts one ZoneEndorser on a simulated process; records quorum events.
-class EndorserHost : public sim::Process, public sim::Transport {
+class EndorserHost : public sim::Process {
  public:
   void Init(const crypto::KeyRegistry* keys, const ZoneInfo* zone,
             std::function<bool(const EndorsePrePrepareMsg&)> validate) {
@@ -27,22 +27,6 @@ class EndorserHost : public sim::Process, public sim::Transport {
     endorser = std::make_unique<ZoneEndorser>(this, keys, zone, NodeCosts{},
                                               cbs);
   }
-
-  NodeId self() const override { return id(); }
-  SimTime Now() const override { return Process::Now(); }
-  void Send(NodeId dst, sim::MessagePtr msg) override {
-    Process::Send(dst, std::move(msg));
-  }
-  void Multicast(const std::vector<NodeId>& dsts,
-                 sim::MessagePtr msg) override {
-    Process::Multicast(dsts, std::move(msg));
-  }
-  std::uint64_t SetTimer(Duration delay, std::uint64_t tag) override {
-    return Process::SetTimer(delay, tag);
-  }
-  void CancelTimer(std::uint64_t t) override { Process::CancelTimer(t); }
-  void ChargeCpu(Duration cost) override { Process::ChargeCpu(cost); }
-  CounterSet& counters() override { return simulation()->counters(); }
 
   std::vector<EndorseKey> quorums;
   std::size_t late_votes = 0;

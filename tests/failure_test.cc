@@ -97,8 +97,8 @@ TEST(FailureTest, GlobalPrimaryCrashMigrationStillCompletes) {
   fx.sys.sim().RunFor(Seconds(10));
   EXPECT_TRUE(fx.client->MigrationDone(ts));
   for (const auto& node : fx.sys.nodes()) {
-    if (node->self() == old_primary) continue;
-    EXPECT_EQ(node->metadata().HomeOf(c), 2u) << "node " << node->self();
+    if (node->id() == old_primary) continue;
+    EXPECT_EQ(node->metadata().HomeOf(c), 2u) << "node " << node->id();
   }
 }
 

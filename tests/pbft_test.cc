@@ -272,16 +272,16 @@ class EquivocatingEngine : public pbft::PbftEngine {
     other.ops.push_back(evil);
     forged->batch = other;
     forged->batch_digest = other.ComputeDigest();
-    forged->sig = keys_->Sign(transport_->self(), forged->digest());
+    forged->sig = keys_->Sign(process_->id(), forged->digest());
     const auto& members = config_.members;
     for (std::size_t i = 0; i < members.size(); ++i) {
-      transport_->Send(members[i], i % 2 == 0 ? sim::MessagePtr(msg)
-                                              : sim::MessagePtr(forged));
+      process_->Send(members[i], i % 2 == 0 ? sim::MessagePtr(msg)
+                                            : sim::MessagePtr(forged));
     }
   }
 };
 
-class EquivocatingReplica : public sim::Process, public sim::Transport {
+class EquivocatingReplica : public sim::Process {
  public:
   void Init(const crypto::KeyRegistry* keys, pbft::PbftConfig config) {
     app_ = std::make_unique<pbft::EchoStateMachine>();
@@ -289,27 +289,14 @@ class EquivocatingReplica : public sim::Process, public sim::Transport {
                                                    std::move(config),
                                                    app_.get());
   }
-  NodeId self() const override { return id(); }
-  SimTime Now() const override { return Process::Now(); }
-  void Send(NodeId dst, sim::MessagePtr msg) override {
-    Process::Send(dst, std::move(msg));
-  }
-  void Multicast(const std::vector<NodeId>& dsts,
-                 sim::MessagePtr msg) override {
-    Process::Multicast(dsts, std::move(msg));
-  }
-  std::uint64_t SetTimer(Duration delay, std::uint64_t tag) override {
-    return Process::SetTimer(delay, tag);
-  }
-  void CancelTimer(std::uint64_t t) override { Process::CancelTimer(t); }
-  void ChargeCpu(Duration cost) override { Process::ChargeCpu(cost); }
-  CounterSet& counters() override { return simulation()->counters(); }
 
  protected:
   void OnMessage(const sim::MessagePtr& msg) override {
     engine_->HandleMessage(msg);
   }
-  void OnTimer(std::uint64_t tag) override { engine_->HandleTimer(tag); }
+  void OnTimer(const sim::TimerTag& tag) override {
+    engine_->HandleTimer(tag);
+  }
 
  private:
   std::unique_ptr<pbft::EchoStateMachine> app_;

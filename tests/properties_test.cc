@@ -95,7 +95,7 @@ TEST_P(ConvergenceProperty, StateAndMetadataConverge) {
   // (1b) Deployment-wide meta-data agreement.
   std::uint64_t md = sys.nodes()[0]->metadata().StateDigest();
   for (const auto& node : sys.nodes()) {
-    EXPECT_EQ(node->metadata().StateDigest(), md) << "node " << node->self();
+    EXPECT_EQ(node->metadata().StateDigest(), md) << "node " << node->id();
   }
   // (2) Conservation: sum of balances of each client's *current* home zone
   // equals seeded totals plus deposits that completed.

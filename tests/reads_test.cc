@@ -619,6 +619,8 @@ TEST(ReadChaosTest, SweepGreen) {
     opt.seed = seed;
     opt.mix.read_fraction = 1.0;  // scripted: one read per completed op
     app::ChaosReport report = app::RunZiziphusChaos(opt);
+    testutil::RecordRunProperties(report,
+                                  "seed" + std::to_string(seed) + "_");
     EXPECT_TRUE(report.ok()) << "seed " << seed << ": " << report.Summary();
     EXPECT_GT(report.reads_ok + report.reads_abandoned, 0u)
         << "seed " << seed << " issued no reads";

@@ -32,7 +32,9 @@ class TimerProbe : public sim::Process {
  public:
   std::vector<std::uint64_t> fired;
   void OnMessage(const sim::MessagePtr&) override {}
-  void OnTimer(std::uint64_t tag) override { fired.push_back(tag); }
+  void OnTimer(const sim::TimerTag& tag) override {
+    fired.push_back(tag.key);
+  }
   using sim::Process::SetTimer;
 };
 
@@ -40,15 +42,15 @@ TEST(AmnesiaCrashTest, PendingTimersAreFlushed) {
   sim::Simulation s(1, sim::LatencyModel::Uniform(1, 1000));
   TimerProbe p;
   NodeId id = s.Register(&p, 0);
-  p.SetTimer(Millis(5), 1);
-  p.SetTimer(Millis(50), 2);
+  p.SetTimer(Millis(5), {.key = 1});
+  p.SetTimer(Millis(50), {.key = 2});
   s.RunFor(Millis(10));
   ASSERT_EQ(p.fired, (std::vector<std::uint64_t>{1}));
   // The crash wipes RAM — including the armed timer. After recovery the
   // stale queued event must be discarded, not delivered to the fresh node.
   s.CrashAmnesia(id);
   s.RecoverAmnesia(id);
-  p.SetTimer(Millis(5), 3);
+  p.SetTimer(Millis(5), {.key = 3});
   s.RunFor(Seconds(1));
   EXPECT_EQ(p.fired, (std::vector<std::uint64_t>{1, 3}));
 }
@@ -199,8 +201,8 @@ TEST(RecoveryTest, AmnesiacSyncReplicaKeepsBallotPromises) {
   EXPECT_TRUE(fx.client->MigrationDone(mig));
   EXPECT_EQ(fx.sys.node(victim)->recoveries(), 1u);
   for (const auto& node : fx.sys.nodes()) {
-    if (node->self() == victim) continue;
-    EXPECT_EQ(node->metadata().HomeOf(c), 2u) << "node " << node->self();
+    if (node->id() == victim) continue;
+    EXPECT_EQ(node->metadata().HomeOf(c), 2u) << "node " << node->id();
   }
   auto v = fx.CheckInvariants();
   EXPECT_TRUE(v.empty()) << RecoveryFixture::Describe(v);
@@ -365,6 +367,7 @@ TEST_P(RecoverySweep, AmnesiaChaosConvergesIdenticallyOnBothQueues) {
   opt.seed = GetParam();
   opt.amnesia_crashes = 2;
   ChaosReport r = app::RunZiziphusChaos(opt);
+  testutil::RecordRunProperties(r);
   EXPECT_TRUE(r.violations.empty()) << r.Summary();
   EXPECT_TRUE(r.all_done) << r.Summary();
   ASSERT_TRUE(r.counters.count("recovery.rejoins"));

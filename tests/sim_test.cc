@@ -34,7 +34,9 @@ class Recorder : public Process {
       Send(reply_to, m);
     }
   }
-  void OnTimer(std::uint64_t tag) override { timers.emplace_back(Now(), tag); }
+  void OnTimer(const TimerTag& tag) override {
+    timers.emplace_back(Now(), tag.key);
+  }
 
   using Process::CancelTimer;
   using Process::Send;
@@ -127,14 +129,50 @@ TEST(SimulationTest, TimersFireAndCancel) {
   Simulation sim(1, LatencyModel::Uniform(1, 1000));
   Recorder a;
   sim.Register(&a, 0);
-  a.SetTimer(1000, 1);
-  std::uint64_t t2 = a.SetTimer(2000, 2);
-  a.SetTimer(3000, 3);
+  a.SetTimer(1000, {.key = 1});
+  std::uint64_t t2 = a.SetTimer(2000, {.key = 2});
+  a.SetTimer(3000, {.key = 3});
   a.CancelTimer(t2);
   sim.RunUntilIdle();
   ASSERT_EQ(a.timers.size(), 2u);
   EXPECT_EQ(a.timers[0].second, 1u);
   EXPECT_EQ(a.timers[1].second, 3u);
+}
+
+/// Logs every firing's whole tag.
+class TagLog : public Process {
+ public:
+  std::vector<TimerTag> fired;
+  void OnMessage(const MessagePtr&) override {}
+  void OnTimer(const TimerTag& tag) override { fired.push_back(tag); }
+};
+
+TEST(SimulationTest, TimerKeyCarriesAllSixtyFourBits) {
+  Simulation sim(1, LatencyModel::Uniform(1, 1000));
+  TagLog a;
+  sim.Register(&a, 0);
+  // Engines key timers by request or op id, which are 64-bit hashes (a
+  // data-sync source leg's id, for one); a 48-bit slot truncated them.
+  const std::uint64_t wide = 0xfedcba9876543210ULL;
+  const std::uint64_t edge = 1ULL << 48;
+  a.SetTimer(100, {TimerEngine::kDataSync, 4, wide});
+  // Two live timers with one key and different kinds both fire.
+  a.SetTimer(200, {TimerEngine::kMigration, 1, edge});
+  a.SetTimer(300, {TimerEngine::kMigration, 2, edge});
+  // A cancelled timer never fires.
+  a.CancelTimer(a.SetTimer(250, {TimerEngine::kPbft, 5, wide}));
+  sim.RunUntilIdle();
+  ASSERT_EQ(a.fired.size(), 3u);
+  EXPECT_EQ(a.fired[0].engine, TimerEngine::kDataSync);
+  EXPECT_EQ(a.fired[0].kind, 4u);
+  EXPECT_EQ(a.fired[0].key, wide);
+  EXPECT_EQ(a.fired[1].engine, TimerEngine::kMigration);
+  EXPECT_EQ(a.fired[1].kind, 1u);
+  EXPECT_EQ(a.fired[1].key, edge);
+  EXPECT_EQ(a.fired[2].engine, TimerEngine::kMigration);
+  EXPECT_EQ(a.fired[2].kind, 2u);
+  EXPECT_EQ(a.fired[2].key, edge);
+  EXPECT_EQ(sim.events_dispatched(), 3u);
 }
 
 TEST(SimulationTest, CrashDropsTraffic) {
@@ -209,8 +247,8 @@ TEST(SimulationTest, TieBreakByInsertionOrder) {
   Recorder a;
   sim.Register(&a, 0);
   // Two timers at the same instant fire in creation order.
-  a.SetTimer(100, 10);
-  a.SetTimer(100, 20);
+  a.SetTimer(100, {.key = 10});
+  a.SetTimer(100, {.key = 20});
   sim.RunUntilIdle();
   ASSERT_EQ(a.timers.size(), 2u);
   EXPECT_EQ(a.timers[0].second, 10u);
@@ -221,8 +259,8 @@ TEST(SimulationTest, TimerExpiringAtACrashedNodeIsNotLeaked) {
   Simulation sim(1, LatencyModel::Uniform(1, 1000));
   Recorder a;
   NodeId ida = sim.Register(&a, 0);
-  std::uint64_t lost = a.SetTimer(1000, 1);
-  a.SetTimer(5000, 2);
+  std::uint64_t lost = a.SetTimer(1000, {.key = 1});
+  a.SetTimer(5000, {.key = 2});
   sim.faults().Crash(ida);
   sim.RunUntil(2000);  // `lost` expires unhandled while the node is down
   sim.faults().Recover(ida);
@@ -243,7 +281,9 @@ class TimerLog : public Process {
   explicit TimerLog(std::vector<std::pair<SimTime, std::uint64_t>>* log)
       : log_(log) {}
   void OnMessage(const MessagePtr&) override {}
-  void OnTimer(std::uint64_t tag) override { log_->emplace_back(Now(), tag); }
+  void OnTimer(const TimerTag& tag) override {
+    log_->emplace_back(Now(), tag.key);
+  }
 
   using Process::CancelTimer;
   using Process::SetTimer;
@@ -287,7 +327,7 @@ TEST(SimulationTest, CancelledTimersAreNeverDispatchedAndQueueStaysBounded) {
       std::size_t n = rng.NextBounded(nodes.size());
       Duration delay = rng.NextBounded(8) == 0 ? Seconds(8)
                                                : rng.NextBounded(40) * 10;
-      std::uint64_t id = nodes[n]->SetTimer(delay, order);
+      std::uint64_t id = nodes[n]->SetTimer(delay, {.key = order});
       history.push_back({n, id});
       auto key = std::make_pair(sim.Now() + delay, order++);
       live.emplace(key, id);

@@ -1,19 +1,40 @@
 #ifndef ZIZIPHUS_TESTS_TEST_UTIL_H_
 #define ZIZIPHUS_TESTS_TEST_UTIL_H_
 
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "app/chaos.h"
 #include "baselines/pbft_process.h"
+#include "common/hash.h"
 #include "core/messages.h"
 #include "core/system.h"
+#include "gtest/gtest.h"
 #include "pbft/messages.h"
 #include "sim/simulation.h"
 
 namespace ziziphus::testutil {
+
+/// Records a chaos run's counter fingerprint and the FNV-1a hash of its
+/// obs_json as test properties `<prefix>fingerprint` and `<prefix>obs_hash`.
+/// Running a sweep with `--gtest_output=json:FILE` on two builds and
+/// diffing those properties checks "same seed, same output" across commits.
+inline void RecordRunProperties(const app::ChaosReport& r,
+                                const std::string& prefix = "") {
+  auto hex = [](std::uint64_t v) {
+    char buf[19];
+    std::snprintf(buf, sizeof(buf), "0x%016llx",
+                  static_cast<unsigned long long>(v));
+    return std::string(buf);
+  };
+  ::testing::Test::RecordProperty(prefix + "fingerprint", hex(r.fingerprint));
+  ::testing::Test::RecordProperty(prefix + "obs_hash",
+                                  hex(Fnv1a64(r.obs_json)));
+}
 
 /// Scripted test client: submits operations on demand and tracks f+1
 /// matching completions for local requests and migrations.
@@ -41,7 +62,7 @@ class TestClient : public sim::Process {
     Send(target, req);
     if (!retry_group_.empty()) {
       outstanding_[op.timestamp] = req;
-      SetTimer(retry_timeout_, op.timestamp);
+      SetTimer(retry_timeout_, {.key = op.timestamp});
     }
     return op.timestamp;
   }
@@ -65,7 +86,7 @@ class TestClient : public sim::Process {
     if (!retry_group_.empty()) {
       outstanding_[op.timestamp] = req;
       global_outstanding_.insert(op.timestamp);
-      SetTimer(retry_timeout_, op.timestamp);
+      SetTimer(retry_timeout_, {.key = op.timestamp});
     }
     return op.timestamp;
   }
@@ -135,7 +156,8 @@ class TestClient : public sim::Process {
     }
   }
 
-  void OnTimer(std::uint64_t ts) override {
+  void OnTimer(const sim::TimerTag& tag) override {
+    const RequestTimestamp ts = tag.key;
     auto it = outstanding_.find(ts);
     if (it == outstanding_.end()) return;
     bool is_global = global_outstanding_.count(ts) > 0;
@@ -146,7 +168,7 @@ class TestClient : public sim::Process {
       return;
     }
     Multicast(retry_group_, it->second);
-    SetTimer(retry_timeout_, ts);
+    SetTimer(retry_timeout_, {.key = ts});
   }
 
  private:
