@@ -11,6 +11,7 @@
 //   ./bench_chaos --benchmark_min_time=20x
 
 #include <cstdlib>
+#include <vector>
 
 #include "app/chaos.h"
 #include "app/experiment_config.h"
@@ -39,7 +40,9 @@ app::ChaosOptions OptionsFor(std::uint64_t seed, const benchmark::State& st) {
   return opt;
 }
 
-/// Copies the summed run counters into the JSON collector.
+/// Copies the summed run counters into the JSON collector. google-benchmark
+/// re-runs a benchmark while it calibrates the iteration count, so the cell
+/// of a later run replaces the earlier one: one cell per argument set.
 void CollectCell(benchmark::State& state, const char* proto) {
   app::BenchCell cell;
   cell.name = std::string(proto) + "/zones:" + std::to_string(state.range(0)) +
@@ -47,7 +50,11 @@ void CollectCell(benchmark::State& state, const char* proto) {
   for (const auto& [key, counter] : state.counters) {
     cell.metrics[key] = static_cast<double>(counter);
   }
-  app::CollectedCells().push_back(std::move(cell));
+  std::vector<app::BenchCell>& cells = app::CollectedCells();
+  std::erase_if(cells, [&](const app::BenchCell& c) {
+    return c.name == cell.name;
+  });
+  cells.push_back(std::move(cell));
 }
 
 void Tally(benchmark::State& state, const app::ChaosReport& r) {

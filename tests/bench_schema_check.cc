@@ -8,6 +8,8 @@
 //       [--require=<name-substr>:<metric-key>]...
 //       [--min-ratio=<a-substr>|<b-substr>|<metric-key>|<min>]...
 //
+// Cell names must be unique within an export.
+//
 // Each --require demands at least one cell whose name contains
 // <name-substr> and whose metrics carry <metric-key>; the metric key is
 // everything after the LAST ':' (cell names themselves contain colons).
@@ -19,7 +21,8 @@
 // '|' separates the fields because cell names contain ':' freely.
 //
 // Exit 0 when valid; exit 1 with a diagnostic otherwise. Wired into ctest
-// behind each bench_smoke_* run so a malformed export fails tier-1.
+// behind each bench_smoke_* run and on each committed BENCH_*.json, so a
+// malformed export fails tier-1.
 
 #include <cctype>
 #include <cmath>
@@ -28,6 +31,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -286,6 +290,7 @@ int Validate(const JsonValue& root, bool allow_empty,
   if (cells->array.empty() && !allow_empty) {
     return Invalid("\"cells\" is empty (pass --allow-empty if intended)");
   }
+  std::set<std::string> names;
   std::size_t i = 0;
   for (const JsonValue& cell : cells->array) {
     std::string where = "cells[" + std::to_string(i++) + "]";
@@ -296,6 +301,9 @@ int Validate(const JsonValue& root, bool allow_empty,
     if (name == nullptr || name->kind != JsonValue::kString ||
         name->str.empty()) {
       return Invalid(where + " has no \"name\"");
+    }
+    if (!names.insert(name->str).second) {
+      return Invalid(where + " repeats cell name \"" + name->str + "\"");
     }
     const JsonValue* metrics = cell.Find("metrics");
     if (metrics == nullptr || metrics->kind != JsonValue::kObject) {

@@ -8,8 +8,7 @@
 // retire once settled, and a client keeps one finished migration (its
 // certified STATE at a source) per node. So every count below must be flat
 // from a 1 s to a 4 s window.
-// `ctest -L perf-smoke` runs this with tests_queue_memory and the
-// bench_simperf smoke pair.
+// `ctest -L perf-smoke` runs this with tests_queue_memory.
 
 #include <algorithm>
 #include <memory>

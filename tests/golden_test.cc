@@ -133,6 +133,36 @@ TEST(GoldenExperimentTest, ZiziphusReadsWithCrashedBackups) {
                {39, 6, 54, 54, 18, 2908, 3098, 6.3421935483870966});
 }
 
+TEST(GoldenExperimentTest, SimulatorEventCounts) {
+  // The Figure 4 shape at bench quick scale (50 clients/zone, 10% global,
+  // 500 ms warmup, 800 ms window): the dispatched event count is the
+  // simulator's deterministic work; perfbench measures its wall rate and
+  // allocations per event.
+  struct Pin {
+    std::size_t zones;
+    std::uint64_t events_dispatched;
+    double tput_ktps;
+  };
+  for (const Pin& want : {Pin{3, 213672, 8.695}, Pin{5, 196929, 5.2025},
+                          Pin{7, 326978, 8.585}}) {
+    WorkloadSpec wl;
+    wl.clients_per_zone = 50;
+    wl.mix.global_fraction = 0.1;
+    wl.warmup = Millis(500);
+    wl.measure = Millis(800);
+    ExperimentResult r =
+        RunExperiment(Protocol::kZiziphus, PaperDeployment(want.zones), wl);
+    if (PrintPins()) {
+      std::printf("fig4 zones:%zu: {%llu, %.17g}\n", want.zones,
+                  (unsigned long long)r.events_dispatched,
+                  r.throughput_tps / 1000.0);
+    }
+    SCOPED_TRACE("zones:" + std::to_string(want.zones));
+    EXPECT_EQ(r.events_dispatched, want.events_dispatched);
+    EXPECT_DOUBLE_EQ(r.throughput_tps / 1000.0, want.tput_ktps);
+  }
+}
+
 struct ChaosPin {
   std::uint64_t fingerprint;
   std::uint64_t obs_hash;

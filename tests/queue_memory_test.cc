@@ -3,7 +3,7 @@
 // the event queue until their deadline, the queue would grow with the
 // measure window up to the retry horizon. The live depth the simulator
 // samples must instead track the work in flight, whatever the window.
-// `ctest -L perf-smoke` runs this with the bench_simperf smoke pair.
+// `ctest -L perf-smoke` runs this with tests_global_memory.
 
 #include <memory>
 #include <vector>
