@@ -9,7 +9,6 @@
 #include "app/bank.h"
 #include "app/harness.h"
 #include "baselines/two_level.h"
-#include "baselines/two_level_system.h"
 #include "common/hash.h"
 #include "common/random.h"
 #include "core/system.h"
@@ -257,8 +256,7 @@ ChaosReport RunZiziphusChaos(const ChaosOptions& opt) {
     }
   }
 
-  core::NodeConfig cfg;
-  cfg.pbft.request_timeout_us = Millis(400);
+  core::NodeConfig cfg = harness::FaultHarnessNodeConfig();
   cfg.pbft.ordering = opt.ordering;
   if (opt.mix.read_fraction > 0) {
     // Reads anchor on stable checkpoints; the default interval would leave
@@ -269,9 +267,6 @@ ChaosReport RunZiziphusChaos(const ChaosOptions& opt) {
     // runs change it, keeping read-free seeds bit-for-bit reproducible.
     cfg.pbft.checkpoint_interval = 2;
   }
-  cfg.sync.retry_timeout_us = Millis(1500);
-  cfg.sync.response_query_timeout_us = Millis(800);
-  cfg.sync.relay_watch_timeout_us = Millis(1200);
 
   // Equivocating engines must be installed at Init; the tweaker maps each
   // node to its member index by counting registrations per zone.
@@ -389,28 +384,6 @@ ChaosReport RunZiziphusChaos(const ChaosOptions& opt) {
       opt.fault_window + opt.drain + opt.completion_wait);
   report.end_time = sys.sim().Now();
 
-  if (std::getenv("CHAOS_DEBUG") != nullptr) {
-    for (const auto& node : sys.nodes()) {
-      const auto& e = node->pbft();
-      std::fprintf(stderr,
-                   "node %llu zone %u view %llu active %d primary %llu "
-                   "last_exec %llu stable %llu\n",
-                   (unsigned long long)node->id(), (unsigned)node->zone(),
-                   (unsigned long long)e.view(), (int)e.view_active(),
-                   (unsigned long long)e.primary(),
-                   (unsigned long long)e.last_executed(),
-                   (unsigned long long)e.stable_seq());
-      node->sync().DumpStuckRequests(stderr);
-      node->migration().DumpStuckStates(stderr);
-    }
-    for (const auto& c : clients.clients) {
-      if (!c->done())
-        std::fprintf(stderr, "client %llu NOT DONE completed %llu\n",
-                     (unsigned long long)c->id(),
-                     (unsigned long long)c->completed());
-    }
-  }
-
   TallyClients(clients, &report);
 
   // Converged application state per zone: the digest of the honest replica
@@ -436,18 +409,11 @@ ChaosReport RunZiziphusChaos(const ChaosOptions& opt) {
     }
   }
 
-  sim::InvariantChecker::Options iopt;
+  sim::InvariantChecker::Options iopt = harness::BankCheckerOptions();
   iopt.byzantine = byz_nodes;
   iopt.accounts = std::move(clients.accounts);
   iopt.read_witnesses = std::move(witnesses);
-  iopt.balance_of = [](const core::ZoneStateMachine& app, ClientId c) {
-    return static_cast<const BankStateMachine&>(app).BalanceOf(c);
-  };
-  iopt.total_balance = [](const core::ZoneStateMachine& app) {
-    return static_cast<const BankStateMachine&>(app).TotalBalance();
-  };
-  sim::InvariantChecker checker(std::move(iopt));
-  report.violations = checker.Check(sys);
+  report.violations = sim::InvariantChecker(std::move(iopt)).Check(sys);
   report.fingerprint = harness::FingerprintCounters(sys.sim().counters());
   report.counters = sys.sim().counters().All();
   report.obs_json = sys.sim().recorder().ExportJson();
@@ -456,42 +422,24 @@ ChaosReport RunZiziphusChaos(const ChaosOptions& opt) {
 
 ChaosReport RunTwoLevelChaos(const ChaosOptions& opt) {
   ChaosReport report;
-  // Witness zones bring the top level to 3F+1 participants, mirroring
-  // app::RunTwoLevel.
-  std::size_t big_f = (opt.zones - 1) / 2;
-  std::size_t participants = 3 * big_f + 1;
-  std::size_t witnesses =
-      participants > opt.zones ? participants - opt.zones : 0;
-
   baselines::TwoLevelSystem sys(opt.seed, sim::LatencyModel::PaperGeoMatrix());
   for (std::size_t z = 0; z < opt.zones; ++z) {
     sys.AddZone(0, static_cast<RegionId>(z % 7), opt.f, 3 * opt.f + 1);
-  }
-  for (std::size_t w = 0; w < witnesses; ++w) {
-    sys.AddWitness(0, sim::kCalifornia);
   }
 
   Rng rng(Mix64(opt.seed) ^ 0xc4a05eedULL);
 
   baselines::TwoLevelNode::Config cfg;
   cfg.pbft.request_timeout_us = Millis(400);
-  cfg.two_level.leader_zone = 0;
-  cfg.two_level.big_f = big_f;
-  cfg.two_level.costs.crypto.threshold_signatures = false;
-  cfg.migration.costs.crypto.threshold_signatures = false;
   sys.Finalize(cfg,
                [](ZoneId) { return std::make_unique<BankStateMachine>(); });
 
   harness::Roster clients =
       harness::BuildRoster(sys, ChaosRoster(opt, /*reads=*/nullptr));
-  sim::InvariantChecker::Accounts& accounts = clients.accounts;
 
   // Crash-fault chaos only: the baseline runs no Byzantine roster.
-  std::vector<NodeId> replicas;
-  for (ZoneId z = 0; z < sys.topology().num_zones(); ++z) {
-    for (NodeId id : sys.topology().zone(z).members) replicas.push_back(id);
-  }
-  report.events = GenerateFaultTimeline(sys.sim().schedule(), rng, replicas,
+  report.events = GenerateFaultTimeline(sys.sim().schedule(), rng,
+                                        sys.topology().AllNodes(),
                                         opt.fault_window);
   report.all_done = clients.Run(
       sys.sim(), opt.fault_window + opt.drain,
@@ -499,58 +447,9 @@ ChaosReport RunTwoLevelChaos(const ChaosOptions& opt) {
   report.end_time = sys.sim().Now();
   TallyClients(clients, &report);
 
-  // Inline safety checks (InvariantChecker is bound to ZiziphusSystem):
-  // per-zone commit-log agreement and the balance conservations.
-  auto honest = [&](NodeId id) {
-    return !sys.sim().faults().IsCrashed(id);
-  };
-  for (ZoneId z = 0; z < sys.topology().num_zones(); ++z) {
-    std::map<SeqNum, std::pair<std::uint64_t, NodeId>> reference;
-    for (NodeId id : sys.topology().zone(z).members) {
-      if (!honest(id)) continue;
-      for (const storage::LogEntry& e :
-           sys.node(id)->pbft().commit_log().entries()) {
-        auto [it, inserted] = reference.try_emplace(e.seq, e.digest, id);
-        if (!inserted && it->second.first != e.digest) {
-          std::ostringstream detail;
-          detail << "zone " << z << " seq " << e.seq << ": node "
-                 << it->second.second << " committed " << it->second.first
-                 << " but node " << id << " committed " << e.digest;
-          report.violations.push_back({"zone-agreement", detail.str()});
-        }
-      }
-    }
-  }
-  for (const auto& [zone, load_ids] : accounts.load_clients) {
-    std::int64_t expected = accounts.zone_load_totals[zone];
-    for (NodeId id : sys.topology().zone(zone).members) {
-      if (!honest(id)) continue;
-      auto& bank = static_cast<BankStateMachine&>(sys.node(id)->app());
-      std::int64_t sum = 0;
-      for (ClientId c : load_ids) sum += std::max<std::int64_t>(
-          0, bank.BalanceOf(c));
-      if (sum != expected) {
-        std::ostringstream detail;
-        detail << "node " << id << " (zone " << zone << ") holds " << sum
-               << " across load accounts, expected " << expected;
-        report.violations.push_back({"balance-conservation", detail.str()});
-      }
-    }
-  }
-  for (const auto& [client, expected] : accounts.fixed_balance_clients) {
-    for (NodeId id : replicas) {
-      if (!honest(id)) continue;
-      auto& bank = static_cast<BankStateMachine&>(sys.node(id)->app());
-      std::int64_t b = bank.BalanceOf(client);
-      if (b >= 0 && b != expected) {
-        std::ostringstream detail;
-        detail << "node " << id << " holds " << b << " for migrating client "
-               << client << ", expected " << expected;
-        report.violations.push_back({"balance-conservation", detail.str()});
-      }
-    }
-  }
-
+  sim::InvariantChecker::Options iopt = harness::BankCheckerOptions();
+  iopt.accounts = std::move(clients.accounts);
+  report.violations = sim::InvariantChecker(std::move(iopt)).Check(sys);
   report.fingerprint = harness::FingerprintCounters(sys.sim().counters());
   report.counters = sys.sim().counters().All();
   return report;

@@ -1,5 +1,6 @@
 #include "app/client.h"
 
+#include "baselines/two_level.h"
 #include "common/logging.h"
 
 namespace ziziphus::app {
@@ -55,7 +56,7 @@ ZoneId MobileClient::PickDestination() {
 }
 
 ZoneId MobileClient::GlobalTargetZone(ZoneId dest) const {
-  if (cfg_.mode == Mode::kTwoLevel) return cfg_.tl_leader_zone;
+  if (cfg_.mode == Mode::kTwoLevel) return baselines::kTwoLevelLeaderZone;
   const core::Topology& topo = *cfg_.topology;
   bool cross = topo.zone(home_).cluster != topo.zone(dest).cluster;
   if (cross) return dest;  // cross-cluster: destination zone initiates

@@ -59,8 +59,6 @@ class MobileClient : public ClientCore {
     /// Stable-leader routing: migrations go to the destination cluster's
     /// first zone instead of the destination zone itself.
     bool stable_leader = true;
-    /// Two-level PBFT: the global leader zone.
-    ZoneId tl_leader_zone = 0;
     Duration retry_timeout = Seconds(4);
     Duration think_time = 0;
     /// A "behind" reply usually means the next stable checkpoint has not

@@ -1,5 +1,7 @@
 #include "app/experiment.h"
 
+#include <algorithm>
+#include <functional>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -8,8 +10,7 @@
 #include "app/client.h"
 #include "app/experiment_config.h"
 #include "baselines/pbft_process.h"
-#include "baselines/steward.h"
-#include "baselines/two_level_system.h"
+#include "baselines/two_level.h"
 #include "common/logging.h"
 
 namespace ziziphus::app {
@@ -121,6 +122,10 @@ storage::KvStore::Map SeedBalance(ClientId client) {
   return {{BankStateMachine::AccountKey(client), "1000"}};
 }
 
+std::unique_ptr<core::ZoneStateMachine> NewBank(ZoneId) {
+  return std::make_unique<BankStateMachine>();
+}
+
 /// Simulation::Register hands out sequential ids, so given the id the next
 /// registration will get, the whole client id layout is known up front.
 std::vector<std::vector<ClientId>> PredictClientIds(std::size_t next_id,
@@ -146,20 +151,14 @@ std::vector<ClientId> PeersExcluding(const std::vector<ClientId>& ids,
   return peers;
 }
 
-struct ClientPool {
-  std::vector<std::unique_ptr<MobileClient>> mobile;
-
-  void ResetStats() {
-    for (auto& c : mobile) c->ResetStats();
-  }
-};
-
-ExperimentResult Collect(Protocol protocol, const ClientPool& pool,
-                         Duration measure, std::uint64_t messages) {
+ExperimentResult Collect(
+    Protocol protocol,
+    const std::vector<std::unique_ptr<MobileClient>>& clients,
+    Duration measure, std::uint64_t messages) {
   ExperimentResult out;
   out.protocol = protocol;
   Histogram all, local, global, reads;
-  for (const auto& c : pool.mobile) {
+  for (const auto& c : clients) {
     const ClientStats& s = c->stats();
     all.Merge(s.local_latency_us);
     all.Merge(s.global_latency_us);
@@ -243,160 +242,150 @@ void EnableTracing(sim::Simulation& sim, const ObsSpec& ospec) {
   tracer.set_sample_every(ospec.sample_every == 0 ? 1 : ospec.sample_every);
 }
 
-void CrashBackups(sim::Simulation& sim, const core::Topology& topo,
-                  std::size_t per_zone) {
+/// Up to `per_zone` backups of every zone, never the initial primary
+/// (member 0) and never more than the zone's f.
+std::vector<NodeId> ZoneBackups(const core::Topology& topo,
+                                std::size_t per_zone) {
+  std::vector<NodeId> out;
   for (const auto& z : topo.zones()) {
-    // Never crash the initial primary (member 0) or more than f nodes.
     std::size_t n = std::min(per_zone, z.f);
-    for (std::size_t i = 0; i < n; ++i) {
-      sim.faults().Crash(z.members[1 + i]);
+    for (std::size_t i = 0; i < n; ++i) out.push_back(z.members[1 + i]);
+  }
+  return out;
+}
+
+/// What one protocol's deployment hands the shared closed-loop run.
+struct ClosedLoop {
+  sim::Simulation* sim = nullptr;
+  /// The topology and keys the clients see.
+  const core::Topology* topology = nullptr;
+  const crypto::KeyRegistry* keys = nullptr;
+  /// The protocol's client settings; the run fills in topology, keys, home
+  /// and peers.
+  MobileClient::Config client;
+  /// Flat PBFT: every client's home is the single geo-spanning group
+  /// (zone 0), whatever region the client sits in.
+  bool single_group = false;
+  /// Installs one client's starting balance wherever it is served.
+  std::function<void(ClientId client, ZoneId home)> open_account;
+  /// Replicas crashed once the clients have started.
+  std::vector<NodeId> crash;
+};
+
+/// The closed-loop run every protocol shares: registers
+/// `clients_per_zone` clients in each zone's region, opens their
+/// accounts, starts them staggered, crashes the chosen replicas, then runs
+/// the warmup and the measurement window and reports the window.
+ExperimentResult RunClosedLoop(Protocol protocol, const DeploymentSpec& dep,
+                               const WorkloadSpec& wl, const ObsSpec& ospec,
+                               const ClosedLoop& loop) {
+  sim::Simulation& sim = *loop.sim;
+  // Client ids are assigned sequentially at registration, so the full
+  // per-zone id layout is known before any client exists — each Config
+  // carries its peer list from construction (no mutate-after-construct).
+  std::vector<std::vector<ClientId>> per_zone_ids = PredictClientIds(
+      sim.num_processes(), dep.zones.size(), wl.clients_per_zone);
+  std::vector<std::unique_ptr<MobileClient>> clients;
+  for (std::size_t z = 0; z < dep.zones.size(); ++z) {
+    for (std::size_t i = 0; i < wl.clients_per_zone; ++i) {
+      MobileClient::Config cc = loop.client;
+      cc.topology = loop.topology;
+      cc.keys = loop.keys;
+      cc.home = loop.single_group ? 0 : static_cast<ZoneId>(z);
+      cc.peers = PeersExcluding(per_zone_ids[z], per_zone_ids[z][i]);
+      auto client = std::make_unique<MobileClient>(std::move(cc));
+      NodeId cid = sim.Register(client.get(), dep.zones[z].region);
+      ZCHECK(cid == per_zone_ids[z][i]);
+      clients.push_back(std::move(client));
     }
   }
+  for (std::size_t z = 0; z < dep.zones.size(); ++z) {
+    for (ClientId cid : per_zone_ids[z]) {
+      loop.open_account(cid, static_cast<ZoneId>(z));
+    }
+  }
+  for (auto& c : clients) c->Start(/*delay=*/sim.rng().NextBounded(2000));
+  for (NodeId id : loop.crash) sim.faults().Crash(id);
+
+  sim.RunUntil(wl.warmup);
+  for (auto& c : clients) c->ResetStats();
+  EnableTracing(sim, ospec);
+  std::uint64_t msgs0 = sim.counters().Get(obs::CounterId::kNetMsgsSent);
+  ReadCounterSnap reads0 = ReadCounterSnap::Take(sim.counters());
+  ConsensusCounterSnap cons0 = ConsensusCounterSnap::Take(sim.counters());
+  sim.RunUntil(wl.warmup + wl.measure);
+  std::uint64_t msgs =
+      sim.counters().Get(obs::CounterId::kNetMsgsSent) - msgs0;
+  ExperimentResult r = Collect(protocol, clients, wl.measure, msgs);
+  reads0.DeltaInto(sim.counters(), &r);
+  cons0.DeltaInto(sim.counters(), &r);
+  r.events_dispatched = sim.events_dispatched();
+  if (ospec.trace) FinishObservedRun(sim.recorder(), ospec, &r);
+  return r;
 }
 
 ExperimentResult RunZiziphusLike(Protocol protocol,
                                  const DeploymentSpec& dep,
                                  const WorkloadSpec& wl,
                                  const FaultSpec& faults,
-                                 core::NodeConfig cfg,
+                                 const core::NodeConfig& cfg,
                                  const ObsSpec& ospec) {
-
   core::ZiziphusSystem sys(wl.seed, sim::LatencyModel::PaperGeoMatrix());
   for (const auto& z : dep.zones) {
     sys.AddZone(z.cluster, z.region, dep.f, dep.nodes_per_zone());
   }
-  sys.Finalize(cfg, [](ZoneId) { return std::make_unique<BankStateMachine>(); });
+  sys.Finalize(cfg, NewBank);
 
-  // Client ids are assigned sequentially at registration, so the full
-  // per-zone id layout is known before any client exists — each Config
-  // carries its peer list from construction (no mutate-after-construct).
-  std::vector<std::vector<ClientId>> per_zone_ids = PredictClientIds(
-      sys.sim().num_processes(), dep.zones.size(), wl.clients_per_zone);
-  ClientPool pool;
-  for (std::size_t z = 0; z < dep.zones.size(); ++z) {
-    for (std::size_t i = 0; i < wl.clients_per_zone; ++i) {
-      MobileClient::Config cc;
-      cc.mode = protocol == Protocol::kSteward ? MobileClient::Mode::kSteward
-                                               : MobileClient::Mode::kZiziphus;
-      cc.topology = &sys.topology();
-      cc.keys = &sys.keys();
-      cc.home = static_cast<ZoneId>(z);
-      cc.mix = wl.mix;
-      cc.verified_reads = wl.verified_reads;
-      cc.causal = wl.causal;
-      cc.stable_leader = cfg.sync.stable_leader;
-      cc.retry_timeout = Seconds(8);
-      cc.peers = PeersExcluding(per_zone_ids[z], per_zone_ids[z][i]);
-      auto client = std::make_unique<MobileClient>(std::move(cc));
-      NodeId cid = sys.sim().Register(client.get(), dep.zones[z].region);
-      ZCHECK(cid == per_zone_ids[z][i]);
-      pool.mobile.push_back(std::move(client));
-    }
-  }
-  for (std::size_t z = 0; z < dep.zones.size(); ++z) {
-    for (ClientId cid : per_zone_ids[z]) {
-      sys.BootstrapClient(cid, static_cast<ZoneId>(z), SeedBalance,
-                          protocol == Protocol::kSteward);
-    }
-  }
-  // Start every client (staggered).
-  for (auto& c : pool.mobile) {
-    c->Start(/*delay=*/sys.sim().rng().NextBounded(2000));
-  }
-
-  CrashBackups(sys.sim(), sys.topology(), faults.crashed_backups_per_zone);
-
-  sys.sim().RunUntil(wl.warmup);
-  pool.ResetStats();
-  EnableTracing(sys.sim(), ospec);
-  std::uint64_t msgs0 = sys.sim().counters().Get(obs::CounterId::kNetMsgsSent);
-  ReadCounterSnap reads0 = ReadCounterSnap::Take(sys.sim().counters());
-  ConsensusCounterSnap cons0 = ConsensusCounterSnap::Take(sys.sim().counters());
-  sys.sim().RunUntil(wl.warmup + wl.measure);
-  std::uint64_t msgs =
-      sys.sim().counters().Get(obs::CounterId::kNetMsgsSent) - msgs0;
-  ExperimentResult r = Collect(protocol, pool, wl.measure, msgs);
-  reads0.DeltaInto(sys.sim().counters(), &r);
-  cons0.DeltaInto(sys.sim().counters(), &r);
-  r.events_dispatched = sys.sim().events_dispatched();
-  if (ospec.trace) FinishObservedRun(sys.sim().recorder(), ospec, &r);
-  return r;
+  const bool steward = protocol == Protocol::kSteward;
+  ClosedLoop loop;
+  loop.sim = &sys.sim();
+  loop.topology = &sys.topology();
+  loop.keys = &sys.keys();
+  loop.client.mode =
+      steward ? MobileClient::Mode::kSteward : MobileClient::Mode::kZiziphus;
+  loop.client.mix = wl.mix;
+  loop.client.verified_reads = wl.verified_reads;
+  loop.client.causal = wl.causal;
+  loop.client.stable_leader = cfg.sync.stable_leader;
+  loop.client.retry_timeout = Seconds(8);
+  loop.open_account = [&sys, steward](ClientId c, ZoneId home) {
+    sys.BootstrapClient(c, home, SeedBalance, steward);
+  };
+  loop.crash = ZoneBackups(sys.topology(), faults.crashed_backups_per_zone);
+  return RunClosedLoop(protocol, dep, wl, ospec, loop);
 }
 
 ExperimentResult RunTwoLevel(const DeploymentSpec& dep,
                              const WorkloadSpec& wl, const FaultSpec& faults,
                              const ObsSpec& ospec) {
-  // Real zones plus witness zones in CA so the top level has 3F+1
-  // participants (F = (Z-1)/2, matching the zone-failure tolerance of
-  // Ziziphus's majority quorum).
-  std::size_t z_real = dep.zones.size();
-  std::size_t big_f = (z_real - 1) / 2;
-  std::size_t participants = 3 * big_f + 1;
-  std::size_t witnesses = participants > z_real ? participants - z_real : 0;
-
   baselines::TwoLevelSystem sys(wl.seed, sim::LatencyModel::PaperGeoMatrix());
   for (const auto& z : dep.zones) {
     sys.AddZone(z.cluster, z.region, dep.f, dep.nodes_per_zone());
   }
-  for (std::size_t w = 0; w < witnesses; ++w) {
-    sys.AddWitness(/*cluster=*/0, sim::kCalifornia);
-  }
-
   baselines::TwoLevelNode::Config cfg;
   core::NodeConfig base = DefaultNodeConfig();
   cfg.pbft = base.pbft;
   cfg.migration = base.migration;
   cfg.policy = base.policy;
-  cfg.two_level.leader_zone = 0;
-  cfg.two_level.big_f = big_f;
   cfg.two_level.costs = base.sync.costs;
   // Threshold certificates are part of Ziziphus's design (Section IV-B1);
   // the two-level comparator verifies plain 2f+1 signature sets.
   cfg.two_level.costs.crypto.threshold_signatures = false;
   cfg.migration.costs.crypto.threshold_signatures = false;
-  sys.Finalize(cfg, [](ZoneId) { return std::make_unique<BankStateMachine>(); });
+  sys.Finalize(cfg, NewBank);
 
-  std::vector<std::vector<ClientId>> per_zone_ids = PredictClientIds(
-      sys.sim().num_processes(), z_real, wl.clients_per_zone);
-  ClientPool pool;
-  for (std::size_t z = 0; z < z_real; ++z) {
-    for (std::size_t i = 0; i < wl.clients_per_zone; ++i) {
-      MobileClient::Config cc;
-      cc.mode = MobileClient::Mode::kTwoLevel;
-      cc.topology = &sys.topology();
-      cc.keys = &sys.keys();
-      cc.home = static_cast<ZoneId>(z);
-      cc.mix = wl.mix;
-      cc.mix.cross_cluster_fraction = 0.0;
-      cc.tl_leader_zone = 0;
-      cc.peers = PeersExcluding(per_zone_ids[z], per_zone_ids[z][i]);
-      auto client = std::make_unique<MobileClient>(std::move(cc));
-      NodeId cid = sys.sim().Register(client.get(), dep.zones[z].region);
-      ZCHECK(cid == per_zone_ids[z][i]);
-      pool.mobile.push_back(std::move(client));
-    }
-  }
-  for (std::size_t z = 0; z < z_real; ++z) {
-    for (ClientId cid : per_zone_ids[z]) {
-      sys.BootstrapClient(cid, static_cast<ZoneId>(z), SeedBalance);
-    }
-  }
-  for (auto& c : pool.mobile) {
-    c->Start(sys.sim().rng().NextBounded(2000));
-  }
-
-  CrashBackups(sys.sim(), sys.topology(), faults.crashed_backups_per_zone);
-
-  sys.sim().RunUntil(wl.warmup);
-  pool.ResetStats();
-  EnableTracing(sys.sim(), ospec);
-  std::uint64_t msgs0 = sys.sim().counters().Get(obs::CounterId::kNetMsgsSent);
-  sys.sim().RunUntil(wl.warmup + wl.measure);
-  std::uint64_t msgs = sys.sim().counters().Get(obs::CounterId::kNetMsgsSent) - msgs0;
-  ExperimentResult r = Collect(Protocol::kTwoLevelPbft, pool, wl.measure, msgs);
-  r.events_dispatched = sys.sim().events_dispatched();
-  if (ospec.trace) FinishObservedRun(sys.sim().recorder(), ospec, &r);
-  return r;
+  ClosedLoop loop;
+  loop.sim = &sys.sim();
+  loop.topology = &sys.topology();
+  loop.keys = &sys.keys();
+  loop.client.mode = MobileClient::Mode::kTwoLevel;
+  loop.client.mix = wl.mix;
+  loop.client.mix.cross_cluster_fraction = 0.0;
+  loop.open_account = [&sys](ClientId c, ZoneId home) {
+    sys.BootstrapClient(c, home, SeedBalance);
+  };
+  loop.crash = ZoneBackups(sys.topology(), faults.crashed_backups_per_zone);
+  return RunClosedLoop(Protocol::kTwoLevelPbft, dep, wl, ospec, loop);
 }
 
 ExperimentResult RunFlat(const DeploymentSpec& dep, const WorkloadSpec& wl,
@@ -409,14 +398,20 @@ ExperimentResult RunFlat(const DeploymentSpec& dep, const WorkloadSpec& wl,
 
   std::vector<std::unique_ptr<baselines::PbftReplicaProcess>> replicas;
   std::vector<NodeId> group;
-  std::vector<std::vector<NodeId>> crash_candidates(dep.zones.size());
+  std::vector<NodeId> crash;
   for (std::size_t z = 0; z < dep.zones.size(); ++z) {
+    // Up to f crashes per region, never the group's initial primary
+    // (replica 0, in the first region).
+    std::size_t to_crash = std::min(faults.crashed_backups_per_zone, dep.f);
     std::size_t count = 3 * dep.f + (z == 0 ? 1 : 0);
     for (std::size_t i = 0; i < count; ++i) {
       auto rep = std::make_unique<baselines::PbftReplicaProcess>();
       NodeId id = sim.Register(rep.get(), dep.zones[z].region);
       group.push_back(id);
-      if (!(z == 0 && i == 0)) crash_candidates[z].push_back(id);
+      if (!(z == 0 && i == 0) && to_crash > 0) {
+        crash.push_back(id);
+        --to_crash;
+      }
       replicas.push_back(std::move(rep));
     }
   }
@@ -433,64 +428,38 @@ ExperimentResult RunFlat(const DeploymentSpec& dep, const WorkloadSpec& wl,
   // local transfers into it.
   core::Topology flat;
   flat.AddZone(/*cluster=*/0, dep.zones[0].region, flat_f, group);
-  std::vector<std::vector<ClientId>> per_zone_ids = PredictClientIds(
-      sim.num_processes(), dep.zones.size(), wl.clients_per_zone);
-  ClientPool pool;
-  for (std::size_t z = 0; z < dep.zones.size(); ++z) {
-    for (std::size_t i = 0; i < wl.clients_per_zone; ++i) {
-      MobileClient::Config cc;
-      cc.topology = &flat;
-      cc.keys = &keys;
-      cc.mix.global_fraction = 0;
-      cc.peers = PeersExcluding(per_zone_ids[z], per_zone_ids[z][i]);
-      auto client = std::make_unique<MobileClient>(std::move(cc));
-      NodeId cid = sim.Register(client.get(), dep.zones[z].region);
-      ZCHECK(cid == per_zone_ids[z][i]);
-      pool.mobile.push_back(std::move(client));
-    }
-  }
+  ClosedLoop loop;
+  loop.sim = &sim;
+  loop.topology = &flat;
+  loop.keys = &keys;
+  loop.client.mix.global_fraction = 0;
+  loop.single_group = true;
   // Accounts exist on every replica (fully replicated).
-  for (auto& rep : replicas) {
-    auto* bank = dynamic_cast<BankStateMachine*>(&rep->app());
-    for (const auto& zone_ids : per_zone_ids) {
-      for (ClientId cid : zone_ids) bank->OpenAccount(cid, 1000);
+  loop.open_account = [&replicas](ClientId c, ZoneId) {
+    for (auto& rep : replicas) {
+      static_cast<BankStateMachine&>(rep->app()).OpenAccount(c, 1000);
     }
-  }
-  for (auto& c : pool.mobile) {
-    c->Start(sim.rng().NextBounded(2000));
-  }
-
-  if (faults.crashed_backups_per_zone > 0) {
-    for (auto& cands : crash_candidates) {
-      std::size_t n = std::min(faults.crashed_backups_per_zone, dep.f);
-      for (std::size_t i = 0; i < n && i < cands.size(); ++i) {
-        sim.faults().Crash(cands[i]);
-      }
-    }
-  }
-
-  sim.RunUntil(wl.warmup);
-  pool.ResetStats();
-  EnableTracing(sim, ospec);
-  std::uint64_t msgs0 = sim.counters().Get(obs::CounterId::kNetMsgsSent);
-  sim.RunUntil(wl.warmup + wl.measure);
-  std::uint64_t msgs = sim.counters().Get(obs::CounterId::kNetMsgsSent) - msgs0;
-  ExperimentResult r = Collect(Protocol::kFlatPbft, pool, wl.measure, msgs);
-  r.events_dispatched = sim.events_dispatched();
-  if (ospec.trace) FinishObservedRun(sim.recorder(), ospec, &r);
-  return r;
+  };
+  loop.crash = std::move(crash);
+  return RunClosedLoop(Protocol::kFlatPbft, dep, wl, ospec, loop);
 }
 
 }  // namespace
 
+core::NodeConfig StewardNodeConfig() {
+  core::NodeConfig cfg = DefaultNodeConfig();
+  cfg.lazy_sync = false;  // every transaction is already global
+  return cfg;
+}
+
 ExperimentResult RunExperiment(Protocol protocol, const DeploymentSpec& dep,
                                const WorkloadSpec& workload,
                                const FaultSpec& faults, const ObsSpec& obs) {
-  core::NodeConfig cfg = DefaultNodeConfig();
-  if (protocol == Protocol::kSteward) {
-    cfg.lazy_sync = false;  // every transaction is already global
-  }
-  return RunExperimentWithConfig(protocol, dep, workload, cfg, faults, obs);
+  return RunExperimentWithConfig(
+      protocol, dep, workload,
+      protocol == Protocol::kSteward ? StewardNodeConfig()
+                                     : DefaultNodeConfig(),
+      faults, obs);
 }
 
 ExperimentResult RunExperimentWithConfig(Protocol protocol,

@@ -130,6 +130,19 @@ struct ExperimentResult {
 /// EXPERIMENTS.md for the cost-model rationale).
 core::NodeConfig DefaultNodeConfig();
 
+/// The node configuration RunExperiment gives Steward (Amir et al., TDSC
+/// 2008), modelled exactly as the paper does: "Steward [is] similar to
+/// Ziziphus with 100% global transactions (i.e., every single transaction
+/// requires global synchronization across all zones)". A Steward
+/// deployment is a core::ZiziphusSystem with a stable leader site whose
+/// clients submit every operation as a global command transaction, with
+/// client data replicated on every zone; so lazy checkpoint sharing is
+/// off. Replicating everything everywhere buys tolerance of whole-zone
+/// failures that Ziziphus lacks (Prop. 5.4), at the latency cost the
+/// benchmarks show. There is intentionally no separate node class: the
+/// reuse *is* the model.
+core::NodeConfig StewardNodeConfig();
+
 /// Builds the deployment for `protocol`, runs the closed-loop workload, and
 /// reports aggregate throughput and latency over the measurement window.
 ExperimentResult RunExperiment(Protocol protocol, const DeploymentSpec& dep,

@@ -32,6 +32,26 @@ std::uint64_t FingerprintCounters(const CounterSet& counters) {
   return h.Finish();
 }
 
+core::NodeConfig FaultHarnessNodeConfig() {
+  core::NodeConfig cfg;
+  cfg.pbft.request_timeout_us = Millis(400);
+  cfg.sync.retry_timeout_us = Millis(1500);
+  cfg.sync.response_query_timeout_us = Millis(800);
+  cfg.sync.relay_watch_timeout_us = Millis(1200);
+  return cfg;
+}
+
+sim::InvariantChecker::Options BankCheckerOptions() {
+  sim::InvariantChecker::Options opt;
+  opt.balance_of = [](const core::ZoneStateMachine& app, ClientId c) {
+    return static_cast<const BankStateMachine&>(app).BalanceOf(c);
+  };
+  opt.total_balance = [](const core::ZoneStateMachine& app) {
+    return static_cast<const BankStateMachine&>(app).TotalBalance();
+  };
+  return opt;
+}
+
 // ------------------------------------------------------- ScriptedClient
 
 ScriptedClient::ScriptedClient(const crypto::KeyRegistry* keys,

@@ -1,8 +1,9 @@
 #ifndef ZIZIPHUS_APP_HARNESS_H_
 #define ZIZIPHUS_APP_HARNESS_H_
 
-// Internal to the chaos and soak harnesses: the scripted op source, the
-// client roster both build, and the bank seeding they share.
+// Shared by the chaos and soak harnesses (and the fault tests): the
+// scripted op source, the client roster, the bank seeding and checker
+// hooks, and the fault-tolerant node config.
 
 #include <cstdint>
 #include <limits>
@@ -12,6 +13,7 @@
 
 #include "app/client_core.h"
 #include "common/metrics.h"
+#include "core/node.h"
 #include "core/topology.h"
 #include "sim/invariants.h"
 #include "sim/soak.h"
@@ -30,6 +32,14 @@ storage::KvStore::Map SeedBalance(ClientId id, std::size_t records = 0);
 
 /// Hash over a run's full counter set (the determinism probe).
 std::uint64_t FingerprintCounters(const CounterSet& counters);
+
+/// The node config of the fault harnesses: timeouts short enough that
+/// crashed primaries and stalled global instances are replaced within
+/// seconds of simulated time.
+core::NodeConfig FaultHarnessNodeConfig();
+
+/// Invariant-checker options with the bank's balance hooks installed.
+sim::InvariantChecker::Options BankCheckerOptions();
 
 /// The scripted op source: one fixed kind of operation, submitted to a
 /// fixed replica and retransmitted to a fixed group, until the script runs
@@ -142,8 +152,8 @@ struct RosterSpec {
   std::vector<crypto::ReadWitness>* pair_reads = nullptr;
 };
 
-/// Registers the roster of `spec` on `sys` (a core::ZiziphusSystem or a
-/// baselines::TwoLevelSystem) and bootstraps every client's account.
+/// Registers the roster of `spec` on `sys` (any core::Deployment: Ziziphus
+/// or two-level PBFT) and bootstraps every client's account.
 template <typename System>
 Roster BuildRoster(System& sys, const RosterSpec& spec) {
   Roster roster;

@@ -94,16 +94,12 @@ SoakReport RunZiziphusSoak(const SoakOptions& opt) {
     sys.AddZone(0, static_cast<RegionId>(z % 7), opt.f, n_per_zone);
   }
 
-  core::NodeConfig cfg;
-  cfg.pbft.request_timeout_us = Millis(400);
+  core::NodeConfig cfg = harness::FaultHarnessNodeConfig();
   cfg.pbft.checkpoint_interval = opt.checkpoint_interval;
   cfg.pbft.trim_at_checkpoint = opt.trim_at_checkpoint;
   cfg.pbft.delta_state_transfer = opt.delta_state_transfer;
   cfg.sync.compact_decided = opt.compact_sync;
   cfg.sync.decided_keep_window = opt.sync_keep_window;
-  cfg.sync.retry_timeout_us = Millis(1500);
-  cfg.sync.response_query_timeout_us = Millis(800);
-  cfg.sync.relay_watch_timeout_us = Millis(1200);
   sys.Finalize(cfg,
                [](ZoneId) { return std::make_unique<BankStateMachine>(); });
 
@@ -152,16 +148,9 @@ SoakReport RunZiziphusSoak(const SoakOptions& opt) {
     report.final_live_bytes = report.samples.back().live_bytes;
   }
 
-  sim::InvariantChecker::Options iopt;
+  sim::InvariantChecker::Options iopt = harness::BankCheckerOptions();
   iopt.accounts = std::move(roster.accounts);
-  iopt.balance_of = [](const core::ZoneStateMachine& app, ClientId c) {
-    return static_cast<const BankStateMachine&>(app).BalanceOf(c);
-  };
-  iopt.total_balance = [](const core::ZoneStateMachine& app) {
-    return static_cast<const BankStateMachine&>(app).TotalBalance();
-  };
-  sim::InvariantChecker checker(std::move(iopt));
-  report.violations = checker.Check(sys);
+  report.violations = sim::InvariantChecker(std::move(iopt)).Check(sys);
   report.fingerprint = harness::FingerprintCounters(sys.sim().counters());
   report.counters = sys.sim().counters().All();
   report.obs_json = sys.sim().recorder().ExportJson();

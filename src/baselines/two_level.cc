@@ -49,14 +49,10 @@ TwoLevelGlobalEngine::TwoLevelGlobalEngine(
 Status TwoLevelGlobalEngine::VerifyZoneCert(const crypto::Certificate& cert,
                                             crypto::Digest expected,
                                             ZoneId zone) const {
-  const core::ZoneInfo& zi = topology_->zone(zone);
   process_->ChargeCpu(
       config_.costs.crypto.CertificateVerifyCost(cert.size()));
-  return crypto::VerifyCertificate(
-      *keys_, cert, expected, zi.quorum(), [&zi](NodeId n) {
-        return std::find(zi.members.begin(), zi.members.end(), n) !=
-               zi.members.end();
-      });
+  return core::VerifyZoneCertificate(*keys_, topology_->zone(zone), cert,
+                                     expected);
 }
 
 bool TwoLevelGlobalEngine::HandleMessage(const sim::MessagePtr& msg) {
@@ -92,7 +88,7 @@ void TwoLevelGlobalEngine::HandleTimer() {
 void TwoLevelGlobalEngine::HandleMigrationRequest(
     const std::shared_ptr<const core::MigrationRequestMsg>& msg) {
   if (!keys_->Verify(msg->client_sig, msg->digest())) return;
-  if (my_zone_ != config_.leader_zone) return;
+  if (my_zone_ != kTwoLevelLeaderZone) return;
   if (!endorser_->IsPrimary()) {
     process_->ChargeCpu(config_.costs.send_us);
     process_->Send(endorser_->primary(), msg);
@@ -104,11 +100,11 @@ void TwoLevelGlobalEngine::HandleMigrationRequest(
   }
   queued_op_ids_.insert(op_id);
   pending_ops_.push_back(msg->op);
-  if (pending_ops_.size() >= config_.batch_max) {
+  if (pending_ops_.size() >= kBatchMax) {
     FlushBatch();
   } else if (!batch_timer_armed_) {
     batch_timer_armed_ = true;
-    process_->SetTimer(config_.batch_timeout_us,
+    process_->SetTimer(kBatchTimeout,
                        sim::TimerTag{sim::TimerEngine::kTwoLevel, kBatchTimer});
   }
 }
@@ -116,7 +112,7 @@ void TwoLevelGlobalEngine::HandleMigrationRequest(
 void TwoLevelGlobalEngine::FlushBatch() {
   if (!endorser_->IsPrimary() || pending_ops_.empty()) return;
   while (!pending_ops_.empty()) {
-    std::size_t take = std::min(config_.batch_max, pending_ops_.size());
+    std::size_t take = std::min(kBatchMax, pending_ops_.size());
     std::vector<MigrationOp> ops(pending_ops_.begin(),
                                  pending_ops_.begin() + take);
     pending_ops_.erase(pending_ops_.begin(), pending_ops_.begin() + take);
@@ -461,6 +457,20 @@ void TwoLevelNode::OnTimer(const sim::TimerTag& tag) {
     default:
       break;
   }
+}
+
+// ------------------------------------------------------------------ system
+
+void TwoLevelSystem::Finalize(const TwoLevelNode::Config& config,
+                              const AppFactory& app_factory) {
+  const std::size_t zones = zones_added();
+  const std::size_t big_f = (zones - 1) / 2;
+  for (std::size_t w = zones; w < 3 * big_f + 1; ++w) {
+    AddZone(/*cluster=*/0, sim::kCalifornia, /*f=*/0, /*n_nodes=*/1);
+  }
+  Build([&](TwoLevelNode& node, ZoneId zone) {
+    node.Init(&keys(), &topology(), zone, app_factory(zone), config);
+  });
 }
 
 }  // namespace ziziphus::baselines

@@ -13,6 +13,7 @@
 #include "core/messages.h"
 #include "core/metadata.h"
 #include "core/migration.h"
+#include "core/system.h"
 #include "core/topology.h"
 #include "core/zone_app.h"
 #include "pbft/engine.h"
@@ -80,22 +81,19 @@ struct GCommitMsg : sim::Message {
   std::size_t WireSize() const override { return 112 + cert.size() * 16; }
 };
 
+/// Zone that hosts the global primary (assigns global sequence numbers);
+/// clients send their global requests there.
+inline constexpr ZoneId kTwoLevelLeaderZone = 0;
+
 struct TwoLevelConfig {
-  /// Zone that hosts the global primary (assigns global sequence numbers).
-  ZoneId leader_zone = 0;
-  /// Number of tolerated zone failures; needs 3F+1 participant zones.
-  std::size_t big_f = 1;
-  /// Global-request batching at the leader.
-  std::size_t batch_max = 64;
-  Duration batch_timeout_us = Millis(2);
-  Duration retry_timeout_us = Seconds(2);
   NodeCosts costs;
 };
 
 /// The paper's "two-level PBFT" comparator: local transactions use zone
 /// PBFT exactly like Ziziphus, but global transactions run PBFT (three
 /// phases, 2F+1-of-3F+1 zone quorums, all-to-all zone communication) at the
-/// top level instead of Ziziphus's linear Paxos-with-certificates.
+/// top level instead of Ziziphus's linear Paxos-with-certificates. The top
+/// level's participants are the topology's zones, so F = (zones - 1) / 3.
 class TwoLevelGlobalEngine {
  public:
   using ExecutedCallback =
@@ -142,8 +140,13 @@ class TwoLevelGlobalEngine {
 
   // Timer kinds, carried in sim::TimerTag{kTwoLevel, kind} (timer_tag.h).
   enum TimerKind : std::uint8_t { kBatchTimer = 1 };
+  // Global-request batching at the leader.
+  static constexpr std::size_t kBatchMax = 64;
+  static constexpr Duration kBatchTimeout = Millis(2);
 
-  std::size_t ZoneQuorum() const { return 2 * config_.big_f + 1; }
+  std::size_t ZoneQuorum() const {
+    return 2 * ((topology_->num_zones() - 1) / 3) + 1;
+  }
   std::vector<NodeId> AllNodes() const { return topology_->AllNodes(); }
   void FlushBatch();
 
@@ -207,6 +210,10 @@ class TwoLevelNode : public sim::Process {
   core::LockTable& locks() { return locks_; }
   core::ZoneStateMachine& app() { return *app_; }
   void BootstrapClient(ClientId client) { locks_.SetLocked(client, true); }
+  void InstallBootstrapRecords(ClientId client,
+                               const storage::KvStore::Map& records) {
+    app_->InstallClientRecords(client, records);
+  }
 
  protected:
   void OnMessage(const sim::MessagePtr& msg) override;
@@ -224,6 +231,22 @@ class TwoLevelNode : public sim::Process {
   std::unique_ptr<core::ZoneEndorser> endorser_;
   std::unique_ptr<TwoLevelGlobalEngine> global_;
   std::unique_ptr<core::MigrationEngine> migration_;
+};
+
+/// A two-level PBFT deployment. Finalize adds single-node (f = 0) witness
+/// zones in California until the top level has 3F+1 participants,
+/// F = (zones - 1) / 2 (the zone-failure tolerance of Ziziphus's majority
+/// quorum). Witnesses are the paper's "additional nodes in the CA data
+/// center that participate in global synchronization as zone leaders but
+/// process no local transactions".
+class TwoLevelSystem : public core::Deployment<TwoLevelNode> {
+ public:
+  using Deployment::Deployment;
+
+  /// Adds the witness zones, then creates, registers and initializes every
+  /// replica.
+  void Finalize(const TwoLevelNode::Config& config,
+                const AppFactory& app_factory);
 };
 
 }  // namespace ziziphus::baselines

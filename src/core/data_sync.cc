@@ -64,22 +64,6 @@ DataSyncEngine::RequestState& DataSyncEngine::Track(std::uint64_t id) {
   return requests_[id];
 }
 
-Status DataSyncEngine::VerifyZoneCert(const crypto::Certificate& cert,
-                                      crypto::Digest expected,
-                                      ZoneId zone) const {
-  const ZoneInfo& zi = topology_->zone(zone);
-  obs::SpanId span = process_->BeginSpan(obs::SpanKind::kCertVerify);
-  process_->ChargeCrypto(
-      config_.costs.crypto.CertificateVerifyCost(cert.size()));
-  Status status = crypto::VerifyCertificate(
-      *keys_, cert, expected, zi.quorum(), [&zi](NodeId n) {
-        return std::find(zi.members.begin(), zi.members.end(), n) !=
-               zi.members.end();
-      });
-  process_->EndSpan(span);
-  return status;
-}
-
 Ballot DataSyncEngine::last_executed_ballot(ZoneId initiator) const {
   auto it = chain_executed_.find(initiator);
   return it == chain_executed_.end() ? kNullBallot : it->second;
@@ -1257,20 +1241,6 @@ void DataSyncEngine::ReshipCommit(std::uint64_t request_id, ZoneId zone) {
   process_->ChargeCpu(config_.costs.send_us * members.size());
   process_->scoped_counters().Inc(obs::CounterId::kSyncCommitsReshipped);
   process_->Multicast(members, found->commit_msg);
-}
-
-void DataSyncEngine::DumpStuckRequests(std::FILE* out) const {
-  for (const auto& [id, req] : requests_) {
-    if (req.executed) continue;
-    std::fprintf(out,
-                 "  sync req %llx phase %d leader %d init_zone %d commit %d "
-                 "cw_rounds %d cw_timer %d promises %zu accepteds %zu\n",
-                 (unsigned long long)id, (int)req.phase,
-                 req.i_am_leader ? 1 : 0, (int)req.initiator_zone,
-                 req.commit_msg != nullptr ? 1 : 0, req.commit_wait_rounds,
-                 req.commit_wait_timer != 0 ? 1 : 0, req.promises.size(),
-                 req.accepteds.size());
-  }
 }
 
 void DataSyncEngine::RestoreFromDurable() {

@@ -1,7 +1,6 @@
 #ifndef ZIZIPHUS_CORE_DATA_SYNC_H_
 #define ZIZIPHUS_CORE_DATA_SYNC_H_
 
-#include <cstdio>
 #include <deque>
 #include <functional>
 #include <map>
@@ -175,9 +174,6 @@ class DataSyncEngine {
   /// this node never saw the commit itself.
   void ReshipCommit(std::uint64_t request_id, ZoneId zone);
 
-  /// CHAOS_DEBUG introspection: one stderr line per unexecuted request.
-  void DumpStuckRequests(std::FILE* out) const;
-
   /// Memory-footprint introspection for the soak harness: retained request
   /// instances and a size estimate of the per-instance protocol state, plus
   /// the execution bookkeeping that replaces a per-op history — one
@@ -307,7 +303,10 @@ class DataSyncEngine {
   bool BallotExecuted(Ballot ballot) const;
 
   Status VerifyZoneCert(const crypto::Certificate& cert,
-                        crypto::Digest expected, ZoneId zone) const;
+                        crypto::Digest expected, ZoneId zone) const {
+    return VerifyZoneCertificateOn(*process_, config_.costs.crypto, *keys_,
+                                   topology_->zone(zone), cert, expected);
+  }
 
   Ballot NextBallot(ZoneId chain_zone);
   /// Arms an engine timer keyed by the request (or op) id it guards.

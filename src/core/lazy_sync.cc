@@ -1,7 +1,5 @@
 #include "core/lazy_sync.h"
 
-#include <algorithm>
-
 namespace ziziphus::core {
 
 void LazySyncEngine::OnLocalStableCheckpoint(const storage::Checkpoint& cp,
@@ -42,11 +40,7 @@ bool LazySyncEngine::HandleMessage(const sim::MessagePtr& msg) {
   const ZoneInfo& zi = topology_->zone(m->zone);
   // The certificate is the PBFT checkpoint proof: 2f+1 signatures over
   // H(seq, state_digest, read_root).
-  Status s = crypto::VerifyCertificate(
-      *keys_, m->cert, m->digest(), zi.quorum(), [&zi](NodeId n) {
-        return std::find(zi.members.begin(), zi.members.end(), n) !=
-               zi.members.end();
-      });
+  Status s = VerifyZoneCertificate(*keys_, zi, m->cert, m->digest());
   if (!s.ok()) {
     process_->scoped_counters().Inc(obs::CounterId::kLazyBadCheckpointCert);
     return true;

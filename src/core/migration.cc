@@ -29,22 +29,6 @@ std::uint64_t MigrationEngine::RecordsDigest(
   return d;
 }
 
-Status MigrationEngine::VerifyZoneCert(const crypto::Certificate& cert,
-                                       crypto::Digest expected,
-                                       ZoneId zone) const {
-  const ZoneInfo& zi = topology_->zone(zone);
-  obs::SpanId span = process_->BeginSpan(obs::SpanKind::kCertVerify);
-  process_->ChargeCrypto(
-      config_.costs.crypto.CertificateVerifyCost(cert.size()));
-  Status status = crypto::VerifyCertificate(
-      *keys_, cert, expected, zi.quorum(), [&zi](NodeId n) {
-        return std::find(zi.members.begin(), zi.members.end(), n) !=
-               zi.members.end();
-      });
-  process_->EndSpan(span);
-  return status;
-}
-
 MigrationEngine::MigState& MigrationEngine::StateFor(std::uint64_t id) {
   auto [it, inserted] = states_.try_emplace(id);
   if (inserted) {
@@ -592,19 +576,6 @@ void MigrationEngine::HandleResponseQuery(
     // already voted; a rejoined replica validates from the fresh
     // pre-prepare and supplies the missing vote).
     StartRecordGeneration(st);
-  }
-}
-
-void MigrationEngine::DumpStuckStates(std::FILE* out) const {
-  for (const auto& [id, st] : states_) {
-    if (st.live == nullptr) continue;
-    const MigrationOp& op = st.live->op;
-    std::fprintf(out,
-                 "  mig id %llx client %llu src %u dst %u state_msg %d "
-                 "wait_rounds %d\n",
-                 (unsigned long long)id, (unsigned long long)op.client,
-                 (unsigned)op.source, (unsigned)op.destination,
-                 st.state_msg != nullptr ? 1 : 0, st.live->wait_rounds);
   }
 }
 

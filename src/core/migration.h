@@ -1,7 +1,6 @@
 #ifndef ZIZIPHUS_CORE_MIGRATION_H_
 #define ZIZIPHUS_CORE_MIGRATION_H_
 
-#include <cstdio>
 #include <functional>
 #include <map>
 #include <memory>
@@ -111,9 +110,6 @@ class MigrationEngine {
   /// STATE cache so response-queries keep getting answered.
   void RestoreFromDurable();
 
-  /// CHAOS_DEBUG introspection: one stderr line per unfinished migration.
-  void DumpStuckStates(std::FILE* out) const;
-
   /// Retention introspection: migrations with a working set (in flight),
   /// finished ones reduced to tombstones (at most one per client: its
   /// latest), how many record sets the working sets hold (records, a
@@ -196,7 +192,10 @@ class MigrationEngine {
   void HandleResponseQuery(const std::shared_ptr<const ResponseQueryMsg>& msg,
                            MigState& st);
   Status VerifyZoneCert(const crypto::Certificate& cert,
-                        crypto::Digest expected, ZoneId zone) const;
+                        crypto::Digest expected, ZoneId zone) const {
+    return VerifyZoneCertificateOn(*process_, config_.costs.crypto, *keys_,
+                                   topology_->zone(zone), cert, expected);
+  }
 
   sim::Process* process_;
   const crypto::KeyRegistry* keys_;

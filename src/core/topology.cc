@@ -1,8 +1,37 @@
 #include "core/topology.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
+#include "sim/simulation.h"
 
 namespace ziziphus::core {
+
+bool ZoneInfo::IsMember(NodeId node) const {
+  return std::find(members.begin(), members.end(), node) != members.end();
+}
+
+Status VerifyZoneCertificate(const crypto::KeyRegistry& keys,
+                             const ZoneInfo& zone,
+                             const crypto::Certificate& cert,
+                             crypto::Digest expected) {
+  return crypto::VerifyCertificate(
+      keys, cert, expected, zone.quorum(),
+      [&zone](NodeId n) { return zone.IsMember(n); });
+}
+
+Status VerifyZoneCertificateOn(sim::Process& process,
+                               const crypto::CryptoCosts& costs,
+                               const crypto::KeyRegistry& keys,
+                               const ZoneInfo& zone,
+                               const crypto::Certificate& cert,
+                               crypto::Digest expected) {
+  obs::SpanId span = process.BeginSpan(obs::SpanKind::kCertVerify);
+  process.ChargeCrypto(costs.CertificateVerifyCost(cert.size()));
+  Status status = VerifyZoneCertificate(keys, zone, cert, expected);
+  process.EndSpan(span);
+  return status;
+}
 
 ZoneId Topology::AddZone(ClusterId cluster, RegionId region, std::size_t f,
                          std::vector<NodeId> members) {

@@ -5,7 +5,13 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/status.h"
 #include "common/types.h"
+#include "crypto/certificate.h"
+
+namespace ziziphus::sim {
+class Process;
+}  // namespace ziziphus::sim
 
 namespace ziziphus::core {
 
@@ -20,7 +26,26 @@ struct ZoneInfo {
 
   std::size_t quorum() const { return 2 * f + 1; }
   std::size_t n() const { return members.size(); }
+  bool IsMember(NodeId node) const;
 };
+
+/// The zone-certificate check: `cert` carries quorum() (2f+1) valid
+/// signatures over `expected`, all from members of `zone`. Charges no CPU;
+/// each caller models that cost itself.
+Status VerifyZoneCertificate(const crypto::KeyRegistry& keys,
+                             const ZoneInfo& zone,
+                             const crypto::Certificate& cert,
+                             crypto::Digest expected);
+
+/// VerifyZoneCertificate run on `process`, the way the data-sync and
+/// migration engines check a remote zone's certificate: the verify cost is
+/// charged as crypto CPU inside a kCertVerify span.
+Status VerifyZoneCertificateOn(sim::Process& process,
+                               const crypto::CryptoCosts& costs,
+                               const crypto::KeyRegistry& keys,
+                               const ZoneInfo& zone,
+                               const crypto::Certificate& cert,
+                               crypto::Digest expected);
 
 /// The deployment map: zones, their members and clusters. Shared read-only
 /// by every node (zones are predetermined — Section V-B, Prop. 5.3).

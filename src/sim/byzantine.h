@@ -19,8 +19,10 @@ namespace ziziphus::sim {
 /// OutboundInterceptor bound to one node: once attached, every message the
 /// node sends passes through OnSend, which may forward, substitute,
 /// corrupt, or suppress it — per destination, so multicasts can equivocate.
-/// Behaviours attach by NodeId and therefore work against any process type
-/// (ZiziphusNode, PbftReplicaProcess, TwoLevelNode).
+/// Behaviours attach by NodeId and therefore work against any process type:
+/// the nodes of a core::Deployment (ZiziphusNode, TwoLevelNode) or a flat
+/// PbftReplicaProcess. The two-level chaos run attaches none: it injects
+/// crash faults only.
 ///
 /// All behaviours are deterministic (no randomness beyond what the caller
 /// scripts), keeping chaos runs reproducible from the simulation seed.

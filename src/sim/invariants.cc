@@ -1,6 +1,5 @@
 #include "sim/invariants.h"
 
-#include <algorithm>
 #include <sstream>
 
 #include "common/hash.h"
@@ -16,8 +15,18 @@ std::string NodeName(NodeId id) { return "node " + std::to_string(id); }
 
 }  // namespace
 
-bool InvariantChecker::Honest(core::ZiziphusSystem& system, NodeId id) const {
+template <typename Node>
+bool InvariantChecker::Honest(core::Deployment<Node>& system,
+                              NodeId id) const {
   return opt_.byzantine.count(id) == 0 && !system.sim().faults().IsCrashed(id);
+}
+
+void InvariantChecker::CountSweep(
+    sim::Simulation& sim, const std::vector<InvariantViolation>& found) {
+  sim.counters().Inc(obs::CounterId::kInvariantsChecksRun);
+  if (!found.empty()) {
+    sim.counters().Inc(obs::CounterId::kInvariantsViolations, found.size());
+  }
 }
 
 std::vector<InvariantViolation> InvariantChecker::Check(
@@ -30,15 +39,22 @@ std::vector<InvariantViolation> InvariantChecker::Check(
   CheckBalances(system, &out);
   CheckRecovery(system, &out);
   CheckReads(system, &out);
-  system.sim().counters().Inc(obs::CounterId::kInvariantsChecksRun);
-  if (!out.empty()) {
-    system.sim().counters().Inc(obs::CounterId::kInvariantsViolations, out.size());
-  }
+  CountSweep(system.sim(), out);
   return out;
 }
 
+std::vector<InvariantViolation> InvariantChecker::Check(
+    baselines::TwoLevelSystem& system) {
+  std::vector<InvariantViolation> out;
+  CheckZoneAgreement(system, &out);
+  CheckBalances(system, &out);
+  CountSweep(system.sim(), out);
+  return out;
+}
+
+template <typename Node>
 void InvariantChecker::CheckZoneAgreement(
-    core::ZiziphusSystem& system, std::vector<InvariantViolation>* out) {
+    core::Deployment<Node>& system, std::vector<InvariantViolation>* out) {
   const core::Topology& topo = system.topology();
   for (ZoneId z = 0; z < topo.num_zones(); ++z) {
     // First honest holder of each sequence number sets the reference; any
@@ -46,7 +62,7 @@ void InvariantChecker::CheckZoneAgreement(
     std::map<SeqNum, std::pair<std::uint64_t, NodeId>> reference;
     for (NodeId id : topo.zone(z).members) {
       if (!Honest(system, id)) continue;
-      core::ZiziphusNode* node = system.node(id);
+      Node* node = system.node(id);
       for (const storage::LogEntry& e : node->pbft().commit_log().entries()) {
         auto [it, inserted] =
             reference.try_emplace(e.seq, e.digest, id);
@@ -108,15 +124,9 @@ void InvariantChecker::CheckCheckpoints(
   auto check_one = [&](NodeId holder, ZoneId producer,
                        const storage::Checkpoint& cp) {
     if (cp.seq == 0 && cp.certificate.empty()) return;  // genesis
-    const core::ZoneInfo& zi = topo.zone(producer);
-    auto is_member = [&zi](NodeId n) {
-      return std::find(zi.members.begin(), zi.members.end(), n) !=
-             zi.members.end();
-    };
-    Status st = crypto::VerifyCertificate(
-        keys, cp.certificate,
-        crypto::CheckpointCertDigest(cp.seq, cp.state_digest, cp.read_root),
-        zi.quorum(), is_member);
+    Status st = core::VerifyZoneCertificate(
+        keys, topo.zone(producer), cp.certificate,
+        crypto::CheckpointCertDigest(cp.seq, cp.state_digest, cp.read_root));
     if (!st.ok()) {
       std::ostringstream detail;
       detail << NodeName(holder) << " holds checkpoint (zone " << producer
@@ -176,7 +186,8 @@ void InvariantChecker::CheckGlobalAgreement(
   }
 }
 
-void InvariantChecker::CheckBalances(core::ZiziphusSystem& system,
+template <typename Node>
+void InvariantChecker::CheckBalances(core::Deployment<Node>& system,
                                      std::vector<InvariantViolation>* out) {
   if (!opt_.balance_of) return;
   const core::Topology& topo = system.topology();
@@ -187,7 +198,7 @@ void InvariantChecker::CheckBalances(core::ZiziphusSystem& system,
     if (expected_it == acc.zone_load_totals.end()) continue;
     for (NodeId id : topo.zone(zone).members) {
       if (!Honest(system, id)) continue;
-      core::ZiziphusNode* node = system.node(id);
+      Node* node = system.node(id);
       std::int64_t sum = 0;
       bool missing = false;
       for (ClientId c : clients) {
@@ -329,14 +340,10 @@ void InvariantChecker::CheckReads(core::ZiziphusSystem& system,
   }
   for (const crypto::ReadWitness& w : opt_.read_witnesses) {
     const core::ZoneInfo& zi = topo.zone(w.zone);
-    auto is_member = [&zi](NodeId n) {
-      return std::find(zi.members.begin(), zi.members.end(), n) !=
-             zi.members.end();
-    };
-    Status st =
-        crypto::VerifyReadProof(keys, w.proof, w.key, w.found, w.value,
-                                w.client, /*quorum=*/zi.f + 1, is_member,
-                                /*covered_ts=*/nullptr);
+    Status st = crypto::VerifyReadProof(
+        keys, w.proof, w.key, w.found, w.value, w.client,
+        /*quorum=*/zi.f + 1, [&zi](NodeId n) { return zi.IsMember(n); },
+        /*covered_ts=*/nullptr);
     if (!st.ok()) {
       std::ostringstream detail;
       detail << "client " << w.client << " accepted a read of '" << w.key

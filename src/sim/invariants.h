@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "baselines/two_level.h"
 #include "common/types.h"
 #include "core/system.h"
 #include "core/zone_app.h"
@@ -64,6 +65,10 @@ struct InvariantViolation {
 /// the paper's guarantees only cover honest replicas, and a crashed
 /// node's state is legitimately stale. The global-agreement check skips
 /// only Byzantine nodes: its evidence was recorded at execution time.
+///
+/// A two-level PBFT deployment gets checks 1 and 4: its replicas run the
+/// same zone PBFT and bank, but keep no lazily shared checkpoints, no
+/// execution ledger, no durable state and serve no fast-path reads.
 class InvariantChecker {
  public:
   /// Workload knowledge for the balance-conservation check. All three
@@ -104,13 +109,19 @@ class InvariantChecker {
 
   /// Sweeps the whole deployment; returns every violation found.
   std::vector<InvariantViolation> Check(core::ZiziphusSystem& system);
+  std::vector<InvariantViolation> Check(baselines::TwoLevelSystem& system);
 
   const Options& options() const { return opt_; }
 
  private:
-  bool Honest(core::ZiziphusSystem& system, NodeId id) const;
+  template <typename Node>
+  bool Honest(core::Deployment<Node>& system, NodeId id) const;
+  /// Counts the sweep and its violations in the run's counters.
+  static void CountSweep(sim::Simulation& sim,
+                         const std::vector<InvariantViolation>& found);
 
-  void CheckZoneAgreement(core::ZiziphusSystem& system,
+  template <typename Node>
+  void CheckZoneAgreement(core::Deployment<Node>& system,
                           std::vector<InvariantViolation>* out);
   void CheckFastCertificates(core::ZiziphusSystem& system,
                              std::vector<InvariantViolation>* out);
@@ -118,7 +129,8 @@ class InvariantChecker {
                         std::vector<InvariantViolation>* out);
   void CheckGlobalAgreement(core::ZiziphusSystem& system,
                             std::vector<InvariantViolation>* out);
-  void CheckBalances(core::ZiziphusSystem& system,
+  template <typename Node>
+  void CheckBalances(core::Deployment<Node>& system,
                      std::vector<InvariantViolation>* out);
   void CheckRecovery(core::ZiziphusSystem& system,
                      std::vector<InvariantViolation>* out);

@@ -1,9 +1,9 @@
 #include <memory>
 
 #include "app/bank.h"
+#include "app/experiment.h"
 #include "baselines/pbft_process.h"
-#include "baselines/steward.h"
-#include "baselines/two_level_system.h"
+#include "baselines/two_level.h"
 #include "gtest/gtest.h"
 #include "tests/test_util.h"
 
@@ -18,13 +18,8 @@ struct TwoLevelFixture {
     for (std::size_t z = 0; z < zones; ++z) {
       sys.AddZone(0, static_cast<RegionId>(z % 7), 1, 4);
     }
-    // Top level needs 3F+1 participants; F = (zones-1)/2.
-    std::size_t big_f = (zones - 1) / 2;
-    for (std::size_t w = zones; w < 3 * big_f + 1; ++w) {
-      sys.AddWitness(0, sim::kCalifornia);
-    }
+    // Finalize adds the witness zones (three zones get one).
     baselines::TwoLevelNode::Config cfg;
-    cfg.two_level.big_f = big_f;
     cfg.pbft.request_timeout_us = Seconds(2);
     sys.Finalize(cfg, [](ZoneId) {
       return std::make_unique<BankStateMachine>();
@@ -128,7 +123,7 @@ TEST(TwoLevelTest, WitnessZoneHasNoLocalClients) {
 }
 
 TEST(StewardTest, DefaultConfigIsFullyGlobal) {
-  core::NodeConfig cfg = baselines::Steward::DefaultConfig();
+  core::NodeConfig cfg = app::StewardNodeConfig();
   EXPECT_TRUE(cfg.sync.stable_leader);
   EXPECT_FALSE(cfg.lazy_sync);
 }

@@ -8,6 +8,7 @@
 
 #include "app/bank.h"
 #include "app/chaos.h"
+#include "app/harness.h"
 #include "baselines/pbft_process.h"
 #include "core/system.h"
 #include "gtest/gtest.h"
@@ -414,16 +415,10 @@ TEST(ChaosMisconfigTest, FPlusOneLyingRespondersTripTheChecker) {
   ASSERT_EQ(victim_bank.BalanceOf(424242), 31337)
       << "victim did not install the forged snapshot";
 
-  sim::InvariantChecker::Options iopt;
+  sim::InvariantChecker::Options iopt = app::harness::BankCheckerOptions();
   iopt.byzantine = {m[2], m[3]};
   // Migration-free run: the zone's total is pinned at seed + deposits.
   iopt.accounts.strict_zone_totals[0] = 1000 + 45;
-  iopt.balance_of = [](const core::ZoneStateMachine& appsm, ClientId c) {
-    return static_cast<const BankStateMachine&>(appsm).BalanceOf(c);
-  };
-  iopt.total_balance = [](const core::ZoneStateMachine& appsm) {
-    return static_cast<const BankStateMachine&>(appsm).TotalBalance();
-  };
   sim::InvariantChecker checker(std::move(iopt));
   std::vector<sim::InvariantViolation> violations = checker.Check(sys);
   ASSERT_FALSE(violations.empty());
@@ -470,15 +465,9 @@ TEST(ChaosMisconfigTest, WithinBudgetLiarCannotCorruptStateTransfer) {
   auto& victim_bank = static_cast<BankStateMachine&>(sys.node(m[1])->app());
   EXPECT_EQ(victim_bank.BalanceOf(424242), -1);
 
-  sim::InvariantChecker::Options iopt;
+  sim::InvariantChecker::Options iopt = app::harness::BankCheckerOptions();
   iopt.byzantine = {m[3]};
   iopt.accounts.strict_zone_totals[0] = 1000 + 45;
-  iopt.balance_of = [](const core::ZoneStateMachine& appsm, ClientId c) {
-    return static_cast<const BankStateMachine&>(appsm).BalanceOf(c);
-  };
-  iopt.total_balance = [](const core::ZoneStateMachine& appsm) {
-    return static_cast<const BankStateMachine&>(appsm).TotalBalance();
-  };
   sim::InvariantChecker checker(std::move(iopt));
   EXPECT_TRUE(checker.Check(sys).empty());
 }

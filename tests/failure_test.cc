@@ -1,6 +1,7 @@
 #include <memory>
 
 #include "app/bank.h"
+#include "app/harness.h"
 #include "core/system.h"
 #include "gtest/gtest.h"
 #include "tests/test_util.h"
@@ -13,7 +14,8 @@ using core::NodeConfig;
 using core::ZiziphusSystem;
 
 struct FailFixture {
-  explicit FailFixture(std::size_t zones = 3, NodeConfig cfg = FastConfig(),
+  explicit FailFixture(std::size_t zones = 3,
+                       NodeConfig cfg = app::harness::FaultHarnessNodeConfig(),
                        std::uint64_t seed = 1)
       : sys(seed, sim::LatencyModel::PaperGeoMatrix()) {
     for (std::size_t z = 0; z < zones; ++z) {
@@ -23,15 +25,6 @@ struct FailFixture {
                  [](ZoneId) { return std::make_unique<BankStateMachine>(); });
     client = std::make_unique<testutil::TestClient>(&sys.keys(), 1);
     sys.sim().Register(client.get(), 0);
-  }
-
-  static NodeConfig FastConfig() {
-    NodeConfig cfg;
-    cfg.pbft.request_timeout_us = Millis(400);
-    cfg.sync.retry_timeout_us = Millis(1500);
-    cfg.sync.response_query_timeout_us = Millis(800);
-    cfg.sync.relay_watch_timeout_us = Millis(1200);
-    return cfg;
   }
 
   void Bootstrap(ClientId c, ZoneId home) {
@@ -139,7 +132,7 @@ TEST(FailureTest, WholeZoneFailureLocalDataUnavailable) {
 }
 
 TEST(FailureTest, LazySyncReplicatesZoneStateElsewhere) {
-  NodeConfig cfg = FailFixture::FastConfig();
+  NodeConfig cfg = app::harness::FaultHarnessNodeConfig();
   cfg.pbft.checkpoint_interval = 4;
   cfg.pbft.batch_max = 1;
   cfg.pbft.batch_timeout_us = 100;

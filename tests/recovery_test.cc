@@ -12,6 +12,7 @@
 
 #include "app/bank.h"
 #include "app/chaos.h"
+#include "app/harness.h"
 #include "core/system.h"
 #include "gtest/gtest.h"
 #include "sim/invariants.h"
@@ -77,12 +78,7 @@ struct RecoveryFixture {
     for (std::size_t z = 0; z < zones; ++z) {
       sys.AddZone(0, static_cast<RegionId>(z % 7), 1, 4);
     }
-    NodeConfig cfg;
-    cfg.pbft.request_timeout_us = Millis(400);
-    cfg.sync.retry_timeout_us = Millis(1500);
-    cfg.sync.response_query_timeout_us = Millis(800);
-    cfg.sync.relay_watch_timeout_us = Millis(1200);
-    sys.Finalize(cfg,
+    sys.Finalize(app::harness::FaultHarnessNodeConfig(),
                  [](ZoneId) { return std::make_unique<BankStateMachine>(); });
     client = std::make_unique<testutil::TestClient>(&sys.keys(), 1);
     sys.sim().Register(client.get(), 0);
@@ -96,14 +92,8 @@ struct RecoveryFixture {
   }
 
   std::vector<sim::InvariantViolation> CheckInvariants() {
-    sim::InvariantChecker::Options opt;
-    opt.balance_of = [](const core::ZoneStateMachine& app, ClientId c) {
-      return static_cast<const BankStateMachine&>(app).BalanceOf(c);
-    };
-    opt.total_balance = [](const core::ZoneStateMachine& app) {
-      return static_cast<const BankStateMachine&>(app).TotalBalance();
-    };
-    return sim::InvariantChecker(std::move(opt)).Check(sys);
+    return sim::InvariantChecker(app::harness::BankCheckerOptions())
+        .Check(sys);
   }
 
   static std::string Describe(const std::vector<sim::InvariantViolation>& v) {
@@ -248,12 +238,8 @@ TEST(WatermarkOrderTest, MigratedClientOpsRunInOrderOnceAcrossChains) {
   std::map<NodeId, std::vector<Decision>> decisions;
   ZiziphusSystem sys(5, sim::LatencyModel::PaperGeoMatrix());
   for (ZoneId z = 0; z < 3; ++z) sys.AddZone(0, z, 1, 4);
-  NodeConfig cfg;
-  cfg.pbft.request_timeout_us = Millis(400);
+  NodeConfig cfg = app::harness::FaultHarnessNodeConfig();
   cfg.sync.stable_leader = false;
-  cfg.sync.retry_timeout_us = Millis(1500);
-  cfg.sync.response_query_timeout_us = Millis(800);
-  cfg.sync.relay_watch_timeout_us = Millis(1200);
   cfg.sync.exec_observer = [&decisions](NodeId node,
                                         const core::MigrationOp& op,
                                         bool ran) {

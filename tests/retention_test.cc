@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "app/bank.h"
+#include "app/harness.h"
 #include "app/soak.h"
 #include "core/system.h"
 #include "gtest/gtest.h"
@@ -163,12 +164,8 @@ struct RetentionFixture {
     for (std::size_t z = 0; z < 3; ++z) {
       sys.AddZone(0, static_cast<RegionId>(z), 1, 4);
     }
-    NodeConfig cfg;
-    cfg.pbft.request_timeout_us = Millis(400);
+    NodeConfig cfg = app::harness::FaultHarnessNodeConfig();
     cfg.pbft.checkpoint_interval = checkpoint_interval;
-    cfg.sync.retry_timeout_us = Millis(1500);
-    cfg.sync.response_query_timeout_us = Millis(800);
-    cfg.sync.relay_watch_timeout_us = Millis(1200);
     sys.Finalize(cfg,
                  [](ZoneId) { return std::make_unique<BankStateMachine>(); });
     client = std::make_unique<testutil::TestClient>(&sys.keys(), 1);
@@ -181,14 +178,8 @@ struct RetentionFixture {
   }
 
   std::vector<sim::InvariantViolation> CheckInvariants() {
-    sim::InvariantChecker::Options opt;
-    opt.balance_of = [](const core::ZoneStateMachine& app, ClientId c) {
-      return static_cast<const BankStateMachine&>(app).BalanceOf(c);
-    };
-    opt.total_balance = [](const core::ZoneStateMachine& app) {
-      return static_cast<const BankStateMachine&>(app).TotalBalance();
-    };
-    return sim::InvariantChecker(std::move(opt)).Check(sys);
+    return sim::InvariantChecker(app::harness::BankCheckerOptions())
+        .Check(sys);
   }
 
   static std::string Describe(const std::vector<sim::InvariantViolation>& v) {
