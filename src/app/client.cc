@@ -24,6 +24,15 @@ NodeId MobileClient::GuessPrimary(ZoneId zone) const {
   return zi.members[v % zi.members.size()];
 }
 
+void MobileClient::OnPrimarySilent(NodeId target) {
+  // The guessed primary let an attempt time out: it crashed or lost its
+  // view. Send later ops to the next view's primary instead of paying the
+  // timeout there again; a ClientReply from the home zone corrects the
+  // guess either way.
+  const ZoneId zone = cfg_.topology->ZoneOf(target);
+  if (GuessPrimary(zone) == target) view_guess_[zone]++;
+}
+
 MobileClient::Route MobileClient::ZoneRoute(ZoneId target, ZoneId replying,
                                            ZoneId retry) const {
   const core::Topology& topo = *cfg_.topology;

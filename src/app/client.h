@@ -91,6 +91,7 @@ class MobileClient : public ClientCore {
   void OnReadBehind() override;
   void OnReadExhausted() override;
   void OnReplyView(ViewId view) override { view_guess_[home_] = view; }
+  void OnPrimarySilent(NodeId target) override;
 
  private:
   void IssueLocal();

@@ -1,5 +1,7 @@
 #include "app/client_core.h"
 
+#include <algorithm>
+
 #include "app/bank.h"
 #include "sim/timer_tag.h"
 
@@ -9,6 +11,7 @@ void ClientCore::BeginOp(ClientOp op) {
   busy_ = true;
   op_ = op;
   cur_ts_ = 0;
+  attempt_ = 0;
   issued_at_ = Now();
   const std::uint64_t attr =
       op == ClientOp::kTransfer ? 0 : op == ClientOp::kMigrate ? 1 : 2;
@@ -53,6 +56,9 @@ void ClientCore::Tally(std::set<NodeId>& votes, NodeId replica,
 
 void ClientCore::Finish(Outcome outcome) {
   const Duration latency = Now() - issued_at_;
+  if (outcome == Outcome::kCommitted && attempt_ == 0) {
+    latency_[static_cast<std::size_t>(op_)].Observe(latency);
+  }
   if (outcome != Outcome::kAbandoned) {
     switch (op_) {
       case ClientOp::kTransfer:
@@ -106,10 +112,22 @@ void ClientCore::IssueAfter(Duration delay) {
   SetTimer(delay, sim::TimerTag{sim::TimerEngine::kClient, kIssue});
 }
 
+Duration ClientCore::AttemptTimeout(Duration retry_timeout,
+                                   const pbft::CommitLatencyEwma& ewma,
+                                   std::uint32_t attempt) {
+  if (!ewma.seeded()) return retry_timeout;
+  Duration timeout =
+      std::max<Duration>(pbft::kAdaptiveTimeoutMultiplier * ewma.value(),
+                         retry_timeout / pbft::kClientRetryFloorDiv);
+  for (; attempt > 0 && timeout < retry_timeout; --attempt) timeout *= 2;
+  return std::min(timeout, retry_timeout);
+}
+
 void ClientCore::ArmRetry() {
   if (retry_timer_ != 0) CancelTimer(retry_timer_);
-  retry_timer_ = SetTimer(retry_timeout_,
-                          sim::TimerTag{sim::TimerEngine::kClient, kRetry});
+  retry_timer_ = SetTimer(
+      AttemptTimeout(retry_timeout_, latency_ewma(op_), attempt_),
+      sim::TimerTag{sim::TimerEngine::kClient, kRetry});
 }
 
 // ------------------------------------------------------- verified reads
@@ -246,6 +264,7 @@ void ClientCore::OnTimer(const sim::TimerTag& tag) {
       retry_timer_ = 0;
       if (!busy_) return;
       stats_.timeouts++;
+      if (attempt_++ == 0 && !reading_) OnPrimarySilent(route_.target);
       if (reading_) {
         // A silent replica on the read path: rotate to the next one.
         NextReadReplica();

@@ -11,6 +11,7 @@
 #include "crypto/read_certificate.h"
 #include "crypto/signature.h"
 #include "pbft/messages.h"
+#include "pbft/ordering.h"
 #include "sim/simulation.h"
 
 namespace ziziphus::app {
@@ -43,7 +44,9 @@ struct ClientStats {
 /// distinct replicas. A local transaction finishes on ClientReplies, a
 /// migration on MIGRATION-DONE from its destination, a global command
 /// (Steward) on the first sub-transaction's replies, and either global kind
-/// early on f+1 policy rejections from the zone leading it.
+/// early on f+1 policy rejections from the zone leading it. Each attempt's
+/// timeout adapts to the latency this client observed for the op's class
+/// (AttemptTimeout).
 ///
 /// Verified reads add one step: ONE replica returns the value with a
 /// checkpoint-anchored proof, which the core checks against the session
@@ -74,6 +77,20 @@ class ClientCore : public sim::Process {
   const ClientStats& stats() const { return stats_; }
   void ResetStats() { stats_.Reset(); }
   const Session& session() const { return session_; }
+  /// Latency of `op`'s class over completions that needed no retry.
+  const pbft::CommitLatencyEwma& latency_ewma(ClientOp op) const {
+    return latency_[static_cast<std::size_t>(op)];
+  }
+
+  /// Timeout of attempt `attempt` (0 = the first send) of an op whose class
+  /// observed `ewma`. `retry_timeout` until the class has a sample; then
+  /// kAdaptiveTimeoutMultiplier * ewma, at least retry_timeout /
+  /// kClientRetryFloorDiv, doubled per attempt, never above retry_timeout.
+  /// Only completions without a retry feed the EWMA (Karn's rule): a
+  /// retried op's latency is the timeout it waited, not the path's.
+  static Duration AttemptTimeout(Duration retry_timeout,
+                                 const pbft::CommitLatencyEwma& ewma,
+                                 std::uint32_t attempt);
 
  protected:
   /// Where a write goes and how many replies finish it.
@@ -95,6 +112,8 @@ class ClientCore : public sim::Process {
   virtual void OnReadExhausted() {}
   /// A ClientReply arrived while busy, carrying its replica's view.
   virtual void OnReplyView(ViewId) {}
+  /// The first send of a write timed out at `target`, its guessed primary.
+  virtual void OnPrimarySilent(NodeId /*target*/) {}
 
   // ---- Driving the operation in flight ---------------------------------
   RequestTimestamp NextTimestamp() { return next_ts_++; }
@@ -156,6 +175,10 @@ class ClientCore : public sim::Process {
   SimTime issued_at_ = 0;
   obs::TraceContext root_ctx_;
   std::uint64_t retry_timer_ = 0;
+  std::uint32_t attempt_ = 0;  // retry timeouts this op has taken
+
+  // Per op class, indexed by ClientOp.
+  pbft::CommitLatencyEwma latency_[3];
 
   // Its write: 0 = none outstanding (timestamps start at 1).
   RequestTimestamp cur_ts_ = 0;

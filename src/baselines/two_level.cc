@@ -158,7 +158,6 @@ bool TwoLevelGlobalEngine::ValidateEndorse(const EndorsePrePrepareMsg& pp) {
 }
 
 void TwoLevelGlobalEngine::OnEndorseQuorum(const EndorseKey& key,
-                                           const EndorsePrePrepareMsg& pp,
                                            const crypto::Certificate& cert) {
   auto it = requests_.find(key.request_id);
   if (it == requests_.end()) return;
@@ -350,7 +349,7 @@ void TwoLevelNode::Init(const crypto::KeyRegistry* keys,
         migration_->OnEndorseQuorum(key, pp, cert);
         break;
       default:
-        global_->OnEndorseQuorum(key, pp, cert);
+        global_->OnEndorseQuorum(key, cert);
         break;
     }
   };

@@ -113,7 +113,6 @@ class TwoLevelGlobalEngine {
   void HandleTimer();
   bool ValidateEndorse(const core::EndorsePrePrepareMsg& pp);
   void OnEndorseQuorum(const core::EndorseKey& key,
-                       const core::EndorsePrePrepareMsg& pp,
                        const crypto::Certificate& cert);
 
   void set_executed_callback(ExecutedCallback cb) {

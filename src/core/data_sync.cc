@@ -294,6 +294,17 @@ void DataSyncEngine::FlushBatch() {
     Hasher h(0xba7c);
     for (const auto& op : ops) h.Add(op.RequestId());
     std::uint64_t batch_id = h.Finish();
+    // A duplicate relay of ops this primary already leads in an identical
+    // batch (a client retry reaches every backup) must not re-ballot it:
+    // the old ballot is already the chain predecessor of later requests,
+    // and re-leading would orphan it until the chain skip fires. Retries
+    // and view-change re-leads go through RetryRequest and OnViewChange.
+    if (auto led = requests_.find(batch_id);
+        led != requests_.end() &&
+        (led->second.i_am_leader || led->second.commit_msg != nullptr)) {
+      for (const auto& op : ops) pending_traces_.erase(op.RequestId());
+      continue;
+    }
     RequestState& req = Track(batch_id);
     req.id = batch_id;
     req.ops = std::move(ops);
@@ -1100,6 +1111,19 @@ void DataSyncEngine::HandleResponseQuery(
     // accumulate toward a suspicion quorum.
     return;
   }
+  // Only the current primary's stall is evidence against it. A follower
+  // probes after waiting response_query_timeout for a commit it accepted,
+  // so within that long of this view's installation no instance the new
+  // primary led can be overdue: such a query is about its predecessor's
+  // stall (the view change re-led every pending request under a fresh
+  // ballot). Tallies from an earlier view accuse an earlier primary.
+  if (process_->Now() - view_since_ < config_.response_query_timeout_us) {
+    return;
+  }
+  if (req.response_query_view != endorser_->view()) {
+    req.response_queries.clear();
+    req.response_query_view = endorser_->view();
+  }
   req.response_queries.insert(msg->replica);
   std::size_t suspicion_quorum = topology_->zone(msg->zone).quorum();
   if (req.response_queries.size() >= suspicion_quorum && !IsZonePrimary()) {
@@ -1165,6 +1189,7 @@ void DataSyncEngine::HandlePrepared(
 
 void DataSyncEngine::OnViewChange(ViewId view) {
   (void)view;
+  view_since_ = process_->Now();
   if (!endorser_->IsPrimary()) {
     // Demoted (or still a backup): drop leadership of in-flight requests.
     for (std::uint64_t id : request_order_) {

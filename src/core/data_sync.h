@@ -245,8 +245,12 @@ class DataSyncEngine {
     std::shared_ptr<const ProposeMsg> sent_propose;
     std::shared_ptr<const AcceptMsg> sent_accept;
     bool saw_endorse = false;
-    // Failure handling.
+    // Failure handling. RESPONSE-QUERY senders tallied toward suspecting
+    // the primary of `response_query_view` only: probes sent while an
+    // earlier primary stalled are no evidence against its successor (see
+    // HandleResponseQuery).
     std::set<NodeId> response_queries;
+    ViewId response_query_view = 0;
     std::uint64_t commit_wait_timer = 0;
     std::uint64_t retry_timer = 0;
     int commit_wait_rounds = 0;
@@ -370,6 +374,9 @@ class DataSyncEngine {
   std::map<Ballot, std::vector<std::uint64_t>> waiting_on_;
   /// Relayed op id -> its watch timer id.
   std::map<std::uint64_t, std::uint64_t> relay_watch_;
+  /// When this node installed its current view (0 for view 0): RESPONSE-
+  /// QUERY suspicion holds off for one probe period after it.
+  SimTime view_since_ = 0;
   /// Chain-skip guards, request id -> timer id. Cancelled when the request
   /// executes, so a guard that can no longer fire into anything does not
   /// sit in the event queue for its whole timeout.

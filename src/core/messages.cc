@@ -2,28 +2,6 @@
 
 namespace ziziphus::core {
 
-const char* EndorsePhaseName(EndorsePhase phase) {
-  switch (phase) {
-    case EndorsePhase::kPropose:
-      return "propose";
-    case EndorsePhase::kPromise:
-      return "promise";
-    case EndorsePhase::kAccept:
-      return "accept";
-    case EndorsePhase::kAccepted:
-      return "accepted";
-    case EndorsePhase::kCommit:
-      return "commit";
-    case EndorsePhase::kMigrationState:
-      return "state";
-    case EndorsePhase::kMigrationAppend:
-      return "append";
-    case EndorsePhase::kCrossSource:
-      return "cross-source";
-  }
-  return "?";
-}
-
 namespace {
 std::uint64_t BallotHash(Ballot b) {
   return Hasher(0x99).Add(b.n).Add(b.zone).Finish();

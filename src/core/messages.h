@@ -56,8 +56,6 @@ enum class EndorsePhase : std::uint8_t {
   kTLCommit = 10,
 };
 
-const char* EndorsePhaseName(EndorsePhase phase);
-
 /// A migrating client's records R(c). Read once at the source and never
 /// modified after, so the pre-prepare, each node's migration state, the
 /// STATE message and the durable marker share one map instead of copying

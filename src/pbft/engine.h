@@ -104,9 +104,14 @@ class PbftEngine {
   void set_view_callback(ViewCallback cb) { view_callback_ = std::move(cb); }
 
   /// External suspicion trigger (e.g., 2f+1 response-queries from another
-  /// zone — Section V-A): starts a view change immediately.
+  /// zone — Section V-A): starts a view change immediately. A no-op while a
+  /// view change is already pending: suspicion only ever asks for view+1,
+  /// and escalating past it is the view-change timer's job (or the f+1
+  /// VIEW-CHANGE rule's). Otherwise every stuck request whose probes
+  /// complete a quorum bumps the demanded view again, and the zone's live
+  /// replicas run away from each other.
   void SuspectPrimary() {
-    if (view_changes_enabled_) StartViewChange(view_ + 1);
+    if (view_changes_enabled_ && view_active_) StartViewChange(view_ + 1);
   }
 
   /// When false, the engine does not send ClientReply messages (engines

@@ -61,6 +61,14 @@ class CommitLatencyEwma {
 /// to [request_timeout/4, 2 * request_timeout].
 inline constexpr std::uint64_t kAdaptiveTimeoutMultiplier = 8;
 
+/// Client retry timer (app::ClientCore): an attempt waits
+/// kAdaptiveTimeoutMultiplier times the client's EWMA latency for its op
+/// class, doubled per attempt, within [retry_timeout / kClientRetryFloorDiv,
+/// retry_timeout]. The floor keeps a healthy run's tail latency from ever
+/// reaching a retry: a spurious multicast makes backups relay and suspect a
+/// live primary.
+inline constexpr std::uint64_t kClientRetryFloorDiv = 4;
+
 /// Fast-path abandon timeout before the EWMA has a sample. The unanimity
 /// wait is one intra-zone round, so it is scaled to the message round-trip
 /// regime, not the (possibly geo-scale) request_timeout_us.

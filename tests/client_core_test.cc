@@ -1,6 +1,7 @@
 // app::ClientCore in isolation: hand-built replies delivered straight to a
-// core, checking the f+1 reply tally, policy rejections, the retry timer
-// and every verdict of the verified-read circuit. Whole-system runs reach
+// core, checking the f+1 reply tally, policy rejections, the adaptive retry
+// timer, primary re-guessing and every verdict of the verified-read
+// circuit. Whole-system runs reach
 // these paths only indirectly. `ctest -L reads` runs this suite.
 
 #include <memory>
@@ -239,6 +240,111 @@ TEST(ClientCoreTallyTest, FPlusOneMigrationDonesMoveTheClient) {
   EXPECT_TRUE(fx.client->idle());
   EXPECT_EQ(fx.client->home(), 1u);
   EXPECT_EQ(fx.client->session().last_write_ts, 1u);
+}
+
+TEST(ClientCoreTallyTest, TimedOutLeaderPrimaryIsNotAskedAgain) {
+  MigrationFixture fx;
+  const auto& leader = fx.topo.zone(0).members;
+  const auto& dest = fx.topo.zone(1).members;
+  // The leader zone's primary has crashed: the migration times out there,
+  // the retry reaches the backups, and the zone finishes it.
+  fx.sim.faults().Crash(leader[0]);
+  fx.sim.RunFor(Seconds(5));
+  ASSERT_EQ(fx.client->stats().timeouts, 1u);
+  for (int i = 0; i < 2; ++i) fx.Deliver(true, dest[i], "ok");
+  ASSERT_TRUE(fx.client->idle());
+
+  // The next migration (home zone 1 back to zone 0, led by zone 0 again)
+  // goes straight to a live node of the leader zone.
+  fx.sim.RunFor(Seconds(101));  // the fixture's think time
+  ASSERT_FALSE(fx.client->idle());
+  auto first_sends = [&](std::size_t sink) {
+    std::size_t n = 0;
+    for (const auto& m : fx.sinks[sink]->got) {
+      if (m->type() == core::kMigrationRequest &&
+          static_cast<const core::MigrationRequestMsg&>(*m).op.timestamp ==
+              2) {
+        n++;
+      }
+    }
+    return n;
+  };
+  EXPECT_EQ(first_sends(1), 1u);  // zone 0, member 1: view 1's primary
+  for (std::size_t sink : {0u, 2u, 3u, 4u, 5u, 6u, 7u}) {
+    EXPECT_EQ(first_sends(sink), 0u) << "sink " << sink;
+  }
+  EXPECT_EQ(fx.client->stats().timeouts, 1u);
+}
+
+// ---------------------------------------------------- the retry timer
+
+TEST(ClientCoreRetryTest, AttemptTimeoutFollowsTheObservedLatency) {
+  const Duration retry = Seconds(8);
+  const Duration floor = retry / pbft::kClientRetryFloorDiv;
+  pbft::CommitLatencyEwma ewma;
+  // No sample yet: every attempt waits the configured retry timeout.
+  for (std::uint32_t attempt : {0u, 1u, 5u}) {
+    EXPECT_EQ(ClientCore::AttemptTimeout(retry, ewma, attempt), retry);
+  }
+  // A fast class sits at the floor, then doubles per attempt up to the cap.
+  ewma.Observe(Millis(100));
+  EXPECT_EQ(ClientCore::AttemptTimeout(retry, ewma, 0), floor);
+  EXPECT_EQ(ClientCore::AttemptTimeout(retry, ewma, 1), 2 * floor);
+  EXPECT_EQ(ClientCore::AttemptTimeout(retry, ewma, 2), retry);
+  EXPECT_EQ(ClientCore::AttemptTimeout(retry, ewma, 40), retry);
+  // A slower class waits kAdaptiveTimeoutMultiplier times its latency.
+  pbft::CommitLatencyEwma slow;
+  slow.Observe(Millis(300));
+  const Duration base = pbft::kAdaptiveTimeoutMultiplier * Millis(300);
+  EXPECT_EQ(ClientCore::AttemptTimeout(retry, slow, 0), base);
+  EXPECT_EQ(ClientCore::AttemptTimeout(retry, slow, 1), 2 * base);
+  EXPECT_EQ(ClientCore::AttemptTimeout(retry, slow, 2), retry);
+  // Never above the configured retry timeout, whatever the latency.
+  pbft::CommitLatencyEwma glacial;
+  glacial.Observe(Seconds(30));
+  EXPECT_EQ(ClientCore::AttemptTimeout(retry, glacial, 0), retry);
+}
+
+TEST(ClientCoreRetryTest, CleanCompletionShortensAndDoublesTheTimeout) {
+  CoreFixture fx;
+  RequestTimestamp ts = fx.client->Write(&fx.members, 1);
+  fx.sim.RunFor(Millis(3));
+  fx.ClientReply(fx.members[0], ts);
+  fx.ClientReply(fx.members[1], ts);
+  ASSERT_TRUE(fx.client->idle());
+  EXPECT_EQ(fx.client->latency_ewma(ClientOp::kTransfer).value(), Millis(3));
+
+  // 8 x 3 ms is under the floor (1 s / 4): retries fire at 250 ms, then
+  // 500 ms and 1 s (the cap) after the previous one.
+  fx.client->Write(&fx.members, 1);
+  fx.sim.RunFor(Millis(251));
+  EXPECT_EQ(fx.client->stats().timeouts, 1u);
+  fx.sim.RunFor(Millis(500));
+  EXPECT_EQ(fx.client->stats().timeouts, 2u);
+  fx.sim.RunFor(Millis(998));
+  EXPECT_EQ(fx.client->stats().timeouts, 2u);
+  fx.sim.RunFor(Millis(2));
+  EXPECT_EQ(fx.client->stats().timeouts, 3u);
+  fx.sim.RunFor(Millis(1000));
+  EXPECT_EQ(fx.client->stats().timeouts, 4u);
+}
+
+TEST(ClientCoreRetryTest, RetriedCompletionIsNotSampled) {
+  CoreFixture fx;  // retry_timeout 1 s
+  RequestTimestamp ts = fx.client->Write(&fx.members, 1);
+  fx.sim.RunFor(Millis(1100));
+  ASSERT_EQ(fx.client->stats().timeouts, 1u);
+  fx.ClientReply(fx.members[1], ts);
+  fx.ClientReply(fx.members[2], ts);
+  ASSERT_TRUE(fx.client->idle());
+  EXPECT_EQ(fx.client->stats().local_completed, 1u);
+  // Karn's rule: the 1.1 s it took measures the timeout, not the path.
+  EXPECT_FALSE(fx.client->latency_ewma(ClientOp::kTransfer).seeded());
+  fx.client->Write(&fx.members, 1);
+  fx.sim.RunFor(Millis(999));
+  EXPECT_EQ(fx.client->stats().timeouts, 1u);
+  fx.sim.RunFor(Millis(2));
+  EXPECT_EQ(fx.client->stats().timeouts, 2u);
 }
 
 // ------------------------------------------------------ the read circuit

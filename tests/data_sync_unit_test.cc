@@ -92,6 +92,39 @@ TEST(DataSyncUnitTest, DuplicateRequestLedOnce) {
   }
 }
 
+// A client retry reaches every backup, and each relays it to the primary.
+// A duplicate that lands while the primary still leads the op's batch must
+// not re-ballot that batch: its first ballot is already the chain
+// predecessor of the next batch, which would wait for a ballot that never
+// commits until the chain skip fires.
+TEST(DataSyncUnitTest, DuplicateOfAnInFlightBatchKeepsItsBallot) {
+  SyncFixture fx;
+  auto a = fx.NewClient(0);
+  auto b = fx.NewClient(0);
+  NodeId primary = fx.sys.PrimaryOf(0)->id();
+  auto request = [&](testutil::TestClient& c) {
+    auto req = std::make_shared<core::MigrationRequestMsg>();
+    req->op.client = c.id();
+    req->op.timestamp = 1;
+    req->op.source = 0;
+    req->op.destination = 1;
+    req->client_sig = fx.sys.keys().Sign(c.id(), req->digest());
+    return req;
+  };
+  auto first = request(*a);
+  a->Send(primary, first);
+  fx.sys.sim().RunFor(Millis(10));  // batch {a} led
+  b->Send(primary, request(*b));
+  fx.sys.sim().RunFor(Millis(10));  // batch {b} led, chained after {a}
+  a->Send(primary, first);          // the duplicate, before {a} commits
+  fx.sys.sim().RunFor(Seconds(1));
+  EXPECT_TRUE(a->MigrationDone(1));
+  EXPECT_TRUE(b->MigrationDone(1));
+  const CounterSet& counters = fx.sys.sim().counters();
+  EXPECT_EQ(counters.Get(obs::CounterId::kSyncRequestsLed), 2u);
+  EXPECT_EQ(counters.Get(obs::CounterId::kSyncChainSkip), 0u);
+}
+
 TEST(DataSyncUnitTest, NonStableConcurrentLeadersAllCommit) {
   NodeConfig cfg;
   cfg.sync.stable_leader = false;

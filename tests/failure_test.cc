@@ -1,6 +1,8 @@
 #include <memory>
 
 #include "app/bank.h"
+#include "app/client.h"
+#include "app/experiment.h"
 #include "app/harness.h"
 #include "core/system.h"
 #include "gtest/gtest.h"
@@ -179,7 +181,7 @@ TEST(FailureTest, ByzantineSourcePrimaryCannotForgeMigratedState) {
   static_cast<BankStateMachine&>(src_primary->app())
       .OpenAccount(c, 999999);  // tampered balance
 
-  auto ts = fx.client->SubmitGlobal(fx.sys.PrimaryOf(0)->id(), 0, 1);
+  fx.client->SubmitGlobal(fx.sys.PrimaryOf(0)->id(), 0, 1);
   fx.sys.sim().RunFor(Seconds(5));
 
   EXPECT_GE(fx.sys.sim().counters().Get(obs::CounterId::kMigStateMismatchRejected), 1u);
@@ -229,6 +231,87 @@ TEST(FailureTest, ResponseQueriesSuspectUnresponsiveGlobalPrimary) {
   EXPECT_GE(fx.sys.sim().counters().Get(obs::CounterId::kSyncResponseQueriesSent), 1u);
   EXPECT_GE(fx.sys.sim().counters().Get(obs::CounterId::kSyncPrimarySuspected), 1u);
   EXPECT_GE(fx.sys.sim().counters().Get(obs::CounterId::kPbftNewViewsEntered), 1u);
+}
+
+// The perfbench primary-crash shape at test scale: the paper placement with
+// 3 zones, 10% global (zone 0 leads every migration) and the experiments'
+// 8 s client retry. Zone 0's primary crashes mid-run. The zone must fail
+// over in exactly one view change, to a live primary, and clients must
+// find it: completions regain half the pre-crash rate within 3 s of the
+// crash, not at the 8 s retry.
+TEST(FailoverTest, ZonePrimaryCrashCostsOneViewChange) {
+  constexpr std::size_t kClientsPerZone = 20;
+  constexpr Duration kBucket = Millis(250);
+  constexpr SimTime kCrashAt = Millis(1500);
+  const app::DeploymentSpec dep = app::PaperDeployment(3);
+  ZiziphusSystem sys(7, sim::LatencyModel::PaperGeoMatrix());
+  for (const auto& z : dep.zones) {
+    sys.AddZone(z.cluster, z.region, dep.f, dep.nodes_per_zone());
+  }
+  sys.Finalize(app::DefaultNodeConfig(),
+               [](ZoneId) { return std::make_unique<BankStateMachine>(); });
+  std::vector<std::unique_ptr<app::MobileClient>> clients;
+  for (ZoneId z = 0; z < 3; ++z) {
+    for (std::size_t i = 0; i < kClientsPerZone; ++i) {
+      app::MobileClient::Config cc;
+      cc.topology = &sys.topology();
+      cc.keys = &sys.keys();
+      cc.home = z;
+      cc.mix.global_fraction = 0.1;
+      cc.retry_timeout = Seconds(8);
+      clients.push_back(std::make_unique<app::MobileClient>(std::move(cc)));
+      NodeId id = sys.sim().Register(clients.back().get(), dep.zones[z].region);
+      sys.BootstrapClient(id, z, [](ClientId c) {
+        return storage::KvStore::Map{{BankStateMachine::AccountKey(c), "1000"}};
+      });
+    }
+  }
+  for (auto& c : clients) c->Start(0);
+  const std::vector<NodeId>& zone0 = sys.topology().zone(0).members;
+  sys.sim().schedule().CrashAt(kCrashAt, zone0[0]);
+
+  auto completed = [&clients] {
+    std::uint64_t n = 0;
+    for (const auto& c : clients) {
+      n += c->stats().local_completed + c->stats().global_completed;
+    }
+    return n;
+  };
+  // Pre-crash rate over [0.5 s, crash), after the clients' first ops.
+  sys.sim().RunUntil(Millis(500));
+  const std::uint64_t at_half_second = completed();
+  sys.sim().RunUntil(kCrashAt);
+  const double half_rate =
+      static_cast<double>(completed() - at_half_second) /
+      static_cast<double>((kCrashAt - Millis(500)) / kBucket) / 2;
+
+  SimTime resumed_at = 0;
+  bool dipped = false;
+  for (SimTime t = kCrashAt; t < kCrashAt + Seconds(4); t += kBucket) {
+    const std::uint64_t before = completed();
+    sys.sim().RunUntil(t + kBucket);
+    const double n = static_cast<double>(completed() - before);
+    if (!dipped) {
+      dipped = n < half_rate;
+    } else if (resumed_at == 0 && n >= half_rate) {
+      resumed_at = t + kBucket;
+    }
+  }
+  ASSERT_TRUE(dipped) << "the crash never stalled the leader zone";
+  ASSERT_NE(resumed_at, 0u) << "completions never recovered";
+  EXPECT_LE(resumed_at - kCrashAt, Seconds(3));
+
+  // Exactly one new view, led by a live replica, at every live member.
+  for (std::size_t i = 1; i < zone0.size(); ++i) {
+    const pbft::PbftEngine& pbft = sys.node(zone0[i])->pbft();
+    EXPECT_EQ(pbft.view(), 1u) << "member " << i;
+    EXPECT_TRUE(pbft.view_active()) << "member " << i;
+    EXPECT_EQ(pbft.primary(), zone0[1]) << "member " << i;
+    EXPECT_EQ(sys.sim().recorder().node_counters(zone0[i]).Get(
+                  obs::CounterId::kPbftNewViewsEntered),
+              1u)
+        << "member " << i;
+  }
 }
 
 }  // namespace

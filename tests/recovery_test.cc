@@ -366,22 +366,48 @@ TEST_P(RecoverySweep, AmnesiaChaosConvergesIdenticallyOnBothQueues) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RecoverySweep,
                          ::testing::Range<std::uint64_t>(1, 21));
 
-// Regression: with this seed the global commit broadcast for a migration
-// lands while the source zone's primary is amnesia-crashed. After rejoin
-// the primary has no trace of the migration, so the source zone can never
-// form the STATE certificate on its own; the destination's probes must
-// re-ship the stored commit to bootstrap it. Without ReshipCommit this
-// run wedges at 3/4 global completions until the deadline.
+// A migration's global commit is in flight to the source zone when the
+// source zone's primary amnesia-crashes: its backups execute the commit,
+// but only the primary starts the record endorsement, and after rejoin the
+// primary has no trace of the migration. The source zone can never form
+// the STATE certificate on its own; the destination's probes must re-ship
+// the stored commit to bootstrap it. Without ReshipCommit the run wedges:
+// the migration never finishes.
 TEST(RecoveryChaosTest, CommitReshipUnwedgesAmnesiacSourcePrimary) {
-  ChaosOptions opt;
-  opt.seed = 4;
-  opt.byzantine_per_zone = 1;
-  opt.amnesia_crashes = 3;
-  ChaosReport r = app::RunZiziphusChaos(opt);
-  EXPECT_TRUE(r.violations.empty()) << r.Summary();
-  EXPECT_TRUE(r.all_done) << r.Summary();
-  ASSERT_TRUE(r.counters.count("sync.commits_reshipped"));
-  EXPECT_GE(r.counters.at("sync.commits_reshipped"), 1u);
+  auto run = [](bool reship) {
+    RecoveryFixture fx;
+    ClientId c = fx.client->id();
+    fx.Bootstrap(c, 1);
+    if (!reship) {
+      for (NodeId n : fx.sys.topology().zone(2).members) {
+        fx.sys.node(n)->migration().set_commit_reshipper(nullptr);
+      }
+    }
+    // Zone 0 leads (stable leader); zone 1 is the source, zone 2 the
+    // destination.
+    NodeId source_primary = fx.sys.PrimaryOf(1)->id();
+    auto ts = fx.client->SubmitGlobal(fx.sys.PrimaryOf(0)->id(), 1, 2);
+    sim::Simulation& sim = fx.sys.sim();
+    while (sim.counters().Get(obs::CounterId::kSyncCommitsSent) == 0 &&
+           sim.Now() < Seconds(2) && sim.Step()) {
+    }
+    EXPECT_GT(sim.counters().Get(obs::CounterId::kSyncCommitsSent), 0u);
+    sim.CrashAmnesia(source_primary);
+    sim.RunFor(Millis(300));  // the commit lands everywhere else
+    sim.RecoverAmnesia(source_primary);
+    sim.RunFor(Seconds(20));
+    EXPECT_TRUE(fx.CheckInvariants().empty())
+        << RecoveryFixture::Describe(fx.CheckInvariants());
+    EXPECT_EQ(fx.sys.node(source_primary)->recoveries(), 1u);
+    return std::pair{fx.client->MigrationDone(ts),
+                     sim.counters().Get(obs::CounterId::kSyncCommitsReshipped)};
+  };
+  auto [done, reshipped] = run(/*reship=*/true);
+  EXPECT_TRUE(done);
+  EXPECT_GE(reshipped, 1u);
+  auto [done_without, reshipped_without] = run(/*reship=*/false);
+  EXPECT_FALSE(done_without);
+  EXPECT_EQ(reshipped_without, 0u);
 }
 
 TEST(RecoveryChaosTest, RunsAreDeterministicPerSeed) {

@@ -1,6 +1,12 @@
 // Deeper PBFT view-change scenarios: cascading primary failures, larger f,
-// safety of committed prefixes across views, and checkpoints during churn.
+// safety of committed prefixes across views, checkpoints during churn, and
+// suspicion (direct or by RESPONSE-QUERY) that must cost one view change.
 
+#include <memory>
+
+#include "app/bank.h"
+#include "app/harness.h"
+#include "core/system.h"
 #include "gtest/gtest.h"
 #include "pbft/engine.h"
 #include "tests/test_util.h"
@@ -119,6 +125,117 @@ TEST(ViewChangeTest, PartitionedPrimaryTreatedAsFaulty) {
   c.sim.RunFor(Seconds(6));
   EXPECT_EQ(c.client->completed(), 1u);
   EXPECT_GE(c.engine(1).view(), 1u);
+}
+
+TEST(ViewChangeTest, SuspicionDuringAViewChangeTargetsTheNextViewOnly) {
+  pbft::PbftConfig base;
+  base.request_timeout_us = Millis(250);
+  PbftCluster c(4, 1, /*seed=*/19, 1000, base);
+  c.sim.faults().Crash(c.members[0]);
+  // Every stuck request whose probes complete a quorum suspects the primary
+  // again. Four rounds would walk the demanded view to 4, whose primary
+  // (4 mod 4 = 0) is the crashed node; only view 1 may be demanded.
+  for (int round = 0; round < 4; ++round) {
+    for (int i = 1; i < 4; ++i) c.engine(i).SuspectPrimary();
+  }
+  for (int i = 1; i < 4; ++i) {
+    EXPECT_EQ(c.engine(i).view(), 1u) << i;
+    EXPECT_FALSE(c.engine(i).view_active()) << i;
+  }
+  c.sim.RunFor(Seconds(2));
+  for (int i = 1; i < 4; ++i) {
+    EXPECT_EQ(c.engine(i).view(), 1u) << i;
+    EXPECT_TRUE(c.engine(i).view_active()) << i;
+    EXPECT_EQ(c.engine(i).primary(), c.members[1]) << i;
+  }
+  EXPECT_EQ(c.sim.counters().Get(obs::CounterId::kPbftViewChangesStarted), 3u);
+  c.client->SubmitLocal(c.members[1], "after");
+  c.sim.RunFor(Seconds(1));
+  EXPECT_EQ(c.client->completed(), 1u);
+}
+
+// RESPONSE-QUERY probes (Section V-A) accuse the primary that let a request
+// stall. Probes tallied against a crashed primary, and probes that reach
+// its successor before any instance it leads can be overdue, must not
+// depose the successor; a quorum of probes that are overdue in its view
+// still does.
+TEST(ViewChangeTest, StaleResponseQueriesCannotDeposeTheNextPrimary) {
+  core::ZiziphusSystem sys(3, sim::LatencyModel::PaperGeoMatrix());
+  for (RegionId r = 0; r < 2; ++r) sys.AddZone(0, r, 1, 4);
+  const core::NodeConfig cfg = app::harness::FaultHarnessNodeConfig();
+  sys.Finalize(cfg, [](ZoneId) {
+    return std::make_unique<app::BankStateMachine>();
+  });
+  testutil::TestClient client(&sys.keys(), 1);
+  sys.sim().Register(&client, 0);
+  sys.BootstrapClient(client.id(), 0, [](ClientId id) {
+    return storage::KvStore::Map{
+        {app::BankStateMachine::AccountKey(id), "1000"}};
+  });
+  const std::vector<NodeId>& z0 = sys.topology().zone(0).members;
+  const std::vector<NodeId>& z1 = sys.topology().zone(1).members;
+
+  // A migration stalls at the crashed zone-0 primary: the client's retry
+  // reaches the backups, which relay it and keep a record of it. The next
+  // primary, z0[1], is cut off from zone 1, so it will stall it too.
+  sys.sim().faults().Crash(z0[0]);
+  for (NodeId n : z1) sys.sim().faults().Partition(z0[1], n);
+  client.EnableRetry(z0, Millis(100));
+  core::MigrationOp op;
+  op.client = client.id();
+  op.timestamp = client.SubmitGlobal(z0[0], 0, 1);
+  op.source = 0;
+  op.destination = 1;
+  sys.sim().RunFor(Millis(150));
+  client.EnableRetry(z0, Seconds(5));
+  // Zone 1 probes only after waiting a probe period for the commit.
+  sys.sim().RunFor(cfg.sync.response_query_timeout_us);
+
+  auto probe = [&](NodeId from) {
+    auto q = std::make_shared<core::ResponseQueryMsg>();
+    q->request_id = op.RequestId();
+    q->zone = 1;
+    q->replica = from;
+    q->sig = sys.keys().Sign(from, q->digest());
+    q->set_from(from);
+    for (NodeId to : z0) sys.sim().SendMessage(from, sys.sim().Now(), to, q);
+  };
+  auto expect_view = [&](ViewId v, NodeId primary) {
+    for (int i = 1; i < 4; ++i) {
+      const pbft::PbftEngine& pbft = sys.node(z0[i])->pbft();
+      EXPECT_EQ(pbft.view(), v) << "member " << i;
+      EXPECT_TRUE(pbft.view_active()) << "member " << i;
+      EXPECT_EQ(pbft.primary(), primary) << "member " << i;
+    }
+  };
+  // View 0: two of the three probes zone 1 needs to suspect, both deserved.
+  probe(z1[0]);
+  probe(z1[1]);
+  sys.sim().RunFor(Millis(50));
+  for (int i = 1; i < 4; ++i) sys.node(z0[i])->pbft().SuspectPrimary();
+  sys.sim().RunFor(Millis(100));
+  expect_view(1, z0[1]);
+
+  // Probes sent before their senders heard of view 1 land just after it
+  // forms, and one more lands a probe period later. Neither the first three
+  // (no view-1 instance can be overdue yet) nor the view-0 pair plus the
+  // late one (they accused the crashed primary) is a quorum against z0[1].
+  probe(z1[0]);
+  probe(z1[1]);
+  probe(z1[2]);
+  sys.sim().RunFor(cfg.sync.response_query_timeout_us);
+  probe(z1[2]);
+  sys.sim().RunFor(Millis(100));
+  expect_view(1, z0[1]);
+
+  // Two more overdue probes complete a view-1 quorum: z0[1] really stalls
+  // the request, and z0[2] takes over and finishes it (after the chain skip
+  // steps over z0[1]'s uncommitted ballots).
+  probe(z1[0]);
+  probe(z1[1]);
+  sys.sim().RunFor(Seconds(10));
+  expect_view(2, z0[2]);
+  EXPECT_TRUE(client.MigrationDone(op.timestamp));
 }
 
 TEST(ViewChangeBackoffTest, DoublesUntilCapAndStaysBounded) {
