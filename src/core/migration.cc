@@ -218,7 +218,7 @@ bool MigrationEngine::HandleMessage(const sim::MessagePtr& msg) {
       auto known = query_ids_.find(q->request_id);
       if (known == query_ids_.end()) return false;
       process_->ChargeCpu(config_.costs.base_handle_us);
-      process_->ChargeCrypto(config_.costs.mac_us);
+      process_->ChargeAuth(config_.costs.mac_us);
       HandleResponseQuery(q, states_.at(known->second));
       return true;
     }

@@ -39,7 +39,10 @@ Status VerifyZoneCertificate(const crypto::KeyRegistry& keys,
 
 /// VerifyZoneCertificate run on `process`, the way the data-sync and
 /// migration engines check a remote zone's certificate: the verify cost is
-/// charged as crypto CPU inside a kCertVerify span.
+/// charged as crypto CPU inside a kCertVerify span. While `process` handles
+/// its own loopback copy (sim::Process::loopback) the check is skipped and
+/// passes: the node verified every certificate it put in a message itself,
+/// or assembled it from votes it verified.
 Status VerifyZoneCertificateOn(sim::Process& process,
                                const crypto::CryptoCosts& costs,
                                const crypto::KeyRegistry& keys,

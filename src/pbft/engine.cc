@@ -35,47 +35,49 @@ bool PbftEngine::HandleMessage(const sim::MessagePtr& msg) {
   switch (msg->type()) {
     case kClientRequest:
       process_->ChargeCpu(costs.base_handle_us);
-      process_->ChargeCrypto(costs.mac_us);
+      process_->ChargeAuth(costs.mac_us);
       HandleClientRequest(
           std::static_pointer_cast<const ClientRequestMsg>(msg));
       return true;
     case kPrePrepare: {
       auto m = std::static_pointer_cast<const PrePrepareMsg>(msg);
       // Verify the primary's signature plus the client MACs in the batch.
+      // The primary's own pre-prepare comes back as a loopback copy and
+      // pays neither: it checked those MACs as the requests arrived.
       process_->ChargeCpu(costs.base_handle_us);
-      process_->ChargeCrypto(costs.crypto.verify_us +
-                             costs.mac_us * m->batch.ops.size());
+      process_->ChargeAuth(costs.crypto.verify_us +
+                           costs.mac_us * m->batch.ops.size());
       HandlePrePrepare(m);
       return true;
     }
     case kPrepare:
       process_->ChargeCpu(costs.base_handle_us);
-      process_->ChargeCrypto(costs.crypto.verify_us);
+      process_->ChargeAuth(costs.crypto.verify_us);
       HandlePrepare(std::static_pointer_cast<const PrepareMsg>(msg));
       return true;
     case kFastVote:
       process_->ChargeCpu(costs.base_handle_us);
-      process_->ChargeCrypto(costs.crypto.verify_us);
+      process_->ChargeAuth(costs.crypto.verify_us);
       HandleFastVote(std::static_pointer_cast<const FastVoteMsg>(msg));
       return true;
     case kCommit:
       process_->ChargeCpu(costs.base_handle_us);
-      process_->ChargeCrypto(costs.crypto.verify_us);
+      process_->ChargeAuth(costs.crypto.verify_us);
       HandleCommit(std::static_pointer_cast<const CommitMsg>(msg));
       return true;
     case kCheckpoint:
       process_->ChargeCpu(costs.base_handle_us);
-      process_->ChargeCrypto(costs.crypto.verify_us);
+      process_->ChargeAuth(costs.crypto.verify_us);
       HandleCheckpoint(std::static_pointer_cast<const CheckpointMsg>(msg));
       return true;
     case kViewChange:
       process_->ChargeCpu(costs.base_handle_us);
-      process_->ChargeCrypto(costs.crypto.verify_us);
+      process_->ChargeAuth(costs.crypto.verify_us);
       HandleViewChange(std::static_pointer_cast<const ViewChangeMsg>(msg));
       return true;
     case kNewView:
       process_->ChargeCpu(costs.base_handle_us);
-      process_->ChargeCrypto(costs.crypto.verify_us);
+      process_->ChargeAuth(costs.crypto.verify_us);
       HandleNewView(std::static_pointer_cast<const NewViewMsg>(msg));
       return true;
     case kStateRequest:
@@ -90,7 +92,7 @@ bool PbftEngine::HandleMessage(const sim::MessagePtr& msg) {
       return true;
     case kReadRequest:
       process_->ChargeCpu(costs.base_handle_us);
-      process_->ChargeCrypto(costs.mac_us);
+      process_->ChargeAuth(costs.mac_us);
       HandleReadRequest(std::static_pointer_cast<const ReadRequestMsg>(msg));
       return true;
     default:
@@ -180,7 +182,7 @@ void PbftEngine::HandleClientRequest(
   // Authenticate the client. The signed digest covers the dependency vector
   // too, so a relaying backup cannot strip or lower the writer's causal
   // floors in transit.
-  if (!keys_->Verify(msg->client_sig, msg->ComputeDigest())) {
+  if (!Authentic(msg->client_sig, msg->ComputeDigest())) {
     process_->scoped_counters().Inc(obs::CounterId::kPbftBadClientSig);
     return;
   }
@@ -226,7 +228,7 @@ void PbftEngine::HandleClientRequest(
 
 void PbftEngine::HandleReadRequest(
     const std::shared_ptr<const ReadRequestMsg>& msg) {
-  if (!keys_->Verify(msg->client_sig, msg->ComputeDigest())) {
+  if (!Authentic(msg->client_sig, msg->ComputeDigest())) {
     process_->scoped_counters().Inc(obs::CounterId::kPbftBadClientSig);
     return;
   }
@@ -367,7 +369,7 @@ void PbftEngine::HandlePrePrepare(
     const std::shared_ptr<const PrePrepareMsg>& msg) {
   if (!view_active_ || msg->view != view_) return;
   if (msg->from() != primary()) return;
-  if (!keys_->Verify(msg->sig, msg->digest())) {
+  if (!Authentic(msg->sig, msg->digest())) {
     process_->scoped_counters().Inc(obs::CounterId::kPbftBadSig);
     return;
   }
@@ -448,7 +450,7 @@ void PbftEngine::HandlePrePrepare(
 void PbftEngine::HandlePrepare(const std::shared_ptr<const PrepareMsg>& msg) {
   if (!view_active_ || msg->view != view_) return;
   if (!IsMember(msg->replica) || msg->replica != msg->from()) return;
-  if (!keys_->Verify(msg->sig, msg->digest())) {
+  if (!Authentic(msg->sig, msg->digest())) {
     process_->scoped_counters().Inc(obs::CounterId::kPbftBadSig);
     return;
   }
@@ -465,7 +467,7 @@ void PbftEngine::HandleFastVote(
     const std::shared_ptr<const FastVoteMsg>& msg) {
   if (!view_active_ || msg->view != view_) return;
   if (!IsMember(msg->replica) || msg->replica != msg->from()) return;
-  if (!keys_->Verify(msg->sig, msg->digest())) {
+  if (!Authentic(msg->sig, msg->digest())) {
     process_->scoped_counters().Inc(obs::CounterId::kPbftBadSig);
     return;
   }
@@ -500,8 +502,10 @@ void PbftEngine::TryPrepare(SeqNum seq) {
   Slot& slot = it->second;
   if (slot.prepared || slot.pre_prepare == nullptr) return;
   // `prepared` requires the pre-prepare plus 2f prepares from distinct
-  // replicas (the sender of the pre-prepare does not send a prepare, so we
-  // count it implicitly).
+  // replicas. The pre-prepare stands for its sender's vote, so it counts
+  // when that sender's prepare has not been recorded. The primary does
+  // multicast a PREPARE too (it handles its own loopback pre-prepare like
+  // any replica); once recorded, the primary counts once, not twice.
   std::size_t votes = slot.prepares.size();
   if (!slot.prepares.count(slot.pre_prepare->from())) votes += 1;
   if (votes < Quorum()) return;
@@ -538,7 +542,7 @@ void PbftEngine::TryPrepare(SeqNum seq) {
 void PbftEngine::HandleCommit(const std::shared_ptr<const CommitMsg>& msg) {
   if (msg->view > view_ || (!view_active_ && msg->view == view_)) return;
   if (!IsMember(msg->replica) || msg->replica != msg->from()) return;
-  if (!keys_->Verify(msg->sig, msg->digest())) {
+  if (!Authentic(msg->sig, msg->digest())) {
     process_->scoped_counters().Inc(obs::CounterId::kPbftBadSig);
     return;
   }
@@ -808,7 +812,7 @@ void PbftEngine::MaybeCheckpoint() {
 void PbftEngine::HandleCheckpoint(
     const std::shared_ptr<const CheckpointMsg>& msg) {
   if (!IsMember(msg->replica) || msg->replica != msg->from()) return;
-  if (!keys_->Verify(msg->sig, msg->digest())) {
+  if (!Authentic(msg->sig, msg->digest())) {
     process_->scoped_counters().Inc(obs::CounterId::kPbftBadSig);
     return;
   }
@@ -1363,7 +1367,7 @@ Duration PbftEngine::ViewChangeBackoff(const PbftConfig& config,
 void PbftEngine::HandleViewChange(
     const std::shared_ptr<const ViewChangeMsg>& msg) {
   if (!IsMember(msg->replica) || msg->replica != msg->from()) return;
-  if (!keys_->Verify(msg->sig, msg->digest())) {
+  if (!Authentic(msg->sig, msg->digest())) {
     process_->scoped_counters().Inc(obs::CounterId::kPbftBadSig);
     return;
   }
@@ -1495,7 +1499,7 @@ void PbftEngine::HandleNewView(const std::shared_ptr<const NewViewMsg>& msg) {
   // relayed by a peer (laggard catch-up) is exactly as trustworthy as one
   // received from the primary directly.
   if (msg->sig.signer != PrimaryOf(msg->new_view)) return;
-  if (!keys_->Verify(msg->sig, msg->digest())) return;
+  if (!Authentic(msg->sig, msg->digest())) return;
   // An active replica ignores views at or below its own. An inactive
   // replica adopts any formed view, even a lower-numbered one: its own
   // higher demand never formed (solo view-change runaway, e.g. after a

@@ -264,6 +264,12 @@ class PbftEngine {
   bool IsMember(NodeId n) const;
   std::size_t Quorum() const { return config_.quorum(); }
 
+  // The real signature check on a received message; this replica's own
+  // loopback copies pass unchecked (sim::Process::loopback).
+  bool Authentic(const crypto::Signature& sig, crypto::Digest digest) const {
+    return process_->loopback() || keys_->Verify(sig, digest);
+  }
+
   void HandleClientRequest(const std::shared_ptr<const ClientRequestMsg>& msg);
   void HandleReadRequest(const std::shared_ptr<const ReadRequestMsg>& msg);
   void HandlePrePrepare(const std::shared_ptr<const PrePrepareMsg>& msg);

@@ -22,7 +22,7 @@ struct SimEvent {
   NodeId dst = kInvalidNode;
   MessagePtr msg;            // null for timers
   std::uint64_t timer_id = 0;  // valid when msg == nullptr
-  NodeId from = kInvalidNode;  // message sender, for tracing
+  NodeId from = kInvalidNode;  // who put this copy on the wire (timers: owner)
   obs::SpanId transit_span = 0;  // wire span of this delivery (0 = untraced)
 };
 

@@ -9,8 +9,9 @@ namespace ziziphus::sim {
 // ---------------------------------------------------------------- Process
 
 void Process::DeliverMessage(SimTime arrival, const MessagePtr& msg,
-                             obs::SpanId transit_span) {
+                             NodeId sender, obs::SpanId transit_span) {
   logical_now_ = std::max(arrival, busy_until_);
+  loopback_ = sender != kInvalidNode && sender == id_;
   // A traced delivery runs under a kHandle span: its start is when the
   // core actually picks the message up (queueing shows as start - arrival)
   // and sends from the handler parent to it, chaining the causal path
@@ -29,6 +30,7 @@ void Process::DeliverMessage(SimTime arrival, const MessagePtr& msg,
         mctx.trace_id, handle != 0 ? handle : parent.parent_span};
   }
   OnMessage(msg);
+  loopback_ = false;
   busy_until_ = logical_now_;
   if (handle != 0) sim_->recorder().tracer().Close(handle, logical_now_);
   trace_ctx_ = {};
@@ -423,7 +425,7 @@ void Simulation::Dispatch(const SimEvent& e) {
       trace_.push_back(TraceEntry{e.time, e.from, e.dst, e.msg->type()});
     }
     p->scoped_counters().Inc(obs::CounterId::kNetMsgsDelivered);
-    p->DeliverMessage(e.time, e.msg, e.transit_span);
+    p->DeliverMessage(e.time, e.msg, e.from, e.transit_span);
   } else if (faults_.IsCrashed(e.dst)) {
     p->active_timers_.erase(e.timer_id);  // expired unhandled: not pending
   } else {

@@ -278,8 +278,11 @@ class Process {
   void set_region(RegionId region) { region_ = region; }
 
   /// Called by the scheduler; runs the handler under the CPU model.
-  /// `transit_span` is the wire span the delivery closes (0 = untraced).
+  /// `sender` is the node that put this copy on the wire, as the scheduler
+  /// recorded it (kInvalidNode = unknown); `transit_span` is the wire span
+  /// the delivery closes (0 = untraced).
   void DeliverMessage(SimTime arrival, const MessagePtr& msg,
+                      NodeId sender = kInvalidNode,
                       obs::SpanId transit_span = 0);
   void DeliverTimer(SimTime arrival, std::uint64_t timer_id);
 
@@ -293,6 +296,20 @@ class Process {
   /// ChargeCpu plus crypto attribution in the node profile and on the
   /// current trace span (sign/verify/digest work).
   void ChargeCrypto(Duration cost);
+
+  /// ChargeCrypto for authenticating the message being handled (signature,
+  /// MAC or certificate check); free for a loopback copy.
+  void ChargeAuth(Duration cost) {
+    if (!loopback_) ChargeCrypto(cost);
+  }
+
+  /// True while the handler runs for a copy this process sent itself (the
+  /// loopback leg of a Multicast to a group it belongs to). Such a copy
+  /// never crossed a trust boundary, so receivers skip authenticating it:
+  /// no signature, MAC or certificate check, real or modeled. The sender
+  /// is the scheduler's per-delivery record, never Message::from(), which
+  /// a relay re-stamps and a Byzantine interceptor may set at will.
+  bool loopback() const { return loopback_; }
 
   /// Trace context stamped onto outgoing messages. Set automatically for
   /// the duration of a traced delivery; engines may override it to bridge
@@ -349,6 +366,7 @@ class Process {
   RegionId region_ = 0;
   SimTime busy_until_ = 0;
   SimTime logical_now_ = 0;
+  bool loopback_ = false;
   Rng rng_{0};
   std::unordered_map<std::uint64_t, TimerTag> active_timers_;
   obs::TraceContext trace_ctx_;

@@ -2,6 +2,8 @@
 // functions, the optimistic fast path (unanimous FastVotes committing in
 // one round) with its certified fallback to the classic prepare/commit
 // rounds, the fast-path adversaries (equivocating voter, vote withholder),
+// the per-replica crypto budget of one batch (no replica authenticates its
+// own loopback copies, and a copy is loopback only by its wire sender),
 // and the stable-vs-fast-path differential: both orderings must converge
 // the same scripted chaos workload to the same application state, and
 // every run must repeat byte-identically per seed.
@@ -320,6 +322,116 @@ TEST(FastPathTest, ViewChangeReproposesFastCommittedSlot) {
     EXPECT_EQ(c.app(i).StateDigest(), c.app(0).StateDigest())
         << "replica " << i;
   }
+}
+
+// ------------------------------------------------- loopback authentication
+
+std::uint64_t CryptoUs(PbftCluster& c, NodeId n) {
+  return c.sim.recorder().node_counters(n).Get(
+      obs::CounterId::kNodeCpuCryptoUs);
+}
+
+TEST(LoopbackAuthTest, OneBatchPaysCryptoOnlyForPeersMessages) {
+  // One batch of kOps requests (one per client) through a 4-replica zone,
+  // no checkpoint. Each replica's multicasts loop a copy back to it; it
+  // authenticates what its three peers sent and nothing it sent itself.
+  constexpr std::size_t kOps = 8;
+  pbft::PbftConfig base;
+  base.batch_max = kOps;
+  base.checkpoint_interval = 0;
+  PbftCluster c(4, 1, /*seed=*/1, /*one_way_us=*/1000, base);
+  std::vector<std::unique_ptr<testutil::TestClient>> clients;
+  for (std::size_t i = 0; i < kOps; ++i) {
+    clients.push_back(std::make_unique<testutil::TestClient>(&c.keys, 1));
+    c.sim.Register(clients.back().get(), 0);
+    clients.back()->SubmitLocal(c.members[0], "op");
+  }
+  c.sim.RunFor(Seconds(1));
+  for (const auto& client : clients) ASSERT_EQ(client->completed(), 1u);
+  ASSERT_EQ(c.sim.counters().Get(obs::CounterId::kPbftBatchesProposed), 1u);
+
+  const std::uint64_t sign = base.costs.crypto.sign_us;
+  const std::uint64_t verify = base.costs.crypto.verify_us;
+  const std::uint64_t mac = base.costs.mac_us;
+  const std::uint64_t ops = kOps;
+  // The primary: a MAC per request as it arrives, signs its pre-prepare,
+  // prepare and commit, verifies 3 peer prepares and 3 peer commits, and
+  // MACs a reply per op.
+  const std::uint64_t primary = ops * mac + 3 * sign + 6 * verify + ops * mac;
+  // A backup: the primary's pre-prepare (its signature and the per-op
+  // client MACs), signs its prepare and commit, verifies 3 peer prepares
+  // (the primary's among them) and 3 peer commits, and MACs the replies.
+  const std::uint64_t backup =
+      verify + ops * mac + 2 * sign + 6 * verify + ops * mac;
+  EXPECT_EQ(CryptoUs(c, c.members[0]), primary);
+  for (std::size_t i = 1; i < c.members.size(); ++i) {
+    EXPECT_EQ(CryptoUs(c, c.members[i]), backup) << "replica " << i;
+  }
+}
+
+// Re-sends replica `self`'s PREPAREs to each peer as a garbled twin that
+// claims to come from the peer itself (replica and from() both set to the
+// destination).
+class SelfClaimingPrepareForger : public sim::OutboundInterceptor {
+ public:
+  explicit SelfClaimingPrepareForger(NodeId self) : self_(self) {}
+  sim::MessagePtr OnSend(NodeId /*from*/, NodeId to,
+                         const sim::MessagePtr& msg) override {
+    if (msg->type() != pbft::kPrepare || to == self_) return msg;
+    auto twin = std::make_shared<pbft::PrepareMsg>(
+        static_cast<const pbft::PrepareMsg&>(*msg));
+    twin->replica = to;
+    twin->sig.tag ^= 0xbad5eedULL;
+    twin->set_from(to);
+    ++forged_;
+    return twin;
+  }
+  std::uint64_t forged() const { return forged_; }
+
+ private:
+  NodeId self_;
+  std::uint64_t forged_ = 0;
+};
+
+TEST(LoopbackAuthTest, PeerTwinClaimingTheReceiverIsStillVerified) {
+  // Message::from() is whatever the wire copy says; only the scheduler's
+  // per-delivery sender tells a loopback copy from a forgery.
+  PbftCluster c(4, 1);
+  SelfClaimingPrepareForger forger(c.members[3]);
+  c.sim.SetInterceptor(c.members[3], &forger);
+  c.client->SubmitLocal(c.members[0], "op");
+  c.sim.RunFor(Seconds(1));
+  c.sim.SetInterceptor(c.members[3], nullptr);
+  EXPECT_EQ(c.client->completed(), 1u);
+  ASSERT_EQ(forger.forged(), 3u);
+  EXPECT_EQ(c.sim.counters().Get(obs::CounterId::kPbftBadSig), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(c.sim.recorder().node_counters(c.members[i]).Get(
+                  obs::CounterId::kPbftBadSig),
+              1u)
+        << "replica " << i;
+  }
+}
+
+TEST(LoopbackAuthTest, DuplicatedRelayedRequestIsStillMacCharged) {
+  // The client's request to a backup is duplicated on the wire. The backup
+  // relays the first copy to the primary, which re-stamps the shared
+  // message's from() with the backup's id; the second copy still came from
+  // the client and pays its MAC. The primary receives the relay twice.
+  auto run = [](double duplication) {
+    PbftCluster c(4, 1);
+    c.sim.faults().set_duplication_probability(duplication);
+    c.client->SubmitLocal(c.members[1], "via-backup");
+    c.sim.faults().set_duplication_probability(0.0);
+    c.sim.RunFor(Seconds(1));
+    EXPECT_EQ(c.client->completed(), 1u);
+    return std::make_pair(CryptoUs(c, c.members[1]), CryptoUs(c, c.members[0]));
+  };
+  const auto [backup_once, primary_once] = run(0.0);
+  const auto [backup_twice, primary_twice] = run(1.0);
+  const std::uint64_t mac = NodeCosts{}.mac_us;
+  EXPECT_EQ(backup_twice - backup_once, mac);
+  EXPECT_EQ(primary_twice - primary_once, mac);
 }
 
 // ------------------------------------------- stable vs fast-path differential
