@@ -35,9 +35,9 @@ core::NodeConfig ReadBenchConfig() {
   return cfg;
 }
 
-/// Like ReportCell, but through RunExperimentWithConfig (the tight
-/// checkpoint interval) and with an explicit arm tag in the cell name so
-/// the JSON validator can tell "fast" from "txn-path" apart.
+/// Runs one cell through RunExperimentWithConfig (the tight checkpoint
+/// interval) and names it with an explicit arm tag so the JSON validator
+/// can tell "fast" from "txn-path" apart.
 void ReportReadCell(benchmark::State& state, const app::WorkloadSpec& wl,
                     const char* arm) {
   app::DeploymentSpec dep = app::PaperDeployment(3);

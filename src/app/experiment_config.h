@@ -226,35 +226,6 @@ void ReportResult(State& state, std::string name,
   CollectedCells().push_back(std::move(cell));
 }
 
-/// Runs one experiment cell and publishes the figure's series as counters
-/// and as a collected JSON cell.
-template <class State>
-void ReportCell(State& state, Protocol proto, const DeploymentSpec& dep,
-                const WorkloadSpec& wl, const FaultSpec& faults = {},
-                const ObsSpec& obs = {}) {
-  ExperimentResult r;
-  for (auto _ : state) {
-    r = RunExperiment(proto, dep, wl, faults, obs);
-  }
-  std::ostringstream name;
-  name << ProtocolName(proto) << "/zones:" << dep.zones.size()
-       << "/f:" << dep.f << "/clients:" << wl.clients_per_zone
-       << "/global:" << std::lround(wl.mix.global_fraction * 100);
-  if (wl.mix.cross_cluster_fraction > 0) {
-    name << "/cross:" << std::lround(wl.mix.cross_cluster_fraction * 100);
-  }
-  if (wl.mix.read_fraction > 0) {
-    name << "/reads:" << std::lround(wl.mix.read_fraction * 100);
-    if (!wl.verified_reads) name << "/txn-path";
-    if (wl.causal) name << "/causal";
-  }
-  if (dep.num_clusters() > 1) name << "/clusters:" << dep.num_clusters();
-  if (faults.crashed_backups_per_zone > 0) {
-    name << "/crashed:" << faults.crashed_backups_per_zone;
-  }
-  ReportResult(state, name.str(), r);
-}
-
 /// Maps the simulator's message-type tags to critical-path phase labels
 /// ("pbft.prepare", "sync.accept", "tl.commit", ...). The obs layer cannot
 /// see protocol headers, so the app layer owns this mapping.

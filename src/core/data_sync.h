@@ -51,7 +51,7 @@ struct SyncConfig {
 
   /// Ablation: run the full PBFT prepare round in *every* endorsement
   /// instead of skipping it where the ballot is already fixed (the paper's
-  /// Section IV-B1 optimization). Benchmarked by bench_ablation.
+  /// Section IV-B1 optimization). Benchmarked by `bench_paper ablation`.
   bool always_full_prepare = false;
 
   /// Retention of decided ballot state: once a request has executed and

@@ -171,6 +171,57 @@ TEST(ExperimentSmokeTest, ClusteredZiziphusRun) {
   EXPECT_GT(r.local_ops + r.global_ops, 10u) << r.ToString();
 }
 
+// ---- Runs the paper bench's memo treats as one (bench/bench_paper.cc) ---
+
+WorkloadSpec MemoWorkload(int global_pct, int cross_pct = 0) {
+  WorkloadSpec wl;
+  wl.clients_per_zone = 10;
+  wl.warmup = Millis(200);
+  wl.measure = Millis(400);
+  wl.mix.global_fraction = global_pct / 100.0;
+  wl.mix.cross_cluster_fraction = cross_pct / 100.0;
+  return wl;
+}
+
+/// Equal modeled output at full precision.
+void ExpectSameRun(const ExperimentResult& a, const ExperimentResult& b) {
+  EXPECT_GT(a.local_ops + a.global_ops, 0u);
+  EXPECT_EQ(a.throughput_tps, b.throughput_tps);
+  EXPECT_EQ(a.avg_latency_ms, b.avg_latency_ms);
+  EXPECT_EQ(a.p50_ms, b.p50_ms);
+  EXPECT_EQ(a.p99_ms, b.p99_ms);
+  EXPECT_EQ(a.local_avg_ms, b.local_avg_ms);
+  EXPECT_EQ(a.global_avg_ms, b.global_avg_ms);
+  EXPECT_EQ(a.local_ops, b.local_ops);
+  EXPECT_EQ(a.global_ops, b.global_ops);
+  EXPECT_EQ(a.timeouts, b.timeouts);
+  EXPECT_EQ(a.messages_sent, b.messages_sent);
+  EXPECT_EQ(a.events_dispatched, b.events_dispatched);
+}
+
+TEST(BenchMemoTest, StewardAndFlatPbftIgnoreTheGlobalFraction) {
+  for (Protocol p : {Protocol::kSteward, Protocol::kFlatPbft}) {
+    SCOPED_TRACE(ProtocolName(p));
+    ExpectSameRun(RunExperiment(p, PaperDeployment(3), MemoWorkload(10)),
+                  RunExperiment(p, PaperDeployment(3), MemoWorkload(30)));
+  }
+}
+
+TEST(BenchMemoTest, OneClusterIgnoresTheCrossFraction) {
+  ExpectSameRun(RunExperiment(Protocol::kZiziphus, ClusteredDeployment(1),
+                              MemoWorkload(30, 10)),
+                RunExperiment(Protocol::kZiziphus, ClusteredDeployment(1),
+                              MemoWorkload(30, 50)));
+}
+
+TEST(BenchMemoTest, AblationOnArmIsTheDefaultConfig) {
+  ExpectSameRun(RunExperiment(Protocol::kZiziphus, PaperDeployment(3),
+                              MemoWorkload(10)),
+                RunExperimentWithConfig(Protocol::kZiziphus,
+                                        PaperDeployment(3), MemoWorkload(10),
+                                        DefaultNodeConfig()));
+}
+
 /// argv-style view over `args` (argv[0] is the program name).
 std::vector<char*> Argv(std::vector<std::string>& args) {
   std::vector<char*> argv;

@@ -278,6 +278,21 @@ TEST(ObsExperimentTest, SamplingReducesTraceCount) {
   // The sampling rate must not perturb the simulation itself.
   EXPECT_EQ(all.local_ops + all.global_ops,
             sampled.local_ops + sampled.global_ops);
+  // Nor may tracing at all (ObsSpec's contract): a traced run's modeled
+  // numbers equal the untraced run's at full precision.
+  app::ExperimentResult untraced = SmallTracedConfig().WithTracing(false).Run();
+  EXPECT_EQ(untraced.traces_completed, 0u);
+  EXPECT_EQ(all.throughput_tps, untraced.throughput_tps);
+  EXPECT_EQ(all.avg_latency_ms, untraced.avg_latency_ms);
+  EXPECT_EQ(all.p50_ms, untraced.p50_ms);
+  EXPECT_EQ(all.p99_ms, untraced.p99_ms);
+  EXPECT_EQ(all.local_avg_ms, untraced.local_avg_ms);
+  EXPECT_EQ(all.global_avg_ms, untraced.global_avg_ms);
+  EXPECT_EQ(all.local_ops, untraced.local_ops);
+  EXPECT_EQ(all.global_ops, untraced.global_ops);
+  EXPECT_EQ(all.timeouts, untraced.timeouts);
+  EXPECT_EQ(all.messages_sent, untraced.messages_sent);
+  EXPECT_EQ(all.events_dispatched, untraced.events_dispatched);
 }
 
 std::string ReadFile(const std::string& path) {
