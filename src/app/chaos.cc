@@ -141,13 +141,12 @@ std::size_t GenerateFaultTimeline(sim::FaultSchedule& schedule, Rng& rng,
   return schedule.size();
 }
 
-/// The Byzantine behaviours safe at <= f per zone. The equivocating engine
-/// is installed via the PBFT engine factory; the rest are outbound
-/// interceptors.
+/// The Byzantine behaviours safe at <= f per zone, each an outbound
+/// interceptor attached to its replica after Finalize.
 enum class ByzKind {
   kMutePrimary,
   kCommitWithhold,
-  kEquivocateEngine,
+  kEquivocatePrimary,
   kCorruptSignature,
   kStaleReplay,
   kLyingStateResponder,
@@ -167,7 +166,7 @@ const char* KindName(ByzKind k) {
   switch (k) {
     case ByzKind::kMutePrimary: return "mute-primary";
     case ByzKind::kCommitWithhold: return "commit-withhold";
-    case ByzKind::kEquivocateEngine: return "equivocating-primary";
+    case ByzKind::kEquivocatePrimary: return "equivocating-primary";
     case ByzKind::kCorruptSignature: return "corrupt-signature";
     case ByzKind::kStaleReplay: return "stale-cert-replay";
     case ByzKind::kLyingStateResponder: return "lying-state-responder";
@@ -268,31 +267,15 @@ ChaosReport RunZiziphusChaos(const ChaosOptions& opt) {
     cfg.pbft.checkpoint_interval = 2;
   }
 
-  // Equivocating engines must be installed at Init; the tweaker maps each
-  // node to its member index by counting registrations per zone.
-  std::map<ZoneId, std::size_t> next_index;
-  sys.Finalize(
-      cfg, [](ZoneId) { return std::make_unique<BankStateMachine>(); },
-      [&](NodeId /*id*/, ZoneId zone, core::NodeConfig& node_cfg) {
-        std::size_t idx = next_index[zone]++;
-        for (const ByzPick& p : roster) {
-          if (p.zone == zone && p.member_index == idx &&
-              p.kind == ByzKind::kEquivocateEngine) {
-            node_cfg.pbft_factory =
-                [](sim::Process* p, const crypto::KeyRegistry* k,
-                   pbft::PbftConfig c, pbft::StateMachine* s) {
-                  return std::make_unique<sim::EquivocatingPbftEngine>(
-                      p, k, std::move(c), s);
-                };
-          }
-        }
-      });
+  sys.Finalize(cfg,
+               [](ZoneId) { return std::make_unique<BankStateMachine>(); });
 
-  // --- Attach interceptor behaviours now that node ids are known. ---
+  // --- Attach the behaviours now that node ids are known. ---
   std::set<NodeId> byz_nodes;
   std::vector<std::unique_ptr<sim::ByzantineBehavior>> behaviors;
   for (const ByzPick& p : roster) {
-    NodeId id = sys.topology().zone(p.zone).members[p.member_index];
+    const std::vector<NodeId>& members = sys.topology().zone(p.zone).members;
+    NodeId id = members[p.member_index];
     byz_nodes.insert(id);
     std::ostringstream entry;
     entry << "node " << id << " (zone " << p.zone
@@ -306,8 +289,10 @@ ChaosReport RunZiziphusChaos(const ChaosOptions& opt) {
       case ByzKind::kCommitWithhold:
         b = std::make_unique<sim::CommitWithholdingBehavior>(&sys.sim(), id);
         break;
-      case ByzKind::kEquivocateEngine:
-        break;  // engine-level, installed via the factory above
+      case ByzKind::kEquivocatePrimary:
+        b = std::make_unique<sim::EquivocatingPrimaryBehavior>(
+            &sys.sim(), id, &sys.keys(), members);
+        break;
       case ByzKind::kCorruptSignature:
         b = std::make_unique<sim::CorruptSignatureBehavior>(&sys.sim(), id);
         break;
@@ -334,10 +319,8 @@ ChaosReport RunZiziphusChaos(const ChaosOptions& opt) {
             &sys.sim(), id, "31337");
         break;
     }
-    if (b != nullptr) {
-      b->Attach();
-      behaviors.push_back(std::move(b));
-    }
+    b->Attach();
+    behaviors.push_back(std::move(b));
   }
 
   // --- Clients + conservation bookkeeping. ---

@@ -33,7 +33,7 @@ struct SoakOptions {
   std::size_t writer_record_window = 64;
   /// Zone-hopping migrators; each is bootstrapped with
   /// `migrator_records` data records so migrations carry real state
-  /// (exercising the chunked path when it exceeds chunk_records).
+  /// (exercising the chunked path when it exceeds core::kChunkRecords).
   std::size_t migrators = 2;
   std::size_t migrator_records = 200;
   std::size_t migrations_per_client = 6;

@@ -1,7 +1,6 @@
 #ifndef ZIZIPHUS_BASELINES_PBFT_PROCESS_H_
 #define ZIZIPHUS_BASELINES_PBFT_PROCESS_H_
 
-#include <functional>
 #include <memory>
 
 #include "pbft/engine.h"
@@ -14,22 +13,14 @@ namespace ziziphus::baselines {
 /// processing every transaction) and by the PBFT unit tests.
 class PbftReplicaProcess : public sim::Process {
  public:
-  /// Builds the replica's engine; tests pass one to run a Byzantine
-  /// PbftEngine subclass on selected replicas.
-  using EngineFactory = std::function<std::unique_ptr<pbft::PbftEngine>(
-      sim::Process*, const crypto::KeyRegistry*, pbft::PbftConfig,
-      pbft::StateMachine*)>;
-
   PbftReplicaProcess() = default;
 
   /// Two-phase init after registration (NodeIds must exist for `config`).
   void Init(const crypto::KeyRegistry* keys, pbft::PbftConfig config,
-            std::unique_ptr<pbft::StateMachine> app,
-            const EngineFactory& factory = nullptr) {
+            std::unique_ptr<pbft::StateMachine> app) {
     app_ = std::move(app);
-    engine_ = factory ? factory(this, keys, std::move(config), app_.get())
-                      : std::make_unique<pbft::PbftEngine>(
-                            this, keys, std::move(config), app_.get());
+    engine_ = std::make_unique<pbft::PbftEngine>(this, keys,
+                                                 std::move(config), app_.get());
   }
 
   pbft::PbftEngine& engine() { return *engine_; }

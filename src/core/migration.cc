@@ -132,7 +132,7 @@ void MigrationEngine::OnGlobalExecuted(const MigrationOp& op, Ballot ballot) {
     // Wait for the STATE message; probe the source zone if it never comes
     // ("the data migration protocol handles failure in the same way for
     // state messages" — Section V-A).
-    ArmStateWait(id, *st.live, config_.state_wait_timeout_us);
+    ArmStateWait(id, *st.live, kStateWaitTimeout);
   }
 }
 
@@ -156,7 +156,7 @@ void MigrationEngine::ShipState(MigState& st) {
   const std::shared_ptr<const StateTransferMsg>& msg = st.state_msg;
   const auto& members = topology_->zone(st.live->op.destination).members;
   const storage::KvStore::Map& records = RecordsOf(msg->records);
-  if (config_.chunk_records == 0 || records.size() <= config_.chunk_records) {
+  if (records.size() <= kChunkRecords) {
     process_->ChargeCpu(config_.costs.send_us * members.size());
     process_->scoped_counters().Inc(obs::CounterId::kMigStatesSent);
     process_->Multicast(members, msg);
@@ -174,7 +174,7 @@ void MigrationEngine::ShipState(MigState& st) {
   manifest->cert = msg->cert;
   std::vector<std::shared_ptr<MigrationChunkMsg>> chunks;
   for (const auto& [k, v] : records) {
-    if (chunks.empty() || chunks.back()->records.size() >= config_.chunk_records) {
+    if (chunks.empty() || chunks.back()->records.size() >= kChunkRecords) {
       auto chunk = std::make_shared<MigrationChunkMsg>();
       chunk->request_id = msg->request_id;
       chunk->index = static_cast<std::uint32_t>(chunks.size());
@@ -281,7 +281,7 @@ void MigrationEngine::HandleTimer(const sim::TimerTag& tag) {
   if (++live.wait_rounds < 64) {
     std::uint64_t mult = std::min<std::uint64_t>(
         1ULL << std::min(live.wait_rounds, 3), 8ULL);
-    ArmStateWait(id, live, config_.state_wait_timeout_us * mult);
+    ArmStateWait(id, live, kStateWaitTimeout * mult);
   }
 }
 
@@ -640,7 +640,7 @@ void MigrationEngine::RestoreFromDurable() {
     } else if (my_zone_ == marker.destination) {
       // Mid-migration at the destination: resume waiting for STATE with a
       // fresh probe timer (Section V-A failure handling).
-      ArmStateWait(id, *st.live, config_.state_wait_timeout_us);
+      ArmStateWait(id, *st.live, kStateWaitTimeout);
     } else if (st.state_msg != nullptr) {
       // Source with a certified STATE: finished, kept for late probes.
       Retire(id, st, /*appended=*/false);

@@ -17,15 +17,17 @@
 
 namespace ziziphus::core {
 
+/// How long destination-zone nodes wait for the STATE message before
+/// probing the source zone with response-queries.
+inline constexpr Duration kStateWaitTimeout = Seconds(2);
+
+/// Records per chunk of a streamed STATE transfer. A client whose record
+/// set fits in one chunk ships as the classic single StateTransferMsg;
+/// larger states stream as a manifest plus per-chunk slices so one giant
+/// message never monopolizes the inter-zone link.
+inline constexpr std::size_t kChunkRecords = 64;
+
 struct MigrationConfig {
-  /// How long destination-zone nodes wait for the STATE message before
-  /// probing the source zone with response-queries.
-  Duration state_wait_timeout_us = Seconds(2);
-  /// Records per chunk of a streamed STATE transfer. A client whose record
-  /// set fits in one chunk ships as the classic single StateTransferMsg;
-  /// larger states stream as a manifest plus per-chunk slices so one giant
-  /// message never monopolizes the inter-zone link.
-  std::size_t chunk_records = 64;
   NodeCosts costs;
 };
 

@@ -25,10 +25,8 @@ void ZiziphusNode::Init(const crypto::KeyRegistry* keys,
 void ZiziphusNode::BuildEngines() {
   const ZoneInfo& zi = topology_->zone(zone_);
 
-  pbft_ = config_.pbft_factory
-              ? config_.pbft_factory(this, keys_, config_.pbft, app_.get())
-              : std::make_unique<pbft::PbftEngine>(this, keys_, config_.pbft,
-                                                   app_.get());
+  pbft_ = std::make_unique<pbft::PbftEngine>(this, keys_, config_.pbft,
+                                             app_.get());
 
   ZoneEndorser::Callbacks cbs;
   cbs.validate = [this](const EndorsePrePrepareMsg& pp) {

@@ -19,14 +19,6 @@
 
 namespace ziziphus::core {
 
-/// Builds the local PBFT engine for one replica. Lets chaos tests
-/// substitute a Byzantine PbftEngine subclass on selected replicas: the
-/// factory sees the host process and can key off process->id(). A null
-/// factory means the stock engine.
-using PbftEngineFactory = std::function<std::unique_ptr<pbft::PbftEngine>(
-    sim::Process* process, const crypto::KeyRegistry* keys,
-    pbft::PbftConfig config, pbft::StateMachine* state_machine)>;
-
 /// Rebuilds a node's application state machine from scratch after an
 /// amnesia crash (Finalize wires the system's AppFactory here). Null means
 /// recovery keeps the pre-crash application object, modeling an app whose
@@ -42,7 +34,6 @@ struct NodeConfig {
   PolicyConfig policy;
   /// Enables lazy checkpoint sharing across zones (Section V-B).
   bool lazy_sync = true;
-  PbftEngineFactory pbft_factory;
   NodeAppFactory app_factory;
   /// System-wide ballot -> executed-request record (ZiziphusSystem's);
   /// null leaves executions unreported.

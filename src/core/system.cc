@@ -3,8 +3,7 @@
 namespace ziziphus::core {
 
 void ZiziphusSystem::Finalize(const NodeConfig& config,
-                              const AppFactory& app_factory,
-                              const NodeConfigTweaker& tweak) {
+                              const AppFactory& app_factory) {
   Build([&](ZiziphusNode& node, ZoneId zone) {
     NodeConfig node_config = config;
     node_config.ledger = &ledger_;
@@ -13,7 +12,6 @@ void ZiziphusSystem::Finalize(const NodeConfig& config,
       // factory Finalize used here.
       node_config.app_factory = app_factory;
     }
-    if (tweak) tweak(node.id(), zone, node_config);
     node.Init(&keys(), &topology(), zone, app_factory(zone),
               std::move(node_config));
   });

@@ -144,14 +144,8 @@ class ZiziphusSystem : public Deployment<ZiziphusNode> {
  public:
   using Deployment::Deployment;
 
-  /// Called per replica just before Init; may tweak the node's config
-  /// (e.g. install a Byzantine PBFT engine factory on selected nodes).
-  using NodeConfigTweaker =
-      std::function<void(NodeId id, ZoneId zone, NodeConfig& config)>;
-
   /// Creates, registers and initializes every replica.
-  void Finalize(const NodeConfig& config, const AppFactory& app_factory,
-                const NodeConfigTweaker& tweak = nullptr);
+  void Finalize(const NodeConfig& config, const AppFactory& app_factory);
 
   /// Ballot -> executed-request record every node reports to.
   const ExecutionLedger& ledger() const { return ledger_; }

@@ -31,6 +31,14 @@ enum class Ordering {
   kFastPath = 2,
 };
 
+/// High-watermark window above the last stable checkpoint: a primary
+/// proposes, and a backup accepts, only sequence numbers within it.
+inline constexpr SeqNum kWatermarkWindow = 2048;
+
+/// Unanswered state-transfer retries before the transfer is abandoned (see
+/// PbftConfig::state_transfer_backoff_cap_us).
+inline constexpr std::size_t kStateTransferMaxAttempts = 8;
+
 /// Static configuration of one PBFT group (3f+1 replicas).
 struct PbftConfig {
   /// Replica node ids; position in this vector is the replica index used for
@@ -59,16 +67,12 @@ struct PbftConfig {
 
   /// State-transfer retry policy: an unanswered StateRequest is re-sent to
   /// a rotated peer after a capped, deterministically jittered backoff
-  /// (PbftEngine::StateTransferBackoff); after `state_transfer_max_attempts`
+  /// (PbftEngine::StateTransferBackoff); after kStateTransferMaxAttempts
   /// retries the transfer is abandoned so a later, larger target can start.
   Duration state_transfer_backoff_cap_us = Seconds(4);
-  std::size_t state_transfer_max_attempts = 8;
 
   /// Checkpoint every this many sequence numbers.
   SeqNum checkpoint_interval = 128;
-
-  /// High-watermark window above the last stable checkpoint.
-  SeqNum watermark_window = 2048;
 
   /// Checkpoint-anchored retention: at every stable checkpoint, trim the
   /// commit log / WAL / prepared proofs below the low-water mark and evict

@@ -108,50 +108,46 @@ void PbftEngine::HandleTimer(const sim::TimerTag& tag) {
       break;
     case kProgressTimer:
       progress_timer_ = 0;
-      if (view_changes_enabled_) {
-        process_->scoped_counters().Inc(obs::CounterId::kPbftProgressTimeout);
-        if (pending_transfer_seq_ != 0) {
-          // A state transfer is in flight: the stall is our own lag, not
-          // the primary's fault. Escalating to a view change here runs the
-          // view number away from the zone (nobody joins a laggard's solo
-          // view change) — keep watching instead.
-          ArmProgressTimer();
-        } else if (catch_up_abandoned_ && catch_up_retry_budget_ > 0) {
-          // The last catch-up burned all its attempts (peers could not
-          // serve the sequence yet). Spend a retry cycle before blaming
-          // the primary: the zone may only now have advanced far enough.
-          --catch_up_retry_budget_;
-          catch_up_abandoned_ = false;
-          StartCatchUp(last_executed_ + 1);
+      process_->scoped_counters().Inc(obs::CounterId::kPbftProgressTimeout);
+      if (pending_transfer_seq_ != 0) {
+        // A state transfer is in flight: the stall is our own lag, not
+        // the primary's fault. Escalating to a view change here runs the
+        // view number away from the zone (nobody joins a laggard's solo
+        // view change) — keep watching instead.
+        ArmProgressTimer();
+      } else if (catch_up_abandoned_ && catch_up_retry_budget_ > 0) {
+        // The last catch-up burned all its attempts (peers could not
+        // serve the sequence yet). Spend a retry cycle before blaming
+        // the primary: the zone may only now have advanced far enough.
+        --catch_up_retry_budget_;
+        catch_up_abandoned_ = false;
+        StartCatchUp(last_executed_ + 1);
+        ArmProgressTimer();
+      } else {
+        // Fast-path fallback grace, scoped to the slot actually stalling
+        // execution: if the next slot to execute fell back, the fallback
+        // is the remedy for this stall (the classic rounds are making
+        // progress) and demanding a view change on top would amplify one
+        // missing fast vote into a primary replacement. Each slot buys at
+        // most one grace cycle, and fallbacks on *other* slots buy
+        // nothing — a stream of fallback-provoking pre-prepares from a
+        // faulty primary cannot keep renewing grace for an unrelated
+        // wedge.
+        auto hit = slots_.find(last_executed_ + 1);
+        if (hit != slots_.end() && hit->second.fast_fallback &&
+            !hit->second.committed && !hit->second.fast_grace_spent) {
+          hit->second.fast_grace_spent = true;
+          process_->scoped_counters().Inc(
+              obs::CounterId::kPbftFallbackGraces);
           ArmProgressTimer();
         } else {
-          // Fast-path fallback grace, scoped to the slot actually stalling
-          // execution: if the next slot to execute fell back, the fallback
-          // is the remedy for this stall (the classic rounds are making
-          // progress) and demanding a view change on top would amplify one
-          // missing fast vote into a primary replacement. Each slot buys at
-          // most one grace cycle, and fallbacks on *other* slots buy
-          // nothing — a stream of fallback-provoking pre-prepares from a
-          // faulty primary cannot keep renewing grace for an unrelated
-          // wedge.
-          auto hit = slots_.find(last_executed_ + 1);
-          if (hit != slots_.end() && hit->second.fast_fallback &&
-              !hit->second.committed && !hit->second.fast_grace_spent) {
-            hit->second.fast_grace_spent = true;
-            process_->scoped_counters().Inc(
-                obs::CounterId::kPbftFallbackGraces);
-            ArmProgressTimer();
-          } else {
-            StartViewChange(view_ + 1);
-          }
+          StartViewChange(view_ + 1);
         }
       }
       break;
     case kViewChangeTimer:
       view_change_timer_ = 0;
-      if (view_changes_enabled_ && !view_active_) {
-        StartViewChange(view_ + 1);
-      }
+      if (!view_active_) StartViewChange(view_ + 1);
       break;
     case kStateTransferTimer:
       state_transfer_timer_ = 0;
@@ -190,7 +186,7 @@ void PbftEngine::HandleClientRequest(
   if (it != clients_.end() &&
       msg->op.timestamp <= it->second.last_executed_ts) {
     // Replay: resend the cached reply (exactly-once semantics).
-    if (send_replies_ && msg->op.timestamp == it->second.last_executed_ts) {
+    if (msg->op.timestamp == it->second.last_executed_ts) {
       std::shared_ptr<ClientReplyMsg> reply = it->second.last_reply;
       if (reply == nullptr) {
         // The cached reply was evicted at a stable checkpoint. The client
@@ -330,7 +326,7 @@ void PbftEngine::MaybeProposeBatch(bool timer_fired) {
 
 void PbftEngine::ProposeBatch(Batch batch) {
   SeqNum seq = std::max(next_seq_, stable_seq_) + 1;
-  if (seq > stable_seq_ + config_.watermark_window) {
+  if (seq > stable_seq_ + kWatermarkWindow) {
     // Out of window: requeue and wait for checkpoints to advance.
     for (auto& op : batch.ops) pending_.push_back(std::move(op));
     return;
@@ -358,10 +354,6 @@ void PbftEngine::ProposeBatch(Batch batch) {
   process_->ChargeCrypto(config_.costs.crypto.sign_us);
   process_->ChargeCpu(config_.costs.send_us * config_.members.size());
   process_->scoped_counters().Inc(obs::CounterId::kPbftBatchesProposed);
-  EmitPrePrepare(msg);
-}
-
-void PbftEngine::EmitPrePrepare(const std::shared_ptr<PrePrepareMsg>& msg) {
   process_->Multicast(config_.members, msg);
 }
 
@@ -378,7 +370,7 @@ void PbftEngine::HandlePrePrepare(
     return;
   }
   if (msg->seq <= stable_seq_ ||
-      msg->seq > stable_seq_ + config_.watermark_window) {
+      msg->seq > stable_seq_ + kWatermarkWindow) {
     process_->scoped_counters().Inc(obs::CounterId::kPbftOutOfWindow);
     return;
   }
@@ -388,7 +380,7 @@ void PbftEngine::HandlePrePrepare(
       // Equivocating primary: keep the first, suspect the primary.
       process_->scoped_counters().Inc(
           obs::CounterId::kPbftEquivocationDetected);
-      if (view_changes_enabled_) StartViewChange(view_ + 1);
+      StartViewChange(view_ + 1);
     }
     return;
   }
@@ -761,7 +753,7 @@ void PbftEngine::ExecuteOp(SeqNum seq, const Operation& op) {
   if (durable_ != nullptr && op.client != kInvalidClient) {
     durable_->client_ts[op.client] = op.timestamp;
   }
-  if (send_replies_ && op.client != kInvalidClient) {
+  if (op.client != kInvalidClient) {
     auto reply = std::make_shared<ClientReplyMsg>();
     reply->view = view_;
     reply->timestamp = op.timestamp;
@@ -1006,7 +998,7 @@ void PbftEngine::CancelStateTransferRetry() {
 
 void PbftEngine::OnStateTransferTimer() {
   if (pending_transfer_seq_ == 0) return;
-  if (++state_transfer_attempts_ > config_.state_transfer_max_attempts) {
+  if (++state_transfer_attempts_ > kStateTransferMaxAttempts) {
     // Abandon the target so the pending_transfer_seq_ guard cannot wedge a
     // later transfer toward a newer stable point. The flag lets the next
     // progress timeout spend a retry cycle instead of a view change.
@@ -1245,7 +1237,7 @@ bool PbftEngine::ApplyDelta(const StateResponseMsg& msg) {
         RequestTimestamp& d = durable_->client_ts[op->client];
         d = std::max(d, op->timestamp);
       }
-      if (send_replies_ && op->client != kInvalidClient) {
+      if (op->client != kInvalidClient) {
         auto reply = std::make_shared<ClientReplyMsg>();
         reply->view = view_;
         reply->timestamp = op->timestamp;
@@ -1278,7 +1270,6 @@ bool PbftEngine::ApplyDelta(const StateResponseMsg& msg) {
 // ------------------------------------------------------------ view change
 
 void PbftEngine::ArmProgressTimer() {
-  if (!view_changes_enabled_) return;
   if (progress_timer_ != 0) process_->CancelTimer(progress_timer_);
   // The fast-path ordering tracks the observed commit latency instead of
   // the fixed configured timeout: suspicion fires sooner on a healthy zone and
@@ -1403,8 +1394,7 @@ void PbftEngine::HandleViewChange(
   }
 
   // Liveness rule: join a view change once f+1 replicas demand it.
-  if (view_changes_enabled_ && votes.size() >= config_.f + 1 &&
-      msg->new_view > view_) {
+  if (votes.size() >= config_.f + 1 && msg->new_view > view_) {
     StartViewChange(msg->new_view);
   }
   MaybeSendNewView(msg->new_view);

@@ -35,7 +35,7 @@ namespace ziziphus::pbft {
 /// to run a PBFT engine for local transactions next to the global protocol
 /// engines on one core, and allows the flat-PBFT baseline to reuse the
 /// identical implementation.
-class PbftEngine {
+class PbftEngine final {
  public:
   /// Called after an operation executes, with its global slot and result.
   using ExecutedCallback =
@@ -50,7 +50,6 @@ class PbftEngine {
 
   PbftEngine(sim::Process* process, const crypto::KeyRegistry* keys,
              PbftConfig config, StateMachine* state_machine);
-  virtual ~PbftEngine() = default;
 
   PbftEngine(const PbftEngine&) = delete;
   PbftEngine& operator=(const PbftEngine&) = delete;
@@ -111,12 +110,8 @@ class PbftEngine {
   /// complete a quorum bumps the demanded view again, and the zone's live
   /// replicas run away from each other.
   void SuspectPrimary() {
-    if (view_changes_enabled_ && view_active_) StartViewChange(view_ + 1);
+    if (view_active_) StartViewChange(view_ + 1);
   }
-
-  /// When false, the engine does not send ClientReply messages (engines
-  /// layered on top of PBFT handle their own replies).
-  void set_send_replies(bool v) { send_replies_ = v; }
 
   /// View-change retransmission delay for the given attempt: exponential
   /// doubling capped at config.view_change_backoff_cap_us, plus a
@@ -126,9 +121,6 @@ class PbftEngine {
   static Duration ViewChangeBackoff(const PbftConfig& config,
                                     std::uint64_t attempt, NodeId replica,
                                     ViewId view);
-
-  /// Disables the progress timer (used in micro-benchmarks).
-  void set_view_changes_enabled(bool v) { view_changes_enabled_ = v; }
 
   /// State-transfer retry delay for the given attempt: same shape as
   /// ViewChangeBackoff (doubling capped at
@@ -196,14 +188,6 @@ class PbftEngine {
     }
   };
   RetentionStats retention() const;
-
- protected:
-  // Virtual so Byzantine test doubles can misbehave in controlled ways.
-  virtual void EmitPrePrepare(const std::shared_ptr<PrePrepareMsg>& msg);
-
-  sim::Process* process_;
-  const crypto::KeyRegistry* keys_;
-  PbftConfig config_;
 
  private:
   struct Slot {
@@ -327,12 +311,13 @@ class PbftEngine {
   void MaybeSendNewView(ViewId v);
   void EnterNewView(const std::shared_ptr<const NewViewMsg>& msg);
 
+  sim::Process* process_;
+  const crypto::KeyRegistry* keys_;
+  PbftConfig config_;
   StateMachine* state_machine_;
   ExecutedCallback executed_callback_;
   StableCheckpointCallback stable_checkpoint_callback_;
   ViewCallback view_callback_;
-  bool send_replies_ = true;
-  bool view_changes_enabled_ = true;
 
   ViewId view_ = 0;
   bool view_active_ = true;

@@ -1,5 +1,6 @@
 #include "sim/byzantine.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/hash.h"
@@ -31,35 +32,30 @@ MessagePtr CommitWithholdingBehavior::OnSend(NodeId /*from*/, NodeId to,
 
 // ------------------------------------------------------------- equivocation
 
-std::shared_ptr<pbft::PrePrepareMsg> ForgeConflictingPrePrepare(
-    const pbft::PrePrepareMsg& original, const crypto::KeyRegistry& keys,
-    NodeId signer) {
-  auto forged = std::make_shared<pbft::PrePrepareMsg>(original);
-  pbft::Operation noop;
-  noop.client = kInvalidClient;
-  noop.timestamp = original.seq;
-  noop.command = "byz-noop";
-  forged->batch.ops.push_back(noop);
-  forged->batch_digest = forged->batch.ComputeDigest();
-  forged->sig = keys.Sign(signer, forged->digest());
-  return forged;
-}
-
 MessagePtr EquivocatingPrimaryBehavior::OnSend(NodeId from, NodeId to,
                                                const MessagePtr& msg) {
   if (msg->type() != pbft::kPrePrepare) return msg;
-  // Second half of the destination id space gets the conflicting twin.
-  if (to % 2 == 0) return msg;
-  const auto* pp = static_cast<const pbft::PrePrepareMsg*>(msg.get());
-  auto key = std::make_pair(pp->view, pp->seq);
-  auto it = forged_.find(key);
-  if (it == forged_.end()) {
-    auto twin = ForgeConflictingPrePrepare(*pp, *keys_, from);
-    twin->set_from(from);
-    sim_->counters().Inc(obs::CounterId::kByzEquivocationsEmitted);
-    it = forged_.emplace(key, std::move(twin)).first;
+  // The first ceil(n/2) members by index get the truth, the rest the twin.
+  auto index = static_cast<std::size_t>(
+      std::find(members_.begin(), members_.end(), to) - members_.begin());
+  if (index < (members_.size() + 1) / 2) return msg;
+  if (msg != last_original_) {
+    // Same (view, seq), batch extended with a forged no-op, re-signed.
+    auto twin = std::make_shared<pbft::PrePrepareMsg>(
+        static_cast<const pbft::PrePrepareMsg&>(*msg));
+    pbft::Operation noop;
+    noop.client = kInvalidClient;
+    noop.timestamp = twin->seq;
+    noop.command = "byz-noop";
+    twin->batch.ops.push_back(noop);
+    twin->batch_digest = twin->batch.ComputeDigest();
+    twin->sig = keys_->Sign(from, twin->digest());
+    last_original_ = msg;
+    last_twin_ = std::move(twin);
+    sim_->recorder().node_counters(self_).Inc(
+        obs::CounterId::kByzEquivocationsEmitted);
   }
-  return it->second;
+  return last_twin_;
 }
 
 MessagePtr FastVoteEquivocatingBehavior::OnSend(NodeId from, NodeId to,
@@ -92,22 +88,6 @@ MessagePtr FastVoteWithholdingBehavior::OnSend(NodeId /*from*/, NodeId to,
     return nullptr;
   }
   return msg;
-}
-
-void EquivocatingPbftEngine::EmitPrePrepare(
-    const std::shared_ptr<pbft::PrePrepareMsg>& msg) {
-  const std::vector<NodeId>& members = config_.members;
-  auto forged =
-      ForgeConflictingPrePrepare(*msg, *keys_, process_->id());
-  equivocations_++;
-  process_->scoped_counters().Inc(obs::CounterId::kByzEquivocationsEmitted);
-  std::vector<NodeId> truth_half, lie_half;
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    (i < (members.size() + 1) / 2 ? truth_half : lie_half)
-        .push_back(members[i]);
-  }
-  process_->Multicast(truth_half, msg);
-  process_->Multicast(lie_half, forged);
 }
 
 // ------------------------------------------------------- signature garbling

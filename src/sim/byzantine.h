@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "crypto/signature.h"
-#include "pbft/engine.h"
 #include "pbft/messages.h"
 #include "sim/simulation.h"
 
@@ -68,24 +67,32 @@ class CommitWithholdingBehavior : public ByzantineBehavior {
   MessagePtr OnSend(NodeId from, NodeId to, const MessagePtr& msg) override;
 };
 
-/// An equivocating primary: splits each pre-prepare's destinations in two
-/// and sends the second half a conflicting batch (the original plus a
-/// forged no-op), correctly signed. Honest replicas prepare different
-/// digests for one slot, the slot cannot gather a commit quorum in the
-/// equivocating view, and the zone recovers via view change. This is the
-/// interceptor twin of EquivocatingPbftEngine below.
+/// An equivocating primary: splits each pre-prepare's destinations by
+/// member index — the first ceil(n/2) members of the zone get the true
+/// batch, the rest a conflicting twin (the original plus a forged no-op),
+/// correctly signed. Honest replicas prepare different digests for one
+/// slot, the slot cannot gather a commit quorum in the equivocating view,
+/// and the zone recovers via view change. Harmless when the node is not
+/// primary. Each forgery counts byz.equivocations_emitted once, in the
+/// sender's node scope.
 class EquivocatingPrimaryBehavior : public ByzantineBehavior {
  public:
   EquivocatingPrimaryBehavior(Simulation* sim, NodeId self,
-                              const crypto::KeyRegistry* keys)
-      : ByzantineBehavior(sim, self), keys_(keys) {}
+                              const crypto::KeyRegistry* keys,
+                              std::vector<NodeId> members)
+      : ByzantineBehavior(sim, self),
+        keys_(keys),
+        members_(std::move(members)) {}
   const char* name() const override { return "equivocating-primary"; }
   MessagePtr OnSend(NodeId from, NodeId to, const MessagePtr& msg) override;
 
  private:
   const crypto::KeyRegistry* keys_;
-  /// One forged twin per (view, seq) so every victim sees the same lie.
-  std::map<std::pair<ViewId, SeqNum>, MessagePtr> forged_;
+  std::vector<NodeId> members_;
+  /// The last pre-prepare forged and its twin: a multicast hands every
+  /// destination the same original, so every victim sees the same lie.
+  MessagePtr last_original_;
+  MessagePtr last_twin_;
 };
 
 /// A replica whose signatures never verify: every signed PBFT vote it emits
@@ -238,37 +245,6 @@ class FastVoteWithholdingBehavior : public ByzantineBehavior {
  private:
   std::uint64_t suppressed_ = 0;
 };
-
-/// Engine-level equivocator: a PbftEngine subclass overriding the virtual
-/// EmitPrePrepare hook so that, as primary, it signs and sends two
-/// conflicting pre-prepares for the same (view, seq) — the original batch
-/// to the first half of the zone, a forged extension to the second half.
-/// Install via the engine-factory hooks (core::NodeConfig::pbft_factory or
-/// baselines::PbftReplicaProcess::Init).
-class EquivocatingPbftEngine : public pbft::PbftEngine {
- public:
-  EquivocatingPbftEngine(sim::Process* process,
-                         const crypto::KeyRegistry* keys,
-                         pbft::PbftConfig config,
-                         pbft::StateMachine* state_machine)
-      : PbftEngine(process, keys, std::move(config), state_machine) {}
-
-  std::uint64_t equivocations() const { return equivocations_; }
-
- protected:
-  void EmitPrePrepare(
-      const std::shared_ptr<pbft::PrePrepareMsg>& msg) override;
-
- private:
-  std::uint64_t equivocations_ = 0;
-};
-
-/// Builds the conflicting twin of a pre-prepare: same (view, seq), batch
-/// extended with a forged no-op, re-signed by `signer`. Shared by the
-/// interceptor and the engine subclass.
-std::shared_ptr<pbft::PrePrepareMsg> ForgeConflictingPrePrepare(
-    const pbft::PrePrepareMsg& original, const crypto::KeyRegistry& keys,
-    NodeId signer);
 
 }  // namespace ziziphus::sim
 

@@ -227,10 +227,10 @@ TEST(ByzantineBehaviorTest, CorruptSignaturesAreDroppedNotFatal) {
 }
 
 TEST(ByzantineBehaviorTest, EquivocatingEngineStallsSlotUntilViewChange) {
-  // Replica 0 runs the Byzantine engine subclass: as primary it sends the
-  // first half of the zone the true batch and the second half a forged
-  // twin. Neither digest can reach a commit quorum in view 0; the zone
-  // recovers by electing an honest primary.
+  // Replica 0 equivocates as primary: the first half of the zone gets the
+  // true batch, the second half a forged twin. Neither digest can reach a
+  // commit quorum in view 0; the zone recovers by electing an honest
+  // primary.
   crypto::KeyRegistry keys(0x5eedc0deULL ^ 11);
   sim::Simulation s(11, sim::LatencyModel::Uniform(1, 1000));
   std::vector<std::unique_ptr<baselines::PbftReplicaProcess>> replicas;
@@ -244,18 +244,11 @@ TEST(ByzantineBehaviorTest, EquivocatingEngineStallsSlotUntilViewChange) {
   base.members = members;
   base.f = 1;
   base.request_timeout_us = Millis(250);
-  for (std::size_t i = 0; i < replicas.size(); ++i) {
-    baselines::PbftReplicaProcess::EngineFactory factory = nullptr;
-    if (i == 0) {
-      factory = [](sim::Process* p, const crypto::KeyRegistry* k,
-                   pbft::PbftConfig cfg, pbft::StateMachine* sm) {
-        return std::make_unique<sim::EquivocatingPbftEngine>(
-            p, k, std::move(cfg), sm);
-      };
-    }
-    replicas[i]->Init(&keys, base, std::make_unique<pbft::EchoStateMachine>(),
-                      factory);
+  for (auto& rep : replicas) {
+    rep->Init(&keys, base, std::make_unique<pbft::EchoStateMachine>());
   }
+  sim::EquivocatingPrimaryBehavior twin(&s, members[0], &keys, members);
+  twin.Attach();
   TestClient client(&keys, 1);
   s.Register(&client, 0);
   client.EnableRetry(members, Millis(500));
@@ -266,9 +259,10 @@ TEST(ByzantineBehaviorTest, EquivocatingEngineStallsSlotUntilViewChange) {
   EXPECT_EQ(client.completed(), 1u);
   EXPECT_GE(s.counters().Get(obs::CounterId::kByzEquivocationsEmitted), 1u);
   EXPECT_GE(s.counters().Get(obs::CounterId::kPbftNewViewsEntered), 1u);
-  auto& byz =
-      static_cast<sim::EquivocatingPbftEngine&>(replicas[0]->engine());
-  EXPECT_GE(byz.equivocations(), 1u);
+  // The forgery is counted in the equivocating primary's own node scope.
+  const CounterSet* primary = s.recorder().FindNodeCounters(members[0]);
+  ASSERT_NE(primary, nullptr);
+  EXPECT_GE(primary->Get(obs::CounterId::kByzEquivocationsEmitted), 1u);
   // Honest replicas that executed agree on the state.
   std::set<std::uint64_t> digests;
   for (std::size_t i = 1; i < replicas.size(); ++i) {
@@ -282,7 +276,8 @@ TEST(ByzantineBehaviorTest, EquivocatingInterceptorForgesPerDestination) {
   pbft::PbftConfig base;
   base.request_timeout_us = Millis(250);
   PbftCluster c(4, 1, /*seed=*/5, /*one_way_us=*/1000, base);
-  sim::EquivocatingPrimaryBehavior twin(&c.sim, c.members[0], &c.keys);
+  sim::EquivocatingPrimaryBehavior twin(&c.sim, c.members[0], &c.keys,
+                                        c.members);
   twin.Attach();
   c.client->EnableRetry(c.members, Millis(500));
   c.client->SubmitLocal(c.members[0], "op");

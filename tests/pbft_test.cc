@@ -1,4 +1,8 @@
+#include <algorithm>
+#include <memory>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "pbft/engine.h"
@@ -251,63 +255,51 @@ TEST(StateTransferBackoffTest, CapBelowBaseClampsToBase) {
   }
 }
 
-// A Byzantine primary that sends different batches to different replicas.
-class EquivocatingEngine : public pbft::PbftEngine {
+// A Byzantine primary that sends different batches to different replicas:
+// the honest pre-prepare to even member indices, a doctored one (same seq,
+// different contents) to odd ones.
+class DoctoredBatchInterceptor : public sim::OutboundInterceptor {
  public:
-  using PbftEngine::PbftEngine;
+  DoctoredBatchInterceptor(const crypto::KeyRegistry* keys,
+                           std::vector<NodeId> members)
+      : keys_(keys), members_(std::move(members)) {}
 
- protected:
-  void EmitPrePrepare(
-      const std::shared_ptr<pbft::PrePrepareMsg>& msg) override {
-    // Send the honest batch to half the replicas and a doctored one (same
-    // seq, different contents) to the rest.
-    auto forged = std::make_shared<pbft::PrePrepareMsg>();
-    forged->view = msg->view;
-    forged->seq = msg->seq;
-    pbft::Batch other;
-    pbft::Operation evil;
-    evil.client = kInvalidClient;
-    evil.timestamp = 999999;
-    evil.command = "EVIL";
-    other.ops.push_back(evil);
-    forged->batch = other;
-    forged->batch_digest = other.ComputeDigest();
-    forged->sig = keys_->Sign(process_->id(), forged->digest());
-    const auto& members = config_.members;
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      process_->Send(members[i], i % 2 == 0 ? sim::MessagePtr(msg)
-                                            : sim::MessagePtr(forged));
+  sim::MessagePtr OnSend(NodeId from, NodeId to,
+                         const sim::MessagePtr& msg) override {
+    if (msg->type() != pbft::kPrePrepare) return msg;
+    auto pos = std::find(members_.begin(), members_.end(), to);
+    if ((pos - members_.begin()) % 2 == 0) return msg;
+    if (msg != last_original_) {
+      const auto& pp = static_cast<const pbft::PrePrepareMsg&>(*msg);
+      auto forged = std::make_shared<pbft::PrePrepareMsg>();
+      forged->view = pp.view;
+      forged->seq = pp.seq;
+      pbft::Operation evil;
+      evil.client = kInvalidClient;
+      evil.timestamp = 999999;
+      evil.command = "EVIL";
+      forged->batch.ops.push_back(evil);
+      forged->batch_digest = forged->batch.ComputeDigest();
+      forged->sig = keys_->Sign(from, forged->digest());
+      forged->set_from(from);
+      last_original_ = msg;
+      last_forged_ = std::move(forged);
     }
-  }
-};
-
-class EquivocatingReplica : public sim::Process {
- public:
-  void Init(const crypto::KeyRegistry* keys, pbft::PbftConfig config) {
-    app_ = std::make_unique<pbft::EchoStateMachine>();
-    engine_ = std::make_unique<EquivocatingEngine>(this, keys,
-                                                   std::move(config),
-                                                   app_.get());
-  }
-
- protected:
-  void OnMessage(const sim::MessagePtr& msg) override {
-    engine_->HandleMessage(msg);
-  }
-  void OnTimer(const sim::TimerTag& tag) override {
-    engine_->HandleTimer(tag);
+    return last_forged_;
   }
 
  private:
-  std::unique_ptr<pbft::EchoStateMachine> app_;
-  std::unique_ptr<EquivocatingEngine> engine_;
+  const crypto::KeyRegistry* keys_;
+  std::vector<NodeId> members_;
+  sim::MessagePtr last_original_;
+  sim::MessagePtr last_forged_;
 };
 
 TEST(PbftByzantineTest, EquivocatingPrimaryCannotSplitState) {
   crypto::KeyRegistry keys(1 ^ 0x5eedc0deULL);
   sim::Simulation sim(1, sim::LatencyModel::Uniform(1, 1000));
 
-  EquivocatingReplica evil;
+  baselines::PbftReplicaProcess evil;
   std::vector<std::unique_ptr<baselines::PbftReplicaProcess>> honest;
   std::vector<NodeId> members;
   members.push_back(sim.Register(&evil, 0));  // member 0 = primary = evil
@@ -320,10 +312,12 @@ TEST(PbftByzantineTest, EquivocatingPrimaryCannotSplitState) {
   cfg.members = members;
   cfg.f = 1;
   cfg.request_timeout_us = Millis(300);
-  evil.Init(&keys, cfg);
+  evil.Init(&keys, cfg, std::make_unique<pbft::EchoStateMachine>());
   for (auto& rep : honest) {
     rep->Init(&keys, cfg, std::make_unique<pbft::EchoStateMachine>());
   }
+  DoctoredBatchInterceptor doctor(&keys, members);
+  sim.SetInterceptor(members[0], &doctor);
   testutil::TestClient client(&keys, 1);
   sim.Register(&client, 0);
   client.SubmitLocal(members[0], "target");

@@ -99,19 +99,6 @@ TEST(ViewChangeTest, NoViewChangeWithoutTimeouts) {
   for (int i = 0; i < 4; ++i) EXPECT_EQ(c.engine(i).view(), 0u);
 }
 
-TEST(ViewChangeTest, ViewChangeDisabledForBenchmarks) {
-  pbft::PbftConfig base;
-  base.request_timeout_us = Millis(100);
-  PbftCluster c(4, 1, /*seed=*/13, 1000, base);
-  for (int i = 0; i < 4; ++i) c.engine(i).set_view_changes_enabled(false);
-  c.sim.faults().Crash(c.members[0]);
-  c.client->SubmitLocal(c.members[1], "stuck");
-  c.sim.RunFor(Seconds(2));
-  // With the safety valve off, no churn — and of course no progress.
-  EXPECT_EQ(c.sim.counters().Get(obs::CounterId::kPbftViewChangesStarted), 0u);
-  EXPECT_EQ(c.client->completed(), 0u);
-}
-
 TEST(ViewChangeTest, PartitionedPrimaryTreatedAsFaulty) {
   pbft::PbftConfig base;
   base.request_timeout_us = Millis(300);
