@@ -26,6 +26,8 @@ namespace ziziphus::pbft {
 ///  - `prepared_proofs`: prepared certificates above the stable checkpoint.
 ///    They carry the full batches, which doubles as the WAL's payload:
 ///    replay pairs each WAL digest with its proof's batch to re-apply ops.
+///    The batch is the pre-prepare's, shared with the in-memory proof (see
+///    PreparedProof), not a copy.
 ///  - `fast_votes`: the fast-path votes this replica cast above the stable
 ///    checkpoint (view, seq, digest, batch). Fast-commit safety across view
 ///    changes rests on every honest voter reporting its vote in its

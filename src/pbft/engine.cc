@@ -1,6 +1,7 @@
 #include "pbft/engine.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/hash.h"
 #include "common/logging.h"
@@ -10,6 +11,13 @@ namespace ziziphus::pbft {
 
 namespace {
 crypto::Digest EmptyBatchDigest() { return Batch{}.ComputeDigest(); }
+
+// A proof over `pp` that shares its batch instead of copying the ops: the
+// aliasing pointer keeps the pre-prepare alive for as long as the proof.
+PreparedProof ProofOf(const std::shared_ptr<const PrePrepareMsg>& pp) {
+  return PreparedProof{pp->view, pp->seq, pp->batch_digest,
+                       std::shared_ptr<const Batch>(pp, &pp->batch)};
+}
 }  // namespace
 
 PbftEngine::PbftEngine(sim::Process* process,
@@ -20,12 +28,19 @@ PbftEngine::PbftEngine(sim::Process* process,
       config_(std::move(config)),
       state_machine_(state_machine) {
   ZCHECK(config_.members.size() >= 3 * config_.f + 1);
+  ZCHECK(config_.members.size() <= 64);  // Slot vote masks are 64-bit
   ZCHECK(state_machine_ != nullptr);
 }
 
 bool PbftEngine::IsMember(NodeId n) const {
   return std::find(config_.members.begin(), config_.members.end(), n) !=
          config_.members.end();
+}
+
+std::uint64_t PbftEngine::MemberBit(NodeId n) const {
+  auto it = std::find(config_.members.begin(), config_.members.end(), n);
+  if (it == config_.members.end()) return 0;
+  return std::uint64_t{1} << (it - config_.members.begin());
 }
 
 // --------------------------------------------------------------- dispatch
@@ -336,9 +351,14 @@ void PbftEngine::ProposeBatch(Batch batch) {
   // timer (not the tipping request) triggers this proposal, adopt the trace
   // of the first traced operation in the batch so its chain continues
   // through the pre-prepare. The other traces stay un-bridged — one batch
-  // carries at most one causal chain.
+  // carries at most one causal chain. The ops leave the backlog here, so
+  // their seen_ops_ entries stop reading "queued".
   for (const auto& op : batch.ops) {
-    auto it = pending_traces_.find(op.ComputeDigest());
+    const crypto::Digest d = op.ComputeDigest();
+    if (auto sit = seen_ops_.find(d); sit != seen_ops_.end()) {
+      sit->second = false;
+    }
+    auto it = pending_traces_.find(d);
     if (it == pending_traces_.end()) continue;
     if (!process_->trace_context().active()) {
       process_->set_trace_context(it->second);
@@ -407,8 +427,7 @@ void PbftEngine::HandlePrePrepare(
     // DurableState::fast_votes): if the zone fast-commits this digest, the
     // f+1-of-quorum reporting rule in MaybeSendNewView is what keeps the
     // committed slot from being no-op-filled in the next view.
-    fast_voted_[msg->seq] =
-        PreparedProof{msg->view, msg->seq, msg->batch_digest, msg->batch};
+    fast_voted_[msg->seq] = ProofOf(msg);
     if (durable_ != nullptr) {
       durable_->fast_votes[msg->seq] = fast_voted_[msg->seq];
     }
@@ -451,7 +470,7 @@ void PbftEngine::HandlePrepare(const std::shared_ptr<const PrepareMsg>& msg) {
       slot.pre_prepare->batch_digest != msg->batch_digest) {
     return;
   }
-  slot.prepares.insert(msg->replica);
+  slot.prepares |= MemberBit(msg->replica);
   TryPrepare(msg->seq);
 }
 
@@ -482,7 +501,7 @@ void PbftEngine::HandleFastVote(
   // HandlePrepare: count the vote unless it contradicts a known pre-prepare.
   if (slot.pre_prepare == nullptr ||
       slot.pre_prepare->batch_digest == msg->batch_digest) {
-    slot.prepares.insert(msg->replica);
+    slot.prepares |= MemberBit(msg->replica);
   }
   TryPrepare(msg->seq);
   TryFastCommit(msg->seq);
@@ -498,16 +517,14 @@ void PbftEngine::TryPrepare(SeqNum seq) {
   // when that sender's prepare has not been recorded. The primary does
   // multicast a PREPARE too (it handles its own loopback pre-prepare like
   // any replica); once recorded, the primary counts once, not twice.
-  std::size_t votes = slot.prepares.size();
-  if (!slot.prepares.count(slot.pre_prepare->from())) votes += 1;
+  std::size_t votes = std::popcount(slot.prepares);
+  if ((slot.prepares & MemberBit(slot.pre_prepare->from())) == 0) votes += 1;
   if (votes < Quorum()) return;
   slot.prepared = true;
   process_->EndSpan(slot.prepare_span);
   slot.prepare_span = 0;
   slot.commit_span = process_->BeginSpan(obs::SpanKind::kPbftCommitPhase);
-  prepared_proofs_[seq] =
-      PreparedProof{slot.pre_prepare->view, seq,
-                    slot.pre_prepare->batch_digest, slot.pre_prepare->batch};
+  prepared_proofs_[seq] = ProofOf(slot.pre_prepare);
   if (durable_ != nullptr) {
     durable_->prepared_proofs[seq] = prepared_proofs_[seq];
   }
@@ -544,7 +561,7 @@ void PbftEngine::HandleCommit(const std::shared_ptr<const CommitMsg>& msg) {
       slot.pre_prepare->batch_digest != msg->batch_digest) {
     return;
   }
-  slot.commits.insert(msg->replica);
+  slot.commits |= MemberBit(msg->replica);
   TryCommit(msg->seq);
 }
 
@@ -553,7 +570,9 @@ void PbftEngine::TryCommit(SeqNum seq) {
   if (it == slots_.end()) return;
   Slot& slot = it->second;
   if (slot.committed || !slot.prepared) return;
-  if (slot.commits.size() < Quorum()) return;
+  if (static_cast<std::size_t>(std::popcount(slot.commits)) < Quorum()) {
+    return;
+  }
   slot.committed = true;
   CancelFastAbandon(slot);
   process_->EndSpan(slot.commit_span);
@@ -731,14 +750,22 @@ void PbftEngine::ExecuteReady() {
   }
 }
 
-void PbftEngine::ExecuteOp(SeqNum seq, const Operation& op) {
-  std::uint64_t digest = op.ComputeDigest();
-  seen_ops_.erase(digest);
+void PbftEngine::ForgetExecuted(crypto::Digest digest) {
+  auto it = seen_ops_.find(digest);
+  if (it == seen_ops_.end()) return;
+  const bool queued = it->second;
+  seen_ops_.erase(it);
   pending_traces_.erase(digest);
-  // Drop the request from the backlog kept for view changes.
+  if (!queued) return;
+  // Drop the request from the backlog kept for view changes (a backup, or
+  // an op executed before this replica's own proposal of it).
   std::erase_if(pending_, [digest](const Operation& p) {
     return p.ComputeDigest() == digest;
   });
+}
+
+void PbftEngine::ExecuteOp(SeqNum seq, const Operation& op) {
+  ForgetExecuted(op.ComputeDigest());
   ClientState& cs = clients_[op.client];
   if (op.client != kInvalidClient && op.timestamp <= cs.last_executed_ts) {
     return;  // duplicate delivery of an already-executed request
@@ -1194,12 +1221,12 @@ bool PbftEngine::ApplyDelta(const StateResponseMsg& msg) {
   SeqNum next = last_executed_ + 1;
   for (const auto& e : msg.delta) {
     if (e.seq <= last_executed_) continue;  // already executed locally
-    if (e.seq != next || e.batch.ComputeDigest() != e.batch_digest) {
+    if (e.seq != next || e.batch->ComputeDigest() != e.batch_digest) {
       state_machine_->Restore(saved);
       return false;
     }
     StagedBatch st{e.seq, &e, {}};
-    for (const auto& op : e.batch.ops) {
+    for (const auto& op : e.batch->ops) {
       if (op.client != kInvalidClient) {
         RequestTimestamp seen = 0;
         auto cit = clients_.find(op.client);
@@ -1225,12 +1252,7 @@ bool PbftEngine::ApplyDelta(const StateResponseMsg& msg) {
   // ExecuteReady/ExecuteOp would have done had these batches arrived live.
   for (StagedBatch& st : staged) {
     for (auto& [op, result] : st.executed) {
-      std::uint64_t digest = op->ComputeDigest();
-      seen_ops_.erase(digest);
-      pending_traces_.erase(digest);
-      std::erase_if(pending_, [digest](const Operation& p) {
-        return p.ComputeDigest() == digest;
-      });
+      ForgetExecuted(op->ComputeDigest());
       ClientState& cs = clients_[op->client];
       cs.last_executed_ts = std::max(cs.last_executed_ts, op->timestamp);
       if (durable_ != nullptr && op->client != kInvalidClient) {
@@ -1254,7 +1276,7 @@ bool PbftEngine::ApplyDelta(const StateResponseMsg& msg) {
     }
     storage::LogEntry entry{
         st.seq, st.entry->batch_digest,
-        "batch:" + std::to_string(st.entry->batch.ops.size())};
+        "batch:" + std::to_string(st.entry->batch->ops.size())};
     if (durable_ != nullptr && durable_->wal.last_seq() < st.seq) {
       durable_->wal.Append(entry);
     }
@@ -1473,8 +1495,8 @@ void PbftEngine::MaybeSendNewView(ViewId v) {
       msg->reproposals.push_back(std::move(p));
     } else {
       // Fill the gap with a no-op batch.
-      msg->reproposals.push_back(
-          PreparedProof{v, s, EmptyBatchDigest(), Batch{}});
+      msg->reproposals.push_back(PreparedProof{
+          v, s, EmptyBatchDigest(), std::make_shared<const Batch>()});
     }
   }
   msg->sig = keys_->Sign(process_->id(), msg->digest());
@@ -1555,15 +1577,15 @@ void PbftEngine::EnterNewView(const std::shared_ptr<const NewViewMsg>& msg) {
       pp->view = msg->new_view;
       pp->seq = proof.seq;
       pp->batch_digest = proof.batch_digest;
-      pp->batch = proof.batch;
+      pp->batch = *proof.batch;
       // Attribute the synthetic pre-prepare to the new primary (not the
       // wire sender — a relayed NewView arrives from a peer).
       NodeId new_primary = PrimaryOf(msg->new_view);
       pp->sig = keys_->Sign(new_primary, pp->digest());
       pp->set_from(new_primary);
       slot.pre_prepare = pp;
-      slot.prepares.clear();
-      slot.commits.clear();
+      slot.prepares = 0;
+      slot.commits = 0;
       slot.prepared = false;
     }
     // Every replica re-affirms its prepare for every reproposal — including
@@ -1675,7 +1697,7 @@ void PbftEngine::RestoreFromDurable() {
         pit->second.batch_digest != entry.digest) {
       break;
     }
-    for (const auto& op : pit->second.batch.ops) {
+    for (const auto& op : pit->second.batch->ops) {
       ClientState& cs = clients_[op.client];
       if (op.client != kInvalidClient &&
           op.timestamp <= cs.last_executed_ts) {
@@ -1715,7 +1737,7 @@ PbftEngine::RetentionStats PbftEngine::retention() const {
   }
   r.prepared_proofs = prepared_proofs_.size();
   for (const auto& [seq, proof] : prepared_proofs_) {
-    r.prepared_proof_bytes += 32 + proof.batch.WireSizeBytes();
+    r.prepared_proof_bytes += 32 + proof.batch->WireSizeBytes();
   }
   r.slots = slots_.size();
   r.client_table_entries = clients_.size();

@@ -181,6 +181,11 @@ class PbftEngine final {
 
     /// Rough retained-bytes estimate with fixed per-entry overheads; only
     /// the curve shape matters, not the absolute calibration.
+    /// `prepared_proof_bytes` prices each proof at its batch's wire size,
+    /// not its heap cost: proofs share the pre-prepare's batch, so the
+    /// heap holds one copy per proposal however many proofs point at it.
+    /// The golden soak pins read the sum (`retention.live_bytes`), so the
+    /// formula stays.
     std::size_t ApproxBytes() const {
       return commit_log_bytes + prepared_proof_bytes + slots * 256 +
              reply_cache_entries * 96 + client_table_entries * 24 +
@@ -192,8 +197,9 @@ class PbftEngine final {
  private:
   struct Slot {
     std::shared_ptr<const PrePrepareMsg> pre_prepare;
-    std::set<NodeId> prepares;
-    std::set<NodeId> commits;
+    // Prepare and commit voters, one bit per member index (MemberBit).
+    std::uint64_t prepares = 0;
+    std::uint64_t commits = 0;
     bool prepared = false;
     bool committed = false;
     bool executed = false;
@@ -246,6 +252,9 @@ class PbftEngine final {
     return config_.members[v % config_.members.size()];
   }
   bool IsMember(NodeId n) const;
+  // The vote-mask bit of member `n` (its index in config_.members); 0 for a
+  // non-member.
+  std::uint64_t MemberBit(NodeId n) const;
   std::size_t Quorum() const { return config_.quorum(); }
 
   // The real signature check on a received message; this replica's own
@@ -286,6 +295,9 @@ class PbftEngine final {
   void CancelFastAbandon(Slot& slot);
   void ExecuteReady();
   void ExecuteOp(SeqNum seq, const Operation& op);
+  // Drops an executed op's dedup entry, parked trace and, if it is still
+  // queued, its backlog copy.
+  void ForgetExecuted(crypto::Digest digest);
   // Checkpoint materials frozen when this replica cast its vote at `seq`:
   // the snapshot, coverage table and read tree the voted
   // (state_digest, read_root) pair was computed from. AdvanceStable installs
@@ -327,7 +339,10 @@ class PbftEngine final {
 
   std::map<SeqNum, Slot> slots_;
   std::vector<Operation> pending_;
-  std::unordered_map<std::uint64_t, bool> seen_ops_;  // digest -> queued
+  // Every op accepted and not yet executed, by digest. The flag is true
+  // exactly while the op sits in `pending_` (ProposeBatch clears it), so
+  // ForgetExecuted scans the backlog only for ops that are in it.
+  std::unordered_map<std::uint64_t, bool> seen_ops_;
   std::unordered_map<ClientId, ClientState> clients_;
   // Trace contexts parked while their operation waits in `pending_`: the
   // batch timer (not the request handler) often triggers the proposal, so

@@ -2,6 +2,7 @@
 #define ZIZIPHUS_PBFT_MESSAGES_H_
 
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -204,11 +205,17 @@ struct CheckpointMsg : sim::Message {
 /// Proof that a slot prepared in some view: the pre-prepare's identity plus
 /// (implicitly, in this simulation) 2f matching prepares. Carried in
 /// view-change messages.
+///
+/// `batch` is shared and immutable: a proof built from a live slot aliases
+/// the batch inside the slot's PrePrepareMsg (which every replica of the
+/// zone received as one object), so the in-memory and durable proof stores,
+/// view-change messages and delta transfers all hold a pointer to one copy
+/// of the ops. The batch is not under the digest; `batch_digest` is.
 struct PreparedProof {
   ViewId view = 0;
   SeqNum seq = 0;
   crypto::Digest batch_digest = 0;
-  Batch batch;
+  std::shared_ptr<const Batch> batch;
 
   crypto::Digest ComputeDigest() const {
     return Hasher(0x10).Add(view).Add(seq).Add(batch_digest).Finish();
@@ -295,11 +302,12 @@ struct StateRequestMsg : sim::Message {
   }
 };
 
-/// One committed batch shipped as part of a delta state transfer.
+/// One committed batch shipped as part of a delta state transfer; `batch`
+/// is the responder's prepared-proof batch, shared rather than copied.
 struct DeltaEntry {
   SeqNum seq = 0;
   crypto::Digest batch_digest = 0;
-  Batch batch;
+  std::shared_ptr<const Batch> batch;
 };
 
 /// Snapshot transfer; the receiver validates `state_digest` against the
@@ -330,7 +338,7 @@ struct StateResponseMsg : sim::Message {
   }
   std::size_t WireSize() const override {
     std::size_t s = 64 + snapshot.size() * 48 + client_ts.size() * 16;
-    for (const auto& e : delta) s += 24 + e.batch.WireSizeBytes();
+    for (const auto& e : delta) s += 24 + e.batch->WireSizeBytes();
     return s;
   }
 };

@@ -65,8 +65,7 @@ MessagePtr FastVoteEquivocatingBehavior::OnSend(NodeId from, NodeId to,
   if (to % 2 == 0) return msg;
   const auto* vote = static_cast<const pbft::FastVoteMsg*>(msg.get());
   auto key = std::make_pair(vote->view, vote->seq);
-  auto it = forged_.find(key);
-  if (it == forged_.end()) {
+  if (last_twin_ == nullptr || key != last_key_) {
     auto twin = std::make_shared<pbft::FastVoteMsg>(*vote);
     twin->batch_digest =
         Hasher(0xfab5).Add(vote->batch_digest).Add(vote->seq).Finish();
@@ -74,9 +73,10 @@ MessagePtr FastVoteEquivocatingBehavior::OnSend(NodeId from, NodeId to,
     twin->set_from(from);
     equivocations_++;
     sim_->counters().Inc(obs::CounterId::kByzEquivocationsEmitted);
-    it = forged_.emplace(key, std::move(twin)).first;
+    last_key_ = key;
+    last_twin_ = std::move(twin);
   }
-  return it->second;
+  return last_twin_;
 }
 
 MessagePtr FastVoteWithholdingBehavior::OnSend(NodeId /*from*/, NodeId to,

@@ -207,10 +207,12 @@ class ForgingReadResponderBehavior : public ByzantineBehavior {
 /// Fast-path equivocating voter: sends its honest FastVote to even-id
 /// destinations and a correctly signed vote for a forged digest to odd-id
 /// destinations (one forged twin per (view, seq), so every victim sees the
-/// same lie). Victims detect the conflicting digest, mark the slot
-/// fast-conflicted and fall back to the classic prepare/commit rounds; the
-/// forged vote never counts toward a prepare quorum (digest laxity check),
-/// so safety is untouched and the attack only costs the fast path.
+/// same lie; only the last is kept, since a multicast hands every
+/// destination the same vote before the next vote is cast). Victims detect
+/// the conflicting digest, mark the slot fast-conflicted and fall back to
+/// the classic prepare/commit rounds; the forged vote never counts toward a
+/// prepare quorum (digest laxity check), so safety is untouched and the
+/// attack only costs the fast path.
 class FastVoteEquivocatingBehavior : public ByzantineBehavior {
  public:
   FastVoteEquivocatingBehavior(Simulation* sim, NodeId self,
@@ -223,8 +225,9 @@ class FastVoteEquivocatingBehavior : public ByzantineBehavior {
 
  private:
   const crypto::KeyRegistry* keys_;
-  /// One forged twin per (view, seq).
-  std::map<std::pair<ViewId, SeqNum>, MessagePtr> forged_;
+  /// The (view, seq) last forged and its twin.
+  std::pair<ViewId, SeqNum> last_key_;
+  MessagePtr last_twin_;
   std::uint64_t equivocations_ = 0;
 };
 

@@ -13,6 +13,7 @@
 
 #include "app/chaos.h"
 #include "gtest/gtest.h"
+#include "pbft/durable.h"
 #include "pbft/ordering.h"
 #include "sim/byzantine.h"
 #include "tests/test_util.h"
@@ -179,6 +180,26 @@ TEST(FastPathTest, UnanimousZoneCommitsOnFastVotes) {
   for (int i = 1; i < 4; ++i) EXPECT_EQ(c.app(i).StateDigest(), d);
   // The commit-latency EWMA actually observed the run.
   EXPECT_GT(c.engine(0).commit_latency_ewma(), 0u);
+}
+
+TEST(FastPathTest, DurableFastVotesShareThePrePrepareBatch) {
+  PbftCluster c(4, 1, 1, 1000, FastPathConfig());
+  std::vector<pbft::DurableState> durable(4);
+  for (std::size_t i = 0; i < 4; ++i) c.engine(i).set_durable(&durable[i]);
+  testutil::SentRecorder pre_prepares(pbft::kPrePrepare);
+  c.sim.SetInterceptor(c.members[0], &pre_prepares);
+  c.client->SubmitLocal(c.members[0], "fast");
+  c.sim.RunFor(Seconds(1));
+  ASSERT_EQ(c.client->completed(), 1u);
+  ASSERT_EQ(pre_prepares.sent.size(), 1u);
+  const auto& pp =
+      static_cast<const pbft::PrePrepareMsg&>(*pre_prepares.sent[0]);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(durable[i].fast_votes.at(1).batch.get(), &pp.batch)
+        << "replica " << i;
+    EXPECT_EQ(durable[i].prepared_proofs.at(1).batch.get(), &pp.batch)
+        << "replica " << i;
+  }
 }
 
 TEST(FastPathTest, WithholderDegradesToFallbackWithoutViewChanges) {

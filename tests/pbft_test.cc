@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "pbft/durable.h"
 #include "pbft/engine.h"
 #include "tests/test_util.h"
 
@@ -12,6 +13,7 @@ namespace ziziphus {
 namespace {
 
 using testutil::PbftCluster;
+using testutil::SentRecorder;
 
 TEST(PbftTest, CommitsSingleRequest) {
   PbftCluster c(4, 1);
@@ -75,6 +77,35 @@ TEST(PbftTest, DuplicateRequestExecutesOnce) {
   c.client->Send(c.members[0], req);  // replay
   c.sim.RunFor(Millis(500));
   EXPECT_EQ(c.app(0).applied(), 1u);
+}
+
+TEST(PbftTest, ExecutedRelayedRetransmissionLeavesTheBacklog) {
+  PbftCluster c(4, 1);
+  pbft::Operation op;
+  op.client = c.client->id();
+  op.timestamp = 1;
+  op.command = "relayed";
+  auto req = std::make_shared<pbft::ClientRequestMsg>();
+  req->op = op;
+  req->client_sig = c.keys.Sign(c.client->id(), req->ComputeDigest());
+  // The request reaches the primary and, as a retransmission, a backup:
+  // the backup relays it and parks it in the backlog a future primary
+  // proposes from.
+  c.client->Send(c.members[0], req);
+  c.client->Send(c.members[1], req);
+  c.sim.RunFor(Seconds(1));
+  for (int i = 0; i < 4; ++i) ASSERT_EQ(c.engine(i).last_executed(), 1u);
+  // Executing the op drops it from the backlog. Were it still there, member
+  // 1 would propose it again on entering view 1 as its primary.
+  for (int i = 0; i < 4; ++i) c.engine(i).SuspectPrimary();
+  c.sim.RunFor(Seconds(1));
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(c.engine(i).view(), 1u) << "replica " << i;
+    EXPECT_TRUE(c.engine(i).view_active()) << "replica " << i;
+    EXPECT_EQ(c.engine(i).last_executed(), 1u) << "replica " << i;
+  }
+  EXPECT_EQ(c.sim.counters().Get(obs::CounterId::kPbftBatchesProposed), 1u);
+  EXPECT_EQ(c.app(1).applied(), 1u);
 }
 
 TEST(PbftTest, BadClientSignatureRejected) {
@@ -252,6 +283,64 @@ TEST(StateTransferBackoffTest, CapBelowBaseClampsToBase) {
     Duration d = pbft::PbftEngine::StateTransferBackoff(cfg, attempt, 0, 1);
     EXPECT_GE(d, base);
     EXPECT_LE(d, base + base / 8);
+  }
+}
+
+// ---------------------------------------------------- shared batches
+
+// One batch per proposal: every replica's prepared proofs, in memory and
+// durable, point into the pre-prepare the primary multicast, which all
+// replicas received as one object.
+TEST(PbftBatchSharingTest, DurableProofsShareThePrimarysPrePrepareBatch) {
+  PbftCluster c(4, 1);
+  std::vector<pbft::DurableState> durable(4);
+  for (std::size_t i = 0; i < 4; ++i) c.engine(i).set_durable(&durable[i]);
+  SentRecorder pre_prepares(pbft::kPrePrepare);
+  c.sim.SetInterceptor(c.members[0], &pre_prepares);
+  c.client->SubmitLocal(c.members[0], "shared");
+  c.sim.RunFor(Seconds(1));
+  ASSERT_EQ(c.client->completed(), 1u);
+  ASSERT_EQ(pre_prepares.sent.size(), 1u);
+  const auto& pp =
+      static_cast<const pbft::PrePrepareMsg&>(*pre_prepares.sent[0]);
+  for (std::size_t i = 0; i < 4; ++i) {
+    ASSERT_EQ(c.engine(i).last_executed(), 1u) << "replica " << i;
+    EXPECT_EQ(durable[i].prepared_proofs.at(1).batch.get(), &pp.batch)
+        << "replica " << i;
+  }
+}
+
+// A delta state transfer ships the responder's proof batches by pointer.
+TEST(PbftBatchSharingTest, DeltaEntriesShareTheRespondersProofBatches) {
+  PbftCluster c(4, 1);  // checkpoint interval 128: nothing is trimmed
+  std::vector<pbft::DurableState> durable(4);
+  for (std::size_t i = 0; i < 4; ++i) c.engine(i).set_durable(&durable[i]);
+  c.client->SubmitLocal(c.members[0], "seen");
+  c.sim.RunFor(Seconds(1));
+  ASSERT_EQ(c.engine(3).last_executed(), 1u);
+  for (int i = 0; i < 3; ++i) {
+    c.sim.faults().Partition(c.members[3], c.members[i]);
+  }
+  c.client->SubmitLocalSequence(c.members[0], 3, "missed");
+  c.sim.RunFor(Seconds(2));
+  ASSERT_EQ(c.client->completed(), 4u);
+  ASSERT_EQ(c.engine(3).last_executed(), 1u);
+  for (int i = 0; i < 3; ++i) c.sim.faults().Heal(c.members[3], c.members[i]);
+
+  SentRecorder responses(pbft::kStateResponse);
+  c.sim.SetInterceptor(c.members[1], &responses);
+  const SeqNum head = c.engine(1).last_executed();
+  c.engine(3).StartCatchUp(head);
+  c.sim.RunFor(Seconds(1));
+  EXPECT_EQ(c.engine(3).last_executed(), head);
+  ASSERT_EQ(responses.sent.size(), 1u);
+  const auto& resp =
+      static_cast<const pbft::StateResponseMsg&>(*responses.sent[0]);
+  ASSERT_TRUE(resp.is_delta);
+  ASSERT_EQ(resp.delta.size(), head - 1);
+  for (const auto& e : resp.delta) {
+    EXPECT_EQ(e.batch.get(), durable[1].prepared_proofs.at(e.seq).batch.get())
+        << "seq " << e.seq;
   }
 }
 

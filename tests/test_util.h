@@ -197,6 +197,26 @@ class TestClient : public sim::Process {
   std::map<RequestTimestamp, std::string> results_;
 };
 
+/// Passes every outbound message through unchanged and keeps each distinct
+/// message of one type the intercepted node sends (a multicast counts once).
+class SentRecorder : public sim::OutboundInterceptor {
+ public:
+  explicit SentRecorder(sim::MessageType type) : type_(type) {}
+
+  sim::MessagePtr OnSend(NodeId /*from*/, NodeId /*to*/,
+                         const sim::MessagePtr& msg) override {
+    if (msg->type() == type_ && (sent.empty() || sent.back() != msg)) {
+      sent.push_back(msg);
+    }
+    return msg;
+  }
+
+  std::vector<sim::MessagePtr> sent;
+
+ private:
+  sim::MessageType type_;
+};
+
 /// A self-contained PBFT group over a uniform-latency network.
 struct PbftCluster {
   explicit PbftCluster(std::size_t n, std::size_t f, std::uint64_t seed = 1,
