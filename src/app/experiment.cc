@@ -77,8 +77,6 @@ DeploymentSpec ClusteredDeployment(std::size_t clusters,
 
 core::NodeConfig DefaultNodeConfig() {
   core::NodeConfig cfg;
-  cfg.pbft.batch_max = 64;
-  cfg.pbft.batch_timeout_us = Millis(2);
   cfg.pbft.checkpoint_interval = 256;
   cfg.pbft.request_timeout_us = Seconds(3);
   cfg.sync.stable_leader = true;

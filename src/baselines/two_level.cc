@@ -1,7 +1,5 @@
 #include "baselines/two_level.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 
 namespace ziziphus::baselines {
@@ -81,7 +79,7 @@ bool TwoLevelGlobalEngine::HandleMessage(const sim::MessagePtr& msg) {
 }
 
 void TwoLevelGlobalEngine::HandleTimer() {
-  batch_timer_armed_ = false;
+  batcher_.Disarm();
   FlushBatch();
 }
 
@@ -95,29 +93,21 @@ void TwoLevelGlobalEngine::HandleMigrationRequest(
     return;
   }
   std::uint64_t op_id = msg->op.RequestId();
-  if (queued_op_ids_.count(op_id) > 0 || executed_op_ids_.count(op_id) > 0) {
+  if (executed_op_ids_.count(op_id) > 0 || !batcher_.Push(op_id, msg->op)) {
     return;  // duplicate
   }
-  queued_op_ids_.insert(op_id);
-  pending_ops_.push_back(msg->op);
-  if (pending_ops_.size() >= kBatchMax) {
+  if (batcher_.size() >= pbft::kBatchMax) {
     FlushBatch();
-  } else if (!batch_timer_armed_) {
-    batch_timer_armed_ = true;
-    process_->SetTimer(kBatchTimeout,
+  } else if (batcher_.Arm()) {
+    process_->SetTimer(pbft::kBatchTimeout,
                        sim::TimerTag{sim::TimerEngine::kTwoLevel, kBatchTimer});
   }
 }
 
 void TwoLevelGlobalEngine::FlushBatch() {
-  if (!endorser_->IsPrimary() || pending_ops_.empty()) return;
-  while (!pending_ops_.empty()) {
-    std::size_t take = std::min(kBatchMax, pending_ops_.size());
-    std::vector<MigrationOp> ops(pending_ops_.begin(),
-                                 pending_ops_.begin() + take);
-    pending_ops_.erase(pending_ops_.begin(), pending_ops_.begin() + take);
-    for (const auto& op : ops) queued_op_ids_.erase(op.RequestId());
-
+  if (!endorser_->IsPrimary()) return;
+  while (!batcher_.empty()) {
+    std::vector<MigrationOp> ops = batcher_.TakeUpTo(pbft::kBatchMax).ops;
     Hasher h(0x71ba);
     for (const auto& op : ops) h.Add(op.RequestId());
     std::uint64_t id = h.Finish();

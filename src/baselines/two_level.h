@@ -16,6 +16,7 @@
 #include "core/system.h"
 #include "core/topology.h"
 #include "core/zone_app.h"
+#include "pbft/batcher.h"
 #include "pbft/engine.h"
 #include "sim/simulation.h"
 #include "sim/timer_tag.h"
@@ -139,9 +140,6 @@ class TwoLevelGlobalEngine {
 
   // Timer kinds, carried in sim::TimerTag{kTwoLevel, kind} (timer_tag.h).
   enum TimerKind : std::uint8_t { kBatchTimer = 1 };
-  // Global-request batching at the leader.
-  static constexpr std::size_t kBatchMax = 64;
-  static constexpr Duration kBatchTimeout = Millis(2);
 
   std::size_t ZoneQuorum() const {
     return 2 * ((topology_->num_zones() - 1) / 3) + 1;
@@ -172,10 +170,9 @@ class TwoLevelGlobalEngine {
   GlobalApplyCallback global_apply_callback_;
 
   std::unordered_map<std::uint64_t, TLRequest> requests_;
-  std::vector<core::MigrationOp> pending_ops_;
-  std::unordered_set<std::uint64_t> queued_op_ids_;
+  // Global-request batching at the leader, by op RequestId.
+  pbft::Batcher<core::MigrationOp> batcher_;
   std::unordered_set<std::uint64_t> executed_op_ids_;
-  bool batch_timer_armed_ = false;
   std::map<SeqNum, std::uint64_t> by_seq_;
   SeqNum next_gseq_ = 0;       // leader side
   SeqNum last_exec_gseq_ = 0;  // execution watermark

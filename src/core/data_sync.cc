@@ -121,7 +121,7 @@ bool DataSyncEngine::HandleMessage(const sim::MessagePtr& msg) {
 
 void DataSyncEngine::HandleTimer(const sim::TimerTag& tag) {
   if (tag.kind == kBatch) {
-    batch_timer_armed_ = false;
+    batcher_.Disarm();
     FlushBatch();
     return;
   }
@@ -216,7 +216,7 @@ void DataSyncEngine::HandleMigrationRequest(
   }
   std::uint64_t op_id = op.RequestId();
   if (executed_ops_.Contains(op.client, op.timestamp) ||
-      queued_op_ids_.count(op_id) > 0) {
+      batcher_.Contains(op_id)) {
     return;  // duplicate
   }
   if (!IsZonePrimary()) {
@@ -225,8 +225,7 @@ void DataSyncEngine::HandleMigrationRequest(
     process_->ChargeCpu(config_.costs.send_us);
     process_->Send(endorser_->primary(), msg);
     if (relay_watch_.count(op_id) == 0) {
-      queued_op_ids_.insert(op_id);
-      pending_ops_.push_back(op);
+      batcher_.Push(op_id, op);
       relay_watch_[op_id] =
           ArmTimer(op_id, kRelayWatch, config_.relay_watch_timeout_us);
       // Ensure a request record exists for relay-watch bookkeeping.
@@ -241,59 +240,41 @@ void DataSyncEngine::HandleMigrationRequest(
   QueueOrLead(op);
 }
 
-void DataSyncEngine::QueueOrLead(const MigrationOp& op) {
+void DataSyncEngine::QueueOrLead(const MigrationOp& op,
+                                 obs::TraceContext parked) {
   std::uint64_t op_id = op.RequestId();
-  if (op.cross_zone) {
-    // Cross-zone transaction (Section IV-B3): the initiator (destination)
-    // zone is the primary; no election; only the involved zones take part.
+  // Cross-zone transactions (Section IV-B3: the initiator (destination)
+  // zone is the primary; no election; only the involved zones take part)
+  // and cross-cluster requests (they coordinate two clusters and cannot
+  // share a ballot with intra-cluster traffic) run as singleton instances.
+  if (op.cross_zone ||
+      (op.IsMigration() && topology_->zone(op.source).cluster !=
+                               topology_->zone(op.destination).cluster)) {
     RequestState& req = Track(op_id);
     if (req.id != 0 && req.phase != Phase::kIdle) return;
     req.id = op_id;
     req.ops = {op};
     req.initiator_zone = my_zone_;
-    req.cross_zone = true;
+    req.cross_zone = req.cross_zone || op.cross_zone;
+    req.cross = req.cross || !op.cross_zone;
     LeadRequest(req);
     return;
   }
-  bool cross = op.IsMigration() &&
-               topology_->zone(op.source).cluster !=
-                   topology_->zone(op.destination).cluster;
-  if (cross) {
-    // Cross-cluster requests run as singleton instances (they coordinate
-    // two clusters and cannot share a ballot with intra-cluster traffic).
-    RequestState& req = Track(op_id);
-    if (req.id != 0 && req.phase != Phase::kIdle) return;
-    req.id = op_id;
-    req.ops = {op};
-    req.initiator_zone = my_zone_;
-    req.cross = true;
-    LeadRequest(req);
-    return;
-  }
-  if (obs::TraceContext ctx = process_->trace_context(); ctx.active()) {
-    pending_traces_.emplace(op_id, ctx);
-  }
-  queued_op_ids_.insert(op_id);
-  pending_ops_.push_back(op);
-  if (pending_ops_.size() >= config_.batch_max) {
+  batcher_.Push(op_id, op,
+                parked.active() ? parked : process_->trace_context());
+  if (batcher_.size() >= config_.batch_max) {
     FlushBatch();
-  } else if (!batch_timer_armed_) {
-    batch_timer_armed_ = true;
-    ArmTimer(0, kBatch, config_.batch_timeout_us);
+  } else if (batcher_.Arm()) {
+    ArmTimer(0, kBatch, pbft::kBatchTimeout);
   }
 }
 
 void DataSyncEngine::FlushBatch() {
-  if (!IsZonePrimary() || pending_ops_.empty()) return;
-  while (!pending_ops_.empty()) {
-    std::size_t take = std::min(config_.batch_max, pending_ops_.size());
-    std::vector<MigrationOp> ops(pending_ops_.begin(),
-                                 pending_ops_.begin() + take);
-    pending_ops_.erase(pending_ops_.begin(), pending_ops_.begin() + take);
-    for (const auto& op : ops) queued_op_ids_.erase(op.RequestId());
-
+  if (!IsZonePrimary()) return;
+  while (!batcher_.empty()) {
+    auto cut = batcher_.TakeUpTo(config_.batch_max);
     Hasher h(0xba7c);
-    for (const auto& op : ops) h.Add(op.RequestId());
+    for (const auto& op : cut.ops) h.Add(op.RequestId());
     std::uint64_t batch_id = h.Finish();
     // A duplicate relay of ops this primary already leads in an identical
     // batch (a client retry reaches every backup) must not re-ballot it:
@@ -303,21 +284,13 @@ void DataSyncEngine::FlushBatch() {
     if (auto led = requests_.find(batch_id);
         led != requests_.end() &&
         (led->second.i_am_leader || led->second.commit_msg != nullptr)) {
-      for (const auto& op : ops) pending_traces_.erase(op.RequestId());
       continue;
     }
     RequestState& req = Track(batch_id);
     req.id = batch_id;
-    req.ops = std::move(ops);
+    req.ops = std::move(cut.ops);
     req.initiator_zone = my_zone_;
-    // The batch inherits the causal trace of its first traced operation;
-    // the other parked traces are dropped (one chain per ballot).
-    for (const auto& op : req.ops) {
-      auto tit = pending_traces_.find(op.RequestId());
-      if (tit == pending_traces_.end()) continue;
-      if (!req.trace.active()) req.trace = tit->second;
-      pending_traces_.erase(tit);
-    }
+    if (!req.trace.active()) req.trace = cut.trace;  // one chain per ballot
     process_->scoped_counters().Inc(obs::CounterId::kSyncBatchesFormed);
     LeadRequest(req);
   }
@@ -1229,15 +1202,11 @@ void DataSyncEngine::OnViewChange(ViewId view) {
     LeadRequest(req);
   }
   // Relayed-but-never-endorsed ops queue for a fresh batch.
-  if (!pending_ops_.empty()) {
-    std::vector<MigrationOp> backlog = std::move(pending_ops_);
-    pending_ops_.clear();
-    queued_op_ids_.clear();
-    for (const auto& op : backlog) {
-      if (!executed_ops_.Contains(op.client, op.timestamp)) QueueOrLead(op);
-    }
-    FlushBatch();
+  for (const auto& [id, op, trace] : batcher_.Drain()) {
+    if (executed_ops_.Contains(op.client, op.timestamp)) continue;
+    QueueOrLead(op, trace);
   }
+  FlushBatch();
 }
 
 // -------------------------------------------------------------- recovery

@@ -19,6 +19,7 @@
 #include "core/metadata.h"
 #include "core/topology.h"
 #include "crypto/certificate.h"
+#include "pbft/batcher.h"
 #include "sim/simulation.h"
 #include "sim/timer_tag.h"
 
@@ -34,8 +35,7 @@ struct SyncConfig {
   /// Leader-side batching of concurrent global requests into one ballot
   /// (exactly as a PBFT primary batches client requests). Cross-cluster
   /// requests are never batched — each runs its own two-cluster instance.
-  std::size_t batch_max = 64;
-  Duration batch_timeout_us = Millis(2);
+  std::size_t batch_max = pbft::kBatchMax;
 
   /// Leader-side retransmission / re-proposal timeout for an uncommitted
   /// global request ("nodes use different timers for local and global
@@ -288,7 +288,9 @@ class DataSyncEngine {
   void HandlePrepared(const std::shared_ptr<const PreparedMsg>& msg);
 
   // Leader actions.
-  void QueueOrLead(const MigrationOp& op);
+  // Queues `op` for a batch with `parked`, or else the current trace
+  // context; leads a cross-zone or cross-cluster op at once.
+  void QueueOrLead(const MigrationOp& op, obs::TraceContext parked = {});
   void FlushBatch();
   void LeadRequest(RequestState& req);
   void StartAcceptPhase(RequestState& req);
@@ -342,13 +344,9 @@ class DataSyncEngine {
   /// requests_, but that order depends on every id inserted since start,
   /// so it is kept here (16 bytes an id) to keep same-seed runs identical.
   std::unordered_set<std::uint64_t> request_order_;
-  /// Leader-side batching queue.
-  std::vector<MigrationOp> pending_ops_;
-  std::unordered_set<std::uint64_t> queued_op_ids_;
-  // Trace contexts parked while their operation waits in `pending_ops_`
-  // (the batch timer, not the request handler, often forms the batch).
-  std::unordered_map<std::uint64_t, obs::TraceContext> pending_traces_;
-  bool batch_timer_armed_ = false;
+  /// Leader-side batching queue, by op RequestId. A backup also holds the
+  /// ops it relayed here, for a view change that makes it primary to lead.
+  pbft::Batcher<MigrationOp> batcher_;
   /// Per-operation execution dedup (re-led instances, chain skips, client
   /// retransmissions): one watermark per client.
   ExecutedOps executed_ops_;

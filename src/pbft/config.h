@@ -7,6 +7,7 @@
 
 #include "common/costs.h"
 #include "common/types.h"
+#include "pbft/batcher.h"
 
 namespace ziziphus::pbft {
 
@@ -49,9 +50,8 @@ struct PbftConfig {
   /// be >= 3f+1.
   std::size_t f = 1;
 
-  /// Request batching at the primary.
-  std::size_t batch_max = 64;
-  Duration batch_timeout_us = Millis(2);
+  /// Request batching at the primary (pbft/batcher.h).
+  std::size_t batch_max = kBatchMax;
 
   /// Progress timeout before suspecting the primary (local transactions; the
   /// paper notes global transactions use longer timers — the global engines

@@ -118,7 +118,7 @@ bool PbftEngine::HandleMessage(const sim::MessagePtr& msg) {
 void PbftEngine::HandleTimer(const sim::TimerTag& tag) {
   switch (tag.kind) {
     case kBatchTimer:
-      batch_timer_armed_ = false;
+      batcher_.Disarm();
       MaybeProposeBatch(/*timer_fired=*/true);
       break;
     case kProgressTimer:
@@ -304,11 +304,8 @@ void PbftEngine::EnqueueOp(const Operation& op) {
   if (it != clients_.end() && op.timestamp <= it->second.last_executed_ts) {
     return;
   }
-  seen_ops_[d] = true;
-  if (obs::TraceContext ctx = process_->trace_context(); ctx.active()) {
-    pending_traces_.emplace(d, ctx);
-  }
-  pending_.push_back(op);
+  seen_ops_.insert(d);
+  batcher_.Push(d, op, process_->trace_context());
   if (IsPrimary() && view_active_) {
     MaybeProposeBatch(/*timer_fired=*/false);
   } else {
@@ -318,63 +315,32 @@ void PbftEngine::EnqueueOp(const Operation& op) {
 
 void PbftEngine::MaybeProposeBatch(bool timer_fired) {
   if (!IsPrimary() || !view_active_) return;
-  while (pending_.size() >= config_.batch_max) {
-    Batch batch;
-    batch.ops.assign(pending_.begin(),
-                     pending_.begin() + config_.batch_max);
-    pending_.erase(pending_.begin(), pending_.begin() + config_.batch_max);
-    ProposeBatch(std::move(batch));
-  }
-  if (pending_.empty()) return;
-  if (timer_fired) {
-    Batch batch;
-    batch.ops = std::move(pending_);
-    pending_.clear();
-    ProposeBatch(std::move(batch));
-  } else if (!batch_timer_armed_) {
-    batch_timer_armed_ = true;
-    batch_timer_ = process_->SetTimer(
-        config_.batch_timeout_us,
-        sim::TimerTag{sim::TimerEngine::kPbft, kBatchTimer});
-  }
-}
-
-void PbftEngine::ProposeBatch(Batch batch) {
-  SeqNum seq = std::max(next_seq_, stable_seq_) + 1;
-  if (seq > stable_seq_ + kWatermarkWindow) {
-    // Out of window: requeue and wait for checkpoints to advance.
-    for (auto& op : batch.ops) pending_.push_back(std::move(op));
-    return;
-  }
-  next_seq_ = seq;
-  // Bridge the causal trace across the batching boundary: when the batch
-  // timer (not the tipping request) triggers this proposal, adopt the trace
-  // of the first traced operation in the batch so its chain continues
-  // through the pre-prepare. The other traces stay un-bridged — one batch
-  // carries at most one causal chain. The ops leave the backlog here, so
-  // their seen_ops_ entries stop reading "queued".
-  for (const auto& op : batch.ops) {
-    const crypto::Digest d = op.ComputeDigest();
-    if (auto sit = seen_ops_.find(d); sit != seen_ops_.end()) {
-      sit->second = false;
+  // Cut only inside the watermark window, so nothing is ever requeued: ops
+  // past it wait for AdvanceStable to re-offer them.
+  while (!batcher_.empty() && next_seq_ < stable_seq_ + kWatermarkWindow &&
+         (timer_fired || batcher_.size() >= config_.batch_max)) {
+    Batcher<Operation>::Cut cut = batcher_.TakeUpTo(config_.batch_max);
+    next_seq_ = std::max(next_seq_, stable_seq_) + 1;
+    // Bridge the causal trace across the batching boundary: a proposal the
+    // batch timer triggers continues the batch's first parked trace.
+    if (!process_->trace_context().active() && cut.trace.active()) {
+      process_->set_trace_context(cut.trace);
     }
-    auto it = pending_traces_.find(d);
-    if (it == pending_traces_.end()) continue;
-    if (!process_->trace_context().active()) {
-      process_->set_trace_context(it->second);
-    }
-    pending_traces_.erase(it);
+    auto msg = std::make_shared<PrePrepareMsg>();
+    msg->view = view_;
+    msg->seq = next_seq_;
+    msg->batch.ops = std::move(cut.ops);
+    msg->batch_digest = msg->batch.ComputeDigest();
+    msg->sig = keys_->Sign(process_->id(), msg->digest());
+    process_->ChargeCrypto(config_.costs.crypto.sign_us);
+    process_->ChargeCpu(config_.costs.send_us * config_.members.size());
+    process_->scoped_counters().Inc(obs::CounterId::kPbftBatchesProposed);
+    process_->Multicast(config_.members, msg);
   }
-  auto msg = std::make_shared<PrePrepareMsg>();
-  msg->view = view_;
-  msg->seq = seq;
-  msg->batch_digest = batch.ComputeDigest();
-  msg->batch = std::move(batch);
-  msg->sig = keys_->Sign(process_->id(), msg->digest());
-  process_->ChargeCrypto(config_.costs.crypto.sign_us);
-  process_->ChargeCpu(config_.costs.send_us * config_.members.size());
-  process_->scoped_counters().Inc(obs::CounterId::kPbftBatchesProposed);
-  process_->Multicast(config_.members, msg);
+  if (!timer_fired && !batcher_.empty() && batcher_.Arm()) {
+    process_->SetTimer(kBatchTimeout,
+                       sim::TimerTag{sim::TimerEngine::kPbft, kBatchTimer});
+  }
 }
 
 void PbftEngine::HandlePrePrepare(
@@ -734,7 +700,7 @@ void PbftEngine::ExecuteReady() {
   }
   if (progressed) {
     // Progress was made; reset or clear the suspicion timer.
-    bool outstanding = !pending_.empty();
+    bool outstanding = !batcher_.empty();
     for (const auto& [seq, slot] : slots_) {
       if (seq > last_executed_ && slot.pre_prepare != nullptr &&
           !slot.executed) {
@@ -751,17 +717,9 @@ void PbftEngine::ExecuteReady() {
 }
 
 void PbftEngine::ForgetExecuted(crypto::Digest digest) {
-  auto it = seen_ops_.find(digest);
-  if (it == seen_ops_.end()) return;
-  const bool queued = it->second;
-  seen_ops_.erase(it);
-  pending_traces_.erase(digest);
-  if (!queued) return;
-  // Drop the request from the backlog kept for view changes (a backup, or
-  // an op executed before this replica's own proposal of it).
-  std::erase_if(pending_, [digest](const Operation& p) {
-    return p.ComputeDigest() == digest;
-  });
+  // Also drop the request from the backlog kept for view changes (a backup,
+  // or an op executed before this replica's own proposal of it).
+  if (seen_ops_.erase(digest) > 0) batcher_.Remove(digest);
 }
 
 void PbftEngine::ExecuteOp(SeqNum seq, const Operation& op) {
@@ -964,6 +922,8 @@ void PbftEngine::AdvanceStable(SeqNum seq, const crypto::Certificate& cert,
   if (stable_checkpoint_callback_) {
     stable_checkpoint_callback_(last_stable_checkpoint_);
   }
+  // The window moved: re-offer ops held back at its edge.
+  MaybeProposeBatch(/*timer_fired=*/false);
 }
 
 void PbftEngine::RequestStateTransfer(SeqNum seq, std::uint64_t digest,
@@ -1627,10 +1587,10 @@ void PbftEngine::EnterNewView(const std::shared_ptr<const NewViewMsg>& msg) {
   // Requests that were pending before the view change get re-submitted.
   if (IsPrimary()) {
     MaybeProposeBatch(/*timer_fired=*/true);
-  } else if (!pending_.empty()) {
+  } else if (!batcher_.empty()) {
     // Forward pending requests to the new primary as client requests are
     // already deduplicated there via seen_ops_/client table.
-    for (const auto& op : pending_) {
+    for (const auto& [digest, op, trace] : batcher_.queued()) {
       auto req = std::make_shared<ClientRequestMsg>();
       req->op = op;
       req->client_sig = keys_->Sign(op.client, req->ComputeDigest());

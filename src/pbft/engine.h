@@ -8,10 +8,12 @@
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "crypto/certificate.h"
 #include "crypto/signature.h"
+#include "pbft/batcher.h"
 #include "pbft/config.h"
 #include "pbft/durable.h"
 #include "pbft/messages.h"
@@ -284,7 +286,6 @@ class PbftEngine final {
 
   void EnqueueOp(const Operation& op);
   void MaybeProposeBatch(bool timer_fired);
-  void ProposeBatch(Batch batch);
   void TryPrepare(SeqNum seq);
   void TryCommit(SeqNum seq);
   // Fast path: unanimity check, certified fallback to prepare/commit, and
@@ -295,8 +296,8 @@ class PbftEngine final {
   void CancelFastAbandon(Slot& slot);
   void ExecuteReady();
   void ExecuteOp(SeqNum seq, const Operation& op);
-  // Drops an executed op's dedup entry, parked trace and, if it is still
-  // queued, its backlog copy.
+  // Drops an executed op's dedup entry and, if it is still queued, its
+  // backlog copy.
   void ForgetExecuted(crypto::Digest digest);
   // Checkpoint materials frozen when this replica cast its vote at `seq`:
   // the snapshot, coverage table and read tree the voted
@@ -338,16 +339,13 @@ class PbftEngine final {
   SeqNum stable_seq_ = 0;
 
   std::map<SeqNum, Slot> slots_;
-  std::vector<Operation> pending_;
-  // Every op accepted and not yet executed, by digest. The flag is true
-  // exactly while the op sits in `pending_` (ProposeBatch clears it), so
-  // ForgetExecuted scans the backlog only for ops that are in it.
-  std::unordered_map<std::uint64_t, bool> seen_ops_;
+  // Accepted, unproposed ops by digest: the primary's batch queue, or a
+  // backup's backlog forwarded to the next primary on a view change.
+  Batcher<Operation> batcher_;
+  // Every op accepted and not yet executed, by digest: queued in batcher_
+  // or sitting in a slot.
+  std::unordered_set<std::uint64_t> seen_ops_;
   std::unordered_map<ClientId, ClientState> clients_;
-  // Trace contexts parked while their operation waits in `pending_`: the
-  // batch timer (not the request handler) often triggers the proposal, so
-  // the causal chain must be bridged across the batching boundary.
-  std::unordered_map<std::uint64_t, obs::TraceContext> pending_traces_;
   // Start of the in-progress view change (0 = none); feeds the
   // span.view_change_us histogram when the new view is installed.
   SimTime view_change_started_at_ = 0;
@@ -396,11 +394,9 @@ class PbftEngine final {
   // recoverable (>= f+1 of any 2f+1 quorum reports the committed digest).
   // Trimmed at stable checkpoints, persisted write-through when durable.
   std::map<SeqNum, PreparedProof> fast_voted_;
-  std::uint64_t batch_timer_ = 0;
   std::uint64_t progress_timer_ = 0;
   std::uint64_t view_change_timer_ = 0;
   std::uint64_t view_change_attempts_ = 0;
-  bool batch_timer_armed_ = false;
 
   // Fast-path timer input and certificates. Fallback grace is per-slot
   // (Slot::fast_grace_spent). fast_certified_ is documented at its accessor.

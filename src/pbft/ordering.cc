@@ -48,10 +48,9 @@ Duration AdaptiveProgressTimeout(const PbftConfig& config, Duration ewma_us,
 
 Duration FastPathAbandonTimeout(const PbftConfig& config, Duration ewma_us,
                                 NodeId replica, SeqNum seq) {
-  const Duration floor = std::max<Duration>(config.batch_timeout_us, 1);
-  const Duration cap = std::max(config.request_timeout_us, floor);
+  const Duration cap = std::max(config.request_timeout_us, kBatchTimeout);
   Duration base = ewma_us == 0 ? kFastAbandonColdUs : ewma_us * 4;
-  base = std::clamp(base, floor, cap);
+  base = std::clamp(base, kBatchTimeout, cap);
   return Jittered(base, 0xfa57, replica, seq);
 }
 

@@ -101,7 +101,7 @@ Duration AdaptiveProgressTimeout(const PbftConfig& config, Duration ewma_us,
 
 /// Fast-path abandon timeout: how long a replica waits for unanimity before
 /// falling the slot back to the classic prepare/commit path. Much tighter
-/// than the progress timeout — clamp(4 * ewma, batch_timeout,
+/// than the progress timeout — clamp(4 * ewma, kBatchTimeout,
 /// request_timeout) with per-(replica, seq) jitter; an unseeded EWMA uses
 /// kFastAbandonColdUs.
 Duration FastPathAbandonTimeout(const PbftConfig& config, Duration ewma_us,

@@ -347,6 +347,7 @@ TEST(ChaosTest, TwoLevelBaselineSurvivesCrashChaos) {
   ChaosOptions opt;
   opt.seed = 9;
   ChaosReport r = app::RunTwoLevelChaos(opt);
+  testutil::RecordRunProperties(r);
   EXPECT_TRUE(r.violations.empty()) << r.Summary();
   EXPECT_TRUE(r.all_done) << r.Summary();
   EXPECT_TRUE(r.byzantine_roster.empty());
@@ -366,7 +367,6 @@ TEST(ChaosMisconfigTest, FPlusOneLyingRespondersTripTheChecker) {
   cfg.pbft.request_timeout_us = Millis(400);
   cfg.pbft.checkpoint_interval = 4;
   cfg.pbft.batch_max = 1;
-  cfg.pbft.batch_timeout_us = 100;
   core::ZiziphusSystem sys(5, sim::LatencyModel::PaperGeoMatrix());
   sys.AddZone(0, 0, 1, 4);
   sys.Finalize(cfg,
@@ -431,7 +431,6 @@ TEST(ChaosMisconfigTest, WithinBudgetLiarCannotCorruptStateTransfer) {
   cfg.pbft.request_timeout_us = Millis(400);
   cfg.pbft.checkpoint_interval = 4;
   cfg.pbft.batch_max = 1;
-  cfg.pbft.batch_timeout_us = 100;
   core::ZiziphusSystem sys(5, sim::LatencyModel::PaperGeoMatrix());
   sys.AddZone(0, 0, 1, 4);
   sys.Finalize(cfg,

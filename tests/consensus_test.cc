@@ -132,7 +132,6 @@ TEST(AdaptiveTimeoutTest, ProgressTimeoutClampsAndJittersDeterministically) {
 
 TEST(AdaptiveTimeoutTest, FastAbandonStaysBetweenBatchAndRequestTimeout) {
   pbft::PbftConfig cfg;
-  cfg.batch_timeout_us = Millis(2);
   cfg.request_timeout_us = Millis(600);
 
   // Unseeded: the round-trip-scale cold timeout (plus bounded jitter) —
@@ -145,8 +144,8 @@ TEST(AdaptiveTimeoutTest, FastAbandonStaysBetweenBatchAndRequestTimeout) {
 
   // Tracks 4x the EWMA but never dips below the batch window...
   Duration lo = pbft::FastPathAbandonTimeout(cfg, 10, 1, 1);
-  EXPECT_GE(lo, cfg.batch_timeout_us);
-  EXPECT_LE(lo, cfg.batch_timeout_us + cfg.batch_timeout_us / 8);
+  EXPECT_GE(lo, pbft::kBatchTimeout);
+  EXPECT_LE(lo, pbft::kBatchTimeout + pbft::kBatchTimeout / 8);
 
   // ...and never exceeds the full request timeout.
   Duration hi = pbft::FastPathAbandonTimeout(cfg, Seconds(10), 1, 1);

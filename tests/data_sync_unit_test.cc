@@ -40,7 +40,6 @@ struct SyncFixture {
 TEST(DataSyncUnitTest, ConcurrentMigrationsShareBatches) {
   NodeConfig cfg;
   cfg.sync.batch_max = 16;
-  cfg.sync.batch_timeout_us = Millis(5);
   SyncFixture fx(cfg);
   std::vector<std::unique_ptr<testutil::TestClient>> clients;
   for (int i = 0; i < 12; ++i) clients.push_back(fx.NewClient(0));

@@ -137,7 +137,6 @@ TEST(FailureTest, LazySyncReplicatesZoneStateElsewhere) {
   NodeConfig cfg = app::harness::FaultHarnessNodeConfig();
   cfg.pbft.checkpoint_interval = 4;
   cfg.pbft.batch_max = 1;
-  cfg.pbft.batch_timeout_us = 100;
   FailFixture fx(3, cfg);
   ClientId c = fx.client->id();
   fx.Bootstrap(c, 0);

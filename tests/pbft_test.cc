@@ -1,10 +1,12 @@
 #include <algorithm>
+#include <deque>
 #include <memory>
 #include <set>
 #include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "pbft/batcher.h"
 #include "pbft/durable.h"
 #include "pbft/engine.h"
 #include "tests/test_util.h"
@@ -54,6 +56,30 @@ TEST(PbftTest, BatchingCombinesRequests) {
   EXPECT_EQ(done, 64u);
   EXPECT_LE(c.engine(0).last_executed(), 10u);
   EXPECT_GE(c.engine(0).last_executed(), 4u);
+}
+
+TEST(PbftTest, BurstBeyondTheWatermarkWindowCompletes) {
+  // One burst deeper than the watermark window, one op per batch: the
+  // primary proposes up to the window's edge, holds the rest queued and
+  // proposes them once a stable checkpoint moves the window. One op per
+  // client, so network jitter cannot reorder a client's own requests.
+  pbft::PbftConfig base;
+  base.batch_max = 1;
+  PbftCluster c(4, 1, /*seed=*/1, /*one_way_us=*/1000, base);
+  const std::size_t ops = pbft::kWatermarkWindow + 52;
+  std::vector<std::unique_ptr<testutil::TestClient>> clients;
+  for (std::size_t i = 0; i < ops; ++i) {
+    clients.push_back(std::make_unique<testutil::TestClient>(&c.keys, 1));
+    c.sim.Register(clients.back().get(), 0);
+    clients.back()->SubmitLocal(c.members[0], "op");
+  }
+  c.sim.RunFor(Seconds(5));
+  std::size_t done = 0;
+  for (const auto& cl : clients) done += cl->completed();
+  EXPECT_EQ(done, ops);
+  EXPECT_EQ(c.engine(0).last_executed(), ops);
+  std::uint64_t d = c.app(0).StateDigest();
+  for (int i = 1; i < 4; ++i) EXPECT_EQ(c.app(i).StateDigest(), d);
 }
 
 TEST(PbftTest, RequestToBackupIsRelayed) {
@@ -165,7 +191,6 @@ TEST(PbftTest, CheckpointAdvancesStableSeq) {
   pbft::PbftConfig base;
   base.checkpoint_interval = 4;
   base.batch_max = 1;
-  base.batch_timeout_us = 100;
   PbftCluster c(4, 1, 1, 1000, base);
   c.client->SubmitLocalSequence(c.members[0], 12, "op");
   c.sim.RunFor(Seconds(3));
@@ -180,7 +205,6 @@ TEST(PbftTest, CommitLogTruncatedAtCheckpoint) {
   pbft::PbftConfig base;
   base.checkpoint_interval = 4;
   base.batch_max = 1;
-  base.batch_timeout_us = 100;
   PbftCluster c(4, 1, 1, 1000, base);
   c.client->SubmitLocalSequence(c.members[0], 20, "op");
   c.sim.RunFor(Seconds(4));
@@ -192,7 +216,6 @@ TEST(PbftTest, LaggingReplicaCatchesUpViaStateTransfer) {
   pbft::PbftConfig base;
   base.checkpoint_interval = 4;
   base.batch_max = 1;
-  base.batch_timeout_us = 100;
   PbftCluster c(4, 1, 1, 1000, base);
   // Isolate replica 3 from normal traffic for a while.
   for (int i = 0; i < 3; ++i) c.sim.faults().Partition(c.members[3], c.members[i]);
@@ -210,7 +233,6 @@ TEST(PbftTest, StateTransferRotatesAwayFromUnreachablePeer) {
   pbft::PbftConfig base;
   base.checkpoint_interval = 4;
   base.batch_max = 1;
-  base.batch_timeout_us = 100;
   base.request_timeout_us = Millis(200);
   PbftCluster c(4, 1, 1, 1000, base);
   for (int i = 0; i < 3; ++i) {
@@ -424,6 +446,96 @@ TEST(PbftByzantineTest, EquivocatingPrimaryCannotSplitState) {
     auto& app = static_cast<pbft::EchoStateMachine&>(rep->app());
     EXPECT_LE(app.applied(), 1u);
   }
+}
+
+// ------------------------------------------------------------------ Batcher
+
+using IntBatcher = pbft::Batcher<int>;
+
+std::vector<int> Ids(const std::deque<IntBatcher::Entry>& entries) {
+  std::vector<int> out;
+  for (const auto& e : entries) out.push_back(static_cast<int>(e.id));
+  return out;
+}
+
+TEST(BatcherTest, SizeTriggeredCutTakesTheOldestOpsInOrder) {
+  IntBatcher b;
+  for (int i = 1; i <= 5; ++i) EXPECT_TRUE(b.Push(i, 10 * i));
+  ASSERT_GE(b.size(), 3u);
+  IntBatcher::Cut cut = b.TakeUpTo(3);
+  EXPECT_EQ(cut.ops, (std::vector<int>{10, 20, 30}));
+  EXPECT_EQ(b.size(), 2u);
+  EXPECT_FALSE(b.Contains(1));
+  EXPECT_TRUE(b.Contains(4));
+  EXPECT_EQ(Ids(b.queued()), (std::vector<int>{4, 5}));
+}
+
+TEST(BatcherTest, TimerCutTakesAPartialBatchAndRearms) {
+  IntBatcher b;
+  b.Push(1, 10);
+  EXPECT_TRUE(b.Arm());   // first op: the owner sets its timer
+  b.Push(2, 20);
+  EXPECT_FALSE(b.Arm());  // one timer per batch
+  b.Disarm();             // the timer fired
+  IntBatcher::Cut cut = b.TakeUpTo(pbft::kBatchMax);
+  EXPECT_EQ(cut.ops, (std::vector<int>{10, 20}));
+  EXPECT_TRUE(b.empty());
+  EXPECT_TRUE(b.TakeUpTo(pbft::kBatchMax).ops.empty());
+  b.Push(3, 30);
+  EXPECT_TRUE(b.Arm());
+}
+
+TEST(BatcherTest, DuplicatePushIsRejectedOnlyWhileQueued) {
+  IntBatcher b;
+  EXPECT_TRUE(b.Push(7, 70));
+  EXPECT_FALSE(b.Push(7, 71));
+  EXPECT_EQ(b.size(), 1u);
+  EXPECT_EQ(b.TakeUpTo(1).ops, (std::vector<int>{70}));
+  EXPECT_TRUE(b.Push(7, 72));
+}
+
+TEST(BatcherTest, RemoveDropsAQueuedOpAndIgnoresAnUnknownId) {
+  IntBatcher b;
+  for (int i = 1; i <= 3; ++i) b.Push(i, 10 * i);
+  b.Remove(2);
+  EXPECT_FALSE(b.Contains(2));
+  EXPECT_EQ(Ids(b.queued()), (std::vector<int>{1, 3}));
+  b.Remove(2);
+  b.Remove(99);
+  EXPECT_EQ(Ids(b.queued()), (std::vector<int>{1, 3}));
+  EXPECT_TRUE(b.Push(2, 21));  // re-queued at the back
+  EXPECT_EQ(Ids(b.queued()), (std::vector<int>{1, 3, 2}));
+}
+
+TEST(BatcherTest, DrainReturnsEveryEntryInFifoOrder) {
+  IntBatcher b;
+  const obs::TraceContext t{5, 6};
+  for (int i = 1; i <= 4; ++i) {
+    b.Push(i, 10 * i, i == 3 ? t : obs::TraceContext{});
+  }
+  b.Remove(2);
+  std::deque<IntBatcher::Entry> drained = b.Drain();
+  EXPECT_EQ(Ids(drained), (std::vector<int>{1, 3, 4}));
+  EXPECT_EQ(drained[1].op, 30);
+  EXPECT_EQ(drained[1].trace, t);
+  EXPECT_TRUE(b.empty());
+  EXPECT_FALSE(b.Contains(1));
+  EXPECT_TRUE(b.Push(1, 11));
+}
+
+TEST(BatcherTest, CutCarriesTheFirstActiveTraceAndDropsTheRest) {
+  IntBatcher b;
+  const obs::TraceContext first{11, 1};
+  const obs::TraceContext second{12, 2};
+  b.Push(1, 10);  // no trace parked
+  b.Push(2, 20, first);
+  b.Push(3, 30, second);
+  b.Push(4, 40, obs::TraceContext{13, 3});
+  EXPECT_EQ(b.TakeUpTo(3).trace, first);
+  // The next cut sees only what is still queued.
+  EXPECT_EQ(b.TakeUpTo(3).trace, (obs::TraceContext{13, 3}));
+  b.Push(3, 31);  // re-queued without a trace: `second` is gone
+  EXPECT_FALSE(b.TakeUpTo(3).trace.active());
 }
 
 }  // namespace

@@ -47,7 +47,6 @@ TEST(ViewChangeTest, CommittedPrefixSurvivesViewChange) {
   pbft::PbftConfig base;
   base.request_timeout_us = Millis(250);
   base.batch_max = 1;
-  base.batch_timeout_us = 100;
   PbftCluster c(4, 1, /*seed=*/5, 1000, base);
   c.client->EnableRetry(c.members, Millis(500));
 
@@ -76,7 +75,6 @@ TEST(ViewChangeTest, CheckpointsContinueAfterViewChange) {
   pbft::PbftConfig base;
   base.request_timeout_us = Millis(250);
   base.batch_max = 1;
-  base.batch_timeout_us = 100;
   base.checkpoint_interval = 4;
   PbftCluster c(4, 1, /*seed=*/9, 1000, base);
   c.client->EnableRetry(c.members, Millis(500));
