@@ -232,9 +232,7 @@ ExperimentResult Run(const Cell& c) {
       cfg.sync.stable_leader = false;
       break;
     case 2:
-      cfg.pbft.costs.crypto.threshold_signatures = false;
-      cfg.sync.costs.crypto.threshold_signatures = false;
-      cfg.migration.costs.crypto.threshold_signatures = false;
+      cfg.costs.crypto.threshold_signatures = false;
       break;
     case 3:
       cfg.sync.batch_max = 1;

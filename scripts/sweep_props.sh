@@ -2,12 +2,18 @@
 # Runs every swept test binary (chaos, recovery, consensus, reads) of one
 # build tree and writes <out-dir>/<suite>.props: each test's name with its
 # recorded `*fingerprint` and `*obs_hash` gtest properties, one per line.
-# A same-behaviour refactor leaves these files identical, so run it on the
-# parent's build and on the change's build and diff the two directories:
+# It also writes <out-dir>/ablation.json and <out-dir>/fig6.json, the quick
+# `bench_paper ablation` and `bench_paper fig6` exports (ZIZIPHUS_BENCH_JSON),
+# which no committed file replays: the threshold-signatures-off cell and
+# the crashed-backup cells of every protocol. A same-behaviour refactor
+# leaves all of these files identical, so run it on the parent's build and
+# on the change's build and diff the two directories, skipping the raw
+# gtest reports and bench logs (<suite>.gtest.json and <view>.log, which
+# carry wall times):
 #
 #   scripts/sweep_props.sh ../parent/build /tmp/old
 #   scripts/sweep_props.sh build /tmp/new
-#   diff -r /tmp/old /tmp/new
+#   diff -r -x '*.gtest.json' -x '*.log' /tmp/old /tmp/new
 #
 # Usage: scripts/sweep_props.sh <build-dir> <out-dir>
 
@@ -30,10 +36,21 @@ for t in chaos recovery consensus reads; do
   fi
   # A failing test still records its properties: write them all, then
   # report the failing suites and exit 1.
-  "$bin" --gtest_output="json:$OUT/$t.json" >/dev/null || FAILED+=("$t")
+  "$bin" --gtest_output="json:$OUT/$t.gtest.json" >/dev/null || FAILED+=("$t")
   grep -E '"(name|[a-z0-9_]*fingerprint|[a-z0-9_]*obs_hash)"' \
-      "$OUT/$t.json" > "$OUT/$t.props"
+      "$OUT/$t.gtest.json" > "$OUT/$t.props"
   echo "$OUT/$t.props: $(grep -c -E 'fingerprint|obs_hash' "$OUT/$t.props") props"
+done
+
+bench="$BUILD/bench/bench_paper"
+if [[ ! -x "$bench" ]]; then
+  echo "missing bench binary: $bench" >&2
+  exit 1
+fi
+for view in ablation fig6; do
+  ZIZIPHUS_BENCH_JSON="$OUT/$view.json" "$bench" "$view" \
+      >"$OUT/$view.log" 2>&1 || FAILED+=("bench_paper $view")
+  echo "$OUT/$view.json: $(grep -c '"name"' "$OUT/$view.json") cells"
 done
 
 if [[ ${#FAILED[@]} -gt 0 ]]; then

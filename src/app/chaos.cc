@@ -435,6 +435,7 @@ ChaosReport RunTwoLevelChaos(const ChaosOptions& opt) {
   report.violations = sim::InvariantChecker(std::move(iopt)).Check(sys);
   report.fingerprint = harness::FingerprintCounters(sys.sim().counters());
   report.counters = sys.sim().counters().All();
+  report.obs_json = sys.sim().recorder().ExportJson();
   return report;
 }
 

@@ -5,6 +5,18 @@
 
 namespace ziziphus::app {
 
+namespace {
+
+/// A "behind" reply usually means the next stable checkpoint has not
+/// covered the session's last write yet — a cadence of a few milliseconds,
+/// not an outage. Instead of surrendering to the transaction path
+/// immediately, wait this long and retry the fast path, up to
+/// kReadBehindWaits times per read; then fall back.
+constexpr Duration kReadBehindWait = Millis(1);
+constexpr std::size_t kReadBehindWaits = 2;
+
+}  // namespace
+
 MobileClient::MobileClient(Config config)
     : ClientCore(config.keys, config.retry_timeout), cfg_(std::move(config)) {
   causal_ = cfg_.causal;
@@ -181,9 +193,9 @@ void MobileClient::OnReadBehind() {
   // normally just the checkpoint cadence — wait one beat and retry the fast
   // path before surrendering to the (far costlier) txn path.
   stats_.read_redirects++;
-  if (read_waited_ < cfg_.read_behind_waits) {
+  if (read_waited_ < kReadBehindWaits) {
     read_waited_++;
-    RetryReadAfter(cfg_.read_behind_wait);
+    RetryReadAfter(kReadBehindWait);
   } else {
     IssueReadFallback();
   }

@@ -61,13 +61,6 @@ class MobileClient : public ClientCore {
     bool stable_leader = true;
     Duration retry_timeout = Seconds(4);
     Duration think_time = 0;
-    /// A "behind" reply usually means the next stable checkpoint has not
-    /// covered the session's last write yet — a cadence of a few
-    /// milliseconds, not an outage. Instead of surrendering to the
-    /// transaction path immediately, wait this long and retry the fast
-    /// path, up to `read_behind_waits` times per read; then fall back.
-    Duration read_behind_wait = Millis(1);
-    std::size_t read_behind_waits = 2;
     /// Same-zone peers for transfer targets. Built by the experiment runner
     /// before construction (client ids are predictable from registration
     /// order), so there is no mutate-after-construct window.

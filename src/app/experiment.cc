@@ -84,9 +84,7 @@ core::NodeConfig DefaultNodeConfig() {
   cfg.sync.response_query_timeout_us = Seconds(2);
   // Threshold signatures keep certificate verification constant-cost
   // (Section IV-B1 cites Shoup-style threshold schemes).
-  cfg.pbft.costs.crypto.threshold_signatures = true;
-  cfg.sync.costs.crypto.threshold_signatures = true;
-  cfg.migration.costs.crypto.threshold_signatures = true;
+  cfg.costs.crypto.threshold_signatures = true;
   return cfg;
 }
 
@@ -360,17 +358,7 @@ ExperimentResult RunTwoLevel(const DeploymentSpec& dep,
   for (const auto& z : dep.zones) {
     sys.AddZone(z.cluster, z.region, dep.f, dep.nodes_per_zone());
   }
-  baselines::TwoLevelNode::Config cfg;
-  core::NodeConfig base = DefaultNodeConfig();
-  cfg.pbft = base.pbft;
-  cfg.migration = base.migration;
-  cfg.policy = base.policy;
-  cfg.two_level.costs = base.sync.costs;
-  // Threshold certificates are part of Ziziphus's design (Section IV-B1);
-  // the two-level comparator verifies plain 2f+1 signature sets.
-  cfg.two_level.costs.crypto.threshold_signatures = false;
-  cfg.migration.costs.crypto.threshold_signatures = false;
-  sys.Finalize(cfg, NewBank);
+  sys.Finalize(TwoLevelNodeConfig(), NewBank);
 
   ClosedLoop loop;
   loop.sim = &sys.sim();
@@ -414,11 +402,13 @@ ExperimentResult RunFlat(const DeploymentSpec& dep, const WorkloadSpec& wl,
     }
   }
   std::size_t flat_f = dep.zones.size() * dep.f;
-  pbft::PbftConfig pcfg = DefaultNodeConfig().pbft;
+  const core::NodeConfig base = DefaultNodeConfig();
+  pbft::PbftConfig pcfg = base.pbft;
   pcfg.members = group;
   pcfg.f = flat_f;
   pcfg.request_timeout_us = Seconds(5);
   for (auto& rep : replicas) {
+    rep->set_costs(base.costs);
     rep->Init(&keys, pcfg, std::make_unique<BankStateMachine>());
   }
 
@@ -447,6 +437,18 @@ ExperimentResult RunFlat(const DeploymentSpec& dep, const WorkloadSpec& wl,
 core::NodeConfig StewardNodeConfig() {
   core::NodeConfig cfg = DefaultNodeConfig();
   cfg.lazy_sync = false;  // every transaction is already global
+  return cfg;
+}
+
+baselines::TwoLevelNode::Config TwoLevelNodeConfig() {
+  const core::NodeConfig base = DefaultNodeConfig();
+  baselines::TwoLevelNode::Config cfg;
+  cfg.pbft = base.pbft;
+  cfg.policy = base.policy;
+  cfg.costs = base.costs;
+  // Threshold certificates are part of Ziziphus's design (Section IV-B1);
+  // the two-level comparator verifies plain 2f+1 signature sets.
+  cfg.costs.crypto.threshold_signatures = false;
   return cfg;
 }
 

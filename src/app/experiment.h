@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "app/workload.h"
+#include "baselines/two_level.h"
 #include "common/types.h"
 #include "core/system.h"
 #include "sim/latency_model.h"
@@ -142,6 +143,11 @@ core::NodeConfig DefaultNodeConfig();
 /// benchmarks show. There is intentionally no separate node class: the
 /// reuse *is* the model.
 core::NodeConfig StewardNodeConfig();
+
+/// The node configuration RunExperiment gives the two-level PBFT
+/// comparator: DefaultNodeConfig's PBFT, policy and cost table, except that
+/// certificates are plain 2f+1 signature sets, not threshold signatures.
+baselines::TwoLevelNode::Config TwoLevelNodeConfig();
 
 /// Builds the deployment for `protocol`, runs the closed-loop workload, and
 /// reports aggregate throughput and latency over the measurement window.

@@ -18,14 +18,6 @@ DeploymentSpec ExperimentConfig::Deployment() const {
                       : PaperDeployment(zones, f);
 }
 
-ChaosOptions ExperimentConfig::ChaosFor() const {
-  ChaosOptions c = chaos;
-  c.seed = workload.seed;
-  c.zones = zones;
-  c.f = f;
-  return c;
-}
-
 std::string ExperimentConfig::ToString() const {
   std::ostringstream os;
   os << ProtocolName(protocol) << " zones=" << zones;
@@ -53,10 +45,9 @@ std::string ExperimentConfig::ToString() const {
 }
 
 ExperimentResult ExperimentConfig::Run() const {
-  core::NodeConfig node = DefaultNodeConfig();
-  if (protocol == Protocol::kSteward) {
-    node.lazy_sync = false;  // every transaction is already global
-  }
+  core::NodeConfig node = protocol == Protocol::kSteward
+                              ? StewardNodeConfig()
+                              : DefaultNodeConfig();
   node.sync.stable_leader = stable_leader;
   node.pbft.ordering = ordering;
   return RunExperimentWithConfig(protocol, Deployment(), workload, node,

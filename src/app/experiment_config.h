@@ -100,10 +100,6 @@ struct ExperimentConfig {
   /// The deployment implied by zones / clusters / f.
   DeploymentSpec Deployment() const;
 
-  /// Chaos options with the shared knobs (seed, zones, f) applied on top
-  /// of the chaos-specific ones.
-  ChaosOptions ChaosFor() const;
-
   /// One-line human-readable description of the cell.
   std::string ToString() const;
 

@@ -34,27 +34,26 @@ TwoLevelGlobalEngine::TwoLevelGlobalEngine(
     sim::Process* process, const crypto::KeyRegistry* keys,
     const core::Topology* topology, ZoneId my_zone,
     core::GlobalMetadata* metadata, core::LockTable* locks,
-    core::ZoneEndorser* endorser, TwoLevelConfig config)
+    core::ZoneEndorser* endorser)
     : process_(process),
       keys_(keys),
       topology_(topology),
       my_zone_(my_zone),
       metadata_(metadata),
       locks_(locks),
-      endorser_(endorser),
-      config_(config) {}
+      endorser_(endorser) {}
 
 Status TwoLevelGlobalEngine::VerifyZoneCert(const crypto::Certificate& cert,
                                             crypto::Digest expected,
                                             ZoneId zone) const {
   process_->ChargeCpu(
-      config_.costs.crypto.CertificateVerifyCost(cert.size()));
+      process_->costs().crypto.CertificateVerifyCost(cert.size()));
   return core::VerifyZoneCertificate(*keys_, topology_->zone(zone), cert,
                                      expected);
 }
 
 bool TwoLevelGlobalEngine::HandleMessage(const sim::MessagePtr& msg) {
-  const auto& costs = config_.costs;
+  const NodeCosts& costs = process_->costs();
   switch (msg->type()) {
     case core::kMigrationRequest:
       process_->ChargeCpu(costs.base_handle_us + costs.mac_us);
@@ -88,7 +87,7 @@ void TwoLevelGlobalEngine::HandleMigrationRequest(
   if (!keys_->Verify(msg->client_sig, msg->digest())) return;
   if (my_zone_ != kTwoLevelLeaderZone) return;
   if (!endorser_->IsPrimary()) {
-    process_->ChargeCpu(config_.costs.send_us);
+    process_->ChargeCpu(process_->costs().send_us);
     process_->Send(endorser_->primary(), msg);
     return;
   }
@@ -163,7 +162,7 @@ void TwoLevelGlobalEngine::OnEndorseQuorum(const EndorseKey& key,
       msg->initiator_zone = my_zone_;
       msg->cert = cert;
       auto targets = AllNodes();
-      process_->ChargeCpu(config_.costs.send_us * targets.size());
+      process_->ChargeCpu(process_->costs().send_us * targets.size());
       process_->Multicast(targets, msg);
       break;
     }
@@ -175,7 +174,7 @@ void TwoLevelGlobalEngine::OnEndorseQuorum(const EndorseKey& key,
       msg->zone = my_zone_;
       msg->cert = cert;
       auto targets = AllNodes();
-      process_->ChargeCpu(config_.costs.send_us * targets.size());
+      process_->ChargeCpu(process_->costs().send_us * targets.size());
       process_->Multicast(targets, msg);
       break;
     }
@@ -187,7 +186,7 @@ void TwoLevelGlobalEngine::OnEndorseQuorum(const EndorseKey& key,
       msg->zone = my_zone_;
       msg->cert = cert;
       auto targets = AllNodes();
-      process_->ChargeCpu(config_.costs.send_us * targets.size());
+      process_->ChargeCpu(process_->costs().send_us * targets.size());
       process_->Multicast(targets, msg);
       break;
     }
@@ -286,7 +285,7 @@ void TwoLevelGlobalEngine::ExecuteReady() {
       for (const MigrationOp& op : req.ops) {
         if (!executed_op_ids_.insert(op.RequestId()).second) continue;
         executed_count_++;
-        process_->ChargeCpu(config_.costs.apply_us);
+        process_->ChargeCpu(process_->costs().apply_us);
         std::string result;
         if (op.IsMigration()) {
           result = metadata_->Execute(op);
@@ -312,6 +311,7 @@ void TwoLevelNode::Init(const crypto::KeyRegistry* keys,
   topology_ = topology;
   zone_ = zone;
   config_ = std::move(config);
+  set_costs(config_.costs);
   app_ = std::move(app);
   metadata_ = std::make_unique<core::GlobalMetadata>(config_.policy);
 
@@ -343,15 +343,13 @@ void TwoLevelNode::Init(const crypto::KeyRegistry* keys,
         break;
     }
   };
-  endorser_ = std::make_unique<core::ZoneEndorser>(
-      this, keys_, &zi, config_.two_level.costs, cbs);
+  endorser_ = std::make_unique<core::ZoneEndorser>(this, keys_, &zi, cbs);
 
   global_ = std::make_unique<TwoLevelGlobalEngine>(
       this, keys_, topology_, zone_, metadata_.get(), &locks_,
-      endorser_.get(), config_.two_level);
+      endorser_.get());
   migration_ = std::make_unique<core::MigrationEngine>(
-      this, keys_, topology_, zone_, &locks_, endorser_.get(),
-      config_.migration);
+      this, keys_, topology_, zone_, &locks_, endorser_.get());
 
   global_->set_executed_callback([this](const MigrationOp& op,
                                         ZoneId initiator,
@@ -363,8 +361,7 @@ void TwoLevelNode::Init(const crypto::KeyRegistry* keys,
       reply->timestamp = op.timestamp;
       reply->replica = id();
       reply->result = result.empty() ? "synced" : result;
-      ChargeCpu(config_.two_level.costs.mac_us +
-                config_.two_level.costs.send_us);
+      ChargeCpu(costs().mac_us + costs().send_us);
       Send(op.client, reply);
     }
     if (op.IsMigration() && (zone_ == op.source || zone_ == op.destination)) {
@@ -376,7 +373,7 @@ void TwoLevelNode::Init(const crypto::KeyRegistry* keys,
     app_op.client = op.client;
     app_op.timestamp = op.timestamp;
     app_op.command = op.command;
-    ChargeCpu(config_.two_level.costs.apply_us);
+    ChargeCpu(costs().apply_us);
     return app_->Apply(app_op);
   });
   migration_->set_state_provider(
@@ -393,7 +390,7 @@ void TwoLevelNode::Init(const crypto::KeyRegistry* keys,
     reply->timestamp = op.timestamp;
     reply->replica = id();
     reply->result = "migrated";
-    ChargeCpu(config_.migration.costs.mac_us + config_.migration.costs.send_us);
+    ChargeCpu(costs().mac_us + costs().send_us);
     Send(op.client, reply);
   });
   pbft_->set_view_callback([this](ViewId view, bool active) {

@@ -86,10 +86,6 @@ struct GCommitMsg : sim::Message {
 /// clients send their global requests there.
 inline constexpr ZoneId kTwoLevelLeaderZone = 0;
 
-struct TwoLevelConfig {
-  NodeCosts costs;
-};
-
 /// The paper's "two-level PBFT" comparator: local transactions use zone
 /// PBFT exactly like Ziziphus, but global transactions run PBFT (three
 /// phases, 2F+1-of-3F+1 zone quorums, all-to-all zone communication) at the
@@ -107,7 +103,7 @@ class TwoLevelGlobalEngine {
                        const crypto::KeyRegistry* keys,
                        const core::Topology* topology, ZoneId my_zone,
                        core::GlobalMetadata* metadata, core::LockTable* locks,
-                       core::ZoneEndorser* endorser, TwoLevelConfig config);
+                       core::ZoneEndorser* endorser);
 
   bool HandleMessage(const sim::MessagePtr& msg);
   /// The engine's one timer (the batch timer) fired.
@@ -165,7 +161,6 @@ class TwoLevelGlobalEngine {
   core::GlobalMetadata* metadata_;
   core::LockTable* locks_;
   core::ZoneEndorser* endorser_;
-  TwoLevelConfig config_;
   ExecutedCallback executed_callback_;
   GlobalApplyCallback global_apply_callback_;
 
@@ -186,9 +181,11 @@ class TwoLevelNode : public sim::Process {
  public:
   struct Config {
     pbft::PbftConfig pbft;
-    TwoLevelConfig two_level;
-    core::MigrationConfig migration;
     core::PolicyConfig policy;
+    /// The replica core's CPU cost table, installed on the process by Init.
+    /// The comparator's certificates are plain 2f+1 signature sets, so its
+    /// crypto.threshold_signatures is false (app::TwoLevelNodeConfig).
+    NodeCosts costs;
   };
 
   TwoLevelNode() = default;

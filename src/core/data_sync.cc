@@ -72,7 +72,7 @@ Ballot DataSyncEngine::last_executed_ballot(ZoneId initiator) const {
 // -------------------------------------------------------------- dispatch
 
 bool DataSyncEngine::HandleMessage(const sim::MessagePtr& msg) {
-  const auto& costs = config_.costs;
+  const NodeCosts& costs = process_->costs();
   switch (msg->type()) {
     case kMigrationRequest:
       process_->ChargeCpu(costs.base_handle_us);
@@ -148,8 +148,8 @@ void DataSyncEngine::HandleTimer(const sim::TimerTag& tag) {
         query->replica = process_->id();
         query->sig = keys_->Sign(process_->id(), query->digest());
         const auto& members = topology_->zone(req.initiator_zone).members;
-        process_->ChargeCrypto(config_.costs.crypto.sign_us);
-        process_->ChargeCpu(config_.costs.send_us * members.size());
+        process_->ChargeCrypto(process_->costs().crypto.sign_us);
+        process_->ChargeCpu(process_->costs().send_us * members.size());
         process_->scoped_counters().Inc(
             obs::CounterId::kSyncResponseQueriesSent);
         process_->Multicast(members, query);
@@ -222,7 +222,7 @@ void DataSyncEngine::HandleMigrationRequest(
   if (!IsZonePrimary()) {
     // Relay to the primary and watch for progress (Section V-A). Track the
     // op so a future primary (after a view change) can lead it.
-    process_->ChargeCpu(config_.costs.send_us);
+    process_->ChargeCpu(process_->costs().send_us);
     process_->Send(endorser_->primary(), msg);
     if (relay_watch_.count(op_id) == 0) {
       batcher_.Push(op_id, op);
@@ -361,7 +361,7 @@ void DataSyncEngine::RetryRequest(std::uint64_t request_id) {
   if (config_.stable_leader && req.sent_accept != nullptr) {
     // Retransmit; followers deduplicate by request id.
     std::vector<NodeId> targets = ParticipantNodes(my_zone_info().cluster);
-    process_->ChargeCpu(config_.costs.send_us * targets.size());
+    process_->ChargeCpu(process_->costs().send_us * targets.size());
     process_->Multicast(targets, req.sent_accept);
     req.retry_timer = ArmTimer(req.id, kRetry, config_.retry_timeout_us);
     return;
@@ -513,7 +513,7 @@ void DataSyncEngine::OnEndorseQuorum(const EndorseKey& key,
         const auto& m = topology_->zone(z).members;
         targets.insert(targets.end(), m.begin(), m.end());
       }
-      process_->ChargeCpu(config_.costs.send_us * targets.size());
+      process_->ChargeCpu(process_->costs().send_us * targets.size());
       process_->Multicast(targets, prop);
       break;
     }
@@ -526,7 +526,7 @@ void DataSyncEngine::OnEndorseQuorum(const EndorseKey& key,
       promise->zone = my_zone_;
       promise->cert = cert;
       const auto& members = topology_->zone(req.initiator_zone).members;
-      process_->ChargeCpu(config_.costs.send_us * members.size());
+      process_->ChargeCpu(process_->costs().send_us * members.size());
       process_->Multicast(members, promise);
       break;
     }
@@ -544,7 +544,7 @@ void DataSyncEngine::OnEndorseQuorum(const EndorseKey& key,
         cp->initiator_zone = my_zone_;
         cp->cert = cert;
         const auto& members = topology_->zone(req.op0().source).members;
-        process_->ChargeCpu(config_.costs.send_us * members.size());
+        process_->ChargeCpu(process_->costs().send_us * members.size());
         process_->scoped_counters().Inc(obs::CounterId::kSyncCrossProposesSent);
         process_->Multicast(members, cp);
         process_->EndSpan(relay);
@@ -569,7 +569,7 @@ void DataSyncEngine::OnEndorseQuorum(const EndorseKey& key,
       acc->zone = my_zone_;
       acc->cert = cert;
       const auto& members = topology_->zone(req.initiator_zone).members;
-      process_->ChargeCpu(config_.costs.send_us * members.size());
+      process_->ChargeCpu(process_->costs().send_us * members.size());
       process_->Multicast(members, acc);
       break;
     }
@@ -593,7 +593,7 @@ void DataSyncEngine::OnEndorseQuorum(const EndorseKey& key,
                   ? pit->second.initiator_zone
                   : topology_->zone(req.op0().destination).id;
           const auto& members = topology_->zone(dest_zone).members;
-          process_->ChargeCpu(config_.costs.send_us * members.size());
+          process_->ChargeCpu(process_->costs().send_us * members.size());
           process_->scoped_counters().Inc(obs::CounterId::kSyncPreparedSent);
           process_->Multicast(members, prep);
           process_->EndSpan(relay);
@@ -683,7 +683,7 @@ void DataSyncEngine::SendAccept(RequestState& req,
       targets.insert(targets.end(), m.begin(), m.end());
     }
   }
-  process_->ChargeCpu(config_.costs.send_us * targets.size());
+  process_->ChargeCpu(process_->costs().send_us * targets.size());
   process_->Multicast(targets, acc);
 
   // A single-zone cluster has no followers: the accept quorum already
@@ -719,7 +719,7 @@ void DataSyncEngine::SendCommit(RequestState& req) {
     auto src = ParticipantNodes(topology_->zone(commit->source_zone).cluster);
     targets.insert(targets.end(), src.begin(), src.end());
   }
-  process_->ChargeCpu(config_.costs.send_us * targets.size());
+  process_->ChargeCpu(process_->costs().send_us * targets.size());
   process_->scoped_counters().Inc(obs::CounterId::kSyncCommitsSent);
   process_->Multicast(targets, commit);
   process_->EndSpan(req.ballot_span);  // ballot round: led -> commit sent
@@ -807,7 +807,7 @@ void DataSyncEngine::HandleAccept(
       acc->zone = my_zone_;
       acc->cert = req.accepted_cert;
       const auto& members = topology_->zone(msg->initiator_zone).members;
-      process_->ChargeCpu(config_.costs.send_us * members.size());
+      process_->ChargeCpu(process_->costs().send_us * members.size());
       process_->Multicast(members, acc);
     }
     return;
@@ -975,7 +975,7 @@ void DataSyncEngine::ExecuteCommit(RequestState& req) {
       durable_->executed_ops.Insert(op.client, op.timestamp);
       durable_->executed_op_count = executed_count_;
     }
-    process_->ChargeCpu(config_.costs.apply_us);
+    process_->ChargeCpu(process_->costs().apply_us);
     std::string result;
     if (op.IsMigration()) {
       result = metadata_->Execute(op);
@@ -1075,7 +1075,7 @@ void DataSyncEngine::HandleResponseQuery(
   if (it != requests_.end() && it->second.commit_msg != nullptr) {
     // Already processed: re-send the response (Section V-A), and log the
     // query to detect denial-of-service attempts.
-    process_->ChargeCpu(config_.costs.send_us);
+    process_->ChargeCpu(process_->costs().send_us);
     process_->Send(msg->replica, it->second.commit_msg);
     return;
   }
@@ -1235,7 +1235,7 @@ void DataSyncEngine::ReshipCommit(std::uint64_t request_id, ZoneId zone) {
   }
   if (found == nullptr) return;
   const auto& members = topology_->zone(zone).members;
-  process_->ChargeCpu(config_.costs.send_us * members.size());
+  process_->ChargeCpu(process_->costs().send_us * members.size());
   process_->scoped_counters().Inc(obs::CounterId::kSyncCommitsReshipped);
   process_->Multicast(members, found->commit_msg);
 }

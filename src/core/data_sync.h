@@ -10,7 +10,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "common/costs.h"
 #include "core/durable.h"
 #include "core/endorsement.h"
 #include "core/ledger.h"
@@ -64,8 +63,6 @@ struct SyncConfig {
   /// forever (soak-bench control arm).
   bool compact_decided = true;
   std::size_t decided_keep_window = 32;
-
-  NodeCosts costs;
 
   /// Test hook: called at `node` for every op an executing request carries,
   /// with whether it ran (false: the client watermark already held it).
@@ -310,8 +307,8 @@ class DataSyncEngine {
 
   Status VerifyZoneCert(const crypto::Certificate& cert,
                         crypto::Digest expected, ZoneId zone) const {
-    return VerifyZoneCertificateOn(*process_, config_.costs.crypto, *keys_,
-                                   topology_->zone(zone), cert, expected);
+    return VerifyZoneCertificateOn(*process_, *keys_, topology_->zone(zone),
+                                   cert, expected);
   }
 
   Ballot NextBallot(ZoneId chain_zone);

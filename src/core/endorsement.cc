@@ -8,12 +8,10 @@ namespace ziziphus::core {
 
 ZoneEndorser::ZoneEndorser(sim::Process* process,
                            const crypto::KeyRegistry* keys,
-                           const ZoneInfo* zone, NodeCosts costs,
-                           Callbacks callbacks)
+                           const ZoneInfo* zone, Callbacks callbacks)
     : process_(process),
       keys_(keys),
       zone_(zone),
-      costs_(costs),
       callbacks_(std::move(callbacks)) {
   ZCHECK(zone_ != nullptr);
   const std::size_t n = zone_->members.size();
@@ -66,30 +64,30 @@ void ZoneEndorser::Start(EndorsePhase phase, std::uint64_t request_id,
   msg->records = std::move(records);
   msg->full_prepare = full_prepare;
   msg->sig = keys_->Sign(process_->id(), msg->digest());
-  process_->ChargeCrypto(costs_.crypto.sign_us);
-  process_->ChargeCpu(costs_.send_us * zone_->members.size());
+  process_->ChargeCrypto(process_->costs().crypto.sign_us);
+  process_->ChargeCpu(process_->costs().send_us * zone_->members.size());
   process_->Multicast(zone_->members, msg);
 }
 
 bool ZoneEndorser::HandleMessage(const sim::MessagePtr& msg) {
   switch (msg->type()) {
     case kEndorsePrePrepare:
-      process_->ChargeCpu(costs_.base_handle_us);
-      process_->ChargeAuth(costs_.crypto.verify_us);
+      process_->ChargeCpu(process_->costs().base_handle_us);
+      process_->ChargeAuth(process_->costs().crypto.verify_us);
       HandlePrePrepare(
           std::static_pointer_cast<const EndorsePrePrepareMsg>(msg));
       return true;
     case kEndorsePrepare:
-      process_->ChargeCpu(costs_.base_handle_us);
-      process_->ChargeAuth(costs_.mac_us);
+      process_->ChargeCpu(process_->costs().base_handle_us);
+      process_->ChargeAuth(process_->costs().mac_us);
       HandlePrepare(std::static_pointer_cast<const EndorsePrepareMsg>(msg));
       return true;
     case kEndorseVote:
       // Vote tags are threshold-signature shares: cheap to check
       // individually; the assembled certificate costs one full verify at
       // its consumer.
-      process_->ChargeCpu(costs_.base_handle_us);
-      process_->ChargeAuth(costs_.mac_us);
+      process_->ChargeCpu(process_->costs().base_handle_us);
+      process_->ChargeAuth(process_->costs().mac_us);
       HandleVote(std::static_pointer_cast<const EndorseVoteMsg>(msg));
       return true;
     default:
@@ -220,8 +218,8 @@ void ZoneEndorser::MulticastPrepare(const EndorsePrePrepareMsg& m) {
   prep->content_digest = m.content_digest;
   prep->replica = process_->id();
   prep->sig = keys_->Sign(process_->id(), prep->digest());
-  process_->ChargeCrypto(costs_.mac_us);
-  process_->ChargeCpu(costs_.send_us * zone_->members.size());
+  process_->ChargeCrypto(process_->costs().mac_us);
+  process_->ChargeCpu(process_->costs().send_us * zone_->members.size());
   process_->Multicast(zone_->members, prep);
 }
 
@@ -236,8 +234,8 @@ void ZoneEndorser::CastVote(const EndorseKey& key, State& st) {
   vote->content_digest = st.pre_prepare->content_digest;
   vote->replica = process_->id();
   vote->sig = keys_->Sign(process_->id(), vote->content_digest);
-  process_->ChargeCrypto(costs_.crypto.sign_us);
-  process_->ChargeCpu(costs_.send_us * zone_->members.size());
+  process_->ChargeCrypto(process_->costs().crypto.sign_us);
+  process_->ChargeCpu(process_->costs().send_us * zone_->members.size());
   process_->Multicast(zone_->members, vote);
   if (st.done) Retire(key);
 }

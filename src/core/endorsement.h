@@ -8,7 +8,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "common/costs.h"
 #include "core/messages.h"
 #include "core/topology.h"
 #include "crypto/certificate.h"
@@ -82,7 +81,7 @@ class ZoneEndorser {
   };
 
   ZoneEndorser(sim::Process* process, const crypto::KeyRegistry* keys,
-               const ZoneInfo* zone, NodeCosts costs, Callbacks callbacks);
+               const ZoneInfo* zone, Callbacks callbacks);
 
   ViewId view() const { return view_; }
   NodeId primary() const {
@@ -161,7 +160,6 @@ class ZoneEndorser {
   sim::Process* process_;
   const crypto::KeyRegistry* keys_;
   const ZoneInfo* zone_;
-  NodeCosts costs_;
   Callbacks callbacks_;
   ViewId view_ = 0;
   /// Instances in flight. A key is in at most one of states_ / done_.

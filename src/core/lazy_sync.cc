@@ -26,7 +26,7 @@ void LazySyncEngine::OnLocalStableCheckpoint(const storage::Checkpoint& cp,
     const auto& m = topology_->zone(z).members;
     targets.insert(targets.end(), m.begin(), m.end());
   }
-  process_->ChargeCpu(costs_.send_us * targets.size());
+  process_->ChargeCpu(process_->costs().send_us * targets.size());
   process_->scoped_counters().Inc(obs::CounterId::kLazyCheckpointsShared);
   process_->Multicast(targets, msg);
 }
@@ -34,8 +34,9 @@ void LazySyncEngine::OnLocalStableCheckpoint(const storage::Checkpoint& cp,
 bool LazySyncEngine::HandleMessage(const sim::MessagePtr& msg) {
   if (msg->type() != kZoneCheckpoint) return false;
   auto m = std::static_pointer_cast<const ZoneCheckpointMsg>(msg);
-  process_->ChargeCpu(costs_.base_handle_us +
-                      costs_.crypto.CertificateVerifyCost(m->cert.size()));
+  const NodeCosts& costs = process_->costs();
+  process_->ChargeCpu(costs.base_handle_us +
+                      costs.crypto.CertificateVerifyCost(m->cert.size()));
   if (m->zone >= topology_->num_zones()) return true;
   const ZoneInfo& zi = topology_->zone(m->zone);
   // The certificate is the PBFT checkpoint proof: 2f+1 signatures over

@@ -4,7 +4,6 @@
 #include <map>
 #include <memory>
 
-#include "common/costs.h"
 #include "core/topology.h"
 #include "crypto/certificate.h"
 #include "crypto/read_certificate.h"
@@ -47,12 +46,11 @@ struct ZoneCheckpointMsg : sim::Message {
 class LazySyncEngine {
  public:
   LazySyncEngine(sim::Process* process, const crypto::KeyRegistry* keys,
-                 const Topology* topology, ZoneId my_zone, NodeCosts costs)
+                 const Topology* topology, ZoneId my_zone)
       : process_(process),
         keys_(keys),
         topology_(topology),
-        my_zone_(my_zone),
-        costs_(costs) {}
+        my_zone_(my_zone) {}
 
   /// Called by the host when the local PBFT instance reaches a stable
   /// checkpoint; the zone primary shares it with every zone in the cluster.
@@ -72,7 +70,6 @@ class LazySyncEngine {
   const crypto::KeyRegistry* keys_;
   const Topology* topology_;
   ZoneId my_zone_;
-  NodeCosts costs_;
   storage::CheckpointStore remote_;
 };
 

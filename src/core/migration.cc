@@ -10,15 +10,13 @@ namespace ziziphus::core {
 MigrationEngine::MigrationEngine(sim::Process* process,
                                  const crypto::KeyRegistry* keys,
                                  const Topology* topology, ZoneId my_zone,
-                                 LockTable* locks, ZoneEndorser* endorser,
-                                 MigrationConfig config)
+                                 LockTable* locks, ZoneEndorser* endorser)
     : process_(process),
       keys_(keys),
       topology_(topology),
       my_zone_(my_zone),
       locks_(locks),
-      endorser_(endorser),
-      config_(config) {}
+      endorser_(endorser) {}
 
 std::uint64_t MigrationEngine::RecordsDigest(
     const storage::KvStore::Map& records) {
@@ -157,7 +155,7 @@ void MigrationEngine::ShipState(MigState& st) {
   const auto& members = topology_->zone(st.live->op.destination).members;
   const storage::KvStore::Map& records = RecordsOf(msg->records);
   if (records.size() <= kChunkRecords) {
-    process_->ChargeCpu(config_.costs.send_us * members.size());
+    process_->ChargeCpu(process_->costs().send_us * members.size());
     process_->scoped_counters().Inc(obs::CounterId::kMigStatesSent);
     process_->Multicast(members, msg);
     return;
@@ -185,7 +183,7 @@ void MigrationEngine::ShipState(MigState& st) {
   for (const auto& chunk : chunks) {
     manifest->chunk_digests.push_back(RecordsDigest(chunk->records));
   }
-  process_->ChargeCpu(config_.costs.send_us * members.size() *
+  process_->ChargeCpu(process_->costs().send_us * members.size() *
                       (chunks.size() + 1));
   process_->scoped_counters().Inc(obs::CounterId::kMigChunkedTransfers);
   process_->scoped_counters().Inc(obs::CounterId::kMigManifestsSent);
@@ -199,17 +197,17 @@ void MigrationEngine::ShipState(MigState& st) {
 bool MigrationEngine::HandleMessage(const sim::MessagePtr& msg) {
   switch (msg->type()) {
     case kStateTransfer:
-      process_->ChargeCpu(config_.costs.base_handle_us);
+      process_->ChargeCpu(process_->costs().base_handle_us);
       HandleStateTransfer(
           std::static_pointer_cast<const StateTransferMsg>(msg));
       return true;
     case kMigrationManifest:
-      process_->ChargeCpu(config_.costs.base_handle_us);
+      process_->ChargeCpu(process_->costs().base_handle_us);
       HandleManifest(
           std::static_pointer_cast<const MigrationManifestMsg>(msg));
       return true;
     case kMigrationChunk:
-      process_->ChargeCpu(config_.costs.base_handle_us);
+      process_->ChargeCpu(process_->costs().base_handle_us);
       HandleChunk(std::static_pointer_cast<const MigrationChunkMsg>(msg));
       return true;
     case kResponseQuery: {
@@ -217,8 +215,8 @@ bool MigrationEngine::HandleMessage(const sim::MessagePtr& msg) {
       // Only consume queries in the migration id namespace.
       auto known = query_ids_.find(q->request_id);
       if (known == query_ids_.end()) return false;
-      process_->ChargeCpu(config_.costs.base_handle_us);
-      process_->ChargeAuth(config_.costs.mac_us);
+      process_->ChargeCpu(process_->costs().base_handle_us);
+      process_->ChargeAuth(process_->costs().mac_us);
       HandleResponseQuery(q, states_.at(known->second));
       return true;
     }
@@ -247,7 +245,7 @@ void MigrationEngine::HandleTimer(const sim::TimerTag& tag) {
       auto state = st.state_msg;
       HandleStateTransfer(state);
     } else {
-      process_->ChargeCpu(config_.costs.send_us);
+      process_->ChargeCpu(process_->costs().send_us);
       process_->scoped_counters().Inc(obs::CounterId::kMigStatesResent);
       process_->Send(endorser_->primary(), st.state_msg);
     }
@@ -260,8 +258,8 @@ void MigrationEngine::HandleTimer(const sim::TimerTag& tag) {
     query->replica = process_->id();
     query->sig = keys_->Sign(process_->id(), query->digest());
     const auto& members = topology_->zone(live.op.source).members;
-    process_->ChargeCrypto(config_.costs.crypto.sign_us);
-    process_->ChargeCpu(config_.costs.send_us * members.size());
+    process_->ChargeCrypto(process_->costs().crypto.sign_us);
+    process_->ChargeCpu(process_->costs().send_us * members.size());
     process_->scoped_counters().Inc(obs::CounterId::kMigStateQueriesSent);
     process_->Multicast(members, query);
     // Probes keep going unanswered: the source zone may have missed the
@@ -315,7 +313,7 @@ bool MigrationEngine::ValidateEndorse(const EndorsePrePrepareMsg& pp) {
         return false;
       }
       if (provider_ != nullptr) {
-        process_->ChargeCrypto(config_.costs.crypto.digest_us);
+        process_->ChargeCrypto(process_->costs().crypto.digest_us);
         std::uint64_t own = RecordsDigest(provider_(pp.op.client));
         if (own != claimed) {
           process_->scoped_counters().Inc(
@@ -425,7 +423,7 @@ void MigrationEngine::OnEndorseQuorum(const EndorseKey& key,
         marker.appended = true;
         marker.records = live.records;
       }
-      process_->ChargeCpu(config_.costs.apply_us);
+      process_->ChargeCpu(process_->costs().apply_us);
       if (installer_ != nullptr) {
         installer_(op.client, RecordsOf(live.records), op.timestamp);
       }
@@ -518,7 +516,7 @@ void MigrationEngine::MaybeAssembleChunks(MigState& st) {
   for (std::uint32_t i = 0; i < m.chunk_digests.size(); ++i) {
     auto it = live.chunks.find(i);
     if (it == live.chunks.end()) return;  // still streaming
-    process_->ChargeCrypto(config_.costs.crypto.digest_us);
+    process_->ChargeCrypto(process_->costs().crypto.digest_us);
     if (RecordsDigest(it->second) != m.chunk_digests[i]) {
       // Corrupt or forged slice: drop it and wait for a resend (the probe
       // path falls back to the cached full STATE at the source).
@@ -532,7 +530,7 @@ void MigrationEngine::MaybeAssembleChunks(MigState& st) {
     const auto& slice = live.chunks[i];
     merged.insert(slice.begin(), slice.end());
   }
-  process_->ChargeCrypto(config_.costs.crypto.digest_us);
+  process_->ChargeCrypto(process_->costs().crypto.digest_us);
   if (RecordsDigest(merged) != m.records_digest) {
     // Slices individually matched but the whole does not hash to the
     // certified digest (e.g. overlapping keys): discard everything.
@@ -563,7 +561,7 @@ void MigrationEngine::MaybeAssembleChunks(MigState& st) {
 void MigrationEngine::HandleResponseQuery(
     const std::shared_ptr<const ResponseQueryMsg>& msg, MigState& st) {
   if (st.state_msg != nullptr) {
-    process_->ChargeCpu(config_.costs.send_us);
+    process_->ChargeCpu(process_->costs().send_us);
     process_->scoped_counters().Inc(obs::CounterId::kMigStatesResent);
     process_->Send(msg->replica, st.state_msg);
   } else if (st.live != nullptr && my_zone_ == st.live->op.source &&
@@ -632,7 +630,7 @@ void MigrationEngine::RestoreFromDurable() {
       // (durable, node-owned) already shows the client re-enabled.
       completed_++;
       if (my_zone_ == marker.destination && installer_ != nullptr) {
-        process_->ChargeCpu(config_.costs.apply_us);
+        process_->ChargeCpu(process_->costs().apply_us);
         installer_(marker.client, RecordsOf(marker.records),
                    marker.timestamp);
       }

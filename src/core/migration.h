@@ -6,7 +6,6 @@
 #include <memory>
 #include <unordered_map>
 
-#include "common/costs.h"
 #include "core/durable.h"
 #include "core/endorsement.h"
 #include "core/lock_table.h"
@@ -26,10 +25,6 @@ inline constexpr Duration kStateWaitTimeout = Seconds(2);
 /// larger states stream as a manifest plus per-chunk slices so one giant
 /// message never monopolizes the inter-zone link.
 inline constexpr std::size_t kChunkRecords = 64;
-
-struct MigrationConfig {
-  NodeCosts costs;
-};
 
 /// The data migration protocol (Algorithm 2): once the data synchronization
 /// protocol commits a migration, the source zone reaches consensus on the
@@ -61,7 +56,7 @@ class MigrationEngine {
 
   MigrationEngine(sim::Process* process, const crypto::KeyRegistry* keys,
                   const Topology* topology, ZoneId my_zone, LockTable* locks,
-                  ZoneEndorser* endorser, MigrationConfig config);
+                  ZoneEndorser* endorser);
 
   /// Kind byte for the single timer this engine arms (state-wait probe),
   /// carried in sim::TimerTag{kMigration, kStateWaitTimer, migration id}.
@@ -195,8 +190,8 @@ class MigrationEngine {
                            MigState& st);
   Status VerifyZoneCert(const crypto::Certificate& cert,
                         crypto::Digest expected, ZoneId zone) const {
-    return VerifyZoneCertificateOn(*process_, config_.costs.crypto, *keys_,
-                                   topology_->zone(zone), cert, expected);
+    return VerifyZoneCertificateOn(*process_, *keys_, topology_->zone(zone),
+                                   cert, expected);
   }
 
   sim::Process* process_;
@@ -205,7 +200,6 @@ class MigrationEngine {
   ZoneId my_zone_;
   LockTable* locks_;
   ZoneEndorser* endorser_;
-  MigrationConfig config_;
   MigrationDurableState* durable_ = nullptr;
   StateProvider provider_;
   StateInstaller installer_;

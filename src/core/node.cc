@@ -12,6 +12,7 @@ void ZiziphusNode::Init(const crypto::KeyRegistry* keys,
   topology_ = topology;
   zone_ = zone;
   config_ = std::move(config);
+  set_costs(config_.costs);
   app_ = std::move(app);
   metadata_ = std::make_unique<GlobalMetadata>(config_.policy);
 
@@ -68,18 +69,15 @@ void ZiziphusNode::BuildEngines() {
                               /*erased_settles=*/op == nullptr);
     }
   };
-  endorser_ = std::make_unique<ZoneEndorser>(this, keys_, &zi,
-                                             config_.sync.costs, cbs);
+  endorser_ = std::make_unique<ZoneEndorser>(this, keys_, &zi, cbs);
 
   sync_ = std::make_unique<DataSyncEngine>(this, keys_, topology_, zone_,
                                            metadata_.get(), &locks_,
                                            endorser_.get(), config_.sync);
   migration_ = std::make_unique<MigrationEngine>(this, keys_, topology_,
                                                  zone_, &locks_,
-                                                 endorser_.get(),
-                                                 config_.migration);
-  lazy_ = std::make_unique<LazySyncEngine>(this, keys_, topology_, zone_,
-                                           config_.sync.costs);
+                                                 endorser_.get());
+  lazy_ = std::make_unique<LazySyncEngine>(this, keys_, topology_, zone_);
 
   // ---- durability wiring ----------------------------------------------
   // Every engine mirrors its forget-proof slice into the node-owned
@@ -112,7 +110,7 @@ void ZiziphusNode::BuildEngines() {
     app_op.client = op.client;
     app_op.timestamp = op.timestamp;
     app_op.command = op.command;
-    ChargeCpu(config_.sync.costs.apply_us);
+    ChargeCpu(costs().apply_us);
     pbft_->NoteOutOfBandMutation();
     return app_->Apply(app_op);
   });
@@ -142,7 +140,7 @@ void ZiziphusNode::BuildEngines() {
     reply->timestamp = op.timestamp;
     reply->replica = id();
     reply->result = "migrated";
-    ChargeCpu(config_.migration.costs.mac_us + config_.migration.costs.send_us);
+    ChargeCpu(costs().mac_us + costs().send_us);
     Send(op.client, reply);
   });
 
@@ -171,7 +169,7 @@ void ZiziphusNode::OnGlobalExecuted(const MigrationOp& op, Ballot ballot,
     reply->timestamp = op.timestamp;
     reply->replica = id();
     reply->result = result.empty() ? "synced" : result;
-    ChargeCpu(config_.sync.costs.mac_us + config_.sync.costs.send_us);
+    ChargeCpu(costs().mac_us + costs().send_us);
     Send(op.client, reply);
   }
   // Second sub-transaction: source generates R(c), destination awaits it.
@@ -211,7 +209,7 @@ void ZiziphusNode::OnMessage(const sim::MessagePtr& msg) {
       reply->key = req->key;
       reply->behind = true;
       scoped_counters().Inc(obs::CounterId::kReadsRedirects);
-      ChargeCpu(config_.pbft.costs.send_us);
+      ChargeCpu(costs().send_us);
       Send(req->client, reply);
       return;
     }

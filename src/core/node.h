@@ -30,8 +30,10 @@ using NodeAppFactory =
 struct NodeConfig {
   pbft::PbftConfig pbft;     // members filled in by Init from the topology
   SyncConfig sync;
-  MigrationConfig migration;
   PolicyConfig policy;
+  /// The replica core's CPU cost table, installed on the process by Init;
+  /// every engine on the node charges from it (sim::Process::costs).
+  NodeCosts costs;
   /// Enables lazy checkpoint sharing across zones (Section V-B).
   bool lazy_sync = true;
   NodeAppFactory app_factory;

@@ -21,14 +21,14 @@ Status VerifyZoneCertificate(const crypto::KeyRegistry& keys,
 }
 
 Status VerifyZoneCertificateOn(sim::Process& process,
-                               const crypto::CryptoCosts& costs,
                                const crypto::KeyRegistry& keys,
                                const ZoneInfo& zone,
                                const crypto::Certificate& cert,
                                crypto::Digest expected) {
   if (process.loopback()) return Status::Ok();
   obs::SpanId span = process.BeginSpan(obs::SpanKind::kCertVerify);
-  process.ChargeCrypto(costs.CertificateVerifyCost(cert.size()));
+  process.ChargeCrypto(
+      process.costs().crypto.CertificateVerifyCost(cert.size()));
   Status status = VerifyZoneCertificate(keys, zone, cert, expected);
   process.EndSpan(span);
   return status;

@@ -38,13 +38,13 @@ Status VerifyZoneCertificate(const crypto::KeyRegistry& keys,
                              crypto::Digest expected);
 
 /// VerifyZoneCertificate run on `process`, the way the data-sync and
-/// migration engines check a remote zone's certificate: the verify cost is
-/// charged as crypto CPU inside a kCertVerify span. While `process` handles
-/// its own loopback copy (sim::Process::loopback) the check is skipped and
-/// passes: the node verified every certificate it put in a message itself,
-/// or assembled it from votes it verified.
+/// migration engines check a remote zone's certificate: the verify cost,
+/// priced by the process's NodeCosts, is charged as crypto CPU inside a
+/// kCertVerify span. While `process` handles its own loopback copy
+/// (sim::Process::loopback) the check is skipped and passes: the node
+/// verified every certificate it put in a message itself, or assembled it
+/// from votes it verified.
 Status VerifyZoneCertificateOn(sim::Process& process,
-                               const crypto::CryptoCosts& costs,
                                const crypto::KeyRegistry& keys,
                                const ZoneInfo& zone,
                                const crypto::Certificate& cert,

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/costs.h"
 #include "common/types.h"
 #include "pbft/batcher.h"
 
@@ -36,8 +35,19 @@ enum class Ordering {
 /// proposes, and a backup accepts, only sequence numbers within it.
 inline constexpr SeqNum kWatermarkWindow = 2048;
 
-/// Unanswered state-transfer retries before the transfer is abandoned (see
-/// PbftConfig::state_transfer_backoff_cap_us).
+/// Hard ceiling on the view-change retransmission backoff. The classic
+/// doubling rule alone lets a lossy zone inflate the timeout without bound;
+/// the cap bounds recovery time once the network heals. A small
+/// deterministic per-replica jitter (up to 1/8 of the backoff) is added on
+/// top to de-synchronize concurrent view changes. A base timeout above the
+/// cap raises it to the base (PbftEngine::ViewChangeBackoff).
+inline constexpr Duration kViewChangeBackoffCap = Seconds(8);
+
+/// State-transfer retry policy: an unanswered StateRequest is re-sent to a
+/// rotated peer after a capped, deterministically jittered backoff
+/// (PbftEngine::StateTransferBackoff); after kStateTransferMaxAttempts
+/// retries the transfer is abandoned so a later, larger target can start.
+inline constexpr Duration kStateTransferBackoffCap = Seconds(4);
 inline constexpr std::size_t kStateTransferMaxAttempts = 8;
 
 /// Static configuration of one PBFT group (3f+1 replicas).
@@ -58,19 +68,6 @@ struct PbftConfig {
   /// configure their own).
   Duration request_timeout_us = Millis(600);
 
-  /// Hard ceiling on the view-change retransmission backoff. The classic
-  /// doubling rule alone lets a lossy zone inflate the timeout without
-  /// bound; the cap bounds recovery time once the network heals. A small
-  /// deterministic per-replica jitter (up to 1/8 of the backoff) is added
-  /// on top to de-synchronize concurrent view changes.
-  Duration view_change_backoff_cap_us = Seconds(8);
-
-  /// State-transfer retry policy: an unanswered StateRequest is re-sent to
-  /// a rotated peer after a capped, deterministically jittered backoff
-  /// (PbftEngine::StateTransferBackoff); after kStateTransferMaxAttempts
-  /// retries the transfer is abandoned so a later, larger target can start.
-  Duration state_transfer_backoff_cap_us = Seconds(4);
-
   /// Checkpoint every this many sequence numbers.
   SeqNum checkpoint_interval = 128;
 
@@ -89,9 +86,6 @@ struct PbftConfig {
   /// How this group orders requests (see enum Ordering above). kStable
   /// keeps every timer and message flow of classic PBFT.
   Ordering ordering = Ordering::kStable;
-
-  /// CPU cost model.
-  NodeCosts costs;
 
   std::size_t quorum() const { return 2 * f + 1; }
   std::size_t n() const { return members.size(); }

@@ -46,7 +46,7 @@ std::uint64_t PbftEngine::MemberBit(NodeId n) const {
 // --------------------------------------------------------------- dispatch
 
 bool PbftEngine::HandleMessage(const sim::MessagePtr& msg) {
-  const auto& costs = config_.costs;
+  const NodeCosts& costs = process_->costs();
   switch (msg->type()) {
     case kClientRequest:
       process_->ChargeCpu(costs.base_handle_us);
@@ -216,7 +216,7 @@ void PbftEngine::HandleClientRequest(
         synth->replica = process_->id();
         reply = synth;
       }
-      process_->ChargeCpu(config_.costs.send_us);
+      process_->ChargeCpu(process_->costs().send_us);
       process_->Send(msg->op.client, reply);
     }
     return;
@@ -231,7 +231,7 @@ void PbftEngine::HandleClientRequest(
   if (!IsPrimary()) {
     // Relay to the primary, remember the request (so a future primary can
     // propose it after a view change), and watch for progress.
-    process_->ChargeCpu(config_.costs.send_us);
+    process_->ChargeCpu(process_->costs().send_us);
     process_->Send(primary(), msg);
   }
   EnqueueOp(msg->op);
@@ -264,7 +264,7 @@ void PbftEngine::HandleReadRequest(
       cp.seq < msg->min_stable_seq || covered < msg->min_write_ts) {
     reply->behind = true;
     process_->scoped_counters().Inc(obs::CounterId::kReadsRedirects);
-    process_->ChargeCpu(config_.costs.send_us);
+    process_->ChargeCpu(process_->costs().send_us);
     process_->Send(msg->client, reply);
     return;
   }
@@ -282,9 +282,9 @@ void PbftEngine::HandleReadRequest(
   reply->proof.certificate = cp.certificate;
   reply->covered_write_ts = covered;
   reply->deps = checkpoint_deps_;
-  process_->ChargeCrypto(config_.costs.crypto.digest_us +
-                         config_.costs.mac_us);
-  process_->ChargeCpu(config_.costs.send_us);
+  process_->ChargeCrypto(process_->costs().crypto.digest_us +
+                         process_->costs().mac_us);
+  process_->ChargeCpu(process_->costs().send_us);
   process_->scoped_counters().Inc(obs::CounterId::kReadsServed);
   process_->EndSpan(span);
   process_->Send(msg->client, reply);
@@ -332,8 +332,8 @@ void PbftEngine::MaybeProposeBatch(bool timer_fired) {
     msg->batch.ops = std::move(cut.ops);
     msg->batch_digest = msg->batch.ComputeDigest();
     msg->sig = keys_->Sign(process_->id(), msg->digest());
-    process_->ChargeCrypto(config_.costs.crypto.sign_us);
-    process_->ChargeCpu(config_.costs.send_us * config_.members.size());
+    process_->ChargeCrypto(process_->costs().crypto.sign_us);
+    process_->ChargeCpu(process_->costs().send_us * config_.members.size());
     process_->scoped_counters().Inc(obs::CounterId::kPbftBatchesProposed);
     process_->Multicast(config_.members, msg);
   }
@@ -403,8 +403,8 @@ void PbftEngine::HandlePrePrepare(
     vote->batch_digest = msg->batch_digest;
     vote->replica = process_->id();
     vote->sig = keys_->Sign(process_->id(), vote->digest());
-    process_->ChargeCrypto(config_.costs.crypto.sign_us);
-    process_->ChargeCpu(config_.costs.send_us * config_.members.size());
+    process_->ChargeCrypto(process_->costs().crypto.sign_us);
+    process_->ChargeCpu(process_->costs().send_us * config_.members.size());
     process_->Multicast(config_.members, vote);
     ArmFastAbandon(msg->seq);
     TryPrepare(msg->seq);
@@ -418,8 +418,8 @@ void PbftEngine::HandlePrePrepare(
   prep->batch_digest = msg->batch_digest;
   prep->replica = process_->id();
   prep->sig = keys_->Sign(process_->id(), prep->digest());
-  process_->ChargeCrypto(config_.costs.crypto.sign_us);
-  process_->ChargeCpu(config_.costs.send_us * config_.members.size());
+  process_->ChargeCrypto(process_->costs().crypto.sign_us);
+  process_->ChargeCpu(process_->costs().send_us * config_.members.size());
   process_->Multicast(config_.members, prep);
   TryPrepare(msg->seq);
 }
@@ -508,8 +508,8 @@ void PbftEngine::TryPrepare(SeqNum seq) {
   commit->batch_digest = slot.pre_prepare->batch_digest;
   commit->replica = process_->id();
   commit->sig = keys_->Sign(process_->id(), commit->digest());
-  process_->ChargeCrypto(config_.costs.crypto.sign_us);
-  process_->ChargeCpu(config_.costs.send_us * config_.members.size());
+  process_->ChargeCrypto(process_->costs().crypto.sign_us);
+  process_->ChargeCpu(process_->costs().send_us * config_.members.size());
   process_->Multicast(config_.members, commit);
   TryCommit(seq);
 }
@@ -610,8 +610,8 @@ void PbftEngine::TryFastCommit(SeqNum seq) {
   commit->batch_digest = slot.pre_prepare->batch_digest;
   commit->replica = process_->id();
   commit->sig = keys_->Sign(process_->id(), commit->digest());
-  process_->ChargeCrypto(config_.costs.crypto.sign_us);
-  process_->ChargeCpu(config_.costs.send_us * config_.members.size());
+  process_->ChargeCrypto(process_->costs().crypto.sign_us);
+  process_->ChargeCpu(process_->costs().send_us * config_.members.size());
   process_->Multicast(config_.members, commit);
   ExecuteReady();
 }
@@ -641,8 +641,8 @@ void PbftEngine::TriggerFastFallback(SeqNum seq) {
     commit->batch_digest = slot.pre_prepare->batch_digest;
     commit->replica = process_->id();
     commit->sig = keys_->Sign(process_->id(), commit->digest());
-    process_->ChargeCrypto(config_.costs.crypto.sign_us);
-    process_->ChargeCpu(config_.costs.send_us * config_.members.size());
+    process_->ChargeCrypto(process_->costs().crypto.sign_us);
+    process_->ChargeCpu(process_->costs().send_us * config_.members.size());
     process_->Multicast(config_.members, commit);
     TryCommit(seq);
   }
@@ -728,7 +728,7 @@ void PbftEngine::ExecuteOp(SeqNum seq, const Operation& op) {
   if (op.client != kInvalidClient && op.timestamp <= cs.last_executed_ts) {
     return;  // duplicate delivery of an already-executed request
   }
-  process_->ChargeCpu(config_.costs.apply_us);
+  process_->ChargeCpu(process_->costs().apply_us);
   std::string result = state_machine_->Apply(op);
   cs.last_executed_ts = op.timestamp;
   if (op.client != kInvalidClient) {
@@ -747,8 +747,8 @@ void PbftEngine::ExecuteOp(SeqNum seq, const Operation& op) {
     reply->result = result;
     cs.last_reply = reply;
     cs.last_reply_seq = seq;
-    process_->ChargeCrypto(config_.costs.mac_us);
-    process_->ChargeCpu(config_.costs.send_us);
+    process_->ChargeCrypto(process_->costs().mac_us);
+    process_->ChargeCpu(process_->costs().send_us);
     process_->Send(op.client, reply);
   }
   if (executed_callback_) executed_callback_(seq, op, result);
@@ -781,8 +781,8 @@ void PbftEngine::MaybeCheckpoint() {
   msg->replica = process_->id();
   msg->sig = keys_->Sign(process_->id(), msg->digest());
   pending_checkpoints_[pending.seq] = std::move(pending);
-  process_->ChargeCrypto(config_.costs.crypto.sign_us);
-  process_->ChargeCpu(config_.costs.send_us * config_.members.size());
+  process_->ChargeCrypto(process_->costs().crypto.sign_us);
+  process_->ChargeCpu(process_->costs().send_us * config_.members.size());
   process_->Multicast(config_.members, msg);
 }
 
@@ -956,11 +956,11 @@ void PbftEngine::SendStateRequest() {
   req->have_seq =
       config_.delta_state_transfer && !force_full_ ? last_executed_ : 0;
   if (pending_transfer_digest_ != 0) {
-    process_->ChargeCpu(config_.costs.send_us);
+    process_->ChargeCpu(process_->costs().send_us);
     process_->Send(config_.members[state_transfer_peer_idx_], req);
   } else {
     // Digest unknown: ask everyone, install on f+1 matching responses.
-    process_->ChargeCpu(config_.costs.send_us * config_.members.size());
+    process_->ChargeCpu(process_->costs().send_us * config_.members.size());
     process_->Multicast(config_.members, req);
   }
 }
@@ -1012,8 +1012,7 @@ Duration PbftEngine::StateTransferBackoff(const PbftConfig& config,
                                           std::uint64_t attempt,
                                           NodeId replica, SeqNum seq) {
   const Duration base = config.request_timeout_us;
-  const Duration cap =
-      std::max<Duration>(config.state_transfer_backoff_cap_us, base);
+  const Duration cap = std::max<Duration>(kStateTransferBackoffCap, base);
   Duration backoff = base;
   for (; attempt > 0 && backoff < cap; --attempt) backoff *= 2;
   backoff = std::min(backoff, cap);
@@ -1035,7 +1034,7 @@ void PbftEngine::HandleStateRequest(
   if (view_active_ && last_new_view_ != nullptr &&
       last_new_view_->new_view == view_ &&
       msg->replica != process_->id()) {
-    process_->ChargeCpu(config_.costs.send_us);
+    process_->ChargeCpu(process_->costs().send_us);
     process_->Send(msg->replica, last_new_view_);
   }
   if (last_executed_ < msg->seq) return;  // cannot help
@@ -1074,8 +1073,8 @@ void PbftEngine::HandleStateRequest(
   for (const auto& [client, cs] : clients_) {
     if (client != kInvalidClient) resp->client_ts[client] = cs.last_executed_ts;
   }
-  process_->ChargeCrypto(config_.costs.crypto.digest_us);
-  process_->ChargeCpu(config_.costs.send_us);
+  process_->ChargeCrypto(process_->costs().crypto.digest_us);
+  process_->ChargeCpu(process_->costs().send_us);
   process_->Send(msg->replica, resp);
 }
 
@@ -1196,7 +1195,7 @@ bool PbftEngine::ApplyDelta(const StateResponseMsg& msg) {
         if (op.timestamp <= seen) continue;  // duplicate of executed request
         staged_ts[op.client] = op.timestamp;
       }
-      process_->ChargeCpu(config_.costs.apply_us);
+      process_->ChargeCpu(process_->costs().apply_us);
       std::string result = state_machine_->Apply(op);
       st.executed.emplace_back(&op, std::move(result));
     }
@@ -1228,8 +1227,8 @@ bool PbftEngine::ApplyDelta(const StateResponseMsg& msg) {
         reply->result = result;
         cs.last_reply = reply;
         cs.last_reply_seq = st.seq;
-        process_->ChargeCrypto(config_.costs.mac_us);
-        process_->ChargeCpu(config_.costs.send_us);
+        process_->ChargeCrypto(process_->costs().mac_us);
+        process_->ChargeCpu(process_->costs().send_us);
         process_->Send(op->client, reply);
       }
       if (executed_callback_) executed_callback_(st.seq, *op, result);
@@ -1305,8 +1304,8 @@ void PbftEngine::StartViewChange(ViewId new_view) {
   }
   msg->replica = process_->id();
   msg->sig = keys_->Sign(process_->id(), msg->digest());
-  process_->ChargeCrypto(config_.costs.crypto.sign_us);
-  process_->ChargeCpu(config_.costs.send_us * config_.members.size());
+  process_->ChargeCrypto(process_->costs().crypto.sign_us);
+  process_->ChargeCpu(process_->costs().send_us * config_.members.size());
   process_->Multicast(config_.members, msg);
 
   if (view_change_timer_ != 0) process_->CancelTimer(view_change_timer_);
@@ -1324,8 +1323,7 @@ Duration PbftEngine::ViewChangeBackoff(const PbftConfig& config,
                                        std::uint64_t attempt, NodeId replica,
                                        ViewId view) {
   const Duration base = config.request_timeout_us * 2;
-  const Duration cap = std::max<Duration>(config.view_change_backoff_cap_us,
-                                          base);
+  const Duration cap = std::max<Duration>(kViewChangeBackoffCap, base);
   Duration backoff = base;
   for (; attempt > 0 && backoff < cap; --attempt) backoff *= 2;
   backoff = std::min(backoff, cap);
@@ -1353,7 +1351,7 @@ void PbftEngine::HandleViewChange(
     if (view_active_ && last_new_view_ != nullptr &&
         last_new_view_->new_view == view_ &&
         msg->replica != process_->id()) {
-      process_->ChargeCpu(config_.costs.send_us);
+      process_->ChargeCpu(process_->costs().send_us);
       process_->Send(msg->replica, last_new_view_);
     }
     return;
@@ -1371,7 +1369,7 @@ void PbftEngine::HandleViewChange(
   if (view_active_ && msg->new_view > view_ + 1 &&
       last_new_view_ != nullptr && last_new_view_->new_view == view_ &&
       msg->replica != process_->id()) {
-    process_->ChargeCpu(config_.costs.send_us);
+    process_->ChargeCpu(process_->costs().send_us);
     process_->Send(msg->replica, last_new_view_);
   }
 
@@ -1460,8 +1458,8 @@ void PbftEngine::MaybeSendNewView(ViewId v) {
     }
   }
   msg->sig = keys_->Sign(process_->id(), msg->digest());
-  process_->ChargeCrypto(config_.costs.crypto.sign_us);
-  process_->ChargeCpu(config_.costs.send_us * config_.members.size());
+  process_->ChargeCrypto(process_->costs().crypto.sign_us);
+  process_->ChargeCpu(process_->costs().send_us * config_.members.size());
   process_->scoped_counters().Inc(obs::CounterId::kPbftNewViewsSent);
   process_->Multicast(config_.members, msg);
 }
@@ -1560,8 +1558,8 @@ void PbftEngine::EnterNewView(const std::shared_ptr<const NewViewMsg>& msg) {
                                         : proof.batch_digest;
     prep->replica = process_->id();
     prep->sig = keys_->Sign(process_->id(), prep->digest());
-    process_->ChargeCrypto(config_.costs.crypto.sign_us);
-    process_->ChargeCpu(config_.costs.send_us * config_.members.size());
+    process_->ChargeCrypto(process_->costs().crypto.sign_us);
+    process_->ChargeCpu(process_->costs().send_us * config_.members.size());
     process_->Multicast(config_.members, prep);
     if (slot.committed) {
       // Re-announce the commit in the new view so laggards can assemble a
@@ -1572,8 +1570,8 @@ void PbftEngine::EnterNewView(const std::shared_ptr<const NewViewMsg>& msg) {
       commit->batch_digest = slot.pre_prepare->batch_digest;
       commit->replica = process_->id();
       commit->sig = keys_->Sign(process_->id(), commit->digest());
-      process_->ChargeCrypto(config_.costs.crypto.sign_us);
-      process_->ChargeCpu(config_.costs.send_us * config_.members.size());
+      process_->ChargeCrypto(process_->costs().crypto.sign_us);
+      process_->ChargeCpu(process_->costs().send_us * config_.members.size());
       process_->Multicast(config_.members, commit);
     }
   }
@@ -1594,7 +1592,7 @@ void PbftEngine::EnterNewView(const std::shared_ptr<const NewViewMsg>& msg) {
       auto req = std::make_shared<ClientRequestMsg>();
       req->op = op;
       req->client_sig = keys_->Sign(op.client, req->ComputeDigest());
-      process_->ChargeCpu(config_.costs.send_us);
+      process_->ChargeCpu(process_->costs().send_us);
       process_->Send(primary(), req);
     }
     ArmProgressTimer();
@@ -1663,7 +1661,7 @@ void PbftEngine::RestoreFromDurable() {
           op.timestamp <= cs.last_executed_ts) {
         continue;  // was a duplicate at first execution; stays one at replay
       }
-      process_->ChargeCpu(config_.costs.apply_us);
+      process_->ChargeCpu(process_->costs().apply_us);
       state_machine_->Apply(op);
       cs.last_executed_ts = op.timestamp;
       if (op.client != kInvalidClient) {

@@ -116,18 +116,17 @@ class PbftEngine final {
   }
 
   /// View-change retransmission delay for the given attempt: exponential
-  /// doubling capped at config.view_change_backoff_cap_us, plus a
-  /// deterministic per-(replica, view) jitter of up to 1/8 of the backoff.
-  /// Exposed as a pure function so the cap and jitter bounds are unit
-  /// testable.
+  /// doubling capped at kViewChangeBackoffCap, plus a deterministic
+  /// per-(replica, view) jitter of up to 1/8 of the backoff. Exposed as a
+  /// pure function so the cap and jitter bounds are unit testable.
   static Duration ViewChangeBackoff(const PbftConfig& config,
                                     std::uint64_t attempt, NodeId replica,
                                     ViewId view);
 
   /// State-transfer retry delay for the given attempt: same shape as
-  /// ViewChangeBackoff (doubling capped at
-  /// config.state_transfer_backoff_cap_us, deterministic per-(replica, seq)
-  /// jitter of up to 1/8 of the backoff), exposed for unit tests.
+  /// ViewChangeBackoff (doubling capped at kStateTransferBackoffCap,
+  /// deterministic per-(replica, seq) jitter of up to 1/8 of the backoff),
+  /// exposed for unit tests.
   static Duration StateTransferBackoff(const PbftConfig& config,
                                        std::uint64_t attempt, NodeId replica,
                                        SeqNum seq);

@@ -9,6 +9,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/costs.h"
 #include "common/metrics.h"
 #include "common/random.h"
 #include "common/types.h"
@@ -303,6 +304,12 @@ class Process {
     if (!loopback_) ChargeCrypto(cost);
   }
 
+  /// The core's CPU cost table. Every engine on this process charges from
+  /// it, so a node has exactly one. The host sets it before its engines
+  /// run (the node configs' `costs`); unset, it is NodeCosts{}.
+  const NodeCosts& costs() const { return costs_; }
+  void set_costs(const NodeCosts& costs) { costs_ = costs; }
+
   /// True while the handler runs for a copy this process sent itself (the
   /// loopback leg of a Multicast to a group it belongs to). Such a copy
   /// never crossed a trust boundary, so receivers skip authenticating it:
@@ -367,6 +374,7 @@ class Process {
   SimTime busy_until_ = 0;
   SimTime logical_now_ = 0;
   bool loopback_ = false;
+  NodeCosts costs_;
   Rng rng_{0};
   std::unordered_map<std::uint64_t, TimerTag> active_timers_;
   obs::TraceContext trace_ctx_;

@@ -2,6 +2,7 @@
 
 #include "app/bank.h"
 #include "app/experiment.h"
+#include "app/harness.h"
 #include "baselines/pbft_process.h"
 #include "baselines/two_level.h"
 #include "gtest/gtest.h"
@@ -160,6 +161,126 @@ TEST(FlatPbftTest, GeoSpanningGroupCommits) {
     auto& app = static_cast<pbft::EchoStateMachine&>(rep->app());
     EXPECT_LE(app.applied(), 1u);
   }
+}
+
+// ---- Certificate pricing, end to end ----------------------------------
+
+TEST(CertificatePricingTest, ZiziphusChecksCostOneVerifyEach) {
+  // Threshold signatures (DefaultNodeConfig): every remote certificate,
+  // data sync's and migration's alike, costs one signature verification.
+  // Three migrators hop twice each with every op traced. The check's CPU
+  // is billed to the enclosing delivery's span, so a kCertVerify span's
+  // duration, not its crypto_us, is the check's cost.
+  core::ZiziphusSystem sys(1, sim::LatencyModel::PaperGeoMatrix());
+  for (ZoneId z = 0; z < 3; ++z) {
+    sys.AddZone(0, static_cast<RegionId>(z), 1, 4);
+  }
+  const core::NodeConfig cfg = app::DefaultNodeConfig();
+  sys.Finalize(cfg, [](ZoneId) {
+    return std::make_unique<BankStateMachine>();
+  });
+  obs::Tracer& tracer = sys.sim().recorder().tracer();
+  tracer.set_enabled(true);
+  app::harness::RosterSpec spec;
+  spec.zones = 3;
+  spec.migrators = 3;
+  spec.migrations_per_client = 2;
+  app::harness::Roster roster = app::harness::BuildRoster(sys, spec);
+  ASSERT_TRUE(roster.Run(sys.sim(), Seconds(5), Seconds(30)));
+
+  std::size_t sync_checks = 0, migration_checks = 0;
+  for (obs::SpanId id = 1; id <= tracer.size(); ++id) {
+    const obs::Span& s = tracer.at(id);
+    if (s.kind != obs::SpanKind::kCertVerify) continue;
+    EXPECT_EQ(s.duration(), cfg.costs.crypto.verify_us) << "span " << id;
+    // Migration checks run in a delivery that carried STATE.
+    obs::SpanId up = s.parent;
+    while (up != 0 && tracer.at(up).kind != obs::SpanKind::kHandle) {
+      up = tracer.at(up).parent;
+    }
+    ASSERT_NE(up, 0u) << "cert check outside a delivery: span " << id;
+    const std::uint64_t type = tracer.at(up).attr;
+    if (type == core::kStateTransfer || type == core::kMigrationManifest ||
+        type == core::kMigrationChunk) {
+      ++migration_checks;
+    } else {
+      ++sync_checks;
+    }
+  }
+  EXPECT_GT(sync_checks, 0u);
+  EXPECT_GT(migration_checks, 0u);
+}
+
+TEST(CertificatePricingTest, TwoLevelChecksCostOneVerifyPerSigner) {
+  // The comparator's certificates are plain 2f+1 signature sets
+  // (TwoLevelNodeConfig): a certificate from an f = 1 zone costs three
+  // verifications, at the top level and in migration alike. Its top-level
+  // batches carry no trace, so a traced run opens no span around either
+  // check; instead a traced probe delivers one certified G-PREPARE and one
+  // certified STATE from zone 1 to a zone-2 backup.
+  baselines::TwoLevelSystem sys(1, sim::LatencyModel::PaperGeoMatrix());
+  for (ZoneId z = 0; z < 3; ++z) {
+    sys.AddZone(0, static_cast<RegionId>(z), 1, 4);
+  }
+  const baselines::TwoLevelNode::Config cfg = app::TwoLevelNodeConfig();
+  sys.Finalize(cfg, [](ZoneId) {
+    return std::make_unique<BankStateMachine>();
+  });
+  obs::Tracer& tracer = sys.sim().recorder().tracer();
+  tracer.set_enabled(true);
+  testutil::TestClient probe(&sys.keys(), 1);
+  sys.sim().Register(&probe, 0);
+  const NodeId to = sys.topology().zone(2).members[1];
+  auto certify = [&](crypto::Digest digest) {
+    crypto::Certificate cert{digest, {}};
+    for (std::size_t i = 0; i < 3; ++i) {
+      const NodeId signer = sys.topology().zone(1).members[i];
+      cert.signatures.push_back(sys.keys().Sign(signer, digest));
+    }
+    return cert;
+  };
+  auto deliver = [&](sim::MessagePtr msg) {
+    const std::size_t first = tracer.size() + 1;
+    probe.set_trace_context(tracer.StartTrace(probe.id(), sys.sim().Now()));
+    probe.Send(to, std::move(msg));
+    sys.sim().RunFor(Seconds(1));
+    std::vector<const obs::Span*> spans;
+    for (obs::SpanId id = first; id <= tracer.size(); ++id) {
+      if (tracer.at(id).node == to) spans.push_back(&tracer.at(id));
+    }
+    return spans;
+  };
+  const Duration verify3 = 3 * cfg.costs.crypto.verify_us;
+
+  auto gprepare = std::make_shared<baselines::GPrepareMsg>();
+  gprepare->request_id = 7;
+  gprepare->gseq = 1;
+  gprepare->zone = 1;
+  gprepare->cert = certify(gprepare->digest());
+  bool handled = false;
+  for (const obs::Span* s : deliver(gprepare)) {
+    if (s->kind != obs::SpanKind::kHandle) continue;
+    // The top-level check is the handler's only work past dispatch.
+    EXPECT_EQ(s->cpu_us, cfg.costs.base_handle_us + verify3);
+    handled = true;
+  }
+  EXPECT_TRUE(handled);
+  EXPECT_EQ(sys.sim().counters().Get(obs::CounterId::kTlBadGPrepareCert), 0u);
+
+  auto state = std::make_shared<core::StateTransferMsg>();
+  state->request_id = 9;
+  state->client = probe.id();
+  state->timestamp = 1;
+  state->source_zone = 1;
+  state->cert = certify(state->digest());
+  std::size_t checks = 0;
+  for (const obs::Span* s : deliver(state)) {
+    if (s->kind != obs::SpanKind::kCertVerify) continue;
+    EXPECT_EQ(s->duration(), verify3);
+    ++checks;
+  }
+  EXPECT_EQ(checks, 1u);
+  EXPECT_EQ(sys.sim().counters().Get(obs::CounterId::kMigBadStateCert), 0u);
 }
 
 }  // namespace

@@ -370,9 +370,10 @@ TEST(LoopbackAuthTest, OneBatchPaysCryptoOnlyForPeersMessages) {
   for (const auto& client : clients) ASSERT_EQ(client->completed(), 1u);
   ASSERT_EQ(c.sim.counters().Get(obs::CounterId::kPbftBatchesProposed), 1u);
 
-  const std::uint64_t sign = base.costs.crypto.sign_us;
-  const std::uint64_t verify = base.costs.crypto.verify_us;
-  const std::uint64_t mac = base.costs.mac_us;
+  const NodeCosts costs{};
+  const std::uint64_t sign = costs.crypto.sign_us;
+  const std::uint64_t verify = costs.crypto.verify_us;
+  const std::uint64_t mac = costs.mac_us;
   const std::uint64_t ops = kOps;
   // The primary: a MAC per request as it arrives, signs its pre-prepare,
   // prepare and commit, verifies 3 peer prepares and 3 peer commits, and

@@ -24,8 +24,7 @@ class EndorserHost : public sim::Process {
     cbs.on_late_vote = [this](const EndorseKey&, const crypto::Signature&) {
       late_votes++;
     };
-    endorser = std::make_unique<ZoneEndorser>(this, keys, zone, NodeCosts{},
-                                              cbs);
+    endorser = std::make_unique<ZoneEndorser>(this, keys, zone, cbs);
   }
 
   std::vector<EndorseKey> quorums;

@@ -261,14 +261,16 @@ TEST(GoldenChaosTest, ZiziphusSeed5WithAmnesia) {
 }
 
 TEST(GoldenChaosTest, TwoLevelSeed3) {
-  // The two-level harness exports no obs JSON: its hash is that of "".
-  // The fingerprint moved once, when the InvariantChecker took over the
-  // run's safety sweep: its counters gained invariants.checks_run = 1 and
+  // The obs hash covers the recorder's export, per-node CPU attribution
+  // included. It was that of "" (0xcbf29ce484222325) until the two-level
+  // harness began exporting its recorder; the fingerprint held then. The
+  // fingerprint moved once, when the InvariantChecker took over the run's
+  // safety sweep: its counters gained invariants.checks_run = 1 and
   // nothing else changed (0x34ecd1c8012e4da8 before).
   ChaosOptions opt;
   opt.seed = 3;
   ExpectPinned("chaos-two-level-3", RunTwoLevelChaos(opt),
-               {0x3797f2692abdcf89ULL, 0xcbf29ce484222325ULL, 72, 4, 0, 0, 0,
+               {0x3797f2692abdcf89ULL, 0x3caa9a038548a788ULL, 72, 4, 0, 0, 0,
                 25000000});
 }
 

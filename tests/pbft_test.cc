@@ -257,9 +257,8 @@ TEST(PbftTest, StateTransferRotatesAwayFromUnreachablePeer) {
 TEST(StateTransferBackoffTest, DoublesUntilCapAndStaysBounded) {
   pbft::PbftConfig cfg;
   cfg.request_timeout_us = Millis(100);
-  cfg.state_transfer_backoff_cap_us = Millis(800);
   const Duration base = cfg.request_timeout_us;
-  const Duration cap = cfg.state_transfer_backoff_cap_us;
+  const Duration cap = pbft::kStateTransferBackoffCap;
 
   Duration prev = 0;
   for (std::uint64_t attempt = 0; attempt < 40; ++attempt) {
@@ -281,7 +280,6 @@ TEST(StateTransferBackoffTest, DoublesUntilCapAndStaysBounded) {
 TEST(StateTransferBackoffTest, JitterIsDeterministicAndDesynchronizes) {
   pbft::PbftConfig cfg;
   cfg.request_timeout_us = Millis(100);
-  cfg.state_transfer_backoff_cap_us = Millis(800);
   // Deterministic: same (attempt, replica, seq) gives the same delay.
   EXPECT_EQ(pbft::PbftEngine::StateTransferBackoff(cfg, 2, 3, 5),
             pbft::PbftEngine::StateTransferBackoff(cfg, 2, 3, 5));
@@ -295,12 +293,13 @@ TEST(StateTransferBackoffTest, JitterIsDeterministicAndDesynchronizes) {
 }
 
 TEST(StateTransferBackoffTest, CapBelowBaseClampsToBase) {
-  // A misconfigured cap smaller than the request timeout must not shrink
-  // the delay below the liveness-critical base.
+  // Flat PBFT's request timeout (5 s, RunFlat) is the base, above the 4 s
+  // cap: the cap must not shrink the delay below the liveness-critical
+  // base.
   pbft::PbftConfig cfg;
-  cfg.request_timeout_us = Millis(500);
-  cfg.state_transfer_backoff_cap_us = Millis(100);
+  cfg.request_timeout_us = Seconds(5);
   const Duration base = cfg.request_timeout_us;
+  ASSERT_GT(base, pbft::kStateTransferBackoffCap);
   for (std::uint64_t attempt : {0u, 1u, 7u}) {
     Duration d = pbft::PbftEngine::StateTransferBackoff(cfg, attempt, 0, 1);
     EXPECT_GE(d, base);

@@ -226,9 +226,8 @@ TEST(ViewChangeTest, StaleResponseQueriesCannotDeposeTheNextPrimary) {
 TEST(ViewChangeBackoffTest, DoublesUntilCapAndStaysBounded) {
   pbft::PbftConfig cfg;
   cfg.request_timeout_us = Millis(100);
-  cfg.view_change_backoff_cap_us = Millis(800);
   const Duration base = cfg.request_timeout_us * 2;
-  const Duration cap = cfg.view_change_backoff_cap_us;
+  const Duration cap = pbft::kViewChangeBackoffCap;
 
   Duration prev = 0;
   for (std::uint64_t attempt = 0; attempt < 40; ++attempt) {
@@ -250,7 +249,6 @@ TEST(ViewChangeBackoffTest, DoublesUntilCapAndStaysBounded) {
 TEST(ViewChangeBackoffTest, JitterIsDeterministicAndDesynchronizes) {
   pbft::PbftConfig cfg;
   cfg.request_timeout_us = Millis(100);
-  cfg.view_change_backoff_cap_us = Millis(800);
   // Deterministic: same (attempt, replica, view) gives the same delay.
   EXPECT_EQ(pbft::PbftEngine::ViewChangeBackoff(cfg, 2, 3, 5),
             pbft::PbftEngine::ViewChangeBackoff(cfg, 2, 3, 5));
@@ -264,12 +262,13 @@ TEST(ViewChangeBackoffTest, JitterIsDeterministicAndDesynchronizes) {
 }
 
 TEST(ViewChangeBackoffTest, CapBelowBaseClampsToBase) {
-  // A misconfigured cap smaller than the doubled request timeout must not
-  // shrink the delay below the liveness-critical base.
+  // Flat PBFT's request timeout (5 s, RunFlat) doubles to a 10 s base,
+  // above the 8 s cap: the cap must not shrink the delay below the
+  // liveness-critical base.
   pbft::PbftConfig cfg;
-  cfg.request_timeout_us = Millis(500);
-  cfg.view_change_backoff_cap_us = Millis(100);
+  cfg.request_timeout_us = Seconds(5);
   const Duration base = cfg.request_timeout_us * 2;
+  ASSERT_GT(base, pbft::kViewChangeBackoffCap);
   for (std::uint64_t attempt : {0u, 1u, 7u}) {
     Duration d = pbft::PbftEngine::ViewChangeBackoff(cfg, attempt, 0, 1);
     EXPECT_GE(d, base);
