@@ -418,7 +418,8 @@ void TwoLevelNode::OnMessage(const sim::MessagePtr& msg) {
     endorser_->HandleMessage(msg);
     return;
   }
-  if (t == core::kStateTransfer || t == core::kResponseQuery) {
+  if (t == core::kStateTransfer || t == core::kMigrationManifest ||
+      t == core::kMigrationChunk || t == core::kResponseQuery) {
     migration_->HandleMessage(msg);
     return;
   }

@@ -39,10 +39,13 @@ struct SyncDurableState {
 };
 
 /// Durable migration progress markers (Algorithm 2). One marker per
-/// in-flight or completed migration this node participates in: enough for
-/// the source to keep answering response-queries with the certified STATE
-/// message after a restart, and for the destination to resume waiting (or
-/// re-install an already-appended client's records into the rebuilt app).
+/// migration this node participates in that is in flight or not yet
+/// covered: enough for the source to keep answering response-queries with
+/// the certified STATE message after a restart, and for the destination to
+/// resume waiting (or re-install an already-appended client's records into
+/// the rebuilt app). A destination's appended marker retires once this
+/// node's stable checkpoint covers its install; the install watermark keeps
+/// a late STATE for it a no-op.
 struct MigrationDurableState {
   struct Marker {
     /// The migration op, minus its command (always empty for a migration).
@@ -69,6 +72,9 @@ struct MigrationDurableState {
     }
   };
   std::map<std::uint64_t, Marker> in_flight;  // request id -> marker
+  /// Destination install watermark: client -> highest migration timestamp
+  /// appended here (one entry per client, retired markers included).
+  std::map<ClientId, RequestTimestamp> installed;
 };
 
 /// Everything one ZiziphusNode persists across an amnesia crash — what its

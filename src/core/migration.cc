@@ -58,6 +58,7 @@ void MigrationEngine::Retire(std::uint64_t id, MigState& st, bool appended) {
     query_ids_.erase(QueryId(id));
     RequestTimestamp& mark = installed_[st.client];
     mark = std::max(mark, st.ts);
+    if (durable_ != nullptr) durable_->installed[st.client] = mark;
   }
   endorser_->Settle(id);
   if (st.client == kInvalidClient) return;
@@ -78,8 +79,9 @@ void MigrationEngine::Forget(std::uint64_t id) {
   auto it = states_.find(id);
   if (it == states_.end() || it->second.live != nullptr) return;
   query_ids_.erase(QueryId(id));
-  // A source's marker goes with its STATE. A destination's stays: an
-  // amnesia rejoin re-installs every appended migration's records.
+  // A source's marker goes with its STATE. A destination's stays until a
+  // stable checkpoint covers its install (OnStableCheckpoint): until then an
+  // amnesia rejoin re-installs the appended records from it.
   if (durable_ != nullptr && it->second.state_msg != nullptr) {
     durable_->in_flight.erase(id);
   }
@@ -111,7 +113,12 @@ void MigrationEngine::OnGlobalExecuted(const MigrationOp& op, Ballot ballot) {
   MigState& st = StateFor(id);
   if (st.live != nullptr) st.live->op = op;
   st.ballot = ballot;
-  if (durable_ != nullptr &&
+  // An appended destination whose marker a stable checkpoint retired needs
+  // none: the checkpoint holds the records, the install watermark the rest.
+  const bool retired = st.live == nullptr && my_zone_ == op.destination &&
+                       durable_ != nullptr &&
+                       durable_->in_flight.count(id) == 0;
+  if (durable_ != nullptr && !retired &&
       (my_zone_ == op.source || my_zone_ == op.destination)) {
     // Progress marker: an amnesiac participant must remember it was part of
     // this migration to resume (destination) or keep answering queries
@@ -422,6 +429,7 @@ void MigrationEngine::OnEndorseQuorum(const EndorseKey& key,
         marker.ballot = st.ballot;
         marker.appended = true;
         marker.records = live.records;
+        uncovered_.push_back({op.client, op.timestamp, key.request_id});
       }
       process_->ChargeCpu(process_->costs().apply_us);
       if (installer_ != nullptr) {
@@ -607,6 +615,11 @@ MigrationEngine::RetentionStats MigrationEngine::retention() const {
     }
   }
   r.install_watermarks = installed_.size();
+  if (durable_ != nullptr) {
+    for (const auto& [id, marker] : durable_->in_flight) {
+      if (marker.appended) ++r.durable_markers;
+    }
+  }
   r.approx_bytes +=
       (query_ids_.size() + finished_.size() + installed_.size()) * 32;
   return r;
@@ -616,26 +629,37 @@ MigrationEngine::RetentionStats MigrationEngine::retention() const {
 
 void MigrationEngine::RestoreFromDurable() {
   if (durable_ == nullptr) return;
+  // The watermark also covers migrations whose markers a stable checkpoint
+  // retired, so late STATEs for them stay no-ops.
+  installed_.insert(durable_->installed.begin(), durable_->installed.end());
   // Retire may erase markers (a client's older tombstone), so walk a copy.
   const std::map<std::uint64_t, MigrationDurableState::Marker> markers =
       durable_->in_flight;
+  // Appended markers by client, in timestamp order.
+  std::map<ClientId, std::map<RequestTimestamp, std::uint64_t>> appended;
   for (const auto& [id, marker] : markers) {
+    if (!marker.appended) continue;
+    appended[marker.client].emplace(marker.timestamp, id);
+    uncovered_.push_back({marker.client, marker.timestamp, id});
+  }
+  for (const auto& [id, marker] : markers) {
+    if (marker.appended) {
+      // The append already finalized before the crash. At the client's
+      // first marker in id order, re-install all its uncovered appends in
+      // timestamp order, so its newest records land last.
+      auto client = appended.find(marker.client);
+      if (client == appended.end()) continue;
+      for (const auto& [ts, appended_id] : client->second) {
+        Reinstall(appended_id, markers.at(appended_id));
+      }
+      appended.erase(client);
+      continue;
+    }
     MigState& st = StateFor(id);
     st.live->op = marker.op();
     st.ballot = marker.ballot;
     st.state_msg = marker.state_msg;
-    if (marker.appended) {
-      // The append already finalized before the crash; re-install the
-      // migrated records into the rebuilt application state. The lock table
-      // (durable, node-owned) already shows the client re-enabled.
-      completed_++;
-      if (my_zone_ == marker.destination && installer_ != nullptr) {
-        process_->ChargeCpu(process_->costs().apply_us);
-        installer_(marker.client, RecordsOf(marker.records),
-                   marker.timestamp);
-      }
-      Retire(id, st, /*appended=*/true);
-    } else if (my_zone_ == marker.destination) {
+    if (my_zone_ == marker.destination) {
       // Mid-migration at the destination: resume waiting for STATE with a
       // fresh probe timer (Section V-A failure handling).
       ArmStateWait(id, *st.live, kStateWaitTimeout);
@@ -644,6 +668,34 @@ void MigrationEngine::RestoreFromDurable() {
       Retire(id, st, /*appended=*/false);
     }
   }
+}
+
+void MigrationEngine::Reinstall(std::uint64_t id,
+                                const MigrationDurableState::Marker& marker) {
+  MigState& st = StateFor(id);
+  st.live->op = marker.op();
+  st.ballot = marker.ballot;
+  st.state_msg = marker.state_msg;
+  // Re-install the migrated records into the rebuilt application state (on
+  // top of the restored checkpoint, which does not cover them). The lock
+  // table (durable, node-owned) already shows the client re-enabled.
+  completed_++;
+  if (my_zone_ == marker.destination && installer_ != nullptr) {
+    process_->ChargeCpu(process_->costs().apply_us);
+    installer_(marker.client, RecordsOf(marker.records), marker.timestamp);
+  }
+  Retire(id, st, /*appended=*/true);
+}
+
+void MigrationEngine::OnStableCheckpoint(const storage::Checkpoint& cp) {
+  std::erase_if(uncovered_, [&](const Uncovered& u) {
+    auto coverage = cp.coverage.find(u.client);
+    if (coverage == cp.coverage.end() || coverage->second < u.ts) {
+      return false;
+    }
+    durable_->in_flight.erase(u.id);
+    return true;
+  });
 }
 
 }  // namespace ziziphus::core

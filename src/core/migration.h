@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "core/durable.h"
 #include "core/endorsement.h"
@@ -13,6 +14,7 @@
 #include "core/topology.h"
 #include "sim/simulation.h"
 #include "sim/timer_tag.h"
+#include "storage/checkpoint.h"
 
 namespace ziziphus::core {
 
@@ -102,22 +104,33 @@ class MigrationEngine {
   /// markers (Algorithm 2 sub-transactions in flight).
   void set_durable(MigrationDurableState* d) { durable_ = d; }
   /// Resumes in-flight migrations from durable markers: the destination
-  /// re-arms its STATE-wait probe (or re-installs already-appended
-  /// records into the rebuilt app); the source restores its certified
-  /// STATE cache so response-queries keep getting answered.
+  /// reloads its install watermark and re-arms its STATE-wait probe (or
+  /// re-installs appended records no stable checkpoint covers, each
+  /// client's oldest first); the source restores its certified STATE
+  /// cache so response-queries keep getting answered.
   void RestoreFromDurable();
+  /// Retires each appended destination marker whose install `cp` (this
+  /// node's new stable checkpoint) covers: coverage[client] >= the
+  /// migration's timestamp. The install raised that coverage
+  /// (PbftEngine::NoteClientRecordInstall) and the 2f+1 certificate binds it
+  /// through the read root, so the records are inside the snapshot a rejoin
+  /// restores first. Work is proportional to the uncovered markers.
+  void OnStableCheckpoint(const storage::Checkpoint& cp);
 
   /// Retention introspection: migrations with a working set (in flight),
   /// finished ones reduced to tombstones (at most one per client: its
   /// latest), how many record sets the working sets hold (records, a
   /// pending STATE, buffered chunks), how many tombstones keep a certified
-  /// STATE for late probes, and the clients with an install watermark.
+  /// STATE for late probes, the clients with an install watermark, and the
+  /// durable appended destination markers no stable checkpoint covers yet
+  /// (not priced in `approx_bytes`: the durable store is disk, not RAM).
   struct RetentionStats {
     std::size_t live = 0;
     std::size_t tombstones = 0;
     std::size_t record_maps = 0;
     std::size_t state_caches = 0;
     std::size_t install_watermarks = 0;
+    std::size_t durable_markers = 0;
     std::size_t approx_bytes = 0;
   };
   RetentionStats retention() const;
@@ -170,6 +183,9 @@ class MigrationEngine {
   void Retire(std::uint64_t id, MigState& st, bool appended);
   /// Erases a finished migration and its durable marker.
   void Forget(std::uint64_t id);
+  /// Re-installs an appended marker's records into the rebuilt app.
+  void Reinstall(std::uint64_t id,
+                 const MigrationDurableState::Marker& marker);
   /// Whether a STATE for (client, ts) is late: the destination already
   /// installed that migration or a newer one of the client.
   bool Installed(ClientId client, RequestTimestamp ts) const;
@@ -212,6 +228,15 @@ class MigrationEngine {
   /// Destination install watermark: client -> highest migration timestamp
   /// appended here.
   std::unordered_map<ClientId, RequestTimestamp> installed_;
+  /// Durable appended destination markers no stable checkpoint covers yet,
+  /// rebuilt from the durable store on rejoin. A flat list: it holds only
+  /// the installs since the last stable checkpoint.
+  struct Uncovered {
+    ClientId client;
+    RequestTimestamp ts;
+    std::uint64_t id;
+  };
+  std::vector<Uncovered> uncovered_;
   /// QueryId(id) -> id for every id in states_ that can still be asked
   /// about (all but appended destinations), so a response query is routed
   /// without scanning the migration history.

@@ -149,12 +149,12 @@ void ZiziphusNode::BuildEngines() {
     endorser_->OnViewChange(view);
     sync_->OnViewChange(view);
   });
-  if (config_.lazy_sync) {
-    pbft_->set_stable_checkpoint_callback(
-        [this](const storage::Checkpoint& cp) {
-          lazy_->OnLocalStableCheckpoint(cp, endorser_->IsPrimary());
-        });
-  }
+  pbft_->set_stable_checkpoint_callback([this](const storage::Checkpoint& cp) {
+    migration_->OnStableCheckpoint(cp);
+    if (config_.lazy_sync) {
+      lazy_->OnLocalStableCheckpoint(cp, endorser_->IsPrimary());
+    }
+  });
 }
 
 void ZiziphusNode::OnGlobalExecuted(const MigrationOp& op, Ballot ballot,

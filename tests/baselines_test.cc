@@ -107,6 +107,41 @@ TEST(TwoLevelTest, GlobalOrderIsTotal) {
   }
 }
 
+TEST(TwoLevelTest, ChunkedStateMigratesWithoutWaitingForAProbe) {
+  // A client with more than core::kChunkRecords records ships as a
+  // manifest plus chunks. The destination must route both to its
+  // migration engine, not wait out core::kStateWaitTimeout for a probe
+  // that re-fetches the records.
+  baselines::TwoLevelSystem sys(1, sim::LatencyModel::PaperGeoMatrix());
+  for (ZoneId z = 0; z < 3; ++z) {
+    sys.AddZone(0, static_cast<RegionId>(z), 1, 4);
+  }
+  sys.Finalize(app::TwoLevelNodeConfig(), [](ZoneId) {
+    return std::make_unique<BankStateMachine>();
+  });
+  testutil::TestClient client(&sys.keys(), 1);
+  sys.sim().Register(&client, 0);
+  constexpr std::uint64_t kRecords = 100;
+  static_assert(kRecords > core::kChunkRecords);
+  sys.BootstrapClient(client.id(), 1, [](ClientId id) {
+    storage::KvStore::Map records{{BankStateMachine::AccountKey(id), "1000"}};
+    for (std::uint64_t n = 1; n < kRecords; ++n) {
+      records.emplace(BankStateMachine::DataKey(id, n), "v");
+    }
+    return records;
+  });
+  auto ts = client.SubmitGlobal(sys.PrimaryOf(0)->id(), 1, 2);
+  sys.sim().RunFor(core::kStateWaitTimeout / 2);
+  EXPECT_TRUE(client.MigrationDone(ts));
+  const CounterSet& counters = sys.sim().counters();
+  EXPECT_GT(counters.Get(obs::CounterId::kMigChunkedTransfers), 0u);
+  EXPECT_EQ(counters.Get(obs::CounterId::kMigStateQueriesSent), 0u);
+  EXPECT_EQ(counters.Get(obs::CounterId::kNodeUnroutableMessage), 0u);
+  auto& bank = static_cast<BankStateMachine&>(
+      sys.node(sys.topology().zone(2).members[3])->app());
+  EXPECT_EQ(bank.DataRecordCount(client.id()), kRecords - 1);
+}
+
 TEST(TwoLevelTest, WitnessZoneHasNoLocalClients) {
   TwoLevelFixture fx;
   // The witness participates in global consensus but never serves local

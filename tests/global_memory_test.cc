@@ -5,9 +5,11 @@
 // work in flight, and what finished work leaves behind must not grow with
 // the number of ops either: execution dedup is a watermark per client and
 // per chain, decided sync requests are erased, endorsement tombstones
-// retire once settled, and a client keeps one finished migration (its
-// certified STATE at a source) per node. So every count below must be flat
-// from a 1 s to a 4 s window.
+// retire once settled, a client keeps one finished migration (its
+// certified STATE at a source) per node, and a destination's durable
+// marker of an appended migration retires at the stable checkpoint that
+// covers the install. So every count below must be flat from a 1 s to a
+// 4 s window.
 // `ctest -L perf-smoke` runs this with tests_queue_memory.
 
 #include <algorithm>
@@ -41,16 +43,18 @@ struct Retained {
   std::size_t state_caches = 0;
   /// Durable migration markers that carry a certified STATE (source side).
   std::size_t durable_state_markers = 0;
+  /// Durable markers of appended migrations (destination side).
+  std::size_t durable_appended_markers = 0;
 
   std::size_t& operator[](std::size_t i) {
-    std::size_t* fields[] = {&endorse_live,        &endorse_tombstones,
-                             &migrations_live,     &record_maps,
-                             &executed_bookkeeping, &sync_requests,
-                             &migration_tombstones, &state_caches,
-                             &durable_state_markers};
+    std::size_t* fields[] = {&endorse_live,          &endorse_tombstones,
+                             &migrations_live,       &record_maps,
+                             &executed_bookkeeping,  &sync_requests,
+                             &migration_tombstones,  &state_caches,
+                             &durable_state_markers, &durable_appended_markers};
     return *fields[i];
   }
-  static constexpr std::size_t kFields = 9;
+  static constexpr std::size_t kFields = 10;
 };
 
 constexpr const char* kNames[Retained::kFields] = {
@@ -58,7 +62,7 @@ constexpr const char* kNames[Retained::kFields] = {
     "unfinished migration states", "record maps held",
     "executed-op bookkeeping entries", "data-sync request entries",
     "migration tombstones", "source STATE caches",
-    "durable markers holding a STATE"};
+    "durable markers holding a STATE", "durable appended markers"};
 
 Retained Sum(core::ZiziphusSystem& sys) {
   Retained r;
@@ -77,6 +81,7 @@ Retained Sum(core::ZiziphusSystem& sys) {
     r.sync_requests += d.requests;
     r.migration_tombstones += m.tombstones;
     r.state_caches += m.state_caches;
+    r.durable_appended_markers += m.durable_markers;
     for (const auto& [id, marker] : node->durable().migration.in_flight) {
       if (marker.state_msg != nullptr) ++r.durable_state_markers;
     }
@@ -137,6 +142,7 @@ TEST(GlobalMemoryTest, InFlightStateDoesNotGrowWithTheWindow) {
   EXPECT_GT(short_run.endorse_tombstones, 0u);
   EXPECT_GT(short_run.migration_tombstones, 0u);
   EXPECT_GT(short_run.state_caches, 0u);
+  EXPECT_GT(short_run.durable_appended_markers, 0u);
   for (std::size_t i = 0; i < Retained::kFields; ++i) {
     EXPECT_LE(long_run[i], short_run[i] * 11 / 10)
         << kNames[i] << " peak at " << short_run[i]

@@ -73,12 +73,14 @@ TEST(AmnesiaCrashTest, PlainCrashNeverDowngradesAmnesia) {
 // ------------------------------------------------------- role-directed
 
 struct RecoveryFixture {
-  explicit RecoveryFixture(std::size_t zones = 3, std::uint64_t seed = 1)
+  explicit RecoveryFixture(
+      std::size_t zones = 3, std::uint64_t seed = 1,
+      NodeConfig config = app::harness::FaultHarnessNodeConfig())
       : sys(seed, sim::LatencyModel::PaperGeoMatrix()) {
     for (std::size_t z = 0; z < zones; ++z) {
       sys.AddZone(0, static_cast<RegionId>(z % 7), 1, 4);
     }
-    sys.Finalize(app::harness::FaultHarnessNodeConfig(),
+    sys.Finalize(std::move(config),
                  [](ZoneId) { return std::make_unique<BankStateMachine>(); });
     client = std::make_unique<testutil::TestClient>(&sys.keys(), 1);
     sys.sim().Register(client.get(), 0);
@@ -217,6 +219,119 @@ TEST(RecoveryTest, AmnesiacDestinationReplicaRecoversMigratedRecords) {
   auto& bank =
       static_cast<BankStateMachine&>(fx.sys.node(victim)->app());
   EXPECT_EQ(bank.BalanceOf(c), 1000);
+  auto v = fx.CheckInvariants();
+  EXPECT_TRUE(v.empty()) << RecoveryFixture::Describe(v);
+}
+
+// ------------------------------------------- destination marker retention
+
+// A destination keeps a durable marker per appended migration only until its
+// stable checkpoint covers the install; a rejoin restores the covered
+// records from that checkpoint and re-installs just the rest.
+TEST(MigrationRetentionTest, CoveringCheckpointRetiresDestinationMarkers) {
+  NodeConfig cfg = app::harness::FaultHarnessNodeConfig();
+  cfg.pbft.checkpoint_interval = 2;
+  RecoveryFixture fx(3, 1, cfg);
+  testutil::TestClient other(&fx.sys.keys(), 1);
+  fx.sys.sim().Register(&other, 0);
+  ClientId a = fx.client->id();
+  ClientId b = other.id();
+  fx.Bootstrap(a, 1);
+  fx.Bootstrap(b, 1);
+  const NodeId victim = fx.sys.topology().zone(2).members[3];
+  const NodeId healthy = fx.sys.topology().zone(2).members[2];
+  auto markers = [&] {
+    return fx.sys.node(victim)->migration().retention().durable_markers;
+  };
+
+  auto mig_a = fx.client->SubmitGlobal(fx.sys.PrimaryOf(0)->id(), 1, 2);
+  fx.sys.sim().RunFor(Seconds(2));
+  ASSERT_TRUE(fx.client->MigrationDone(mig_a));
+  EXPECT_EQ(markers(), 1u);
+  // Two local ops in zone 2 reach a stable checkpoint covering a's install.
+  auto dep1 = fx.client->SubmitLocal(fx.sys.PrimaryOf(2)->id(), "DEP 1");
+  fx.sys.sim().RunFor(Seconds(1));
+  auto dep2 = fx.client->SubmitLocal(fx.sys.PrimaryOf(2)->id(), "DEP 2");
+  fx.sys.sim().RunFor(Seconds(1));
+  ASSERT_TRUE(fx.client->IsComplete(dep1));
+  ASSERT_TRUE(fx.client->IsComplete(dep2));
+  EXPECT_GE(fx.sys.node(victim)->pbft().stable_seq(), 2u);
+  EXPECT_EQ(markers(), 0u);
+
+  // b's install comes after the checkpoint, so its marker stays.
+  auto mig_b = other.SubmitGlobal(fx.sys.PrimaryOf(0)->id(), 1, 2);
+  fx.sys.sim().RunFor(Seconds(2));
+  ASSERT_TRUE(other.MigrationDone(mig_b));
+  EXPECT_EQ(markers(), 1u);
+
+  fx.sys.sim().CrashAmnesia(victim);
+  fx.sys.sim().RunFor(Seconds(1));
+  fx.sys.sim().RecoverAmnesia(victim);
+  core::MigrationEngine& rebuilt = fx.sys.node(victim)->migration();
+  // Only b's append re-installs; both clients keep an install watermark.
+  EXPECT_EQ(rebuilt.migrations_completed(), 1u);
+  EXPECT_EQ(rebuilt.retention().install_watermarks, 2u);
+  EXPECT_EQ(markers(), 1u);
+  fx.sys.sim().RunFor(Seconds(4));
+
+  auto& restored = static_cast<BankStateMachine&>(fx.sys.node(victim)->app());
+  auto& reference =
+      static_cast<BankStateMachine&>(fx.sys.node(healthy)->app());
+  EXPECT_EQ(restored.BalanceOf(a), 1003);
+  EXPECT_EQ(restored.BalanceOf(b), 1000);
+  EXPECT_EQ(restored.StateDigest(), reference.StateDigest());
+  EXPECT_EQ(fx.sys.node(victim)->recoveries(), 1u);
+  auto v = fx.CheckInvariants();
+  EXPECT_TRUE(v.empty()) << RecoveryFixture::Describe(v);
+}
+
+// A client that lands at one destination twice leaves two uncovered
+// markers there; a rejoin must re-install the older records first, so the
+// newer ones (here, carrying deposits made in between) win.
+TEST(MigrationRetentionTest, RejoinReinstallsAClientsAppendsInTimestampOrder) {
+  RecoveryFixture fx;
+  ClientId c = fx.client->id();
+  fx.Bootstrap(c, 1);
+  const NodeId leader = fx.sys.PrimaryOf(0)->id();
+  const NodeId victim = fx.sys.topology().zone(2).members[3];
+
+  auto first = fx.client->SubmitGlobal(leader, 1, 2);
+  fx.sys.sim().RunFor(Seconds(2));
+  ASSERT_TRUE(fx.client->MigrationDone(first));
+  auto away = fx.client->SubmitGlobal(leader, 2, 0);
+  fx.sys.sim().RunFor(Seconds(2));
+  ASSERT_TRUE(fx.client->MigrationDone(away));
+  // Deposit in zone 0 until the return migration's request id sorts below
+  // the first one's: a rejoin walking the markers in id order would then
+  // meet the newer records first.
+  auto request_id = [c](RequestTimestamp ts) {
+    core::MigrationOp op;
+    op.client = c;
+    op.timestamp = ts;
+    return op.RequestId();
+  };
+  std::int64_t deposited = 0;
+  RequestTimestamp last = away;
+  do {
+    last = fx.client->SubmitLocal(leader, "DEP 5");
+    fx.sys.sim().RunFor(Seconds(1));
+    ASSERT_TRUE(fx.client->IsComplete(last));
+    deposited += 5;
+  } while (request_id(last + 1) > request_id(first));
+  auto back = fx.client->SubmitGlobal(leader, 0, 2);
+  ASSERT_EQ(back, last + 1);
+  fx.sys.sim().RunFor(Seconds(2));
+  ASSERT_TRUE(fx.client->MigrationDone(back));
+  // No local op ran in zone 2, so no checkpoint covers either install.
+  EXPECT_EQ(fx.sys.node(victim)->migration().retention().durable_markers, 2u);
+
+  fx.sys.sim().CrashAmnesia(victim);
+  fx.sys.sim().RunFor(Seconds(1));
+  fx.sys.sim().RecoverAmnesia(victim);
+  EXPECT_EQ(fx.sys.node(victim)->migration().migrations_completed(), 2u);
+  fx.sys.sim().RunFor(Seconds(2));
+  auto& bank = static_cast<BankStateMachine&>(fx.sys.node(victim)->app());
+  EXPECT_EQ(bank.BalanceOf(c), 1000 + deposited);
   auto v = fx.CheckInvariants();
   EXPECT_TRUE(v.empty()) << RecoveryFixture::Describe(v);
 }
