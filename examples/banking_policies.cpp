@@ -5,7 +5,11 @@
 // client keeps its old home.
 //
 //   $ ./build/examples/banking_policies
+//
+// Exits 1 if a line that states what it expects does not hold (ctest
+// runs it as example_banking_policies).
 
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 
@@ -55,8 +59,9 @@ int main() {
               home);
   auto& bank =
       static_cast<app::BankStateMachine&>(system.Member(home, 0)->app());
+  const std::int64_t balance = bank.BalanceOf(alice.id());
   std::printf("her balance travelled intact: $%lld (expected 5000)\n",
-              static_cast<long long>(bank.BalanceOf(alice.id())));
+              static_cast<long long>(balance));
 
   // Every node in every zone enforces the same verdict — policy
   // enforcement is part of the replicated execution, not a gateway check.
@@ -67,5 +72,7 @@ int main() {
   }
   std::printf("all 12 nodes agree on the meta-data: %s\n",
               all_agree ? "yes" : "no");
-  return 0;
+  const bool ok = home == 2 && balance == 5000 && all_agree;
+  if (!ok) std::printf("FAILED: a line above is not what it expects\n");
+  return ok ? 0 : 1;
 }

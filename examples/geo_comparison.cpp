@@ -5,6 +5,9 @@
 //
 //   $ ./build/examples/geo_comparison [--clients=N] [--global=F]
 //         [--zones=N] [--seed=N] [--trace]
+//
+// Exits 1 if the rows miss the expected shape printed at the end (ctest
+// runs it with the defaults as example_geo_comparison).
 
 #include <cstdio>
 
@@ -26,9 +29,12 @@ int main(int argc, char** argv) {
   std::printf("%-16s %10s %10s %10s %12s %12s\n", "protocol", "ktps",
               "avg ms", "p99 ms", "local ms", "global ms");
 
+  double ktps[4] = {};
+  int row = 0;
   for (Protocol p : {Protocol::kZiziphus, Protocol::kTwoLevelPbft,
                      Protocol::kSteward, Protocol::kFlatPbft}) {
     ExperimentResult r = cfg.WithProtocol(p).Run();
+    ktps[row++] = r.throughput_tps / 1000.0;
     std::printf("%-16s %10.1f %10.1f %10.1f %12.1f %12.1f\n",
                 ProtocolName(p), r.throughput_tps / 1000.0, r.avg_latency_ms,
                 r.p99_ms, r.local_avg_ms, r.global_avg_ms);
@@ -44,5 +50,10 @@ int main(int argc, char** argv) {
       "\nExpected shape (paper Fig. 4/5): ziziphus best, two-level-pbft\n"
       "close behind, steward and flat-pbft far below with geo-scale\n"
       "latencies on every transaction.\n");
-  return 0;
+  // Best, then close behind, then both flat protocols at under half the
+  // two-level rate.
+  const bool ok = ktps[0] > ktps[1] && 2 * ktps[2] < ktps[1] &&
+                  2 * ktps[3] < ktps[1];
+  if (!ok) std::printf("FAILED: the rows above miss that shape\n");
+  return ok ? 0 : 1;
 }

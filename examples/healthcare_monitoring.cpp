@@ -4,6 +4,9 @@
 // regulatory regions (zone clusters with separate regional meta-data).
 //
 //   $ ./build/examples/healthcare_monitoring
+//
+// Exits 1 if a line that states what it expects does not hold (ctest
+// runs it as example_healthcare_monitoring).
 
 #include <cstdio>
 #include <memory>
@@ -40,8 +43,9 @@ int main() {
   }
   auto q = patient.SubmitLocal(system.PrimaryOf(0)->id(), "COUNT hr");
   system.sim().RunFor(Millis(300));
-  std::printf("heart-rate readings stored in Paris: %s\n",
+  std::printf("heart-rate readings stored in Paris: %s (expected 3)\n",
               patient.ResultOf(q).c_str());
+  bool ok = patient.ResultOf(q) == "3";
 
   // The patient flies to Tokyo: a cross-cluster migration. The destination
   // zone coordinates both clusters (CROSS-PROPOSE / PREPARED, Sec. VI) and
@@ -52,32 +56,37 @@ int main() {
   system.sim().RunFor(Seconds(3));
   std::printf("migration complete: %s\n",
               patient.MigrationDone(mig) ? "yes" : "no");
+  ok = ok && patient.MigrationDone(mig);
 
   // Tokyo now serves the history and accepts new readings; Paris will no
   // longer serve this patient (lock bit cleared).
   auto last = patient.SubmitLocal(system.PrimaryOf(2)->id(), "LAST hr");
   system.sim().RunFor(Millis(500));
-  std::printf("last heart rate, served from Tokyo: %s\n",
+  std::printf("last heart rate, served from Tokyo: %s (expected 81)\n",
               patient.ResultOf(last).c_str());
+  ok = ok && patient.ResultOf(last) == "81";
   patient.SubmitLocal(system.PrimaryOf(2)->id(), "VITAL hr 78");
   system.sim().RunFor(Millis(500));
   auto count = patient.SubmitLocal(system.PrimaryOf(2)->id(), "COUNT hr");
   system.sim().RunFor(Millis(500));
-  std::printf("total readings after landing: %s\n",
+  std::printf("total readings after landing: %s (expected 4)\n",
               patient.ResultOf(count).c_str());
+  ok = ok && patient.ResultOf(count) == "4";
 
   bool paris_locked = system.Member(0, 0)->locks().IsLocked(patient.id());
   std::printf("Paris still serves the patient: %s (expected: no)\n",
               paris_locked ? "yes" : "no");
+  ok = ok && !paris_locked;
 
   // Regional meta-data stayed regional: EU zones and APAC zones both know
   // this patient's move (they were the two clusters involved).
-  std::printf("homes recorded per zone: ");
+  std::printf("homes recorded per zone (expected 2 everywhere): ");
   for (ZoneId z = 0; z < 4; ++z) {
-    std::printf("z%u->%d ", z,
-                static_cast<int>(
-                    system.Member(z, 0)->metadata().HomeOf(patient.id())));
+    const ZoneId home = system.Member(z, 0)->metadata().HomeOf(patient.id());
+    std::printf("z%u->%d ", z, static_cast<int>(home));
+    ok = ok && home == 2;
   }
   std::printf("\n");
-  return 0;
+  if (!ok) std::printf("FAILED: a line above is not what it expects\n");
+  return ok ? 0 : 1;
 }

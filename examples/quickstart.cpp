@@ -3,7 +3,11 @@
 // state.
 //
 //   $ ./build/examples/quickstart
+//
+// Exits 1 if any step does not turn out as the comments say (ctest runs it
+// as example_quickstart).
 
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 
@@ -40,6 +44,7 @@ int main() {
   std::printf("local deposit committed: %s (result \"%s\")\n",
               client.IsComplete(dep) ? "yes" : "no",
               client.ResultOf(dep).c_str());
+  bool ok = client.IsComplete(dep) && client.ResultOf(dep) == "ok";
 
   // 4. The client moves to Quebec: a global transaction. Algorithm 1
   //    synchronizes the system meta-data across all zones with a majority
@@ -50,6 +55,7 @@ int main() {
   std::printf("migration synced: %s, data migrated: %s\n",
               client.Synced(mig) ? "yes" : "no",
               client.MigrationDone(mig) ? "yes" : "no");
+  ok = ok && client.Synced(mig) && client.MigrationDone(mig);
 
   // 5. Every node of every zone agrees on the client's new home.
   for (const auto& node : system.nodes()) {
@@ -66,13 +72,17 @@ int main() {
   // 6. Local service resumes in the new zone.
   auto dep2 = client.SubmitLocal(system.PrimaryOf(2)->id(), "DEP 50");
   system.sim().RunFor(Seconds(1));
-  std::printf("post-migration deposit committed: %s, balance $%lld\n",
+  const std::int64_t balance = quebec_bank.BalanceOf(client.id());
+  std::printf("post-migration deposit committed: %s, balance $%lld "
+              "(expected $1300)\n",
               client.IsComplete(dep2) ? "yes" : "no",
-              static_cast<long long>(quebec_bank.BalanceOf(client.id())));
+              static_cast<long long>(balance));
+  ok = ok && client.IsComplete(dep2) && balance == 1300;
 
   std::printf("simulated time elapsed: %.1f ms, messages: %llu\n",
               ToMillis(system.sim().Now()),
               static_cast<unsigned long long>(
                   system.sim().counters().Get(obs::CounterId::kNetMsgsSent)));
-  return 0;
+  if (!ok) std::printf("FAILED: a step above did not complete as expected\n");
+  return ok ? 0 : 1;
 }

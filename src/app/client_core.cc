@@ -1,6 +1,7 @@
 #include "app/client_core.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "app/bank.h"
 #include "sim/timer_tag.h"
@@ -182,8 +183,10 @@ void ClientCore::HandleReadReply(const pbft::ReadReplyMsg& r) {
       if (causal_) session_.MergeDeps(r.deps);
       scoped_counters().Inc(obs::CounterId::kReadsCertVerified);
       if (witness_sink_ != nullptr) {
-        witness_sink_->push_back({id(), read_zone_, r.key, r.value, r.found,
-                                  r.proof, read_floor_before_});
+        witness_sink_->push_back(
+            {id(), read_zone_, r.key, r.value, r.found,
+             std::make_shared<const crypto::ReadProof>(r.proof),
+             read_floor_before_});
       }
       Finish(Outcome::kCommitted);
       return;

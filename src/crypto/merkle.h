@@ -40,26 +40,26 @@ Digest MerkleNodeDigest(Digest left, Digest right);
 /// Final root: binds the un-padded leaf count to the top digest.
 Digest MerkleRootDigest(std::uint64_t leaf_count, Digest top);
 
-/// One audit-path element: the sibling digest and which side it sits on.
-struct MerkleStep {
-  Digest sibling = 0;
-  bool sibling_on_left = false;
-
-  friend bool operator==(const MerkleStep&, const MerkleStep&) = default;
-};
-
-/// An audit path from one leaf to the top of the tree. The leaf's index is
-/// not carried separately: it is implied by the direction bits (bit i of the
-/// index == steps[i].sibling_on_left), so a prover cannot claim a position
-/// the path does not actually fold from.
+/// An audit path from one leaf to the top of the tree: the sibling digest
+/// at each level, bottom up, and one direction word whose bit i says that
+/// siblings[i] sits on the left. The leaf's index is not carried
+/// separately: it is implied by the direction bits (bit i of the index ==
+/// bit i of `directions`), so a prover cannot claim a position the path
+/// does not actually fold from. A bit at or above the path's depth folds
+/// nowhere; VerifyMerkleProof rejects it rather than ignore it.
 struct MerklePath {
   std::string key;
   std::string value;
-  std::vector<MerkleStep> steps;
+  std::vector<Digest> siblings;
+  std::uint64_t directions = 0;
 
-  /// Folds the leaf digest up through the steps to the top digest.
+  /// Whether siblings[level] sits on the left of the running digest.
+  bool SiblingOnLeft(std::size_t level) const {
+    return level < 64 && ((directions >> level) & 1) != 0;
+  }
+  /// Folds the leaf digest up through the siblings to the top digest.
   Digest Fold() const;
-  /// Leaf index implied by the direction bits.
+  /// Leaf index implied by the direction bits below the path's depth.
   std::uint64_t Index() const;
   /// Digest of the path contents (for folding into message digests).
   Digest ContentsDigest() const;
@@ -68,17 +68,29 @@ struct MerklePath {
 };
 
 /// Proof that a key is present (with a specific value) or absent in the
-/// tree a root commits to. For absence, `pred`/`succ` are the bracketing
-/// leaves; either may be missing when the key sorts before the first or
-/// after the last leaf (or both, for an empty tree).
+/// tree a root commits to. It holds only the paths it uses, in `paths`:
+/// the leaf's path when `present`, then the bracketing leaves of an absent
+/// key — the greatest leaf below it when `has_pred`, the least leaf above
+/// it when `has_succ`. Either bracket may be missing when the key sorts
+/// before the first or after the last leaf (or both, for an empty tree).
 struct MerkleProof {
   bool present = false;
-  std::uint64_t leaf_count = 0;
-  MerklePath leaf;  // membership only
   bool has_pred = false;
   bool has_succ = false;
-  MerklePath pred;  // non-membership: greatest leaf below the key
-  MerklePath succ;  // non-membership: least leaf above the key
+  std::uint64_t leaf_count = 0;
+  std::vector<MerklePath> paths;
+
+  /// The flagged paths. Each requires its flag and a well-formed proof
+  /// (paths.size() == present + has_pred + has_succ).
+  const MerklePath& leaf() const { return paths[0]; }
+  const MerklePath& pred() const { return paths[present ? 1 : 0]; }
+  const MerklePath& succ() const {
+    return paths[(present ? 1 : 0) + (has_pred ? 1 : 0)];
+  }
+  MerklePath& leaf() { return paths[0]; }
+
+  /// Digest and wire size as if every slot were carried, an unflagged one
+  /// as an empty path: a proof's identity does not depend on its layout.
   Digest ContentsDigest() const;
   std::size_t WireSize() const;
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 
 #include "common/status.h"
@@ -81,13 +82,18 @@ Status VerifyReadProof(const KeyRegistry& keys, const ReadProof& proof,
 /// floor the session held when the read was issued — and, with the
 /// checker's global visibility, the witnessed value against the ground
 /// truth honest replicas actually committed at the anchor.
+///
+/// The proof is built once, when the client accepts the read, and shared
+/// immutably: copying a witness (as the checker's options do) copies a
+/// pointer and two short strings. A test that tampers with a witness
+/// replaces the pointer with a fresh proof; it never writes through it.
 struct ReadWitness {
   ClientId client = kInvalidClient;
   ZoneId zone = 0;
   std::string key;
   std::string value;
   bool found = false;
-  ReadProof proof;
+  std::shared_ptr<const ReadProof> proof;
   /// Session watermark for `zone` when the read was issued; the accepted
   /// anchor must not be older (monotonic reads).
   SeqNum floor_before = 0;

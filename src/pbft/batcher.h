@@ -2,10 +2,10 @@
 #define ZIZIPHUS_PBFT_BATCHER_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <unordered_set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -19,11 +19,89 @@ namespace ziziphus::pbft {
 inline constexpr std::size_t kBatchMax = 64;
 inline constexpr Duration kBatchTimeout = Millis(2);
 
+/// Open-addressing set of 64-bit ids: linear probing, backward-shift erase
+/// (no tombstones), a table that only grows. Once it has grown to a
+/// leader's peak backlog, inserts and erases no longer touch the heap.
+class FlatIdSet {
+ public:
+  /// False if `id` was already present.
+  bool Insert(std::uint64_t id) {
+    if (id == kEmpty) return !std::exchange(has_empty_, true);
+    if ((size_ + 1) * 4 > slots_.size() * 3) Grow();
+    std::size_t i = Home(id);
+    for (; slots_[i] != kEmpty; i = Next(i)) {
+      if (slots_[i] == id) return false;
+    }
+    slots_[i] = id;
+    ++size_;
+    return true;
+  }
+  bool Contains(std::uint64_t id) const {
+    if (id == kEmpty) return has_empty_;
+    if (slots_.empty()) return false;
+    for (std::size_t i = Home(id); slots_[i] != kEmpty; i = Next(i)) {
+      if (slots_[i] == id) return true;
+    }
+    return false;
+  }
+  /// False if `id` was absent.
+  bool Erase(std::uint64_t id) {
+    if (id == kEmpty) return std::exchange(has_empty_, false);
+    if (slots_.empty()) return false;
+    std::size_t hole = Home(id);
+    for (; slots_[hole] != id; hole = Next(hole)) {
+      if (slots_[hole] == kEmpty) return false;
+    }
+    // Pull each later member of the probe run whose home does not lie
+    // between the hole and itself back into the hole.
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t j = Next(hole); slots_[j] != kEmpty; j = Next(j)) {
+      if (((j - Home(slots_[j])) & mask) >= ((j - hole) & mask)) {
+        slots_[hole] = slots_[j];
+        hole = j;
+      }
+    }
+    slots_[hole] = kEmpty;
+    --size_;
+    return true;
+  }
+  void Clear() {
+    std::fill(slots_.begin(), slots_.end(), kEmpty);
+    size_ = 0;
+    has_empty_ = false;
+  }
+
+ private:
+  static constexpr std::uint64_t kEmpty = 0;  // id 0 lives in has_empty_
+
+  std::size_t Home(std::uint64_t id) const {
+    return static_cast<std::size_t>((id * 0x9e3779b97f4a7c15ULL) >> shift_);
+  }
+  std::size_t Next(std::size_t i) const { return (i + 1) & (slots_.size() - 1); }
+  void Grow() {
+    std::vector<std::uint64_t> old(std::max<std::size_t>(16, 2 * slots_.size()),
+                                   kEmpty);
+    old.swap(slots_);
+    shift_ = 64 - std::countr_zero(slots_.size());
+    size_ = 0;
+    for (std::uint64_t id : old) {
+      if (id != kEmpty) Insert(id);
+    }
+  }
+
+  std::vector<std::uint64_t> slots_;  // power-of-two size, or empty
+  int shift_ = 64;
+  std::size_t size_ = 0;
+  bool has_empty_ = false;
+};
+
 /// The queue of a batching leader (PBFT primary, data-sync stable leader,
 /// two-level global primary): FIFO ops, each under its dedup id with the
 /// trace context parked with it, and the armed flag of the owner's batch
 /// timer. The owner cuts, sets its timer when Arm() says so, and dedups
-/// against executed ops.
+/// against executed ops. The queue is one reused vector read from `head_`
+/// and the id index a FlatIdSet, so a queued op allocates nothing once the
+/// leader has seen its peak backlog.
 template <typename Op>
 class Batcher {
  public:
@@ -41,38 +119,53 @@ class Batcher {
 
   /// False, queueing nothing, if `id` is already queued.
   bool Push(std::uint64_t id, Op op, obs::TraceContext trace = {}) {
-    if (!ids_.insert(id).second) return false;
+    if (!ids_.Insert(id)) return false;
     queue_.push_back(Entry{id, std::move(op), trace});
     return true;
   }
-  bool Contains(std::uint64_t id) const { return ids_.count(id) > 0; }
-  std::size_t size() const { return queue_.size(); }
-  bool empty() const { return queue_.empty(); }
-  const std::deque<Entry>& queued() const { return queue_; }
+  bool Contains(std::uint64_t id) const { return ids_.Contains(id); }
+  std::size_t size() const { return queue_.size() - head_; }
+  bool empty() const { return size() == 0; }
+  std::span<const Entry> queued() const {
+    return {queue_.data() + head_, size()};
+  }
 
   /// Removes and returns the oldest min(max, size()) ops.
   Cut TakeUpTo(std::size_t max) {
     Cut cut;
-    const std::size_t take = std::min(max, queue_.size());
+    const std::size_t take = std::min(max, size());
     cut.ops.reserve(take);
     for (std::size_t i = 0; i < take; ++i) {
-      Entry& e = queue_.front();
+      Entry& e = queue_[head_++];
       if (!cut.trace.active()) cut.trace = e.trace;
-      ids_.erase(e.id);
+      ids_.Erase(e.id);
       cut.ops.push_back(std::move(e.op));
-      queue_.pop_front();
     }
+    Reclaim();
     return cut;
   }
   /// Drops the op queued under `id`, if any, and its parked trace.
   void Remove(std::uint64_t id) {
-    if (ids_.erase(id) == 0) return;
-    queue_.erase(std::find_if(queue_.begin(), queue_.end(),
-                              [id](const Entry& e) { return e.id == id; }));
+    if (!ids_.Erase(id)) return;
+    const auto first = queue_.begin() + static_cast<std::ptrdiff_t>(head_);
+    const auto it = std::find_if(first, queue_.end(),
+                                 [id](const Entry& e) { return e.id == id; });
+    // Close the gap from the nearer end; FIFO order holds either way.
+    if (it - first < queue_.end() - it) {
+      std::move_backward(first, it, it + 1);
+      ++head_;
+    } else {
+      std::move(it + 1, queue_.end(), it);
+      queue_.pop_back();
+    }
+    Reclaim();
   }
   /// Empties the queue; the armed flag stays.
-  std::deque<Entry> Drain() {
-    ids_.clear();
+  std::vector<Entry> Drain() {
+    ids_.Clear();
+    queue_.erase(queue_.begin(),
+                 queue_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
     return std::exchange(queue_, {});
   }
 
@@ -81,8 +174,22 @@ class Batcher {
   void Disarm() { armed_ = false; }
 
  private:
-  std::deque<Entry> queue_;
-  std::unordered_set<std::uint64_t> ids_;
+  /// An emptied queue restarts at the front of its buffer; a consumed
+  /// prefix at least as long as the live tail is dropped (amortized O(1)).
+  void Reclaim() {
+    if (head_ == queue_.size()) {
+      queue_.clear();
+      head_ = 0;
+    } else if (head_ >= kBatchMax && head_ * 2 >= queue_.size()) {
+      queue_.erase(queue_.begin(),
+                   queue_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+  }
+
+  std::vector<Entry> queue_;  // live entries are [head_, size)
+  std::size_t head_ = 0;
+  FlatIdSet ids_;
   bool armed_ = false;
 };
 

@@ -206,18 +206,21 @@ MessagePtr ForgingReadResponderBehavior::OnSend(NodeId /*from*/,
   // honest sibling digests. Under the old additive sum-digest this was a
   // complete forgery (solve rest = state - entry); against the Merkle tree
   // the patched leaf folds to a root other than the certified one.
-  copy->proof.key_proof.present = true;
-  copy->proof.key_proof.leaf.key = crypto::ReadDataLeafKey(reply.key);
-  copy->proof.key_proof.leaf.value = forged_value_;
-  if (!reply.proof.key_proof.present) {
+  crypto::MerkleProof& proof = copy->proof.key_proof;
+  if (!proof.present) {
     // The honest reply proved absence: claim the bracketing leaf's position
-    // for the fabricated entry.
-    if (reply.proof.key_proof.has_succ) {
-      copy->proof.key_proof.leaf.steps = reply.proof.key_proof.succ.steps;
-    } else if (reply.proof.key_proof.has_pred) {
-      copy->proof.key_proof.leaf.steps = reply.proof.key_proof.pred.steps;
+    // for the fabricated entry, ahead of the brackets it keeps.
+    crypto::MerklePath claimed;
+    if (proof.has_succ) {
+      claimed = proof.succ();
+    } else if (proof.has_pred) {
+      claimed = proof.pred();
     }
+    proof.present = true;
+    proof.paths.insert(proof.paths.begin(), std::move(claimed));
   }
+  proof.leaf().key = crypto::ReadDataLeafKey(reply.key);
+  proof.leaf().value = forged_value_;
   // Also claim boundless read-your-writes coverage; verifiers must derive
   // coverage from the proof, never this field.
   copy->covered_write_ts = ~0ull;

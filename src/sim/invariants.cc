@@ -339,16 +339,17 @@ void InvariantChecker::CheckReads(core::ZiziphusSystem& system,
     }
   }
   for (const crypto::ReadWitness& w : opt_.read_witnesses) {
+    const crypto::ReadProof& proof = *w.proof;
     const core::ZoneInfo& zi = topo.zone(w.zone);
     Status st = crypto::VerifyReadProof(
-        keys, w.proof, w.key, w.found, w.value, w.client,
+        keys, proof, w.key, w.found, w.value, w.client,
         /*quorum=*/zi.f + 1, [&zi](NodeId n) { return zi.IsMember(n); },
         /*covered_ts=*/nullptr);
     if (!st.ok()) {
       std::ostringstream detail;
       detail << "client " << w.client << " accepted a read of '" << w.key
              << "' from zone " << w.zone << " (anchor seq "
-             << w.proof.anchor_seq
+             << proof.anchor_seq
              << ") whose proof does not verify: " << st.message();
       out->push_back({"read-validity", detail.str()});
       continue;
@@ -358,15 +359,15 @@ void InvariantChecker::CheckReads(core::ZiziphusSystem& system,
     // members plus one slow-but-honest vote can never mint, but a
     // misconfigured quorum could).
     if (auto it =
-            anchor_refs_.find(std::make_pair(w.zone, w.proof.anchor_seq));
+            anchor_refs_.find(std::make_pair(w.zone, proof.anchor_seq));
         it != anchor_refs_.end() &&
-        (it->second.state_digest != w.proof.state_digest ||
-         it->second.read_root != w.proof.read_root)) {
+        (it->second.state_digest != proof.state_digest ||
+         it->second.read_root != proof.read_root)) {
       std::ostringstream detail;
       detail << "client " << w.client << " accepted a read of '" << w.key
              << "' anchored at zone " << w.zone << " seq "
-             << w.proof.anchor_seq << " with (digest "
-             << w.proof.state_digest << ", read root " << w.proof.read_root
+             << proof.anchor_seq << " with (digest "
+             << proof.state_digest << ", read root " << proof.read_root
              << ") but honest " << NodeName(it->second.holder)
              << " stabilized (digest " << it->second.state_digest
              << ", read root " << it->second.read_root << ")";
@@ -375,7 +376,7 @@ void InvariantChecker::CheckReads(core::ZiziphusSystem& system,
     }
     // Ground truth: wherever an honest replica still retains the anchored
     // snapshot, the witnessed value must be exactly what was committed.
-    if (auto it = truth.find(std::make_pair(w.zone, w.proof.anchor_seq));
+    if (auto it = truth.find(std::make_pair(w.zone, proof.anchor_seq));
         it != truth.end()) {
       const auto& snap = it->second->snapshot;
       auto vit = snap.find(w.key);
@@ -386,16 +387,16 @@ void InvariantChecker::CheckReads(core::ZiziphusSystem& system,
         detail << "client " << w.client << " accepted a read of '" << w.key
                << "' = '" << (w.found ? w.value : "<absent>")
                << "' anchored at zone " << w.zone << " seq "
-               << w.proof.anchor_seq << " but the committed snapshot holds '"
+               << proof.anchor_seq << " but the committed snapshot holds '"
                << (committed_found ? vit->second : "<absent>") << "'";
         out->push_back({"read-validity", detail.str()});
       }
     }
-    if (w.proof.anchor_seq < w.floor_before) {
+    if (proof.anchor_seq < w.floor_before) {
       std::ostringstream detail;
       detail << "client " << w.client << " accepted a read of '" << w.key
              << "' anchored at zone " << w.zone << " seq "
-             << w.proof.anchor_seq << " below its session floor "
+             << proof.anchor_seq << " below its session floor "
              << w.floor_before << " (monotonic reads broken)";
       out->push_back({"read-validity", detail.str()});
     }

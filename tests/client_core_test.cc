@@ -444,7 +444,7 @@ INSTANTIATE_TEST_SUITE_P(
                     obs::CounterId::kReadsCertRejected},
         BadReadCase{"BadCoverage",
                     [](CoreFixture&, pbft::ReadReplyMsg& r) {
-                      r.proof.coverage_proof.leaf.value = "123456";
+                      r.proof.coverage_proof.leaf().value = "123456";
                     },
                     obs::CounterId::kReadsCertRejected},
         BadReadCase{"StaleAnchor",

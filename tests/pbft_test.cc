@@ -1,7 +1,9 @@
 #include <algorithm>
 #include <deque>
+#include <random>
 #include <memory>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -451,7 +453,7 @@ TEST(PbftByzantineTest, EquivocatingPrimaryCannotSplitState) {
 
 using IntBatcher = pbft::Batcher<int>;
 
-std::vector<int> Ids(const std::deque<IntBatcher::Entry>& entries) {
+std::vector<int> Ids(std::span<const IntBatcher::Entry> entries) {
   std::vector<int> out;
   for (const auto& e : entries) out.push_back(static_cast<int>(e.id));
   return out;
@@ -513,13 +515,62 @@ TEST(BatcherTest, DrainReturnsEveryEntryInFifoOrder) {
     b.Push(i, 10 * i, i == 3 ? t : obs::TraceContext{});
   }
   b.Remove(2);
-  std::deque<IntBatcher::Entry> drained = b.Drain();
+  std::vector<IntBatcher::Entry> drained = b.Drain();
   EXPECT_EQ(Ids(drained), (std::vector<int>{1, 3, 4}));
   EXPECT_EQ(drained[1].op, 30);
   EXPECT_EQ(drained[1].trace, t);
   EXPECT_TRUE(b.empty());
   EXPECT_FALSE(b.Contains(1));
   EXPECT_TRUE(b.Push(1, 11));
+}
+
+// The flat queue and id index against a deque and a set: pushes (with
+// duplicates and id 0), cuts and removes from anywhere, over a table that
+// grows several times and a queue whose consumed prefix is reclaimed.
+TEST(BatcherTest, FlatStorageMatchesAReferenceQueueUnderChurn) {
+  IntBatcher b;
+  using Queued = std::vector<std::pair<std::uint64_t, int>>;
+  std::deque<std::pair<std::uint64_t, int>> ref;  // (id, op), FIFO
+  std::set<std::uint64_t> ref_ids;
+  std::mt19937_64 rng(42);
+  for (int step = 0; step < 20000; ++step) {
+    const std::uint64_t roll = rng() % 10;
+    if (roll < 5) {
+      // Small ids repeat often; every 64th push is a large id.
+      const std::uint64_t id =
+          step % 64 == 0 ? (rng() % 8) << 40 : rng() % 512;
+      const bool fresh = ref_ids.insert(id).second;
+      EXPECT_EQ(b.Push(id, step), fresh);
+      if (fresh) ref.emplace_back(id, step);
+    } else if (roll < 7) {
+      const std::size_t max = rng() % 80;
+      IntBatcher::Cut cut = b.TakeUpTo(max);
+      ASSERT_EQ(cut.ops.size(), std::min(max, ref.size()));
+      for (int op : cut.ops) {
+        EXPECT_EQ(op, ref.front().second);
+        ref_ids.erase(ref.front().first);
+        ref.pop_front();
+      }
+    } else {
+      const std::uint64_t id = ref.empty() || roll == 9
+                                   ? rng() % 512
+                                   : ref[rng() % ref.size()].first;
+      b.Remove(id);
+      if (ref_ids.erase(id) > 0) {
+        ref.erase(std::find_if(ref.begin(), ref.end(),
+                               [id](const auto& e) { return e.first == id; }));
+      }
+    }
+    ASSERT_EQ(b.size(), ref.size());
+    if (step % 97 == 0) {
+      for (std::uint64_t id = 0; id < 512; ++id) {
+        ASSERT_EQ(b.Contains(id), ref_ids.count(id) > 0) << id;
+      }
+      Queued queued;
+      for (const auto& e : b.queued()) queued.emplace_back(e.id, e.op);
+      ASSERT_EQ(queued, Queued(ref.begin(), ref.end()));
+    }
+  }
 }
 
 TEST(BatcherTest, CutCarriesTheFirstActiveTraceAndDropsTheRest) {

@@ -3,7 +3,8 @@
 // scheme was vulnerable to), the engine's watermark gates, session
 // guarantees across view changes and amnesia rejoin, the stale-read and
 // forging Byzantine sweeps, read-heavy workload mixes over MobileClient,
-// and the chaos determinism probe with reads enabled.
+// tampered witnesses the read-validity invariant must catch, and the chaos
+// determinism probe with reads enabled.
 // `ctest -L reads` runs this suite plus the bench_reads smoke pair.
 
 #include <map>
@@ -21,6 +22,7 @@
 #include "gtest/gtest.h"
 #include "obs/metric_ids.h"
 #include "sim/byzantine.h"
+#include "sim/invariants.h"
 #include "storage/kv_store.h"
 #include "tests/read_fixtures.h"
 #include "tests/test_util.h"
@@ -73,7 +75,7 @@ TEST(MerkleTreeTest, MembershipAndAbsence) {
 
   // Tampering with the proven value breaks the fold to the root.
   crypto::MerkleProof forged = tree.Prove("d");
-  forged.leaf.value = "999";
+  forged.leaf().value = "999";
   EXPECT_FALSE(
       crypto::VerifyMerkleProof(tree.root(), "d", forged, &found, &value)
           .ok());
@@ -192,7 +194,7 @@ TEST(ReadProofTest, AlgebraicForgeryRejected) {
   // value and every sibling digest is genuine. Only the fold to the
   // certified root exposes it.
   crypto::ReadProof forged = proof;
-  forged.key_proof.leaf.value = "1000000";
+  forged.key_proof.leaf().value = "1000000";
   EXPECT_FALSE(crypto::VerifyReadProof(keys, forged, "acct/7", true,
                                        "1000000", 100, 2, is_member, nullptr)
                    .ok());
@@ -247,7 +249,7 @@ TEST(ReadVerdictTest, SessionWatermarksEnforced) {
 
   // A corrupted coverage path is its own verdict.
   pbft::ReadReplyMsg badcov = ok;
-  badcov.proof.coverage_proof.leaf.value = "123456";
+  badcov.proof.coverage_proof.leaf().value = "123456";
   EXPECT_EQ(app::VerifyReadReply(keys, members, 1, badcov, session, 0),
             ReadVerdict::kBadCoverage);
 
@@ -608,6 +610,84 @@ TEST(ReadMixTest, ReadsInterleaveWithMigrations) {
   // Read-your-writes holds across migration: no client ever had to reject
   // a reply for violating its session watermarks in an honest run.
   EXPECT_EQ(r.reads_session_violations, 0u);
+}
+
+// ------------------------------------------------ read-validity invariant
+
+/// Each tampered copy of one accepted read trips the read-validity check
+/// exactly once; the untouched witnesses pass. Tampering copies the proof
+/// into a fresh one and never writes through the shared pointer.
+TEST(ReadValidityTest, EachTamperedWitnessTripsTheCheckOnce) {
+  testutil::RecordedReadRun run;
+  ASSERT_TRUE(run.done);
+  ASSERT_FALSE(run.witnesses.empty());
+  ASSERT_TRUE(run.Check(run.witnesses).empty());
+
+  // The witness to tamper with: one anchored at the stable checkpoint an
+  // honest replica of its zone still holds, so the check can compare its
+  // anchor pair against what the zone certified.
+  std::size_t target = run.witnesses.size();
+  for (std::size_t i = 0; i < run.witnesses.size(); ++i) {
+    const crypto::ReadWitness& w = run.witnesses[i];
+    for (NodeId n : run.sys.topology().zone(w.zone).members) {
+      if (run.sys.node(n)->pbft().last_stable_checkpoint().seq ==
+          w.proof->anchor_seq) {
+        target = i;
+      }
+    }
+  }
+  ASSERT_LT(target, run.witnesses.size());
+  const crypto::ReadWitness original = run.witnesses[target];
+  const crypto::ReadProof untouched = *original.proof;
+
+  auto tampered = [&](auto edit) {
+    std::vector<crypto::ReadWitness> reads = run.witnesses;
+    crypto::ReadWitness& w = reads[target];
+    auto fresh = std::make_shared<crypto::ReadProof>(*w.proof);
+    edit(w, *fresh);
+    w.proof = std::move(fresh);
+    return run.Check(std::move(reads));
+  };
+  // `clause` names the part of the check that must catch the tamper.
+  auto expect_one = [](const std::vector<sim::InvariantViolation>& found,
+                       const std::string& clause) {
+    ASSERT_EQ(found.size(), 1u) << clause;
+    EXPECT_EQ(found[0].invariant, "read-validity") << clause;
+    EXPECT_NE(found[0].detail.find(clause), std::string::npos)
+        << found[0].detail;
+  };
+
+  expect_one(tampered([](crypto::ReadWitness& w, crypto::ReadProof&) {
+               w.value += "0";
+             }),
+             "binds a different value");
+  expect_one(tampered([](crypto::ReadWitness&, crypto::ReadProof& p) {
+               ASSERT_FALSE(p.key_proof.leaf().siblings.empty());
+               p.key_proof.leaf().siblings[0] ^= 1;
+             }),
+             "merkle path does not fold to root");
+  expect_one(tampered([](crypto::ReadWitness& w, crypto::ReadProof& p) {
+               w.floor_before = p.anchor_seq + 1;
+             }),
+             "below its session floor");
+  // A pair the zone never stabilized, certified by f+1 members' keys so
+  // that only the comparison with the honest anchor can catch it.
+  const std::vector<NodeId>& members =
+      run.sys.topology().zone(original.zone).members;
+  expect_one(tampered([&](crypto::ReadWitness&, crypto::ReadProof& p) {
+               p.state_digest ^= 1;
+               p.certificate = MakeCheckpointCert(
+                   run.sys.keys(), {members[0], members[1]}, p.anchor_seq,
+                   p.state_digest, p.read_root);
+             }),
+             "stabilized (digest");
+
+  // The recorded witness and its shared proof are as they were.
+  EXPECT_EQ(run.witnesses[target].proof, original.proof);
+  EXPECT_EQ(run.witnesses[target].value, original.value);
+  EXPECT_EQ(original.proof->key_proof, untouched.key_proof);
+  EXPECT_EQ(original.proof->state_digest, untouched.state_digest);
+  EXPECT_TRUE(run.Check(run.witnesses).empty());
 }
 
 // ------------------------------------------------------------- chaos
