@@ -92,7 +92,8 @@ void TwoLevelGlobalEngine::HandleMigrationRequest(
     return;
   }
   std::uint64_t op_id = msg->op.RequestId();
-  if (executed_op_ids_.count(op_id) > 0 || !batcher_.Push(op_id, msg->op)) {
+  if (executed_ops_.Contains(msg->op.client, msg->op.timestamp) ||
+      !batcher_.Push(op_id, msg->op)) {
     return;  // duplicate
   }
   if (batcher_.size() >= pbft::kBatchMax) {
@@ -283,7 +284,7 @@ void TwoLevelGlobalEngine::ExecuteReady() {
     if (!req.executed) {
       req.executed = true;
       for (const MigrationOp& op : req.ops) {
-        if (!executed_op_ids_.insert(op.RequestId()).second) continue;
+        if (!executed_ops_.Insert(op.client, op.timestamp)) continue;
         executed_count_++;
         process_->ChargeCpu(process_->costs().apply_us);
         std::string result;

@@ -6,7 +6,6 @@
 #include <memory>
 #include <set>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "core/endorsement.h"
 #include "core/lock_table.h"
@@ -167,7 +166,8 @@ class TwoLevelGlobalEngine {
   std::unordered_map<std::uint64_t, TLRequest> requests_;
   // Global-request batching at the leader, by op RequestId.
   pbft::Batcher<core::MigrationOp> batcher_;
-  std::unordered_set<std::uint64_t> executed_op_ids_;
+  /// Exactly-once for global ops: one watermark per client.
+  core::ExecutedOps executed_ops_;
   std::map<SeqNum, std::uint64_t> by_seq_;
   SeqNum next_gseq_ = 0;       // leader side
   SeqNum last_exec_gseq_ = 0;  // execution watermark

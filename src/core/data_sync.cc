@@ -10,7 +10,8 @@ DataSyncEngine::DataSyncEngine(sim::Process* process,
                                const crypto::KeyRegistry* keys,
                                const Topology* topology, ZoneId my_zone,
                                GlobalMetadata* metadata, LockTable* locks,
-                               ZoneEndorser* endorser, SyncConfig config)
+                               ZoneEndorser* endorser,
+                               SyncDurableState& durable, SyncConfig config)
     : process_(process),
       keys_(keys),
       topology_(topology),
@@ -18,7 +19,8 @@ DataSyncEngine::DataSyncEngine(sim::Process* process,
       metadata_(metadata),
       locks_(locks),
       endorser_(endorser),
-      config_(config) {}
+      config_(config),
+      durable_(durable) {}
 
 // ----------------------------------------------------------------- utils
 
@@ -39,11 +41,11 @@ bool DataSyncEngine::IAmProxy() const {
 }
 
 Ballot DataSyncEngine::NextBallot(ZoneId chain_zone) {
-  std::uint64_t n =
-      std::max({highest_n_seen_, my_last_ballot_.n, my_last_cross_ballot_.n}) +
-      1;
-  highest_n_seen_ = n;
-  if (durable_ != nullptr) durable_->highest_n_seen = highest_n_seen_;
+  std::uint64_t n = std::max({durable_.highest_n_seen,
+                               durable_.my_last_ballot.n,
+                               durable_.my_last_cross_ballot.n}) +
+                      1;
+  durable_.highest_n_seen = n;
   return Ballot{n, chain_zone};
 }
 
@@ -65,8 +67,8 @@ DataSyncEngine::RequestState& DataSyncEngine::Track(std::uint64_t id) {
 }
 
 Ballot DataSyncEngine::last_executed_ballot(ZoneId initiator) const {
-  auto it = chain_executed_.find(initiator);
-  return it == chain_executed_.end() ? kNullBallot : it->second;
+  auto it = durable_.chain_executed.find(initiator);
+  return it == durable_.chain_executed.end() ? kNullBallot : it->second;
 }
 
 // -------------------------------------------------------------- dispatch
@@ -171,7 +173,8 @@ void DataSyncEngine::HandleTimer(const sim::TimerTag& tag) {
       auto wit = relay_watch_.find(request_id);
       if (wit != relay_watch_.end() && !req.saw_endorse &&
           req.commit_msg == nullptr &&
-          !executed_ops_.Contains(req.op0().client, req.op0().timestamp)) {
+          !durable_.executed_ops.Contains(req.op0().client,
+                                          req.op0().timestamp)) {
         // The primary ignored a relayed migration request: suspect it.
         process_->scoped_counters().Inc(obs::CounterId::kSyncRelayWatchExpired);
         relay_watch_.erase(wit);
@@ -185,10 +188,7 @@ void DataSyncEngine::HandleTimer(const sim::TimerTag& tag) {
       if (!req.executed && req.commit_msg != nullptr) {
         process_->scoped_counters().Inc(obs::CounterId::kSyncChainSkip);
         if (!BallotExecuted(req.exec_prev)) {
-          chain_holes_[req.exec_prev.zone].insert(req.exec_prev);
-          if (durable_ != nullptr) {
-            durable_->chain_holes[req.exec_prev.zone].insert(req.exec_prev);
-          }
+          durable_.chain_holes[req.exec_prev.zone].insert(req.exec_prev);
         }
         ExecuteCommit(req);
       }
@@ -215,7 +215,7 @@ void DataSyncEngine::HandleMigrationRequest(
     return;  // malformed; faulty client
   }
   std::uint64_t op_id = op.RequestId();
-  if (executed_ops_.Contains(op.client, op.timestamp) ||
+  if (durable_.executed_ops.Contains(op.client, op.timestamp) ||
       batcher_.Contains(op_id)) {
     return;  // duplicate
   }
@@ -315,14 +315,11 @@ void DataSyncEngine::LeadRequest(RequestState& req) {
   ZoneId chain_zone =
       cross_chain ? my_zone_ + static_cast<ZoneId>(topology_->num_zones())
                   : my_zone_;
-  Ballot& tail = cross_chain ? my_last_cross_ballot_ : my_last_ballot_;
+  Ballot& tail =
+      cross_chain ? durable_.my_last_cross_ballot : durable_.my_last_ballot;
   req.ballot = NextBallot(chain_zone);
   req.prev = tail;
   tail = req.ballot;
-  if (durable_ != nullptr) {
-    (cross_chain ? durable_->my_last_cross_ballot : durable_->my_last_ballot) =
-        tail;
-  }
   req.initiator_zone = my_zone_;
   req.exec_ballot = req.ballot;
   req.exec_prev = req.prev;
@@ -420,7 +417,9 @@ bool DataSyncEngine::ValidateEndorse(const EndorsePrePrepareMsg& pp) {
       relay_watch_.erase(wit);
     }
   }
-  highest_n_seen_ = std::max(highest_n_seen_, pp.ballot.n);
+  // The vote below binds this node to the ballot: the floor must survive
+  // a crash, or a rejoin that then leads could reissue it.
+  durable_.highest_n_seen = std::max(durable_.highest_n_seen, pp.ballot.n);
 
   // Phase-specific digest validation: recompute what the zone is being
   // asked to sign.
@@ -750,17 +749,15 @@ void DataSyncEngine::HandlePropose(
   }
   req.promised = msg->ballot;
   req.ballot = msg->ballot;
-  highest_n_seen_ = std::max(highest_n_seen_, msg->ballot.n);
-  if (durable_ != nullptr) {
-    // The promise must hit "disk" before the PROMISE message can leave this
-    // zone: a restarted replica that forgot it could double-vote the ballot.
-    durable_->promised[req.id] = msg->ballot;
-    durable_->highest_n_seen = highest_n_seen_;
-  }
+  durable_.highest_n_seen = std::max(durable_.highest_n_seen, msg->ballot.n);
+  // The promise must hit "disk" before the PROMISE message can leave this
+  // zone: a restarted replica that forgot it could double-vote the ballot.
+  durable_.promised[req.id] = msg->ballot;
 
   endorser_->Start(
-      EndorsePhase::kPromise, req.id, msg->ballot, last_accepted_ballot_,
-      PromiseContentDigest(req.id, msg->ballot, last_accepted_ballot_,
+      EndorsePhase::kPromise, req.id, msg->ballot,
+      durable_.last_accepted_ballot,
+      PromiseContentDigest(req.id, msg->ballot, durable_.last_accepted_ballot,
                            my_zone_),
       msg, req.ops.front(), req.ops, {},
       /*full_prepare=*/config_.always_full_prepare);
@@ -826,12 +823,9 @@ void DataSyncEngine::HandleAccept(
   req.ballot = msg->ballot;
   req.prev = msg->prev;
   req.phase = Phase::kAccepting;
-  highest_n_seen_ = std::max(highest_n_seen_, msg->ballot.n);
-  if (msg->ballot > last_accepted_ballot_) last_accepted_ballot_ = msg->ballot;
-  if (durable_ != nullptr) {
-    durable_->highest_n_seen = highest_n_seen_;
-    durable_->last_accepted_ballot = last_accepted_ballot_;
-  }
+  durable_.highest_n_seen = std::max(durable_.highest_n_seen, msg->ballot.n);
+  durable_.last_accepted_ballot =
+      std::max(durable_.last_accepted_ballot, msg->ballot);
 
   endorser_->Start(
       EndorsePhase::kAccepted, req.id, msg->ballot, msg->prev,
@@ -897,18 +891,14 @@ void DataSyncEngine::HandleGlobalCommit(
   committed_count_++;
   DisarmTimer(req.commit_wait_timer);
   DisarmTimer(req.retry_timer);
-  if (msg->ballot.zone == my_zone_ && msg->ballot > my_last_ballot_) {
-    my_last_ballot_ = msg->ballot;
-    if (durable_ != nullptr) durable_->my_last_ballot = my_last_ballot_;
+  if (msg->ballot.zone == my_zone_) {
+    durable_.my_last_ballot = std::max(durable_.my_last_ballot, msg->ballot);
   }
   ZoneId cross_chain_id =
       my_zone_ + static_cast<ZoneId>(topology_->num_zones());
-  if (msg->ballot.zone == cross_chain_id &&
-      msg->ballot > my_last_cross_ballot_) {
-    my_last_cross_ballot_ = msg->ballot;
-    if (durable_ != nullptr) {
-      durable_->my_last_cross_ballot = my_last_cross_ballot_;
-    }
+  if (msg->ballot.zone == cross_chain_id) {
+    durable_.my_last_cross_ballot =
+        std::max(durable_.my_last_cross_ballot, msg->ballot);
   }
 
   if (msg->cross_cluster) {
@@ -965,16 +955,14 @@ void DataSyncEngine::ExecuteCommit(RequestState& req) {
   for (auto it = cs; it != end; ++it) process_->CancelTimer(it->second);
   chain_skips_.erase(cs, end);
   for (const MigrationOp& op : req.ops) {
-    const bool ran = executed_ops_.Insert(op.client, op.timestamp);
+    // The one exactly-once decision for a global op: GlobalMetadata and
+    // the global apply run only what it admits.
+    const bool ran = durable_.executed_ops.Insert(op.client, op.timestamp);
     if (config_.exec_observer) {
       config_.exec_observer(process_->id(), op, ran);
     }
     if (!ran) continue;  // re-led twin
-    executed_count_++;
-    if (durable_ != nullptr) {
-      durable_->executed_ops.Insert(op.client, op.timestamp);
-      durable_->executed_op_count = executed_count_;
-    }
+    durable_.executed_op_count++;
     process_->ChargeCpu(process_->costs().apply_us);
     std::string result;
     if (op.IsMigration()) {
@@ -995,14 +983,13 @@ void DataSyncEngine::ExecuteCommit(RequestState& req) {
     ledger_->Record(req.exec_ballot, digest.Finish(), process_->id());
   }
   const ZoneId chain_id = req.exec_ballot.zone;
-  Ballot& chain = chain_executed_[chain_id];
+  Ballot& chain = durable_.chain_executed[chain_id];
   if (req.exec_ballot > chain) chain = req.exec_ballot;
-  auto hit = chain_holes_.find(chain_id);
-  if (hit != chain_holes_.end() && hit->second.erase(req.exec_ballot) > 0) {
-    if (hit->second.empty()) chain_holes_.erase(hit);
-    if (durable_ != nullptr) durable_->chain_holes = chain_holes_;
+  auto hit = durable_.chain_holes.find(chain_id);
+  if (hit != durable_.chain_holes.end() &&
+      hit->second.erase(req.exec_ballot) > 0 && hit->second.empty()) {
+    durable_.chain_holes.erase(hit);
   }
-  if (durable_ != nullptr) durable_->chain_executed[chain_id] = chain;
   FlushWaiters(req.exec_ballot);
   endorser_->Settle(req.id);
   if (config_.compact_decided) {
@@ -1020,16 +1007,16 @@ void DataSyncEngine::CompactDecided(std::uint64_t request_id) {
   // The request ran: its ballot is at or below the chain watermark and its
   // ops at or below their clients' watermarks, which is all a late
   // duplicate needs. Its promise bound goes with it.
-  if (durable_ != nullptr) durable_->promised.erase(request_id);
+  durable_.promised.erase(request_id);
   requests_.erase(it);
   process_->scoped_counters().Inc(obs::CounterId::kSyncRequestsCompacted);
 }
 
 bool DataSyncEngine::BallotExecuted(Ballot ballot) const {
-  auto it = chain_executed_.find(ballot.zone);
-  if (it == chain_executed_.end() || ballot > it->second) return false;
-  auto hit = chain_holes_.find(ballot.zone);
-  return hit == chain_holes_.end() || hit->second.count(ballot) == 0;
+  auto it = durable_.chain_executed.find(ballot.zone);
+  if (it == durable_.chain_executed.end() || ballot > it->second) return false;
+  auto hit = durable_.chain_holes.find(ballot.zone);
+  return hit == durable_.chain_holes.end() || hit->second.count(ballot) == 0;
 }
 
 DataSyncEngine::RetentionStats DataSyncEngine::retention() const {
@@ -1045,10 +1032,11 @@ DataSyncEngine::RetentionStats DataSyncEngine::retention() const {
                       (req.sent_accept != nullptr ? 96 : 0) +
                       (req.prepared != nullptr ? 96 : 0);
   }
-  r.watermarked_clients = executed_ops_.clients();
-  r.approx_bytes += executed_ops_.ApproxBytes() + chain_executed_.size() * 48 +
+  r.watermarked_clients = durable_.executed_ops.clients();
+  r.approx_bytes += durable_.executed_ops.ApproxBytes() +
+                    durable_.chain_executed.size() * 48 +
                     request_order_.size() * 16;
-  for (const auto& [zone, holes] : chain_holes_) {
+  for (const auto& [zone, holes] : durable_.chain_holes) {
     r.chain_holes += holes.size();
     r.approx_bytes += 48 + holes.size() * 48;
   }
@@ -1203,7 +1191,7 @@ void DataSyncEngine::OnViewChange(ViewId view) {
   }
   // Relayed-but-never-endorsed ops queue for a fresh batch.
   for (const auto& [id, op, trace] : batcher_.Drain()) {
-    if (executed_ops_.Contains(op.client, op.timestamp)) continue;
+    if (durable_.executed_ops.Contains(op.client, op.timestamp)) continue;
     QueueOrLead(op, trace);
   }
   FlushBatch();
@@ -1241,26 +1229,10 @@ void DataSyncEngine::ReshipCommit(std::uint64_t request_id, ZoneId zone) {
 }
 
 void DataSyncEngine::RestoreFromDurable() {
-  if (durable_ == nullptr) return;
-  // Scalar ballot bookkeeping: the floors NextBallot and the promise /
-  // accept rules climb from. Restoring them is what prevents a recovered
-  // replica from re-issuing or re-voting a ballot it already used.
-  highest_n_seen_ = durable_->highest_n_seen;
-  last_accepted_ballot_ = durable_->last_accepted_ballot;
-  my_last_ballot_ = durable_->my_last_ballot;
-  my_last_cross_ballot_ = durable_->my_last_cross_ballot;
-  // Execution bookkeeping: the chain and client watermarks keep executed
-  // ballots and ops executed, so re-delivered commits (peer
-  // retransmissions, response-query answers) dedup instead of
-  // double-applying migrations.
-  chain_executed_ = durable_->chain_executed;
-  chain_holes_ = durable_->chain_holes;
-  executed_ops_ = durable_->executed_ops;
-  executed_count_ = durable_->executed_op_count;
   // Per-request promise bounds. Pre-create the request entry with only the
   // bound set: HandlePropose tolerates such stubs (it fills `ops` when
   // empty) and its promise rule then compares against the restored bound.
-  for (const auto& [id, ballot] : durable_->promised) {
+  for (const auto& [id, ballot] : durable_.promised) {
     RequestState& req = Track(id);
     req.id = id;
     if (ballot > req.promised) req.promised = ballot;

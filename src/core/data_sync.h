@@ -94,10 +94,15 @@ class DataSyncEngine {
   using GlobalApplyCallback =
       std::function<std::string(const MigrationOp& op)>;
 
+  /// `durable` is the node's durable slice for this engine and the only
+  /// home of its ballot and execution bookkeeping: every write goes there
+  /// before the message it guards leaves the node, so an engine rebuilt
+  /// after an amnesia crash starts from exactly what the old one persisted.
   DataSyncEngine(sim::Process* process, const crypto::KeyRegistry* keys,
                  const Topology* topology, ZoneId my_zone,
                  GlobalMetadata* metadata, LockTable* locks,
-                 ZoneEndorser* endorser, SyncConfig config);
+                 ZoneEndorser* endorser, SyncDurableState& durable,
+                 SyncConfig config);
 
   /// Routes top-level protocol messages; returns true if consumed.
   bool HandleMessage(const sim::MessagePtr& msg);
@@ -140,7 +145,7 @@ class DataSyncEngine {
 
   // ---- Introspection (tests / stats) ----------------------------------
   std::uint64_t committed_count() const { return committed_count_; }
-  std::uint64_t executed_count() const { return executed_count_; }
+  std::uint64_t executed_count() const { return durable_.executed_op_count; }
   Ballot last_executed_ballot(ZoneId initiator) const;
   const GlobalMetadata& metadata() const { return *metadata_; }
 
@@ -149,12 +154,9 @@ class DataSyncEngine {
   void set_ledger(ExecutionLedger* ledger) { ledger_ = ledger; }
 
   // ---- Durability (amnesia crash recovery) ----------------------------
-  /// Attaches the durable write-through target. Ballot promises, accepted
-  /// ballots and execution bookkeeping are mirrored into `d` as they
-  /// change, so a restarted replica can never double-vote a global ballot.
-  void set_durable(SyncDurableState* d) { durable_ = d; }
-  /// Rebuilds the forget-proof slice from durable state: scalar ballot
-  /// bookkeeping plus promise bounds on (pre-created) request entries.
+  /// Re-pins every durable promise as the bound of a (pre-created) request
+  /// entry. The ballot floors and execution watermarks need no restore:
+  /// the engine reads them from the durable slice directly.
   void RestoreFromDurable();
   /// The live promise bound for a request (kNullBallot when none). The
   /// recovery invariant compares this against the durable promise: a
@@ -329,7 +331,10 @@ class DataSyncEngine {
   LockTable* locks_;
   ZoneEndorser* endorser_;
   SyncConfig config_;
-  SyncDurableState* durable_ = nullptr;
+  /// Ballot floors and chain tails, the last accepted ballot, promises,
+  /// and the per-chain and per-client execution watermarks (see
+  /// SyncDurableState). The engine keeps no copy of any of them.
+  SyncDurableState& durable_;
   ExecutionLedger* ledger_ = nullptr;
   ExecutedCallback executed_callback_;
   SuspectPrimaryCallback suspect_primary_callback_;
@@ -344,28 +349,10 @@ class DataSyncEngine {
   /// Leader-side batching queue, by op RequestId. A backup also holds the
   /// ops it relayed here, for a view change that makes it primary to lead.
   pbft::Batcher<MigrationOp> batcher_;
-  /// Per-operation execution dedup (re-led instances, chain skips, client
-  /// retransmissions): one watermark per client.
-  ExecutedOps executed_ops_;
   /// Execution order of decided requests, oldest first; the compaction
   /// window slides over it.
   std::deque<std::uint64_t> decided_order_;
 
-  std::uint64_t highest_n_seen_ = 0;
-  Ballot my_last_ballot_ = kNullBallot;
-  /// Cross-cluster requests chain separately (virtual chain id
-  /// my_zone + num_zones), so a slow two-cluster commit never stalls the
-  /// intra-cluster pipeline behind it. Global operations commute across
-  /// chains; per-client ordering is enforced by the migration lock.
-  Ballot my_last_cross_ballot_ = kNullBallot;
-  /// Latest migration ballot accepted by this zone (the <l, z_l> carried in
-  /// promise messages).
-  Ballot last_accepted_ballot_ = kNullBallot;
-  /// Per-chain execution watermark: the highest ballot executed.
-  std::map<ZoneId, Ballot> chain_executed_;
-  /// Ballots below the watermark that never ran here: predecessors a chain
-  /// skip stepped over, until their own commit executes (usually empty).
-  std::map<ZoneId, std::set<Ballot>> chain_holes_;
   std::map<Ballot, std::vector<std::uint64_t>> waiting_on_;
   /// Relayed op id -> its watch timer id.
   std::map<std::uint64_t, std::uint64_t> relay_watch_;
@@ -378,7 +365,6 @@ class DataSyncEngine {
   std::unordered_multimap<std::uint64_t, std::uint64_t> chain_skips_;
 
   std::uint64_t committed_count_ = 0;
-  std::uint64_t executed_count_ = 0;
 };
 
 }  // namespace ziziphus::core

@@ -68,7 +68,6 @@ Status GlobalMetadata::ValidateMigration(const MigrationOp& op) const {
 }
 
 std::string GlobalMetadata::Execute(const MigrationOp& op) {
-  if (!executed_.Insert(op.client, op.timestamp)) return "dup";
   executed_count_++;
   Status s = ValidateMigration(op);
   if (!s.ok()) return "rejected:" + s.ToString();

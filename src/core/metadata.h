@@ -85,9 +85,10 @@ class ExecutedOps {
 /// every node of every zone in scope: client counts per zone, migration
 /// counts per client, and each client's current home zone.
 ///
-/// Execution is idempotent per (client, timestamp) so that at-least-once
-/// delivery of commit messages is safe; the dedup state is one watermark
-/// per client (ExecutedOps), not a history.
+/// Execute applies every op it is given. Exactly-once under at-least-once
+/// commit delivery is decided by the caller's ExecutedOps (the data-sync
+/// engine's durable slice, or the two-level engine's), which calls Execute
+/// only for an op it has not seen.
 class GlobalMetadata {
  public:
   explicit GlobalMetadata(PolicyConfig policy = {}) : policy_(policy) {}
@@ -100,7 +101,7 @@ class GlobalMetadata {
   Status ValidateMigration(const MigrationOp& op) const;
 
   /// Executes the migration op. Returns the result string sent to the
-  /// client ("ok" / error). Deduplicates on (client, timestamp).
+  /// client ("ok" / error).
   std::string Execute(const MigrationOp& op);
 
   ZoneId HomeOf(ClientId client) const;
@@ -111,17 +112,14 @@ class GlobalMetadata {
   /// checks in tests.
   std::uint64_t StateDigest() const;
 
-  /// Distinct migration ops executed (duplicates excluded).
+  /// Migration ops executed.
   std::uint64_t executed_count() const { return executed_count_; }
-  /// Clients with an execution watermark (the dedup state's size).
-  std::size_t watermarked_clients() const { return executed_.clients(); }
 
  private:
   PolicyConfig policy_;
   std::unordered_map<ZoneId, std::uint64_t> clients_per_zone_;
   std::unordered_map<ClientId, std::uint32_t> migrations_;
   std::unordered_map<ClientId, ZoneId> home_;
-  ExecutedOps executed_;
   std::uint64_t executed_count_ = 0;
 };
 

@@ -71,20 +71,20 @@ void ZiziphusNode::BuildEngines() {
   };
   endorser_ = std::make_unique<ZoneEndorser>(this, keys_, &zi, cbs);
 
-  sync_ = std::make_unique<DataSyncEngine>(this, keys_, topology_, zone_,
-                                           metadata_.get(), &locks_,
-                                           endorser_.get(), config_.sync);
+  sync_ = std::make_unique<DataSyncEngine>(
+      this, keys_, topology_, zone_, metadata_.get(), &locks_, endorser_.get(),
+      durable_.sync, config_.sync);
   migration_ = std::make_unique<MigrationEngine>(this, keys_, topology_,
                                                  zone_, &locks_,
                                                  endorser_.get());
   lazy_ = std::make_unique<LazySyncEngine>(this, keys_, topology_, zone_);
 
   // ---- durability wiring ----------------------------------------------
-  // Every engine mirrors its forget-proof slice into the node-owned
-  // durable store as it changes (see DESIGN.md's durable-vs-volatile
-  // table); OnAmnesiaRecover restores from it.
+  // PBFT and migration write their forget-proof slices through to the
+  // node-owned durable store as they change, and the data-sync engine keeps
+  // its slice only there (see DESIGN.md's durable-vs-volatile table);
+  // OnAmnesiaRecover restores from it.
   pbft_->set_durable(&durable_.pbft);
-  sync_->set_durable(&durable_.sync);
   sync_->set_ledger(config_.ledger);
   migration_->set_durable(&durable_.migration);
 
@@ -306,9 +306,10 @@ void ZiziphusNode::OnAmnesiaRecover() {
   }
 
   // Restore each engine's forget-proof slice. PBFT installs the stable
-  // checkpoint and replays the WAL; data sync restores ballot promises and
-  // execution bookkeeping; migration resumes in-flight transfers (after
-  // PBFT, so the checkpoint install cannot clobber re-installed records).
+  // checkpoint and replays the WAL; data sync re-pins its ballot promises
+  // (its floors and watermarks already live in the durable slice);
+  // migration resumes in-flight transfers (after PBFT, so the checkpoint
+  // install cannot clobber re-installed records).
   pbft_->RestoreFromDurable();
   sync_->RestoreFromDurable();
   migration_->RestoreFromDurable();

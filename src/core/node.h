@@ -79,7 +79,8 @@ class ZiziphusNode : public sim::Process {
   /// curves; it is an estimate with fixed per-entry constants, not an
   /// allocator measurement, so it is deterministic across runs. Global-op
   /// bookkeeping in it is O(zones + clients + in flight): watermarks, not
-  /// histories (DESIGN.md §11). Durable state is not counted.
+  /// histories (DESIGN.md §11). Durable state is not counted, except the
+  /// data-sync engine's watermarks, whose only home is its durable slice.
   struct MemoryFootprint {
     std::size_t pbft_bytes = 0;
     /// Undecided and recently decided requests, plus the client and chain

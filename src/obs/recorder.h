@@ -34,12 +34,6 @@ class Recorder {
   Recorder(const Recorder&) = delete;
   Recorder& operator=(const Recorder&) = delete;
 
-  /// Cheap global off-switch for histograms / profiling aggregates.
-  /// Counters stay live (protocol tests depend on them) and the Tracer has
-  /// its own enable, so this only gates the high-volume recording paths.
-  bool enabled() const { return enabled_; }
-  void set_enabled(bool on) { enabled_ = on; }
-
   // ---- Counters --------------------------------------------------------
 
   CounterSet& counters() { return root_; }
@@ -61,7 +55,7 @@ class Recorder {
   // ---- Histograms ------------------------------------------------------
 
   void Record(HistogramId id, std::uint64_t value) {
-    if (enabled_) hists_[static_cast<std::size_t>(id)].Record(value);
+    hists_[static_cast<std::size_t>(id)].Record(value);
   }
   const Histogram& histogram(HistogramId id) const {
     return hists_[static_cast<std::size_t>(id)];
@@ -72,9 +66,7 @@ class Recorder {
 
   // ---- Gauges ----------------------------------------------------------
 
-  /// Last-write-wins level sample (retained bytes, live table sizes). Not
-  /// gated by `enabled_`: writers sample on a coarse tick, so the volume
-  /// argument behind the histogram gate does not apply.
+  /// Last-write-wins level sample (retained bytes, live table sizes).
   void SetGauge(GaugeId id, std::uint64_t value) {
     gauges_[static_cast<std::size_t>(id)] = value;
     gauge_set_[static_cast<std::size_t>(id)] = true;
@@ -97,10 +89,8 @@ class Recorder {
 
   /// Samples the event-queue depth (called by the simulator at dispatch).
   void RecordQueueDepth(std::size_t depth) {
-    if (enabled_) {
-      hists_[static_cast<std::size_t>(HistogramId::kSimQueueDepth)].Record(
-          depth);
-    }
+    hists_[static_cast<std::size_t>(HistogramId::kSimQueueDepth)].Record(
+        depth);
   }
 
   // ---- Tracing ---------------------------------------------------------
@@ -125,7 +115,6 @@ class Recorder {
     std::uint64_t bytes = 0;
   };
 
-  bool enabled_ = true;
   CounterSet root_;
   // std::map: deterministic iteration for export, stable addresses for the
   // CounterSet parent chains.

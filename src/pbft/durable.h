@@ -16,9 +16,10 @@ namespace ziziphus::pbft {
 /// rejoin protocol via WAL replay and state transfer.
 ///
 /// Durable:
-///  - `view`: the last view this replica entered or voted for. Forgetting
-///    it would let a recovered replica accept a pre-prepare from a deposed
-///    primary.
+///  - `view`: the last view this replica entered (one that formed).
+///    Forgetting it would let a recovered replica accept a pre-prepare from
+///    a deposed primary. The live view can be ahead of it, at a view change
+///    that has not formed; a rejoin restarts from the formed one.
 ///  - `stable_checkpoint`: last 2f+1-certified snapshot; the recovery
 ///    baseline installed before WAL replay.
 ///  - `wal`: committed entries above the stable checkpoint (truncated at
@@ -33,21 +34,23 @@ namespace ziziphus::pbft {
 ///    changes rests on every honest voter reporting its vote in its
 ///    view-change message (>= f+1 reports in any quorum); an amnesiac that
 ///    forgot a cast vote could silently drop the count below threshold.
-///  - `client_ts`: last executed timestamp per client, so a recovered
-///    replica keeps exactly-once semantics instead of re-applying requests
-///    it already executed.
-///  - `checkpoint_client_ts`: the client table as of the stable checkpoint.
-///    WAL replay seeds the live table from this and rebuilds forward, so
-///    the replayed execution reproduces the original per-op duplicate
-///    decisions exactly (the post-crash table alone cannot: it is ahead of
-///    the checkpoint snapshot the replay starts from).
+///    A snapshot install trims the live proofs and votes below it; these
+///    durable ones wait for the replica's own next stable checkpoint, so a
+///    rejoin before then still replays from them.
+///  - `checkpoint_client_ts`: the client table as of the stable checkpoint,
+///    the only durable client table. WAL replay seeds the live table from
+///    it and rebuilds forward, so a recovered replica keeps exactly-once
+///    semantics and the replayed execution reproduces the original per-op
+///    duplicate decisions exactly (a table as of the crash could not: it is
+///    ahead of the checkpoint snapshot the replay starts from). What the
+///    replay cannot rebuild, state transfer brings with the responder's
+///    table.
 struct DurableState {
   ViewId view = 0;
   storage::Checkpoint stable_checkpoint;
   storage::CommitLog wal;
   std::map<SeqNum, PreparedProof> prepared_proofs;
   std::map<SeqNum, PreparedProof> fast_votes;
-  std::map<ClientId, RequestTimestamp> client_ts;
   std::map<ClientId, RequestTimestamp> checkpoint_client_ts;
 };
 

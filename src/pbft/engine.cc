@@ -735,9 +735,6 @@ void PbftEngine::ExecuteOp(SeqNum seq, const Operation& op) {
     RequestTimestamp& covered = read_covered_ts_[op.client];
     covered = std::max(covered, op.timestamp);
   }
-  if (durable_ != nullptr && op.client != kInvalidClient) {
-    durable_->client_ts[op.client] = op.timestamp;
-  }
   if (op.client != kInvalidClient) {
     auto reply = std::make_shared<ClientReplyMsg>();
     reply->view = view_;
@@ -1147,10 +1144,6 @@ void PbftEngine::InstallStateResponse(const StateResponseMsg& msg) {
     if (ts > cs.last_executed_ts) cs.last_executed_ts = ts;
     RequestTimestamp& covered = read_covered_ts_[client];
     covered = std::max(covered, ts);
-    if (durable_ != nullptr) {
-      RequestTimestamp& d = durable_->client_ts[client];
-      if (ts > d) d = ts;
-    }
   }
   pending_transfer_seq_ = 0;
   pending_transfer_digest_ = 0;
@@ -1214,10 +1207,6 @@ bool PbftEngine::ApplyDelta(const StateResponseMsg& msg) {
       ForgetExecuted(op->ComputeDigest());
       ClientState& cs = clients_[op->client];
       cs.last_executed_ts = std::max(cs.last_executed_ts, op->timestamp);
-      if (durable_ != nullptr && op->client != kInvalidClient) {
-        RequestTimestamp& d = durable_->client_ts[op->client];
-        d = std::max(d, op->timestamp);
-      }
       if (op->client != kInvalidClient) {
         auto reply = std::make_shared<ClientReplyMsg>();
         reply->view = view_;
@@ -1673,16 +1662,6 @@ void PbftEngine::RestoreFromDurable() {
     last_executed_ = entry.seq;
   }
   next_seq_ = std::max(stable_seq_, last_executed_);
-  // The durable client table may run ahead of the replayable prefix (a gap
-  // dropped the tail); rewrite it from the reconstructed one so the table
-  // never claims executions the state machine does not hold. The dropped
-  // suffix is re-learned when state transfer installs a peer's table.
-  durable_->client_ts.clear();
-  for (const auto& [client, cs] : clients_) {
-    if (client != kInvalidClient) {
-      durable_->client_ts[client] = cs.last_executed_ts;
-    }
-  }
 }
 
 // --------------------------------------------------------------- retention

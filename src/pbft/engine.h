@@ -133,14 +133,15 @@ class PbftEngine final {
 
   /// Attaches the durable slice of this replica (not owned; may be null =
   /// nothing persists). Write-through: the engine mirrors its stable
-  /// checkpoint, WAL, prepared proofs, view and client table into it as
-  /// they change.
+  /// checkpoint (with the client table as of it), WAL, prepared proofs,
+  /// fast votes and formed view into it as they change.
   void set_durable(DurableState* durable) { durable_ = durable; }
 
   /// Rebuilds volatile state from the attached durable slice after an
   /// amnesia crash: installs the stable checkpoint, replays the WAL
-  /// (re-applying each entry's batch from its prepared proof), restores the
-  /// view and client table. The host then arms timers and starts catch-up
+  /// (re-applying each entry's batch from its prepared proof, which
+  /// rebuilds the client table forward from the checkpoint's) and restores
+  /// the view. The host then arms timers and starts catch-up
   /// via state transfer. No-op without a durable slice.
   void RestoreFromDurable();
 

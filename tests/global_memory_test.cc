@@ -34,8 +34,8 @@ struct Retained {
   std::size_t endorse_tombstones = 0;
   std::size_t migrations_live = 0;
   std::size_t record_maps = 0;
-  /// Execution dedup entries: client watermarks (sync engine, its durable
-  /// mirror, the metadata) plus chain holes.
+  /// Execution dedup entries: client watermarks (one structure, the sync
+  /// engine's durable slice) plus chain holes.
   std::size_t executed_bookkeeping = 0;
   /// Data-sync request entries, decided ones included.
   std::size_t sync_requests = 0;
@@ -74,10 +74,7 @@ Retained Sum(core::ZiziphusSystem& sys) {
     r.endorse_tombstones += e.tombstones;
     r.migrations_live += m.live;
     r.record_maps += m.record_maps;
-    r.executed_bookkeeping +=
-        d.watermarked_clients + d.chain_holes +
-        node->durable().sync.executed_ops.clients() +
-        node->metadata().watermarked_clients();
+    r.executed_bookkeeping += d.watermarked_clients + d.chain_holes;
     r.sync_requests += d.requests;
     r.migration_tombstones += m.tombstones;
     r.state_caches += m.state_caches;

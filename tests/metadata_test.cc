@@ -1,8 +1,14 @@
+#include <memory>
+#include <vector>
+
+#include "app/bank.h"
 #include "core/ledger.h"
 #include "core/lock_table.h"
 #include "core/metadata.h"
+#include "core/system.h"
 #include "core/topology.h"
 #include "gtest/gtest.h"
+#include "tests/test_util.h"
 
 namespace ziziphus::core {
 namespace {
@@ -37,16 +43,70 @@ TEST(GlobalMetadataTest, ExecuteMovesClient) {
   EXPECT_EQ(md.MigrationsOf(1), 1u);
 }
 
+// GlobalMetadata applies every op it is given; exactly-once for a migration
+// is decided once, by the client watermarks in the data-sync engine's
+// durable slice. A committed migration redelivered to a node that has
+// compacted its request (keep window 1, then a second migration) reaches
+// that decision again, which refuses it: the client moves once.
 TEST(GlobalMetadataTest, ExactlyOncePerTimestamp) {
-  GlobalMetadata md;
-  md.RegisterClient(1, 0);
-  EXPECT_EQ(md.Execute(Op(1, 0, 1, 5)), "ok");
-  EXPECT_EQ(md.Execute(Op(1, 0, 1, 5)), "dup");  // redelivery
-  EXPECT_EQ(md.MigrationsOf(1), 1u);
-  // A different timestamp is a different request.
-  EXPECT_EQ(md.Execute(Op(1, 1, 2, 6)), "ok");
-  EXPECT_EQ(md.MigrationsOf(1), 2u);
-  EXPECT_EQ(md.executed_count(), 2u);  // two distinct (client, ts) keys
+  struct Decision {
+    NodeId node;
+    ClientId client;
+    RequestTimestamp ts;
+    bool ran;
+  };
+  std::vector<Decision> decisions;
+  NodeConfig cfg;
+  cfg.sync.decided_keep_window = 1;
+  cfg.sync.exec_observer = [&decisions](NodeId node, const MigrationOp& op,
+                                        bool ran) {
+    decisions.push_back({node, op.client, op.timestamp, ran});
+  };
+  ZiziphusSystem sys(1, sim::LatencyModel::PaperGeoMatrix());
+  for (ZoneId z = 0; z < 3; ++z) sys.AddZone(0, z, 1, 4);
+  sys.Finalize(cfg, [](ZoneId) {
+    return std::make_unique<app::BankStateMachine>();
+  });
+  testutil::TestClient mover(&sys.keys(), 1), other(&sys.keys(), 1);
+  for (testutil::TestClient* c : {&mover, &other}) {
+    sys.sim().Register(c, 0);
+    sys.BootstrapClient(c->id(), 0, [](ClientId id) {
+      return storage::KvStore::Map{
+          {app::BankStateMachine::AccountKey(id), "1000"}};
+    });
+  }
+  NodeId leader = sys.PrimaryOf(0)->id();
+  testutil::SentRecorder commits(kGlobalCommit);
+  sys.sim().SetInterceptor(leader, &commits);
+
+  RequestTimestamp ts = mover.SubmitGlobal(leader, 0, 1);
+  sys.sim().RunFor(Seconds(3));
+  ASSERT_TRUE(mover.MigrationDone(ts));
+  ASSERT_FALSE(commits.sent.empty());
+  const sim::MessagePtr first_commit = commits.sent.front();
+  // A later execution slides the keep window past the first request.
+  RequestTimestamp other_ts = other.SubmitGlobal(leader, 0, 2);
+  sys.sim().RunFor(Seconds(3));
+  ASSERT_TRUE(other.MigrationDone(other_ts));
+
+  core::ZiziphusNode* node = sys.Member(2, 1);
+  const std::uint64_t migrations_before = node->metadata().executed_count();
+  const std::uint64_t synced_before = node->sync().executed_count();
+  mover.Send(node->id(), first_commit);  // redelivery
+  sys.sim().RunFor(Seconds(1));
+
+  std::vector<bool> ran;
+  for (const Decision& d : decisions) {
+    if (d.node == node->id() && d.client == mover.id() && d.ts == ts) {
+      ran.push_back(d.ran);
+    }
+  }
+  EXPECT_EQ(ran, (std::vector<bool>{true, false}));
+  EXPECT_EQ(node->metadata().HomeOf(mover.id()), 1u);
+  EXPECT_EQ(node->metadata().MigrationsOf(mover.id()), 1u);
+  EXPECT_EQ(node->metadata().ClientsInZone(1), 1u);
+  EXPECT_EQ(node->metadata().executed_count(), migrations_before);
+  EXPECT_EQ(node->sync().executed_count(), synced_before);
 }
 
 TEST(ExecutedOpsTest, LateOpInsideTheWindowStillRuns) {

@@ -223,6 +223,97 @@ TEST(RecoveryTest, AmnesiacDestinationReplicaRecoversMigratedRecords) {
   EXPECT_TRUE(v.empty()) << RecoveryFixture::Describe(v);
 }
 
+// A zone backup votes on a data-sync ballot (its zone's accept endorsement)
+// and loses its memory before the commit reaches it; it rejoins, its
+// primary then fails, and it leads. A vote binds the voter to the ballot,
+// so the ballot floor it raised must survive the crash: every ballot the
+// new primary issues on its zone's chain lies above the one it voted on,
+// and no ballot carries two different requests.
+TEST(RecoveryTest, AmnesiacBackupLeadsAboveTheBallotItVotedOn) {
+  // What one replica sends for data synchronization: the requests it
+  // voted on and the ballots of the pre-prepares it led (a multicast,
+  // fanned out per destination, counts once).
+  class SyncSends : public sim::OutboundInterceptor {
+   public:
+    sim::MessagePtr OnSend(NodeId, NodeId, const sim::MessagePtr& msg) override {
+      if (msg == last_) return msg;
+      last_ = msg;
+      if (msg->type() == core::kEndorseVote) {
+        const auto& v = static_cast<const core::EndorseVoteMsg&>(*msg);
+        if (v.phase == core::EndorsePhase::kAccept) voted.insert(v.request_id);
+      } else if (msg->type() == core::kEndorsePrePrepare) {
+        const auto& pp = static_cast<const core::EndorsePrePrepareMsg&>(*msg);
+        if (pp.phase == core::EndorsePhase::kAccept) {
+          led.push_back({pp.request_id, pp.ballot});
+        }
+      }
+      return msg;
+    }
+    std::set<std::uint64_t> voted;
+    std::vector<std::pair<std::uint64_t, Ballot>> led;
+
+   private:
+    sim::MessagePtr last_;
+  };
+
+  RecoveryFixture fx;
+  testutil::TestClient& first = *fx.client;
+  testutil::TestClient second(&fx.sys.keys(), 1);
+  fx.sys.sim().Register(&second, 0);
+  fx.Bootstrap(first.id(), 1);
+  fx.Bootstrap(second.id(), 1);
+  const std::vector<NodeId>& zone0 = fx.sys.topology().zone(0).members;
+  const NodeId primary = zone0[0];
+  const NodeId backup = zone0[1];  // the primary of view 1
+  SyncSends primary_sends, backup_sends;
+  fx.sys.sim().SetInterceptor(primary, &primary_sends);
+  fx.sys.sim().SetInterceptor(backup, &backup_sends);
+
+  // Zone 0 endorses the accept within a few ms; the commit needs a WAN
+  // round trip through zones 1 and 2 first.
+  const SimTime crash_at = Millis(20);
+  sim::FaultSchedule& faults = fx.sys.sim().schedule();
+  faults.CrashAmnesiaAt(crash_at, backup);
+  faults.RecoverAmnesiaAt(Seconds(1), backup);
+  faults.CrashAt(Millis(1500), primary);
+
+  RequestTimestamp ts1 = first.SubmitGlobal(primary, 1, 2);
+  fx.sys.sim().RunUntil(crash_at - 1);
+  ASSERT_EQ(primary_sends.led.size(), 1u);
+  const auto [voted_request, voted_ballot] = primary_sends.led.front();
+  ASSERT_EQ(voted_ballot.zone, 0u);
+  ASSERT_EQ(backup_sends.voted.count(voted_request), 1u);
+  ASSERT_LT(fx.sys.node(backup)->sync().last_executed_ballot(0),
+            voted_ballot);
+
+  fx.sys.sim().RunUntil(Millis(1600));
+  ASSERT_TRUE(first.MigrationDone(ts1));
+  ASSERT_EQ(fx.sys.node(backup)->recoveries(), 1u);
+  // The next global request reaches every zone-0 backup at once, so their
+  // relay watches expire together and depose the crashed primary: the
+  // rejoined backup leads view 1.
+  auto req = std::make_shared<core::MigrationRequestMsg>();
+  req->op.client = second.id();
+  req->op.timestamp = 1;
+  req->op.source = 1;
+  req->op.destination = 2;
+  req->client_sig = fx.sys.keys().Sign(second.id(), req->digest());
+  for (NodeId n : zone0) second.Send(n, req);
+  fx.sys.sim().RunFor(Seconds(10));
+
+  EXPECT_TRUE(second.MigrationDone(req->op.timestamp));
+  EXPECT_EQ(fx.sys.node(backup)->pbft().view(), 1u);
+  ASSERT_FALSE(backup_sends.led.empty());
+  for (const auto& [request, ballot] : backup_sends.led) {
+    if (ballot.zone != voted_ballot.zone) continue;
+    EXPECT_GT(ballot, voted_ballot)
+        << "the rejoined backup reissued ballot " << ToString(ballot)
+        << " after voting on " << ToString(voted_ballot);
+  }
+  auto v = fx.CheckInvariants();
+  EXPECT_TRUE(v.empty()) << RecoveryFixture::Describe(v);
+}
+
 // ------------------------------------------- destination marker retention
 
 // A destination keeps a durable marker per appended migration only until its
